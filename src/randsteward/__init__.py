@@ -18,7 +18,6 @@ from .randomness import (
     SystemSource,
     TapeExhausted,
     TapeSource,
-    draw_bits,
 )
 from .expander import GabberGalilGraph, neighbor, walk
 # the extract *function* stays in its submodule: exporting it here would
@@ -33,14 +32,7 @@ from .steward import (
     Transcript,
     certification_check,
     choose_shift,
-    open_session,
-    run_main_steward,
-    run_naive,
-    run_saks_zhou_steward,
     run_steward,
-    run_union_bound_steward,
-    s0_generalized_round,
-    s0_round,
 )
 from .sampler import (
     AveragingSamplerPlan,
@@ -73,15 +65,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "Rat", "interval_index", "round_to_midpoint", "contained_in_one_interval",
     "BitSource", "BudgetReport", "TapeSource", "SystemSource", "CounterSource",
-    "TapeExhausted", "draw_bits",
+    "TapeExhausted",
     "GabberGalilGraph", "neighbor", "walk",
     "ExtractorParams", "FreshExtractorParams", "plan_extractor", "fresh_extractor",
     "BlockDecisionTree", "table_tree", "exact_node_distribution", "tv_distance",
     "PrgSchedule", "build_schedule", "expand",
-    "StewardConfig", "ConcentratedFn", "Session", "Transcript", "open_session",
-    "choose_shift", "s0_round", "s0_generalized_round", "run_steward",
-    "run_main_steward", "run_union_bound_steward", "run_saks_zhou_steward",
-    "run_naive", "certification_check",
+    "StewardConfig", "ConcentratedFn", "Session", "Transcript",
+    "choose_shift", "run_steward", "certification_check",
     "SamplerPlan", "AveragingSamplerPlan", "plan_sampler", "plan_averaging",
     "sample_mean", "averaging_sample", "median_amplify", "app_amplify",
     "FourierSpectrum", "wht", "estimate_W", "goldreich_levin", "gl_randomness_audit",

@@ -33,6 +33,7 @@ import numpy as np
 
 from .randomness import BitSource, TapeSource
 from .sampler import (
+    FnOracle,
     SamplerPlan,
     app_amplify,
     plan_sampler,
@@ -274,6 +275,45 @@ def _clamp_unit(y: Fraction) -> Fraction:
     return min(max(y, Fraction(0)), Fraction(1))
 
 
+def _steward_config(
+    tape_bits: int, k: int, epsilon: Fraction, delta: Fraction, kind: str, backend: str
+) -> StewardConfig:
+    """The d = 1 steward behind every estimate here.
+
+    Each round is planned for accuracy epsilon/8 and failure delta/(2k), and
+    gamma = delta/2, so all k answers land within epsilon except with
+    probability delta.
+    """
+    return StewardConfig(
+        n=tape_bits,
+        k=k,
+        d=1,
+        epsilon=epsilon / PROOF_CONSTANT,
+        delta=delta / (2 * k),
+        gamma=delta / 2,
+        kind=kind,
+        backend=backend,
+    )
+
+
+def _answer(session: Session, f: Callable[[str], list]) -> Fraction:
+    cfg = session.config
+    return session.answer(ConcentratedFn(oracle=f, epsilon=cfg.epsilon, delta=cfg.delta))[0]
+
+
+def _lazy_answer(config: StewardConfig, source: BitSource) -> Callable:
+    """_answer on one session that opens, and draws its seed, at the first call."""
+    session: Session | None = None
+
+    def answer(f: Callable[[str], list]) -> Fraction:
+        nonlocal session
+        if session is None:
+            session = Session(config, source)
+        return _answer(session, f)
+
+    return answer
+
+
 class AcceptanceSession:
     """Up to k rounds of: give a circuit, get Y = mu(C) +- epsilon in [0,1]."""
 
@@ -294,15 +334,8 @@ class AcceptanceSession:
         self.plan: SamplerPlan = plan_sampler(
             n, self.epsilon / PROOF_CONSTANT, self.delta / (2 * k), mode="walk"
         )
-        self.config = StewardConfig(
-            n=self.plan.seed_bits,
-            k=k,
-            d=1,
-            epsilon=self.epsilon / PROOF_CONSTANT,
-            delta=self.delta / (2 * k),
-            gamma=self.delta / 2,
-            kind=kind,
-            backend=backend,
+        self.config = _steward_config(
+            self.plan.seed_bits, k, self.epsilon, self.delta, kind, backend
         )
         self.session = Session(self.config, source)
 
@@ -321,10 +354,7 @@ class AcceptanceSession:
         def f(tape: str):
             return [sample_mean(self.plan, oracle, TapeSource(tape))]
 
-        y = self.session.answer(
-            ConcentratedFn(oracle=f, epsilon=self.config.epsilon, delta=self.config.delta)
-        )[0]
-        return _clamp_unit(y)
+        return _clamp_unit(_answer(self.session, f))
 
 
 def acceptance_session(
@@ -355,38 +385,18 @@ def run_promise_bpp_oracle_algorithm(
     epsilon = Fraction(1, 10)
     delta = Fraction(delta)
     plan = plan_sampler(n, epsilon / PROOF_CONSTANT, delta / (2 * k), mode="walk")
-    config = StewardConfig(
-        n=plan.seed_bits,
-        k=k,
-        d=1,
-        epsilon=epsilon / PROOF_CONSTANT,
-        delta=delta / (2 * k),
-        gamma=delta / 2,
-        kind=kind,
-        backend=backend,
+    answer = _lazy_answer(
+        _steward_config(plan.seed_bits, k, epsilon, delta, kind, backend), source
     )
-    session: list[Session] = []
 
     def ask(query) -> int:
-        if not session:
-            session.append(Session(config, source))
-
-        class _Oracle:
-            def eval_ints(self, xs):
-                from .randomness import int_to_bits
-
-                return np.array(
-                    [decision_oracle(query, int_to_bits(int(x), n)) for x in xs],
-                    dtype=np.uint8,
-                )
+        # int(): FnOracle sums an object array, and numpy bools add as logical or
+        oracle = FnOracle(n, lambda coins: int(decision_oracle(query, coins)))
 
         def f(tape: str):
-            return [sample_mean(plan, _Oracle(), TapeSource(tape))]
+            return [sample_mean(plan, oracle, TapeSource(tape))]
 
-        y = session[0].answer(
-            ConcentratedFn(oracle=f, epsilon=config.epsilon, delta=config.delta)
-        )[0]
-        return 1 if y >= Fraction(1, 2) else 0
+        return 1 if answer(f) >= Fraction(1, 2) else 0
 
     return outer(ask)
 
@@ -413,30 +423,17 @@ def run_app_oracle_algorithm(
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    eps_query = epsilon / PROOF_CONSTANT
     probe = app_amplify(lambda coins: 0, n, delta / (2 * k))
-    config = StewardConfig(
-        n=probe.plan.seed_bits,
-        k=k,
-        d=1,
-        epsilon=eps_query,
-        delta=delta / (2 * k),
-        gamma=delta / 2,
-        kind=kind,
-        backend=backend,
+    answer = _lazy_answer(
+        _steward_config(probe.plan.seed_bits, k, epsilon, delta, kind, backend), source
     )
-    session: list[Session] = []
 
     def ask(w) -> Fraction:
-        if not session:
-            session.append(Session(config, source))
         amp = app_amplify(lambda coins: phi_estimator(w, coins), n, delta / (2 * k))
 
         def f(tape: str):
             return [amp(TapeSource(tape))]
 
-        return session[0].answer(
-            ConcentratedFn(oracle=f, epsilon=eps_query, delta=config.delta)
-        )[0]
+        return answer(f)
 
     return outer(ask)

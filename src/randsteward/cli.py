@@ -60,6 +60,7 @@ def _master_key(seed_hex: str | None) -> bytes:
 
 
 def _run_trials(worker, args_list, jobs: int) -> list:
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, args_list, chunksize=8))

@@ -71,31 +71,10 @@ def walk(g: GabberGalilGraph, start: Vertex, labels: Iterable[int]) -> Vertex:
 
 
 def permutation_array(g: GabberGalilGraph, label: int) -> np.ndarray:
-    """perm[x + m*y] = image vertex id under the label's map."""
+    """perm[x + m*y] = image vertex id under the label's map (from `neighbor`)."""
     m = g.m
-    x, y = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    x, y = x.ravel(), y.ravel()
-    if label == 0:
-        nx, ny = (x + 2 * y) % m, y
-    elif label == 1:
-        nx, ny = (x + 2 * y + 1) % m, y
-    elif label == 2:
-        nx, ny = x, (y + 2 * x) % m
-    elif label == 3:
-        nx, ny = x, (y + 2 * x + 1) % m
-    elif label == 4:
-        nx, ny = (x - 2 * y) % m, y
-    elif label == 5:
-        nx, ny = (x - 2 * y - 1) % m, y
-    elif label == 6:
-        nx, ny = x, (y - 2 * x) % m
-    elif label == 7:
-        nx, ny = x, (y - 2 * x - 1) % m
-    else:
-        raise ValueError(f"label must be 0..7, got {label}")
-    out = np.empty(m * m, dtype=np.int64)
-    out[x + m * y] = nx + m * ny
-    return out
+    images = (neighbor(g, (x, y), label) for y in range(m) for x in range(m))
+    return np.fromiter((nx + m * ny for nx, ny in images), dtype=np.int64, count=m * m)
 
 
 def adjacency_matrix(g: GabberGalilGraph) -> np.ndarray:

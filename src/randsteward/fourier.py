@@ -225,7 +225,6 @@ class GlParams:
             epsilon=self.eps_est,
             delta=self.delta / (2 * self.n),
             gamma=self.delta / 2,
-            d0=self.d,
             kind=kind,
             backend=backend,
         )

@@ -120,11 +120,6 @@ class CounterSource(BitSource):
         return out
 
 
-def draw_bits(source: BitSource, count: int, phase: str = "default") -> str:
-    """Free-function form of source.draw for callers passed a bare source."""
-    return source.draw(count, phase)
-
-
 def bits_to_int(bits: str) -> int:
     """Little-endian decode: bits[i] contributes 2**i."""
     value = 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -265,12 +265,15 @@ class Session:
             return self.source.draw(self.config.n, phase="sample")
         return self._x
 
-    def answer(self, query, d0: int | None = None) -> tuple[Fraction, ...]:
+    def answer(self, query) -> tuple[Fraction, ...]:
+        """Answer one round, rounded with the config's d0 and grid.
+
+        Every round therefore shows the owner at most config.sigma symbols,
+        the alphabet the generator's schedule was planned for.
+        """
         cfg = self.config
         if self.round >= cfg.k:
             raise StewardProtocolError(f"query budget of {cfg.k} rounds exhausted")
-        if d0 is None:
-            d0 = cfg.d0
         fn = ConcentratedFn.wrap(query)
         x = self._next_sample()
 
@@ -290,8 +293,9 @@ class Session:
         kind = cfg.kind
         deltas: tuple[int, ...] | None = None
         if kind in ("main", "s0", "union"):
-            grid = Grid(interval_length=2 * (d0 + 1) * cfg.epsilon)
-            y_full, delta_list = shift_round(pad_vector(w, d0), cfg.epsilon, d0, grid)
+            y_full, delta_list = shift_round(
+                pad_vector(w, cfg.d0), cfg.epsilon, cfg.d0, cfg.grid
+            )
             y = tuple(y_full[: cfg.d])
             deltas = tuple(delta_list)
         elif kind == "saks-zhou":
@@ -311,22 +315,6 @@ class Session:
         return y
 
 
-def open_session(config: StewardConfig, source: BitSource) -> Session:
-    return Session(config, source)
-
-
-def s0_round(session: Session, f) -> tuple[Fraction, ...]:
-    """One ungrouped shift-and-round answer (d0 = d)."""
-    return session.answer(f, d0=session.config.d)
-
-
-def s0_generalized_round(session: Session, f, d0: int) -> tuple[Fraction, ...]:
-    """One grouped answer: pad d to a multiple of d0, shift per group of d0."""
-    if not 1 <= d0 <= session.config.d:
-        raise ValueError("d0 must lie in 1..d")
-    return session.answer(f, d0=d0)
-
-
 Owner = Callable[[int, list], object]
 
 
@@ -338,24 +326,6 @@ def run_steward(config: StewardConfig, owner: Owner, source: BitSource) -> Trans
         query = owner(i, responses)
         responses.append(session.answer(query))
     return session.transcript
-
-
-def run_main_steward(config: StewardConfig, owner: Owner, source: BitSource) -> Transcript:
-    return run_steward(replace(config, kind="main"), owner, source)
-
-
-def run_union_bound_steward(config: StewardConfig, owner: Owner, source: BitSource) -> Transcript:
-    return run_steward(replace(config, kind="union"), owner, source)
-
-
-def run_saks_zhou_steward(config: StewardConfig, owner: Owner, source: BitSource) -> Transcript:
-    return run_steward(replace(config, kind="saks-zhou"), owner, source)
-
-
-def run_naive(config: StewardConfig, owner: Owner, mode: str, source: BitSource) -> Transcript:
-    if mode not in ("fresh", "reuse"):
-        raise ValueError("mode must be 'fresh' or 'reuse'")
-    return run_steward(replace(config, kind=f"naive-{mode}"), owner, source)
 
 
 def certify_round(

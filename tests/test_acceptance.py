@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,6 @@ from randsteward.steward import (
     Session,
     StewardConfig,
     certification_check,
-    run_naive,
     run_steward,
     shift_round,
 )
@@ -399,14 +399,14 @@ def test_criterion_06():
     schedule = prg.build_schedule(
         config.n, config.k, config.sigma, config.gamma, backend=config.backend
     )
-    assert schedule.seed_len == 806  # n * 2^levels plus three walk seeds
+    assert schedule.seed_len == 806  # n + 3 * sum(walk_len) = 8 + 3 * (79 + 88 + 99)
     half_nk = config.n * config.k // 2
     if schedule.seed_len >= half_nk:
         big = prg.build_schedule(4096, 8, 4, Fraction(1, 16)).seed_len
         pytest.fail(
             f"seed budget is not below nk/2 at this size: the schedule draws "
             f"{schedule.seed_len} bits but nk/2 = {half_nk}.  The budget is "
-            f"n*2^ceil(log2 k) plus three 3*walk_len seeds, so the walk "
+            f"n + 3*sum(walk_len) = 8 + 3*(79+88+99) = 806, so the walk "
             f"overhead dominates until n does: at n=4096, k=8 the same "
             f"schedule draws {big} < {4096 * 8 // 2} bits.  Failure rate and "
             f"exact-budget sub-checks above passed ({fails}/{total} failures)."
@@ -419,11 +419,12 @@ def test_criterion_07():
         n=8, k=2, d=1, epsilon=Fraction(1, 128), delta=Fraction(1, 128),
         gamma=Fraction(1, 16),
     )
+    reuse = replace(config, kind="naive-reuse")
     broken = 0
     for i in range(1000):
         owner = adversary.extracting_owner(config.n, config.epsilon)
-        transcript = run_naive(
-            config, owner, "reuse", CounterSource(master=b"crit7-reuse", index=i)
+        transcript = run_steward(
+            reuse, owner, CounterSource(master=b"crit7-reuse", index=i)
         )
         broken += abs(transcript.rounds[1].y[0]) > config.error_bound
     assert broken >= 990

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from randsteward.adversary import boundary_owner, constant_owner, extracting_owner
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
-from randsteward.steward import Session, StewardConfig, run_naive
+from randsteward.steward import Session, StewardConfig, run_steward
 
 
 def test_constant_owner_cycles_point_masses():
@@ -89,7 +90,10 @@ def test_extracting_owner_breaks_sample_reuse():
     bound = EXTRACT_CFG.error_bound
     for i in range(10):
         owner = extracting_owner(8, Fraction(1, 128))
-        t = run_naive(EXTRACT_CFG, owner, "reuse", CounterSource(master=b"reuse", index=i))
+        t = run_steward(
+            replace(EXTRACT_CFG, kind="naive-reuse"), owner,
+            CounterSource(master=b"reuse", index=i),
+        )
         assert abs(t.rounds[1].y[0]) > bound  # decoded X, spiked it
 
 
@@ -98,7 +102,10 @@ def test_extracting_owner_rarely_touches_fresh_samples():
     fails = 0
     for i in range(30):
         owner = extracting_owner(8, Fraction(1, 128))
-        t = run_naive(EXTRACT_CFG, owner, "fresh", CounterSource(master=b"fresh", index=i))
+        t = run_steward(
+            replace(EXTRACT_CFG, kind="naive-fresh"), owner,
+            CounterSource(master=b"fresh", index=i),
+        )
         fails += abs(t.rounds[1].y[0]) > bound
     # the spike lands only when two fresh samples collide: rate 2^-8
     assert fails <= 3

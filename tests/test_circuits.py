@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,20 +197,23 @@ def test_promise_bpp_runner_lazy_without_queries():
 
 
 def test_promise_bpp_runner_decides_with_noise():
-    # oracle errs on exactly 1/4 of coin tapes (< 1/3 promise margin)
-    def oracle(query, coins):
-        wrong = coins.startswith("11")
-        return int((query % 2 == 0) != wrong)
+    # oracle errs on exactly 1/4 of coin tapes (< 1/3 promise margin); a
+    # numpy bool answer must count as 1, not be or-ed into the batch sum
+    for decision in (int, np.bool_):
 
-    answers = run_promise_bpp_oracle_algorithm(
-        lambda ask: [ask(2), ask(3)],
-        oracle,
-        4,
-        2,
-        Fraction(3, 4),
-        CounterSource(master=b"bpp", index=0),
-    )
-    assert answers == [1, 0]
+        def oracle(query, coins):
+            wrong = coins.startswith("11")
+            return decision((query % 2 == 0) != wrong)
+
+        answers = run_promise_bpp_oracle_algorithm(
+            lambda ask: [ask(2), ask(3)],
+            oracle,
+            4,
+            2,
+            Fraction(3, 4),
+            CounterSource(master=b"bpp", index=0),
+        )
+        assert answers == [1, 0]
 
 
 def test_promise_bpp_runner_tolerates_promise_violations():

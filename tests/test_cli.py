@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from randsteward import cli
 from randsteward.cli import main
 
 MASTER = "00112233445566778899aabbccddeeff"
@@ -71,6 +72,32 @@ def test_accept_streams_estimates(capsys, tmp_path):
     assert doc["sampler_queries_per_round"] == 61440
     assert doc["rounds"] == lines
     assert "2 rounds, 237 bits" in err
+
+
+def test_run_trials_clamps_jobs_to_cpu_count(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._run_trials(abs, [-1, 2, -3], 10**6) == [1, 2, 3]
+    assert requested == [2]
+    # an unknown CPU count runs the trials in-process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._run_trials(abs, [-4], 8) == [4]
+    assert requested == [2]
 
 
 def test_accept_bad_circuit_is_a_runtime_error(capsys):

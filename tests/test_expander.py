@@ -39,10 +39,11 @@ def test_neighbor_matches_reference_exhaustively():
 
 def test_neighbor_rejects_bad_label():
     g = GabberGalilGraph(3)
-    with pytest.raises(ValueError):
-        neighbor(g, (0, 0), 8)
-    with pytest.raises(ValueError):
-        permutation_array(g, -1)
+    for label in (-1, 8):
+        with pytest.raises(ValueError):
+            neighbor(g, (0, 0), label)
+        with pytest.raises(ValueError):
+            permutation_array(g, label)
 
 
 def test_graph_rejects_bad_modulus():
@@ -79,6 +80,18 @@ def test_permutation_array_agrees_with_neighbor():
             for y in range(m):
                 nx, ny = neighbor(g, (x, y), label)
                 assert perm[x + m * y] == nx + m * ny
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 13])
+def test_permutation_array_matches_reference(m):
+    for label in range(DEGREE):
+        want = [
+            nx + m * ny
+            for y in range(m)
+            for x in range(m)
+            for nx, ny in [ref_gg_neighbor(m, (x, y), label)]
+        ]
+        assert permutation_array(GabberGalilGraph(m), label).tolist() == want
 
 
 def test_adjacency_matrix_is_symmetric_doubly_stochastic():

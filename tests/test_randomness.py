@@ -9,7 +9,6 @@ from randsteward.randomness import (
     TapeSource,
     bits_to_hex,
     bits_to_int,
-    draw_bits,
     draw_uniform_power_of_two,
     hex_to_bits,
     int_to_bits,
@@ -49,12 +48,6 @@ def test_budget_report_counts_per_phase():
     assert report.bits_drawn == 15
     assert report.per_phase == {"seed": 12, "shift": 3}
     assert report.to_json() == {"bits_drawn": 15, "per_phase": {"seed": 12, "shift": 3}}
-
-
-def test_draw_bits_free_function():
-    tape = TapeSource("110")
-    assert draw_bits(tape, 2, "x") == "11"
-    assert tape.report.per_phase == {"x": 2}
 
 
 def test_negative_draw_rejected():

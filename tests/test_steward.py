@@ -1,3 +1,5 @@
+import inspect
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,14 +17,8 @@ from randsteward.steward import (
     certification_check,
     certify_round,
     choose_shift,
-    open_session,
     pad_vector,
-    run_naive,
-    run_saks_zhou_steward,
     run_steward,
-    run_union_bound_steward,
-    s0_generalized_round,
-    s0_round,
     shift_round,
 )
 
@@ -232,8 +228,8 @@ def test_concentrated_fn_wrap():
 
 
 def test_oracle_calls_are_recorded():
-    sess = open_session(MAIN_CFG, CounterSource(master=b"x", index=2))
-    s0_round(sess, const_query(0))
+    sess = Session(MAIN_CFG, CounterSource(master=b"x", index=2))
+    sess.answer(const_query(0))
     assert sess.transcript.rounds[0].oracle_calls == 1
 
 
@@ -243,11 +239,32 @@ def test_grouped_rounds():
         kind="s0", d0=2,
     )
     sess = Session(cfg, CounterSource(master=b"grouped", index=0))
-    y = s0_generalized_round(sess, const_query(0, 1, 2, 3, 4), 2)
+    y = sess.answer(const_query(0, 1, 2, 3, 4))
     assert len(y) == 5  # padding coordinate is stripped from the answer
     assert len(sess.transcript.rounds[0].deltas) == 3
-    with pytest.raises(ValueError):
-        s0_generalized_round(sess, const_query(0, 1, 2, 3, 4), 6)
+
+
+@pytest.mark.parametrize("kind", ["main", "s0", "union"])
+def test_rounds_keep_the_planned_alphabet(kind):
+    # sigma = 5 + 1 symbols at d = d0 = 4; a d0 = 1 round would show the
+    # owner 2^4 + 1 = 17, past what the generator was planned to fool
+    cfg = StewardConfig(
+        n=4, k=3, d=4, d0=4, epsilon=Fraction(1, 16), delta=Fraction(1, 16),
+        gamma=Fraction(1, 4), kind=kind,
+    )
+    assert cfg.sigma == 6
+    sess = Session(cfg, CounterSource(master=b"alphabet", index=0))
+    if kind == "main":
+        assert sess.schedule.sigma == cfg.sigma
+    with pytest.raises(TypeError):
+        sess.answer(const_query(0, 1, 2, 3), d0=1)
+    assert sess.transcript.rounds == []
+    assert list(inspect.signature(Session.answer).parameters) == ["self", "query"]
+    for r in range(cfg.k):
+        sess.answer(const_query(*(Fraction(r + j, 7) for j in range(4))))
+    for record in sess.transcript.rounds:
+        assert len(record.deltas) == cfg.groups
+        assert all(1 <= delta <= cfg.d0 + 1 for delta in record.deltas)
 
 
 # ---------------------------------------------------------------- runners
@@ -268,15 +285,19 @@ def test_run_steward_drives_adaptive_owner():
 
 def test_runner_kind_overrides():
     owner = lambda i, responses: const_query(0)
-    t = run_union_bound_steward(MAIN_CFG, owner, CounterSource(master=b"u", index=0))
+    t = run_steward(replace(MAIN_CFG, kind="union"), owner, CounterSource(master=b"u", index=0))
     assert t.config.kind == "union"
     assert t.bits_used == MAIN_CFG.n
-    t = run_saks_zhou_steward(MAIN_CFG, owner, CounterSource(master=b"z", index=0))
+    t = run_steward(
+        replace(MAIN_CFG, kind="saks-zhou"), owner, CounterSource(master=b"z", index=0)
+    )
     assert t.config.kind == "saks-zhou"
-    t = run_naive(MAIN_CFG, owner, "reuse", CounterSource(master=b"r", index=0))
+    t = run_steward(
+        replace(MAIN_CFG, kind="naive-reuse"), owner, CounterSource(master=b"r", index=0)
+    )
     assert t.config.kind == "naive-reuse"
     with pytest.raises(ValueError):
-        run_naive(MAIN_CFG, owner, "sideways", CounterSource(master=b"r", index=1))
+        replace(MAIN_CFG, kind="naive-sideways")
 
 
 # ---------------------------------------------------------------- certification
