@@ -10,7 +10,7 @@ circuit acceptance estimation (`circuits`).  `adversary` holds owners that
 break naive baselines.
 """
 
-from .numeric import Grid, Rat, contained_in_one_interval, interval_index, round_to_midpoint
+from .numeric import Grid, contained_in_one_interval, interval_index, round_to_midpoint
 from .randomness import (
     BitSource,
     BudgetReport,
@@ -63,7 +63,7 @@ from .adversary import boundary_owner, constant_owner, extracting_owner
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "Rat", "interval_index", "round_to_midpoint", "contained_in_one_interval",
+    "Grid", "interval_index", "round_to_midpoint", "contained_in_one_interval",
     "BitSource", "BudgetReport", "TapeSource", "SystemSource", "CounterSource",
     "TapeExhausted",
     "GabberGalilGraph", "neighbor", "walk",

@@ -264,6 +264,7 @@ class _CircuitOracle:
         return eval_on_ints(self.expr, xs)
 
     def cube_total(self):
+        """mu(C) * 2^n, the sum over the whole cube; None past the table cap."""
         if self.n > TRUTH_TABLE_CAP:
             return None
         if self._total is None:
@@ -390,8 +391,7 @@ def run_promise_bpp_oracle_algorithm(
     )
 
     def ask(query) -> int:
-        # int(): FnOracle sums an object array, and numpy bools add as logical or
-        oracle = FnOracle(n, lambda coins: int(decision_oracle(query, coins)))
+        oracle = FnOracle(n, lambda coins: decision_oracle(query, coins))
 
         def f(tape: str):
             return [sample_mean(plan, oracle, TapeSource(tape))]

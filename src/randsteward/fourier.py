@@ -48,7 +48,14 @@ from .randomness import (
     hex_to_bits,
     int_to_bits,
 )
-from .sampler import SamplerPlan, _batch_seeds, batch_cosets, lower_median, plan_sampler
+from .sampler import (
+    SamplerPlan,
+    _batch_seeds,
+    _span_chunks,
+    batch_cosets,
+    lower_median,
+    plan_sampler,
+)
 from .steward import ConcentratedFn, Session, StewardConfig
 
 MATERIALIZE_CAP = 22  # largest n for which a callback F is expanded to a table
@@ -155,12 +162,6 @@ def wht(table) -> FourierSpectrum:
     return FourierSpectrum(n=fn.n, sums=sums)
 
 
-def fourier_coefficients(table) -> tuple[np.ndarray, int]:
-    """(Walsh sums, n); divide by 2^n for the actual coefficients."""
-    sums = wht_ints(table)
-    return sums, sums.size.bit_length() - 1
-
-
 def heavy_set_exact(table, theta: Fraction) -> list[str]:
     """All x (as bit strings, sorted) with |F_hat(x)| >= theta, exactly."""
     spectrum = wht(table)
@@ -169,7 +170,8 @@ def heavy_set_exact(table, theta: Fraction) -> list[str]:
 
 def subcube_weight_exact(table, prefix: str) -> Fraction:
     """W_prefix = sum of F_hat(x)^2 over x whose first len(prefix) bits are prefix."""
-    sums, n = fourier_coefficients(as_boolean_function(table).materialize())
+    spectrum = wht(table)
+    sums, n = spectrum.sums, spectrum.n
     ell = len(prefix)
     if ell > n:
         raise ValueError("prefix longer than n")
@@ -259,18 +261,6 @@ def gl_params(n: int, theta: Fraction, delta: Fraction) -> GlParams:
         eps_est=eps_est, est_delta=est_delta,
         block_lens=block_lens, prefix_lens=prefix_lens, plans=plans,
     )
-
-
-def _span_chunks(vectors, c: int, chunk_bits: int):
-    """The points of c + span(vectors) as uint64 arrays of <= 2^chunk_bits each."""
-    block = np.zeros(1, dtype=np.uint64)
-    for v in vectors[:chunk_bits]:
-        block = np.concatenate([block, block ^ np.uint64(v)])
-    offsets = [c]
-    for v in vectors[chunk_bits:]:
-        offsets += [o ^ v for o in offsets]
-    for o in offsets:
-        yield block ^ np.uint64(o)
 
 
 def _parity_signs(x: np.ndarray) -> np.ndarray:

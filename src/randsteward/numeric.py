@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -58,7 +56,3 @@ def contained_in_one_interval(lo: Fraction, hi: Fraction, grid: Grid) -> bool:
 def rat_to_str(x: Fraction) -> str:
     """Serialize as 'p/q' (always with an explicit denominator)."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)

@@ -10,7 +10,12 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   field has room for t0 distinct g's.  Batch seeds (a, b) are either fresh
   (2*n'*r bits) or successive vertices of an expander walk on the 2^n' x 2^n'
   torus (2*n' + 3*(r-1) bits).  Estimates stay exact: a batch of 0/1 oracle
-  values yields Fraction(count, t0).
+  values yields Fraction(count, t0).  A batch is summed over the affine
+  cosets of batch_cosets, never point by point: a coset that is the whole
+  cube adds the oracle's cube_total(), and any other coset is evaluated once
+  on each of its points.  An oracle's optional cube_total() returns the
+  exact sum of f over all 2^n points, or None when it has no cheap way to
+  get it; then the whole cube is evaluated too.
 
 * averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
   t = ceil(6*ceil(log2(2/delta))/eps^2) vertex labels serve as the sample
@@ -125,6 +130,7 @@ class TruthTableOracle:
         return self.table[np.asarray(xs, dtype=np.int64)]
 
     def cube_total(self):
+        """The sum of f over the whole cube."""
         return self.table.sum()
 
     def __call__(self, bits: str):
@@ -139,8 +145,12 @@ class FnOracle:
         self.fn = fn
 
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
+        """fn at each point, in an object array; numpy scalars become Python
+        ones, so that .sum() adds np.bool_ values as 0/1, not as logical or."""
         vals = [self.fn(int_to_bits(int(x), self.n)) for x in xs]
-        return np.array(vals, dtype=object)
+        return np.array(
+            [v.item() if isinstance(v, np.generic) else v for v in vals], dtype=object
+        )
 
     def __call__(self, bits: str):
         return self.fn(bits)
@@ -168,49 +178,11 @@ def _powers(a: int, field_bits: int) -> list[int]:
     return powers
 
 
-def _byte_tables(a: int, field_bits: int) -> list[np.ndarray]:
-    """Per-byte lookup tables for g -> a*g in GF(2^field_bits)."""
-    powers = _powers(a, field_bits)
-    tabs = []
-    for base in range(0, field_bits, 8):
-        t = np.zeros(1, dtype=np.uint64)
-        for bit_val in powers[base : base + 8]:
-            t = np.concatenate([t, t ^ np.uint64(bit_val)])
-        tabs.append(t)
-    return tabs
-
-
-def _point_indices(start: int, stop: int, field_bits: int) -> list[np.ndarray]:
-    """Per-byte gather indices for the range of generator exponents."""
-    g = np.arange(start, stop, dtype=np.uint64)
-    return [
-        (g >> np.uint64(8 * i)) & np.uint64(255)
-        for i in range((field_bits + 7) // 8)
-    ]
-
-
-def _points_from_indices(
-    tabs: list[np.ndarray], idx: list[np.ndarray], b: int, n: int
-) -> np.ndarray:
-    acc = tabs[0][idx[0]]
-    for i in range(1, len(tabs)):
-        acc = acc ^ tabs[i][idx[i]]
-    return (acc ^ np.uint64(b)) & np.uint64((1 << n) - 1)
-
-
-def batch_points(a: int, b: int, t0: int, field_bits: int, n: int) -> np.ndarray:
-    """The t0 points a*g + b (g = 0..t0-1) truncated to n bits, as uint64."""
-    if t0 > 1 << field_bits:
-        raise ValueError("field too small for t0 distinct points")
-    return _points_from_indices(
-        _byte_tables(a, field_bits), _point_indices(0, t0, field_bits), b, n
-    )
-
-
 def batch_cosets(
     a: int, b: int, t0: int, field_bits: int, n: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """batch_points(a, b, t0, field_bits, n) as a multiset of affine cosets.
+    """The batch a*g + b (g < t0, in GF(2^field_bits)), truncated to n bits,
+    as a multiset of affine cosets.
 
     {g < t0} is one dyadic block per set bit j of t0: g = base + x with
     x < 2^j and base the bits of t0 above j.  g -> (a*g + b) mod 2^n is
@@ -233,7 +205,7 @@ def batch_cosets(
                 if t0 >> i & 1:
                     c ^= powers[i]
             cosets.append((1 << (j - len(basis)), c & mask, tuple(basis)))
-        if j < field_bits:
+        if j < field_bits and len(basis) < n:  # a full-rank V stays the same
             v = powers[j] & mask
             for w in basis:
                 v = min(v, v ^ w)
@@ -241,6 +213,18 @@ def batch_cosets(
                 top = 1 << (v.bit_length() - 1)
                 basis = sorted([w ^ v if w & top else w for w in basis] + [v])
     return cosets
+
+
+def _span_chunks(vectors, c: int, chunk_bits: int):
+    """The points of c + span(vectors) as uint64 arrays of <= 2^chunk_bits each."""
+    block = np.zeros(1, dtype=np.uint64)
+    for v in vectors[:chunk_bits]:
+        block = np.concatenate([block, block ^ np.uint64(v)])
+    offsets = [c]
+    for v in vectors[chunk_bits:]:
+        offsets += [o ^ v for o in offsets]
+    for o in offsets:
+        yield block ^ np.uint64(o)
 
 
 @dataclass
@@ -255,23 +239,18 @@ def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
     oracle = as_oracle(oracle, plan.n)
     before = source.report.bits_drawn
     seeds = _batch_seeds(plan, source)
-    field = 1 << plan.field_bits
-    # When t0 nearly exhausts the field, sum the few skipped points instead:
-    # g -> a*g + b permutes the field, and truncation to n bits is balanced,
-    # so the full-field total is just 2^(field_bits - n) * sum over the cube.
     cube = getattr(oracle, "cube_total", None)
-    total = cube() if cube is not None and 2 * plan.t0 > field else None
-    if total is not None:
-        full_total = _exact(total) * (field >> plan.n)
-        idx = _point_indices(plan.t0, field, plan.field_bits)
-    else:
-        idx = _point_indices(0, plan.t0, plan.field_bits)
+    # only a block of >= 2^n points can map onto the whole cube
+    total = cube() if cube is not None and plan.t0 >> plan.n else None
     means = []
     for a, b in seeds:
-        pts = _points_from_indices(_byte_tables(a, plan.field_bits), idx, b, plan.n)
-        batch = _exact(oracle.eval_ints(pts).sum())
-        if total is not None:
-            batch = full_total - batch
+        batch = Fraction(0)
+        for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
+            if len(basis) == plan.n and total is not None:
+                part = total
+            else:
+                part = oracle.eval_ints(next(_span_chunks(basis, c, len(basis)))).sum()
+            batch += mult * _exact(part)
         means.append(batch / plan.t0)
     return SampleRun(
         plan=plan,

@@ -8,6 +8,7 @@ values that the test files freeze as literals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -132,6 +133,33 @@ def ref_poly_mod(a: int, b: int) -> int:
 
 def ref_affine_points(a: int, b: int, t0: int, poly: int, m: int, n: int) -> list[int]:
     return [(ref_gf2_mul(a, g, poly, m) ^ b) & ((1 << n) - 1) for g in range(t0)]
+
+
+@functools.cache
+def ref_field_poly(m: int) -> int:
+    """The smallest irreducible polynomial of degree m, by brute force."""
+    return next(f for f in range(1 << m, 1 << (m + 1)) if ref_is_irreducible(f, m))
+
+
+def batch_points(a: int, b: int, t0: int, field_bits: int, n: int):
+    """The t0 sampler points a*g + b (g = 0..t0-1) truncated to n bits, as uint64.
+
+    The vectorized form of ref_affine_points over the package's field: one
+    pass per bit of g, xoring in a * x^i wherever that bit is set.  The
+    pointwise reference that batch sums over affine cosets are checked
+    against.
+    """
+    import numpy as np
+
+    if t0 > 1 << field_bits:
+        raise ValueError("field too small for t0 distinct points")
+    poly = ref_field_poly(field_bits)
+    g = np.arange(t0, dtype=np.uint64)
+    acc = np.full(t0, b, dtype=np.uint64)
+    for i in range(field_bits):
+        a_xi = np.uint64(ref_gf2_mul(a, 1 << i, poly, field_bits))
+        acc ^= np.where((g >> np.uint64(i)) & np.uint64(1), a_xi, np.uint64(0))
+    return acc & np.uint64((1 << n) - 1)
 
 
 # ---------------------------------------------------------------- Fourier

@@ -14,7 +14,6 @@ from randsteward.fourier import (
     as_boolean_function,
     dump_truth_table,
     estimate_W,
-    fourier_coefficients,
     gl_audit_dict,
     gl_params,
     gl_randomness_audit,
@@ -31,11 +30,10 @@ from randsteward.sampler import (
     SamplerPlan,
     _batch_seeds,
     batch_cosets,
-    batch_points,
     plan_sampler,
 )
 
-from oracles import brute_subcube_weight, brute_wht, ref_weights_pointwise
+from oracles import batch_points, brute_subcube_weight, brute_wht, ref_weights_pointwise
 
 MAJ3 = [1 if bin(x).count("1") < 2 else -1 for x in range(8)]
 CHI1 = [1, -1, 1, -1]  # parity of the first input bit, n = 2
@@ -53,6 +51,7 @@ sign_tables = st.integers(0, 3).flatmap(
 def test_wht_goldens():
     assert wht(MAJ3).sums.tolist() == [0, 4, 4, 0, 4, 0, 0, -4]
     assert wht(CHI1).sums.tolist() == [0, 4, 0, 0]
+    assert wht(CHI1).n == 2
     assert wht([1, 1, 1, 1]).sums.tolist() == [4, 0, 0, 0]
 
 
@@ -110,12 +109,6 @@ def test_subcube_weights():
         assert subcube_weight_exact(MAJ3, prefix) == brute_subcube_weight(MAJ3, prefix)
     with pytest.raises(ValueError):
         subcube_weight_exact(MAJ3, "0101")
-
-
-def test_fourier_coefficients_tuple():
-    sums, n = fourier_coefficients(CHI1)
-    assert n == 2
-    assert sums.tolist() == [0, 4, 0, 0]
 
 
 # ---------------------------------------------------------------- functions

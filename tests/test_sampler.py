@@ -6,19 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
 from randsteward.gf2 import field_poly, gf_mul, is_irreducible
-from randsteward.randomness import CounterSource, TapeSource, int_to_bits
+from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.sampler import (
     MODES,
     AmplifiedEstimator,
     FnOracle,
     TruthTableOracle,
+    _batch_seeds,
     app_amplify,
     averaging_mean,
     averaging_points,
     averaging_sample,
     batch_cosets,
-    batch_points,
     lower_median,
     median_amplify,
     plan_averaging,
@@ -28,6 +29,7 @@ from randsteward.sampler import (
 )
 
 from oracles import (
+    batch_points,
     lower_median_ref,
     ref_affine_points,
     ref_gf2_mul,
@@ -242,6 +244,104 @@ def test_fn_oracle_and_fraction_values():
     oracle = FnOracle(2, lambda bits: Fraction(1, 3))
     estimate = sample_mean(plan, oracle, CounterSource(master=b"frac", index=0))
     assert estimate == Fraction(1, 3)
+
+
+def test_fn_oracle_counts_numpy_bools():
+    # an object-array sum adds np.bool_ values as logical or, not as 0/1
+    def parity(bits):
+        return bits.count("1") % 2
+
+    as_int = FnOracle(5, parity)
+    as_bool = FnOracle(5, lambda bits: np.bool_(parity(bits)))
+    plan = plan_sampler(5, Fraction(1, 2), Fraction(1, 4))
+    runs = [
+        run_sampler(plan, f, CounterSource(master=b"bools", index=0)) for f in (as_int, as_bool)
+    ]
+    assert runs[0].batch_means == runs[1].batch_means
+    assert 0 < runs[0].estimate < 1
+    avg = plan_averaging(5, Fraction(1, 2), Fraction(1, 2))
+    means = [
+        averaging_mean(avg, f, CounterSource(master=b"bools", index=1)) for f in (as_int, as_bool)
+    ]
+    assert means[0] == means[1]
+    assert 0 < means[0] < 1
+
+
+def _pointwise_run(plan, values, source):
+    """Batch means and bits drawn, summing values over every listed point."""
+    before = source.report.bits_drawn
+    means = []
+    for a, b in _batch_seeds(plan, source):
+        pts = batch_points(a, b, plan.t0, plan.field_bits, plan.n)
+        counts = np.bincount(pts.astype(np.intp), minlength=len(values)).tolist()
+        means.append(sum(k * v for k, v in zip(counts, values)) / Fraction(plan.t0))
+    return means, source.report.bits_drawn - before
+
+
+def test_a_zero_batch_matches_pointwise():
+    # a = 0 maps the whole batch onto the point b: g -> a*g + b need not
+    # permute the field, even when t0 nearly fills it
+    plan = plan_sampler(3, Fraction(1), Fraction(1, 2), mode="independent")
+    nf = plan.field_bits
+    assert (plan.t0, nf) == (10, 4) and 2 * plan.t0 > 1 << nf
+    rng = random.Random(7)
+    rest = plan.seed_bits - 2 * nf
+    tape = "0000" + "1000" + int_to_bits(rng.getrandbits(rest), rest)
+    run = run_sampler(plan, PARITY3, TapeSource(tape))
+    want = []
+    for i in range(plan.r):
+        seed = tape[2 * nf * i : 2 * nf * (i + 1)]
+        a, b = bits_to_int(seed[:nf]), bits_to_int(seed[nf:])
+        pts = ref_affine_points(a, b, plan.t0, field_poly(nf), nf, plan.n)
+        want.append(Fraction(sum(int(PARITY3.table[p]) for p in pts), plan.t0))
+    assert want[0] == 1  # a = 0, b = 1: ten copies of the point 1
+    assert run.batch_means == want
+
+
+def _random_circuit(rng, n: int, depth: int = 3) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([f"x{rng.randrange(n)}"] * 4 + ["0", "1"])
+    if rng.random() < 0.2:
+        return f"~({_random_circuit(rng, n, depth - 1)})"
+    left, right = _random_circuit(rng, n, depth - 1), _random_circuit(rng, n, depth - 1)
+    return f"({left}) {rng.choice('&^|')} ({right})"
+
+
+class _NoCubeCircuit(_CircuitOracle):
+    def cube_total(self):
+        return None
+
+
+def test_run_sampler_matches_pointwise_reference():
+    # coset sums against every point listed, over random plans and four
+    # oracle kinds: with a cube total, with one that is None, and without
+    rng = random.Random(31337)
+    epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 7),
+                Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
+    kinds = Counter()
+    for i in range(150):
+        n = rng.randint(1, 11)
+        delta = rng.choice([Fraction(15, 16), Fraction(3, 4), Fraction(1, 2)])
+        plan = plan_sampler(n, rng.choice(epsilons), delta, mode=MODES[i % 2])
+        kind = i // 2 % 4
+        if kind == 0:
+            values = [rng.randrange(4) for _ in range(1 << n)]
+            oracle = TruthTableOracle(np.array(values, dtype=np.int64))
+        elif kind in (1, 2):
+            expr = parse_circuit(_random_circuit(rng, n), n)
+            values = to_truth_table(expr, n).tolist()
+            oracle = (_CircuitOracle if kind == 1 else _NoCubeCircuit)(expr, n)
+        else:
+            raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)])
+                   for v in (rng.randrange(2) for _ in range(1 << n))]
+            values = [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]
+            oracle = FnOracle(n, lambda bits, _raw=raw: _raw[bits_to_int(bits)])
+        run = run_sampler(plan, oracle, CounterSource(master=b"diff", index=i))
+        want = _pointwise_run(plan, values, CounterSource(master=b"diff", index=i))
+        assert (run.batch_means, run.bits_used) == want
+        kinds[kind, plan.t0 >> n > 0] += 1
+    # every kind meets both plans with a whole-cube block and plans without
+    assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
 
 
 def test_lower_median():
