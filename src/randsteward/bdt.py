@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .randomness import bits_to_int
+from .randomness import bits_to_int, int_to_bits
 
 ENUMERATION_CAP = 24
 
@@ -144,8 +144,7 @@ def exact_node_distribution(
     counts: dict[Path, int] = {}
     nk = tree.n * tree.k
     for seed in range(1 << seed_len):
-        seed_bits = "".join("1" if seed >> i & 1 else "0" for i in range(seed_len))
-        out = generator(seed_bits)
+        out = generator(int_to_bits(seed, seed_len))
         if len(out) != nk:
             raise ValueError("generator output length mismatch")
         path = evaluate(tree, split_blocks(out, tree.n, tree.k))
@@ -183,8 +182,7 @@ def _uniform_by_enumeration(tree: BlockDecisionTree) -> NodeDistribution:
     nk = tree.n * tree.k
     counts: dict[Path, int] = {}
     for value in range(1 << nk):
-        bits = "".join("1" if value >> i & 1 else "0" for i in range(nk))
-        path = evaluate(tree, split_blocks(bits, tree.n, tree.k))
+        path = evaluate(tree, split_blocks(int_to_bits(value, nk), tree.n, tree.k))
         counts[path] = counts.get(path, 0) + 1
     return NodeDistribution(
         k=tree.k, sigma=tree.sigma,

@@ -42,32 +42,33 @@ class GabberGalilGraph:
 
 
 def neighbor(g: GabberGalilGraph, v: Vertex, label: int) -> Vertex:
-    m = g.m
-    x, y = v
-    if label == 0:
-        return ((x + 2 * y) % m, y)
-    if label == 1:
-        return ((x + 2 * y + 1) % m, y)
-    if label == 2:
-        return (x, (y + 2 * x) % m)
-    if label == 3:
-        return (x, (y + 2 * x + 1) % m)
-    if label == 4:
-        return ((x - 2 * y) % m, y)
-    if label == 5:
-        return ((x - 2 * y - 1) % m, y)
-    if label == 6:
-        return (x, (y - 2 * x) % m)
-    if label == 7:
-        return (x, (y - 2 * x - 1) % m)
-    raise ValueError(f"label must be 0..7, got {label}")
+    return walk(g, v, (label,))
 
 
 def walk(g: GabberGalilGraph, start: Vertex, labels: Iterable[int]) -> Vertex:
-    v = start
+    """Follow the labels from start; the eight maps are written out only here."""
+    m = g.m
+    x, y = start
     for label in labels:
-        v = neighbor(g, v, label)
-    return v
+        if label == 0:
+            x = (x + 2 * y) % m
+        elif label == 1:
+            x = (x + 2 * y + 1) % m
+        elif label == 2:
+            y = (y + 2 * x) % m
+        elif label == 3:
+            y = (y + 2 * x + 1) % m
+        elif label == 4:
+            x = (x - 2 * y) % m
+        elif label == 5:
+            x = (x - 2 * y - 1) % m
+        elif label == 6:
+            y = (y - 2 * x) % m
+        elif label == 7:
+            y = (y - 2 * x - 1) % m
+        else:
+            raise ValueError(f"label must be 0..7, got {label}")
+    return x, y
 
 
 def permutation_array(g: GabberGalilGraph, label: int) -> np.ndarray:

@@ -23,16 +23,28 @@ That comparison is evaluated in exact integer arithmetic by squaring:
 lam^(2*len) * 32 * 2^(t + pad) <= beta^3.  Each step consumes 3 seed bits
 (degree 8), so the seed is 3 * walk_len bits.  test_extract checks this
 planning rule against exhaustively computed TV distances at small s before
-anything else relies on it.
+anything else relies on it.  The plan is pure and its loop multiplies
+integers of about 1.5k bits, so it is memoized (a bounded cache: a session
+plans one extractor per generator level).
+
+`extract_int` is the walk on Python ints, in the library's little-endian
+convention: bit i of an s-bit string is bit i of its int.  The start vertex
+is the low and the high ceil(s/2) bits of x (odd s pads a zero on top), the
+labels are the 3-bit fields of y from the low end, and the endpoint is read
+back the same way, masked to s bits.  `extract` is its string wrapper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import expander
-from .randomness import bits_to_int
+from .randomness import bits_to_int, int_to_bits
+
+# octal digit characters -> label bytes 0..7
+_OCTAL = bytes.maketrans(b"01234567", bytes(range(8)))
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,7 @@ class FreshExtractorParams:
         return self.s
 
 
+@lru_cache(maxsize=256)
 def plan_extractor(s: int, t: int, beta: Fraction) -> ExtractorParams:
     """Smallest conformant walk extractor for deficit t and error beta."""
     if s < 1:
@@ -87,27 +100,37 @@ def plan_extractor(s: int, t: int, beta: Fraction) -> ExtractorParams:
     return ExtractorParams(s=s, t=t, beta=beta, walk_len=walk_len)
 
 
+def _labels(y: int, walk_len: int) -> bytes:
+    """The walk_len 3-bit fields of y, low end first: octal digits reversed."""
+    digits = format(y, f"0{walk_len}o")[::-1] if walk_len else ""
+    return digits.encode().translate(_OCTAL)
+
+
 def seed_to_labels(seed_bits: str) -> list[int]:
     """Split a seed into 3-bit little-endian edge labels."""
     if len(seed_bits) % 3:
         raise ValueError("walk seed length must be a multiple of 3")
-    return [bits_to_int(seed_bits[i : i + 3]) for i in range(0, len(seed_bits), 3)]
+    return list(_labels(bits_to_int(seed_bits), len(seed_bits) // 3))
+
+
+def extract_int(params, x: int, y: int) -> int:
+    """Apply the planned extractor to ints x (params.s bits) and y (seed_len bits)."""
+    if isinstance(params, FreshExtractorParams):
+        return y
+    half = (params.s + 1) // 2
+    g = expander.GabberGalilGraph(1 << half)
+    a, b = expander.walk(g, (x & (g.m - 1), x >> half), _labels(y, params.walk_len))
+    return (a | b << half) & ((1 << params.s) - 1)
 
 
 def extract(params, x_bits: str, y_bits: str) -> str:
     """Apply the planned extractor: walk from x along the labels in y."""
-    if isinstance(params, FreshExtractorParams):
-        if len(x_bits) != params.s or len(y_bits) != params.s:
-            raise ValueError("fresh extractor: input and seed must both have length s")
-        return y_bits
     if len(x_bits) != params.s:
         raise ValueError(f"input has {len(x_bits)} bits, expected {params.s}")
     if len(y_bits) != params.seed_len:
         raise ValueError(f"seed has {len(y_bits)} bits, expected {params.seed_len}")
-    g = expander.GabberGalilGraph(expander.torus_side_for_bits(params.s))
-    v = expander.vertex_from_bits(x_bits)
-    v = expander.walk(g, v, seed_to_labels(y_bits))
-    return expander.bits_from_vertex(v, params.s)
+    out = extract_int(params, bits_to_int(x_bits), bits_to_int(y_bits))
+    return int_to_bits(out, params.s)
 
 
 def fresh_extractor(s: int) -> FreshExtractorParams:

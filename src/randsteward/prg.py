@@ -15,6 +15,12 @@ n*k bits.
 
 `build_schedule` fixes every length up front, so expansion is deterministic
 and the bit budget is auditable before any seed is drawn.
+
+`expand` turns the seed string into an int once, in the library's
+little-endian convention (bit i of the string is bit i of the int), runs the
+recursion on ints -- x is the low s_i bits of a level-(i+1) seed, y the rest,
+and G_i(x) fills the low n*2^i output bits -- and turns the output back into
+a string once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .extract import ExtractorParams, FreshExtractorParams, extract, plan_extractor
+from .extract import ExtractorParams, FreshExtractorParams, extract_int, plan_extractor
+from .randomness import bits_to_int, int_to_bits
 
 LevelParams = Union[ExtractorParams, FreshExtractorParams]
 
@@ -123,15 +130,19 @@ def expand(schedule: PrgSchedule, seed_bits: str) -> str:
         raise ValueError(
             f"seed must have {schedule.seed_len} bits, got {len(seed_bits)}"
         )
-    return _expand_level(schedule, schedule.levels, seed_bits)[: schedule.output_len]
+    seed = bits_to_int(seed_bits)
+    out = _expand_level(schedule, schedule.levels, seed) if schedule.levels else seed
+    width = schedule.output_len
+    return int_to_bits(out & ((1 << width) - 1), width)
 
 
-def _expand_level(schedule: PrgSchedule, level: int, bits: str) -> str:
-    if level == 0:
-        return bits
-    params = schedule.extractors[level - 1]
+def _expand_level(schedule: PrgSchedule, level: int, seed: int) -> int:
+    """G_level on an int seed, level >= 1; G_0 is the identity, so it is not called."""
     s_prev = schedule.s[level - 1]
-    x, y = bits[:s_prev], bits[s_prev:]
-    left = _expand_level(schedule, level - 1, x)
-    right = _expand_level(schedule, level - 1, extract(params, x, y))
-    return left + right
+    x = seed & ((1 << s_prev) - 1)
+    right = extract_int(schedule.extractors[level - 1], x, seed >> s_prev)
+    left = x
+    if level > 1:
+        left = _expand_level(schedule, level - 1, x)
+        right = _expand_level(schedule, level - 1, right)
+    return left | right << (schedule.n << (level - 1))

@@ -95,8 +95,7 @@ class SystemSource(BitSource):
 
     def _pull(self, count, phase):
         while len(self._buffer) < count:
-            chunk = os.urandom(64)
-            self._buffer += "".join(f"{byte:08b}"[::-1] for byte in chunk)
+            self._buffer += _bytes_to_bits(os.urandom(64))
         out, self._buffer = self._buffer[:count], self._buffer[count:]
         return out
 
@@ -115,24 +114,29 @@ class CounterSource(BitSource):
                 self.master + self.index.to_bytes(8, "big") + self._block.to_bytes(8, "big")
             ).digest()
             self._block += 1
-            self._buffer += "".join(f"{byte:08b}"[::-1] for byte in digest)
+            self._buffer += _bytes_to_bits(digest)
         out, self._buffer = self._buffer[:count], self._buffer[count:]
         return out
 
 
 def bits_to_int(bits: str) -> int:
     """Little-endian decode: bits[i] contributes 2**i."""
-    value = 0
-    for i, b in enumerate(bits):
-        if b == "1":
-            value |= 1 << i
-    return value
+    if bits.strip("01"):
+        raise ValueError("bits must contain only '0' and '1'")
+    return int(bits[::-1] or "0", 2)
 
 
 def int_to_bits(value: int, width: int) -> str:
+    """Little-endian encode into exactly width bits; inverse of bits_to_int."""
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")
-    return "".join("1" if value >> i & 1 else "0" for i in range(width))
+    # a sentinel bit above the top keeps the leading zeros; then drop "0b1"
+    return bin(value | 1 << width)[:2:-1]
+
+
+def _bytes_to_bits(data: bytes) -> str:
+    """Per-byte LSB first, which is little-endian over the whole byte string."""
+    return int_to_bits(int.from_bytes(data, "little"), 8 * len(data))
 
 
 def draw_uniform_power_of_two(source: BitSource, u: int, phase: str = "shift") -> int:
@@ -156,14 +160,9 @@ def hex_to_bits(hex_string: str, nbits: int) -> str:
     data = bytes.fromhex(hex_string)
     if 8 * len(data) < nbits:
         raise ValueError(f"seed supplies {8 * len(data)} bits, need {nbits}")
-    bits = "".join(f"{byte:08b}"[::-1] for byte in data)
-    return bits[:nbits]
+    return _bytes_to_bits(data)[:nbits]
 
 
 def bits_to_hex(bits: str) -> str:
     """Inverse of hex_to_bits, zero-padding the final byte."""
-    padded = bits + "0" * (-len(bits) % 8)
-    out = bytearray()
-    for i in range(0, len(padded), 8):
-        out.append(bits_to_int(padded[i : i + 8]))
-    return out.hex()
+    return bits_to_int(bits).to_bytes((len(bits) + 7) // 8, "little").hex()

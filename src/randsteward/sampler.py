@@ -65,10 +65,12 @@ def _ceil_log2(q: Fraction) -> int:
 
 
 def _exact(value) -> Fraction:
+    """Exact rational of a sum: Fractions and integers as they are, floats exactly."""
     if isinstance(value, Fraction):
         return value
-    f = float(value)
-    return Fraction(int(f)) if f.is_integer() else Fraction(f)
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
+    return Fraction(float(value))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,19 @@ The base move is the shift-and-round S0: evaluate W = f(X) on one n-bit
 sample, lay down a grid of cells of length L = 2*(d0+1)*epsilon, pick the
 smallest shift D in {1..d0+1} such that every coordinate's uncertainty
 window [W_j + (2D-1)e, W_j + (2D+1)e] sits inside a single cell, and answer
-with the cell midpoint of W_j + 2*D*e.  Each coordinate rules out at most
+with the cell midpoint of W_j + 2*D*e.  Each coordinate rules out exactly
 one shift, so a feasible D always exists; whenever W is epsilon-close to mu
 the answer is a function of mu and D alone.  That collapses the owner's view
 of a round to sigma = (d0+1)^g + 1 symbols (g = d_pad/d0 groups, plus one
 abort symbol), which is what lets the main steward feed S0 from the blocks
 of a short-seed generator fooling sigma-ary block decision trees:
 n + O(k log d) bits total, failure <= k*delta + gamma.
+
+The code makes that argument the algorithm.  In units of 2e, coordinate j
+rules out the one shift whose window holds the first cell boundary above
+z_j = (W_j + e)/(2e); D is the smallest shift no coordinate rules out, and
+each answer is a single exact rational.  One pass over a group in integer
+arithmetic does it (see choose_shift).
 
 Baselines: "s0" (fresh n bits per round, rounded), "union" (one sample
 reused every round, rounded), "saks-zhou" (one sample, coarse grid u*epsilon
@@ -31,10 +37,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .bdt import split_blocks
-from .numeric import Grid, contained_in_one_interval, rat_to_str, round_to_midpoint
+from .numeric import Grid, rat_to_str, round_to_midpoint
 from .prg import PrgSchedule, build_schedule, expand
 from .randomness import BitSource, draw_uniform_power_of_two
 
@@ -89,7 +96,7 @@ class StewardConfig:
         """Per-round symbol count of the owner's view; d + 2 when d0 = d."""
         return (self.d0 + 1) ** self.groups + 1
 
-    @property
+    @cached_property  # read every round; the config is frozen
     def grid(self) -> Grid:
         return Grid(interval_length=2 * (self.d0 + 1) * self.epsilon)
 
@@ -120,27 +127,48 @@ class ConcentratedFn:
         return ConcentratedFn(oracle=query)
 
 
+def _shift_group(
+    w: Sequence[Fraction], epsilon: Fraction, grid: Grid
+) -> tuple[int, list[Fraction]]:
+    """One-pass shift-and-round of one group -> (D, answers); see choose_shift."""
+    cell = len(w) + 1
+    p, q = epsilon.numerator, epsilon.denominator
+    length = grid.interval_length
+    if length.numerator * q != 2 * cell * p * length.denominator:
+        raise ValueError("grid interval length must be 2*(len(w)+1)*epsilon")
+    # z_j = (w_j + e) / (2e) = num / den, measured in units of 2e
+    zs = []
+    ruled_out = set()
+    for wj in w:
+        a, b = wj.numerator, wj.denominator
+        num, den = a * q + p * b, 2 * p * b
+        zs.append((num, den))
+        ruled_out.add(cell - num // den % cell)
+    delta = 1
+    while delta in ruled_out:
+        delta += 1
+    y = []
+    for num, den in zs:
+        m = (2 * num + (2 * delta - 1) * den) // (2 * den * cell)  # cell of z_j + D - 1/2
+        y.append(Fraction((2 * m + 1) * cell * p, q))
+    return delta, y
+
+
 def choose_shift(w: Sequence[Fraction], epsilon: Fraction, grid: Grid) -> int:
     """Smallest shift D in {1..len(w)+1} whose windows all stay in one cell.
 
     The window for coordinate j is [w_j + (2D-1)e, w_j + (2D+1)e]; touching a
-    cell's right boundary counts as escaping.  The d0+1 candidate windows of
-    one coordinate tile an interval of exactly one cell length, so at most
-    one candidate per coordinate is ruled out and a valid D always exists.
+    cell's right boundary counts as escaping.  The grid must be the canonical
+    one, cells of length 2*(d0+1)*e with d0 = len(w); anything else raises
+    ValueError.  In units of 2e a cell is d0+1 long and the window is
+    [z_j + D - 1, z_j + D] with z_j = (w_j + e)/(2e), so it escapes exactly
+    when a cell boundary lies in (z_j + D - 1, z_j + D].  Only the first
+    boundary above z_j can, which rules out the single shift
+    D_bad = (d0+1) - (floor(z_j) mod (d0+1)) in 1..d0+1.  The d0 coordinates
+    rule out at most d0 of the d0+1 shifts, and D is the smallest one left,
+    found in one pass over w in integer arithmetic.
     """
-    d0 = len(w)
-    for delta in range(1, d0 + 2):
-        ok = all(
-            contained_in_one_interval(
-                wj + (2 * delta - 1) * epsilon,
-                wj + (2 * delta + 1) * epsilon,
-                grid,
-            )
-            for wj in w
-        )
-        if ok:
-            return delta
-    raise AssertionError("no feasible shift in 1..d0+1: arithmetic bug")
+    return _shift_group(w, epsilon, grid)[0]
 
 
 def pad_vector(w: Sequence[Fraction], d0: int) -> list[Fraction]:
@@ -153,7 +181,12 @@ def pad_vector(w: Sequence[Fraction], d0: int) -> list[Fraction]:
 def shift_round(
     w: Sequence[Fraction], epsilon: Fraction, d0: int, grid: Grid | None = None
 ) -> tuple[list[Fraction], list[int]]:
-    """Grouped shift-and-round of a padded vector -> (answers, shift per group)."""
+    """Grouped shift-and-round of a padded vector -> (answers, shift per group).
+
+    Each group of d0 coordinates gets its shift D from choose_shift's rule and
+    answers y_j = (2m+1)*(d0+1)*e, the midpoint of the cell with index m that
+    holds w_j + 2*D*e.  The grid, when given, must be the canonical one.
+    """
     if len(w) % d0:
         raise ValueError("vector length must be a multiple of d0")
     if grid is None:
@@ -161,10 +194,9 @@ def shift_round(
     y: list[Fraction] = []
     deltas: list[int] = []
     for start in range(0, len(w), d0):
-        group = list(w[start : start + d0])
-        delta = choose_shift(group, epsilon, grid)
+        delta, y_group = _shift_group(w[start : start + d0], epsilon, grid)
         deltas.append(delta)
-        y.extend(round_to_midpoint(wj + 2 * delta * epsilon, grid) for wj in group)
+        y.extend(y_group)
     return y, deltas
 
 
@@ -284,7 +316,8 @@ class Session:
             calls += 1
             return fn.oracle(bits)
 
-        w = tuple(Fraction(v) for v in counted_oracle(x))
+        # Fractions are immutable: keep them, convert anything else
+        w = tuple(v if type(v) is Fraction else Fraction(v) for v in counted_oracle(x))
         if calls != 1:
             raise StewardProtocolError(f"one-query discipline violated: {calls} calls")
         if len(w) != cfg.d:

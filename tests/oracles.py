@@ -52,6 +52,21 @@ def ref_choose_shift(w, epsilon, d0: int) -> int | None:
     return None
 
 
+def ref_shift_round(w, epsilon, d0: int) -> tuple[list[Fraction], list[int]]:
+    """Grouped shift-and-round, the Fraction way: per group of d0 coordinates
+    the scanned shift D, then the midpoint of the cell holding w_j + 2*D*e."""
+    epsilon = Fraction(epsilon)
+    length = 2 * (d0 + 1) * epsilon
+    y: list[Fraction] = []
+    deltas: list[int] = []
+    for start in range(0, len(w), d0):
+        group = [Fraction(v) for v in w[start : start + d0]]
+        delta = ref_choose_shift(group, epsilon, d0)
+        deltas.append(delta)
+        y.extend(ref_midpoint(wj + 2 * delta * epsilon, length) for wj in group)
+    return y, deltas
+
+
 # ---------------------------------------------------------------- expander
 
 def ref_gg_neighbor(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
@@ -74,6 +89,50 @@ def ref_gg_neighbor(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
     if label == 7:
         return (x, (y - 2 * x - 1) % m)
     raise ValueError(label)
+
+
+def ref_bits_to_int(bits: str) -> int:
+    """Little-endian, one character at a time: bits[i] contributes 2**i."""
+    value = 0
+    for i, b in enumerate(bits):
+        if b == "1":
+            value |= 1 << i
+    return value
+
+
+def ref_int_to_bits(value: int, width: int) -> str:
+    return "".join("1" if value >> i & 1 else "0" for i in range(width))
+
+
+def ref_extract(params, x: str, y: str) -> str:
+    """Walk extractor on strings: x splits into two torus coordinates (odd
+    lengths padded with a zero), y into 3-bit labels; a params object without
+    walk_len is the fresh extractor Ext(x, y) = y."""
+    walk_len = getattr(params, "walk_len", None)
+    if walk_len is None:
+        return y
+    assert len(x) == params.s and len(y) == 3 * walk_len
+    padded = x + "0" * (len(x) % 2)
+    half = len(padded) // 2
+    v = (ref_bits_to_int(padded[:half]), ref_bits_to_int(padded[half:]))
+    for i in range(0, len(y), 3):
+        v = ref_gg_neighbor(1 << half, v, ref_bits_to_int(y[i : i + 3]))
+    return (ref_int_to_bits(v[0], half) + ref_int_to_bits(v[1], half))[: params.s]
+
+
+def ref_expand(schedule, seed: str) -> str:
+    """The generator on strings, G_i(x, y) = G_{i-1}(x) || G_{i-1}(Ext(x, y)),
+    read from a schedule's lengths (n, levels, s, extractors) and truncated
+    to n*k bits."""
+    assert len(seed) == schedule.s[schedule.levels]
+
+    def level(i: int, bits: str) -> str:
+        if i == 0:
+            return bits
+        x, y = bits[: schedule.s[i - 1]], bits[schedule.s[i - 1] :]
+        return level(i - 1, x) + level(i - 1, ref_extract(schedule.extractors[i - 1], x, y))
+
+    return level(schedule.levels, seed)[: schedule.n * schedule.k]
 
 
 def ref_walk_distribution(m: int, start_dist: dict, steps: int) -> dict:

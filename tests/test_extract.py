@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from randsteward.extract import (
     seed_to_labels,
 )
 
-from oracles import ref_walk_distribution
+from oracles import ref_extract, ref_walk_distribution
 
 
 def test_plan_goldens():
@@ -103,6 +104,18 @@ def test_walk_extract_golden():
     params = plan_extractor(4, 0, Fraction(1, 2))
     assert params.walk_len == 23
     assert extract(params, "1011", "011" * 23) == "1010"
+
+
+def test_walk_extract_matches_string_reference():
+    # the int core behind extract against the old walk over '0'/'1' strings
+    rng = random.Random(80_021)
+    for s in range(1, 14):
+        for t in (0, 1, 3):
+            params = plan_extractor(s, t, Fraction(1, rng.randrange(2, 9)))
+            for _ in range(20):
+                x = "".join(rng.choice("01") for _ in range(s))
+                y = "".join(rng.choice("01") for _ in range(params.seed_len))
+                assert extract(params, x, y) == ref_extract(params, x, y)
 
 
 def test_walk_extract_validates_lengths():

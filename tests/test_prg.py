@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from randsteward.bdt import exact_node_distribution, table_tree, tv_distance
 from randsteward.extract import ExtractorParams, FreshExtractorParams
 from randsteward.prg import BACKENDS, build_schedule, expand
+from randsteward.randomness import CounterSource
+
+from oracles import ref_expand
 
 
 def test_schedule_golden_two_blocks():
@@ -114,6 +118,22 @@ def test_expand_starts_with_left_recursion():
     out_b = expand(s, x + "1" * tail)
     half = s.n * (1 << (s.levels - 1))
     assert out_a[:half] == out_b[:half]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_expand_matches_string_reference_bit_for_bit(backend):
+    # the int recursion against the old walk over '0'/'1' strings
+    rng = random.Random(70_011)
+    seen_parity = set()
+    for k in range(1, 10):
+        for n in (1, 2, 3, 4, 5, 8):
+            sigma = rng.randrange(2, 7)
+            schedule = build_schedule(n, k, sigma, Fraction(1, rng.randrange(2, 17)), backend)
+            seen_parity.update(s % 2 for s in schedule.s)
+            for i in range(3):
+                seed = CounterSource(b"expand-diff", 100 * k + 10 * n + i).draw(schedule.seed_len)
+                assert expand(schedule, seed) == ref_expand(schedule, seed), (k, n, i)
+    assert seen_parity == {0, 1}
 
 
 def test_expand_rejects_wrong_seed_length():

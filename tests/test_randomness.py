@@ -67,6 +67,28 @@ def test_int_bits_round_trip(value):
     assert bits_to_int(int_to_bits(value, 48)) == value
 
 
+@given(data=st.data(), width=st.integers(min_value=0, max_value=64))
+def test_int_bits_round_trip_every_width(data, width):
+    value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    bits = int_to_bits(value, width)
+    assert len(bits) == width
+    assert bits_to_int(bits) == value
+    assert int_to_bits(bits_to_int(bits), width) == bits
+
+
+def test_width_zero_codecs():
+    assert int_to_bits(0, 0) == ""
+    assert bits_to_int("") == 0
+    with pytest.raises(ValueError):
+        int_to_bits(1, 0)
+
+
+def test_bits_to_int_rejects_non_bits():
+    for bad in ("012", "1 0", " 1", "+1", "1_0", "0b1", "x"):
+        with pytest.raises(ValueError):
+            bits_to_int(bad)
+
+
 def test_int_to_bits_overflow():
     with pytest.raises(ValueError):
         int_to_bits(8, 3)

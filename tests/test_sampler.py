@@ -246,6 +246,14 @@ def test_fn_oracle_and_fraction_values():
     assert estimate == Fraction(1, 3)
 
 
+def test_large_integer_sums_stay_exact():
+    # 2**53 + 1 has no float: a batch sum must not pass through one
+    plan = plan_sampler(1, Fraction(1), Fraction(15, 16), mode="independent")
+    oracle = TruthTableOracle([2**53 + 1, 0])
+    run = run_sampler(plan, oracle, CounterSource(b"x", 0))
+    assert run.batch_means == [Fraction(2**53 + 1, 2)]
+
+
 def test_fn_oracle_counts_numpy_bools():
     # an object-array sum adds np.bool_ values as logical or, not as 0/1
     def parity(bits):

@@ -1,4 +1,5 @@
 import inspect
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from randsteward.steward import (
     shift_round,
 )
 
-from oracles import ref_choose_shift
+from oracles import ref_choose_shift, ref_shift_round
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=48
@@ -77,6 +78,63 @@ def test_shift_round_accuracy(w, d0):
     assert all(1 <= delta <= d0 + 1 for delta in deltas)
     for yj, wj in zip(y, padded):
         assert abs(yj - wj) <= (3 * d0 + 3) * epsilon
+
+
+# mostly non-dyadic, so units of 2e are not powers of two
+EPSILONS = (
+    Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(1, 10), Fraction(1, 8)
+)
+
+
+def _edge_value(rng: random.Random, d0: int, epsilon: Fraction) -> Fraction:
+    """A raw value of either sign, often on a cell line or a window's width off one."""
+    length = 2 * (d0 + 1) * epsilon
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randrange(-10_000, 10_000), rng.randrange(1, 97))
+    line = rng.randrange(-5, 6) * length
+    if kind == 1:  # on a cell line, or +-e, +-2e from one
+        return line + rng.choice((-2, -1, 0, 1, 2)) * epsilon
+    if kind == 2:  # some shift's window edge lands on the line
+        return line - rng.randrange(1, 2 * d0 + 4) * epsilon
+    return line + Fraction(rng.randrange(-97, 98), 97) * epsilon
+
+
+def test_shift_round_matches_fraction_reference_bit_for_bit():
+    # the one-pass integer rule against the scan over shifts in Fractions;
+    # the reference costs about 0.1 ms per coordinate, so most vectors are short
+    rng = random.Random(50_017)
+    seen_d0 = set()
+    for _ in range(20_000):
+        if rng.random() < 0.97:
+            d0, groups = rng.randrange(1, 3), rng.randrange(1, 4)
+        else:
+            d0, groups = rng.randrange(3, 34), rng.randrange(1, 3)
+        seen_d0.add(d0)
+        epsilon = rng.choice(EPSILONS)
+        w = [_edge_value(rng, d0, epsilon) for _ in range(d0 * groups)]
+        grid = Grid(interval_length=2 * (d0 + 1) * epsilon)
+        y, deltas = shift_round(w, epsilon, d0, grid)
+        want_y, want_deltas = ref_shift_round(w, epsilon, d0)
+        assert deltas == want_deltas, (w, epsilon, d0)
+        assert y == want_y, (w, epsilon, d0)
+        assert all(type(v) is Fraction for v in y)
+        if groups == 1:
+            assert choose_shift(w, epsilon, grid) == want_deltas[0]
+    assert seen_d0 == set(range(1, 34))
+
+
+def test_shift_needs_the_canonical_grid():
+    epsilon = Fraction(1, 6)
+    w = [Fraction(1, 2), Fraction(5, 6)]
+    for length in (Fraction(1, 2), 2 * 2 * epsilon, 2 * 4 * epsilon):
+        with pytest.raises(ValueError):
+            choose_shift(w, epsilon, Grid(interval_length=length))
+        with pytest.raises(ValueError):
+            shift_round(w, epsilon, 2, Grid(interval_length=length))
+    canonical = Grid(interval_length=2 * 3 * epsilon)
+    assert choose_shift(w, epsilon, canonical) == 2
+    assert shift_round(w, epsilon, 2, canonical) == shift_round(w, epsilon, 2)
 
 
 def test_pad_vector():
