@@ -10,7 +10,7 @@ circuit acceptance estimation (`circuits`).  `adversary` holds owners that
 break naive baselines.
 """
 
-from .numeric import Grid, contained_in_one_interval, interval_index, round_to_midpoint
+from .numeric import Grid, interval_index, round_to_midpoint
 from .randomness import (
     BitSource,
     BudgetReport,
@@ -22,7 +22,7 @@ from .randomness import (
 from .expander import GabberGalilGraph, neighbor, walk
 # the extract *function* stays in its submodule: exporting it here would
 # shadow randsteward.extract itself
-from .extract import ExtractorParams, FreshExtractorParams, fresh_extractor, plan_extractor
+from .extract import ExtractorParams, FreshExtractorParams, plan_extractor
 from .bdt import BlockDecisionTree, exact_node_distribution, table_tree, tv_distance
 from .prg import PrgSchedule, build_schedule, expand
 from .steward import (
@@ -63,11 +63,11 @@ from .adversary import boundary_owner, constant_owner, extracting_owner
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "interval_index", "round_to_midpoint", "contained_in_one_interval",
+    "Grid", "interval_index", "round_to_midpoint",
     "BitSource", "BudgetReport", "TapeSource", "SystemSource", "CounterSource",
     "TapeExhausted",
     "GabberGalilGraph", "neighbor", "walk",
-    "ExtractorParams", "FreshExtractorParams", "plan_extractor", "fresh_extractor",
+    "ExtractorParams", "FreshExtractorParams", "plan_extractor",
     "BlockDecisionTree", "table_tree", "exact_node_distribution", "tv_distance",
     "PrgSchedule", "build_schedule", "expand",
     "StewardConfig", "ConcentratedFn", "Session", "Transcript",

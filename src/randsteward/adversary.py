@@ -28,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .randomness import int_to_bits
 from .steward import ConcentratedFn
 
 Owner = Callable[[int, list], ConcentratedFn]
@@ -69,11 +68,11 @@ def _unit_fraction(bits: str) -> Fraction:
     return Fraction(value, 1 << n)
 
 
-def boundary_owner(epsilon, d: int = 1, d0: int | None = None) -> Owner:
+def boundary_owner(epsilon, d: int = 1) -> Owner:
     """Concentration points epsilon below cell boundaries, jittered by the sample.
 
-    Cell length L = 2*(d0+1)*epsilon matches a steward running with the same
-    epsilon and d0.  Coordinate j of round i concentrates at (i+j+1)*L -
+    Cell length L = 2*(d+1)*epsilon matches a steward running with the same
+    epsilon and d0 = d.  Coordinate j of round i concentrates at (i+j+1)*L -
     epsilon; the jitter epsilon*(2*frac(X) - 1) keeps every value within
     epsilon of mu, so the functions are (epsilon, 0)-concentrated while still
     forcing sample-dependent rounding decisions.
@@ -81,9 +80,7 @@ def boundary_owner(epsilon, d: int = 1, d0: int | None = None) -> Owner:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if d0 is None:
-        d0 = d
-    cell = 2 * (d0 + 1) * epsilon
+    cell = 2 * (d + 1) * epsilon
 
     def choose(round_index: int, history: list) -> ConcentratedFn:
         mu = tuple((round_index + j + 1) * cell - epsilon for j in range(d))
@@ -97,7 +94,7 @@ def boundary_owner(epsilon, d: int = 1, d0: int | None = None) -> Owner:
     return choose
 
 
-def extracting_owner(n: int, epsilon, d: int = 1, d0: int | None = None) -> Owner:
+def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
     """Decode-and-strike owner against stewards that leak their sample.
 
     epsilon must be a power of two (the embedding writes log2(1/epsilon)
@@ -108,10 +105,8 @@ def extracting_owner(n: int, epsilon, d: int = 1, d0: int | None = None) -> Owne
         raise ValueError("epsilon must be a power of two (1/2^e)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if d0 is None:
-        d0 = d
     e = epsilon.denominator.bit_length() - 1  # epsilon = 2^-e
-    spike = 2 * (3 * d0 + 5) * epsilon  # twice the steward's error bound
+    spike = 2 * (3 * d + 5) * epsilon  # twice the error bound of a d0 = d steward
     zero_vec = (Fraction(0),) * d
 
     def embed(bits: str) -> Fraction:

@@ -9,18 +9,12 @@ is why generator quality is measured as statistical distance between leaf
 distributions.
 
 Trees are either table-backed (one row of 2^n symbols per node, block decoded
-little-endian as the row index) or callback-backed.  The JSON interchange
-form is table-backed:
-
-    {"k": 2, "n": 1, "sigma": 2, "nodes": {"": [0, 1], "0": [1, 1], ...}}
-
-with path keys "s1,s2,..." ("" for the root).  Nodes omitted from the table
-default to constant symbol 0, which keeps sparse fixtures small.
+little-endian as the row index) or callback-backed.  Nodes omitted from a
+table default to constant symbol 0, which keeps sparse fixtures small.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -188,26 +182,3 @@ def _uniform_by_enumeration(tree: BlockDecisionTree) -> NodeDistribution:
         k=tree.k, sigma=tree.sigma,
         probs={path: Fraction(c, 1 << nk) for path, c in counts.items()},
     )
-
-
-def load_tree_json(text: str) -> BlockDecisionTree:
-    doc = json.loads(text)
-    try:
-        k, n, sigma = int(doc["k"]), int(doc["n"]), int(doc["sigma"])
-        nodes = doc["nodes"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed tree document: {exc}") from exc
-    tables: dict[Path, np.ndarray] = {}
-    for key, row in nodes.items():
-        path = tuple(int(part) for part in key.split(",")) if key else ()
-        if len(path) >= k:
-            raise ValueError(f"node path {key!r} is too deep for k={k}")
-        tables[path] = np.asarray(row, dtype=np.int64)
-    return table_tree(k=k, n=n, sigma=sigma, tables=tables)
-
-
-def dump_tree_json(tree: BlockDecisionTree) -> str:
-    if tree.tables is None:
-        raise ValueError("only table-backed trees can be serialized")
-    nodes = {",".join(map(str, path)): row.tolist() for path, row in tree.tables.items()}
-    return json.dumps({"k": tree.k, "n": tree.n, "sigma": tree.sigma, "nodes": nodes})

@@ -207,16 +207,6 @@ def print_circuit(expr: CircuitExpr) -> str:
     raise TypeError(f"not a circuit node: {expr!r}")
 
 
-def circuit_size(expr: CircuitExpr) -> int:
-    if isinstance(expr, (Var, Const)):
-        return 1
-    if isinstance(expr, Not):
-        return 1 + circuit_size(expr.child)
-    if isinstance(expr, BinOp):
-        return 1 + circuit_size(expr.left) + circuit_size(expr.right)
-    raise TypeError(f"not a circuit node: {expr!r}")
-
-
 def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
     """Evaluate on an array of little-endian point indices -> uint8 0/1."""
     xs = np.asarray(xs, dtype=np.uint64)
@@ -235,11 +225,6 @@ def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
             return a ^ b
         return a | b
     raise TypeError(f"not a circuit node: {expr!r}")
-
-
-def eval_circuit(expr: CircuitExpr, bits: str) -> int:
-    value = sum(1 << i for i, b in enumerate(bits) if b == "1")
-    return int(eval_on_ints(expr, np.array([value], dtype=np.uint64))[0])
 
 
 def to_truth_table(expr: CircuitExpr, n: int) -> np.ndarray:
@@ -302,19 +287,6 @@ def _answer(session: Session, f: Callable[[str], list]) -> Fraction:
     return session.answer(ConcentratedFn(oracle=f, epsilon=cfg.epsilon, delta=cfg.delta))[0]
 
 
-def _lazy_answer(config: StewardConfig, source: BitSource) -> Callable:
-    """_answer on one session that opens, and draws its seed, at the first call."""
-    session: Session | None = None
-
-    def answer(f: Callable[[str], list]) -> Fraction:
-        nonlocal session
-        if session is None:
-            session = Session(config, source)
-        return _answer(session, f)
-
-    return answer
-
-
 class AcceptanceSession:
     """Up to k rounds of: give a circuit, get Y = mu(C) +- epsilon in [0,1]."""
 
@@ -350,7 +322,10 @@ class AcceptanceSession:
 
     def estimate(self, circuit) -> Fraction:
         expr = parse_circuit(circuit, self.n) if isinstance(circuit, str) else circuit
-        oracle = _CircuitOracle(expr, self.n)
+        return self._estimate_oracle(_CircuitOracle(expr, self.n))
+
+    def _estimate_oracle(self, oracle) -> Fraction:
+        """Y = E[oracle] +- epsilon in [0,1], for any 0/1 oracle on n bits."""
 
         def f(tape: str):
             return [sample_mean(self.plan, oracle, TapeSource(tape))]
@@ -381,22 +356,19 @@ def run_promise_bpp_oracle_algorithm(
     decision_oracle(query, coins) uses n coin bits and errs on at most 1/3 of
     tapes for promise-satisfying queries, so with estimate error below
     epsilon = 1/10 every such answer is correct; overall failure <= delta.
-    A session (and its seed) materializes only if outer actually asks.
+    An acceptance session (and its seed) opens only if outer actually asks;
+    clamping its estimates to [0,1] cannot change a comparison with 1/2.
     """
-    epsilon = Fraction(1, 10)
-    delta = Fraction(delta)
-    plan = plan_sampler(n, epsilon / PROOF_CONSTANT, delta / (2 * k), mode="walk")
-    answer = _lazy_answer(
-        _steward_config(plan.seed_bits, k, epsilon, delta, kind, backend), source
-    )
+    session: AcceptanceSession | None = None
 
     def ask(query) -> int:
+        nonlocal session
+        if session is None:
+            session = AcceptanceSession(
+                n, k, Fraction(1, 10), delta, source, kind=kind, backend=backend
+            )
         oracle = FnOracle(n, lambda coins: decision_oracle(query, coins))
-
-        def f(tape: str):
-            return [sample_mean(plan, oracle, TapeSource(tape))]
-
-        return 1 if answer(f) >= Fraction(1, 2) else 0
+        return 1 if session._estimate_oracle(oracle) >= Fraction(1, 2) else 0
 
     return outer(ask)
 
@@ -424,16 +396,18 @@ def run_app_oracle_algorithm(
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     probe = app_amplify(lambda coins: 0, n, delta / (2 * k))
-    answer = _lazy_answer(
-        _steward_config(probe.plan.seed_bits, k, epsilon, delta, kind, backend), source
-    )
+    config = _steward_config(probe.plan.seed_bits, k, epsilon, delta, kind, backend)
+    session: Session | None = None  # opens, and draws its seed, at the first ask
 
     def ask(w) -> Fraction:
+        nonlocal session
+        if session is None:
+            session = Session(config, source)
         amp = app_amplify(lambda coins: phi_estimator(w, coins), n, delta / (2 * k))
 
         def f(tape: str):
             return [amp(TapeSource(tape))]
 
-        return answer(f)
+        return _answer(session, f)
 
     return outer(ask)

@@ -78,10 +78,7 @@ def _cmd_gl(args) -> int:
     config = params.steward_config(kind=args.steward, backend=args.backend)
     need = None
     if args.seed_hex is not None and config.kind == "main":
-        schedule = prg.build_schedule(
-            config.n, config.k, config.sigma, config.gamma, backend=config.backend
-        )
-        need = schedule.seed_len
+        need = config.schedule.seed_len
     source = _single_source(args.seed_hex, need)
     result = fourier.goldreich_levin(
         table, args.theta, args.delta, source, kind=args.steward, backend=args.backend

@@ -22,7 +22,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from .randomness import bits_to_int, int_to_bits
+from .randomness import bits_to_int
 
 Vertex = tuple[int, int]
 
@@ -98,8 +98,3 @@ def vertex_from_bits(bits: str) -> Vertex:
         bits = bits + "0"
     half = len(bits) // 2
     return (bits_to_int(bits[:half]), bits_to_int(bits[half:]))
-
-
-def bits_from_vertex(v: Vertex, s: int) -> str:
-    half = (s + 1) // 2
-    return (int_to_bits(v[0], half) + int_to_bits(v[1], half))[:s]

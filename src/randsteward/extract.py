@@ -32,6 +32,9 @@ convention: bit i of an s-bit string is bit i of its int.  The start vertex
 is the low and the high ceil(s/2) bits of x (odd s pads a zero on top), the
 labels are the 3-bit fields of y from the low end, and the endpoint is read
 back the same way, masked to s bits.  `extract` is its string wrapper.
+
+`FreshExtractorParams(s)` is the `fresh` backend's degenerate extractor,
+Ext(x, y) = y; like a planned walk it needs s >= 1.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ class FreshExtractorParams:
 
     s: int
 
+    def __post_init__(self):
+        if self.s < 1:
+            raise ValueError("output length s must be >= 1")
+
     @property
     def seed_len(self) -> int:
         return self.s
@@ -106,13 +113,6 @@ def _labels(y: int, walk_len: int) -> bytes:
     return digits.encode().translate(_OCTAL)
 
 
-def seed_to_labels(seed_bits: str) -> list[int]:
-    """Split a seed into 3-bit little-endian edge labels."""
-    if len(seed_bits) % 3:
-        raise ValueError("walk seed length must be a multiple of 3")
-    return list(_labels(bits_to_int(seed_bits), len(seed_bits) // 3))
-
-
 def extract_int(params, x: int, y: int) -> int:
     """Apply the planned extractor to ints x (params.s bits) and y (seed_len bits)."""
     if isinstance(params, FreshExtractorParams):
@@ -131,10 +131,3 @@ def extract(params, x_bits: str, y_bits: str) -> str:
         raise ValueError(f"seed has {len(y_bits)} bits, expected {params.seed_len}")
     out = extract_int(params, bits_to_int(x_bits), bits_to_int(y_bits))
     return int_to_bits(out, params.s)
-
-
-def fresh_extractor(s: int) -> FreshExtractorParams:
-    """Baseline backend with seed length s and Ext(x, y) = y."""
-    if s < 1:
-        raise ValueError("output length s must be >= 1")
-    return FreshExtractorParams(s=s)

@@ -444,12 +444,7 @@ def goldreich_levin(
 
 def gl_randomness_audit(params: GlParams, backend: str = "expander") -> BudgetReport:
     """Coin budget of one run: the steward seed, split tape vs ladder."""
-    from .prg import build_schedule
-
-    config = params.steward_config(backend=backend)
-    schedule = build_schedule(
-        config.n, config.k, config.sigma, config.gamma, backend=backend
-    )
+    schedule = params.steward_config(backend=backend).schedule
     report = BudgetReport()
     report.add("tape", params.tape_bits)
     report.add("ladder", schedule.seed_len - params.tape_bits)

@@ -42,17 +42,6 @@ def round_to_midpoint(w: Fraction, grid: Grid) -> Fraction:
     return (Fraction(2 * m + 1, 2)) * grid.interval_length
 
 
-def contained_in_one_interval(lo: Fraction, hi: Fraction, grid: Grid) -> bool:
-    """Whether the closed range [lo, hi] sits inside a single grid interval.
-
-    Touching the right boundary counts as escaping the interval, since the
-    boundary point belongs to the next half-open cell.
-    """
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    return interval_index(lo, grid) == interval_index(hi, grid)
-
-
 def rat_to_str(x: Fraction) -> str:
     """Serialize as 'p/q' (always with an explicit denominator)."""
     return f"{x.numerator}/{x.denominator}"

@@ -274,15 +274,20 @@ def _batch_seeds(plan: SamplerPlan, source: BitSource) -> list[tuple[int, int]]:
             bits = source.draw(2 * nf, phase="sampler")
             seeds.append((bits_to_int(bits[:nf]), bits_to_int(bits[nf:])))
         return seeds
-    # walk mode: batch seeds are successive vertices of a torus walk
-    g = GabberGalilGraph(torus_side_for_bits(2 * nf))
-    vertex = vertex_from_bits(source.draw(2 * nf, phase="sampler"))
-    seeds = [vertex]
-    for _ in range(plan.r - 1):
+    return _torus_walk(2 * nf, plan.r, source)  # walk mode: successive vertices
+
+
+def _torus_walk(bits: int, count: int, source: BitSource) -> list[tuple[int, int]]:
+    """The first count vertices of a walk on the torus of bits-bit strings:
+    the start vertex costs `bits` drawn bits, each step one 3-bit label."""
+    g = GabberGalilGraph(torus_side_for_bits(bits))
+    vertex = vertex_from_bits(source.draw(bits, phase="sampler"))
+    vertices = [vertex]
+    for _ in range(count - 1):
         label = bits_to_int(source.draw(3, phase="sampler"))
         vertex = neighbor(g, vertex, label)
-        seeds.append(vertex)
-    return seeds
+        vertices.append(vertex)
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -320,26 +325,15 @@ def plan_averaging(
 
 def averaging_points(plan: AveragingSamplerPlan, source: BitSource) -> np.ndarray:
     """The t walk vertices, truncated to n-bit point labels (uint64)."""
-    g = GabberGalilGraph(torus_side_for_bits(plan.n_emb))
     half = plan.n_emb // 2
-    vertex = vertex_from_bits(source.draw(plan.n_emb, phase="sampler"))
     mask = (1 << plan.n) - 1
-    pts = [(vertex[0] | vertex[1] << half) & mask]
-    for _ in range(plan.t - 1):
-        label = bits_to_int(source.draw(3, phase="sampler"))
-        vertex = neighbor(g, vertex, label)
-        pts.append((vertex[0] | vertex[1] << half) & mask)
+    pts = [(x | y << half) & mask for x, y in _torus_walk(plan.n_emb, plan.t, source)]
     return np.array(pts, dtype=np.uint64)
 
 
 def averaging_sample(plan: AveragingSamplerPlan, source: BitSource) -> list[str]:
     """The t sample points as n-bit strings."""
     return [int_to_bits(int(x), plan.n) for x in averaging_points(plan, source)]
-
-
-def averaging_mean(plan: AveragingSamplerPlan, oracle, source: BitSource) -> Fraction:
-    oracle = as_oracle(oracle, plan.n)
-    return _exact(oracle.eval_ints(averaging_points(plan, source)).sum()) / plan.t
 
 
 def median_amplify(f: Callable[[str], object], plan: AveragingSamplerPlan, source: BitSource):

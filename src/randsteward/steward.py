@@ -25,10 +25,14 @@ z_j = (W_j + e)/(2e); D is the smallest shift no coordinate rules out, and
 each answer is a single exact rational.  One pass over a group in integer
 arithmetic does it (see choose_shift).
 
-Baselines: "s0" (fresh n bits per round, rounded), "union" (one sample
-reused every round, rounded), "saks-zhou" (one sample, coarse grid u*epsilon
-with a fresh random shift each round), "naive-fresh" / "naive-reuse" (raw
-answers, fresh or reused sample).
+Every kind runs the same round: take a sample, evaluate the query on it
+once, round the answer.  KINDS maps each kind to the pair (where its sample
+comes from, how it rounds), and Session switches on those two members only.
+A sample is one block of the generator's output ("blocks", the main steward),
+n fresh bits drawn in the round ("fresh") or one n-bit sample drawn at open
+and reused every round ("reused").  An answer is shift-and-rounded as above
+("shift"), snapped to a coarse grid u*epsilon after a fresh random shift of
+log2(u) bits ("coarse", the Saks-Zhou baseline), or returned as is ("raw").
 """
 
 from __future__ import annotations
@@ -42,10 +46,17 @@ from typing import Callable, Sequence
 
 from .bdt import split_blocks
 from .numeric import Grid, rat_to_str, round_to_midpoint
-from .prg import PrgSchedule, build_schedule, expand
+from .prg import BACKENDS, PrgSchedule, build_schedule, expand
 from .randomness import BitSource, draw_uniform_power_of_two
 
-KINDS = ("main", "s0", "union", "saks-zhou", "naive-fresh", "naive-reuse")
+KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
+    "main": ("blocks", "shift"),
+    "s0": ("fresh", "shift"),
+    "union": ("reused", "shift"),
+    "saks-zhou": ("reused", "coarse"),
+    "naive-fresh": ("fresh", "raw"),
+    "naive-reuse": ("reused", "raw"),
+}
 
 
 class StewardProtocolError(RuntimeError):
@@ -81,7 +92,9 @@ class StewardConfig:
         if not 1 <= self.d0 <= self.d:
             raise ValueError("d0 must lie in 1..d")
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+            raise ValueError(f"kind must be one of {tuple(KINDS)}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
 
     @property
     def d_pad(self) -> int:
@@ -99,6 +112,11 @@ class StewardConfig:
     @cached_property  # read every round; the config is frozen
     def grid(self) -> Grid:
         return Grid(interval_length=2 * (self.d0 + 1) * self.epsilon)
+
+    @cached_property  # planned once per config, however many sessions open it
+    def schedule(self) -> PrgSchedule:
+        """The generator plan for k blocks of n bits against sigma-ary trees."""
+        return build_schedule(self.n, self.k, self.sigma, self.gamma, backend=self.backend)
 
     @property
     def error_bound(self) -> Fraction:
@@ -258,23 +276,21 @@ class Session:
         self._phase_at_open = dict(source.report.per_phase)
         self.transcript = Transcript(config=config)
         self.schedule: PrgSchedule | None = None
-        kind = config.kind
-        if kind == "main":
-            self.schedule = build_schedule(
-                config.n, config.k, config.sigma, config.gamma, backend=config.backend
-            )
+        self._sample, self._rounding = KINDS[config.kind]
+        if self._sample == "blocks":
+            self.schedule = config.schedule
             seed = source.draw(self.schedule.seed_len, phase="seed")
             self._blocks = split_blocks(expand(self.schedule, seed), config.n, config.k)
-        elif kind in ("union", "saks-zhou", "naive-reuse"):
+        elif self._sample == "reused":
             self._x = source.draw(config.n, phase="seed")
-            if kind == "saks-zhou":
-                target = Fraction(2 * config.k * config.d) / config.gamma
-                u = 1
-                while u < target:
-                    u *= 2
-                self.u = u
-                self._sz_grid = Grid(interval_length=u * config.epsilon)
-        # "s0" and "naive-fresh" draw their sample bits inside each round
+        # "fresh" samples are drawn inside each round
+        if self._rounding == "coarse":
+            target = Fraction(2 * config.k * config.d) / config.gamma
+            u = 1
+            while u < target:
+                u *= 2
+            self.u = u
+            self._coarse_grid = Grid(interval_length=u * config.epsilon)
 
     @property
     def bits_used(self) -> int:
@@ -290,10 +306,9 @@ class Session:
         self.transcript.bits_by_phase = per_phase
 
     def _next_sample(self) -> str:
-        kind = self.config.kind
-        if kind == "main":
+        if self._sample == "blocks":
             return self._blocks[self.round]
-        if kind in ("s0", "naive-fresh"):
+        if self._sample == "fresh":
             return self.source.draw(self.config.n, phase="sample")
         return self._x
 
@@ -323,21 +338,20 @@ class Session:
         if len(w) != cfg.d:
             raise StewardProtocolError(f"query returned {len(w)} values, expected {cfg.d}")
 
-        kind = cfg.kind
         deltas: tuple[int, ...] | None = None
-        if kind in ("main", "s0", "union"):
+        if self._rounding == "shift":
             y_full, delta_list = shift_round(
                 pad_vector(w, cfg.d0), cfg.epsilon, cfg.d0, cfg.grid
             )
             y = tuple(y_full[: cfg.d])
             deltas = tuple(delta_list)
-        elif kind == "saks-zhou":
+        elif self._rounding == "coarse":
             delta = draw_uniform_power_of_two(self.source, self.u, phase="shift")
             y = tuple(
-                round_to_midpoint(wj + delta * cfg.epsilon, self._sz_grid) for wj in w
+                round_to_midpoint(wj + delta * cfg.epsilon, self._coarse_grid) for wj in w
             )
             deltas = (delta,)
-        else:  # naive-fresh / naive-reuse answer raw
+        else:  # "raw"
             y = w
 
         self.transcript.rounds.append(

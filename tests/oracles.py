@@ -104,6 +104,13 @@ def ref_int_to_bits(value: int, width: int) -> str:
     return "".join("1" if value >> i & 1 else "0" for i in range(width))
 
 
+def bits_from_vertex(v: tuple[int, int], s: int) -> str:
+    """The s-bit string a torus vertex embeds: both coordinates on ceil(s/2)
+    bits, low coordinate first, cut to s bits (inverse of vertex_from_bits)."""
+    half = (s + 1) // 2
+    return (ref_int_to_bits(v[0], half) + ref_int_to_bits(v[1], half))[:s]
+
+
 def ref_extract(params, x: str, y: str) -> str:
     """Walk extractor on strings: x splits into two torus coordinates (odd
     lengths padded with a zero), y into 3-bit labels; a params object without

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bits_from_vertex,
     ref_contained,
     ref_walk_distribution,
     three_sigma_bound,
@@ -37,7 +38,6 @@ from randsteward.circuits import acceptance_session, exact_mean, parse_circuit
 from randsteward.expander import (
     GabberGalilGraph,
     adjacency_matrix,
-    bits_from_vertex,
     permutation_array,
 )
 from randsteward.extract import extract, plan_extractor

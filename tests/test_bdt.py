@@ -8,10 +8,8 @@ from randsteward.bdt import (
     BlockDecisionTree,
     CapExceeded,
     NodeDistribution,
-    dump_tree_json,
     evaluate,
     exact_node_distribution,
-    load_tree_json,
     split_blocks,
     table_tree,
     tv_distance,
@@ -143,24 +141,3 @@ def test_enumeration_caps():
 def test_generator_output_length_checked():
     with pytest.raises(ValueError):
         exact_node_distribution(DEMO, generator=lambda s: "0", seed_len=2)
-
-
-def test_json_round_trip():
-    text = dump_tree_json(DEMO)
-    tree = load_tree_json(text)
-    for a in "01":
-        for b in "01":
-            assert evaluate(tree, [a, b]) == evaluate(DEMO, [a, b])
-    assert dump_tree_json(tree) == text
-
-
-def test_json_sparse_nodes_and_errors():
-    tree = load_tree_json('{"k": 2, "n": 1, "sigma": 2, "nodes": {"1": [1, 0]}}')
-    assert evaluate(tree, ["1", "0"]) == (0, 0)
-    with pytest.raises(ValueError):
-        load_tree_json('{"k": 1, "n": 1, "sigma": 2, "nodes": {"0,1": [0, 0]}}')
-    with pytest.raises(ValueError):
-        load_tree_json('{"k": 1, "n": 1}')
-    with pytest.raises(ValueError):
-        callback = BlockDecisionTree(k=1, n=1, sigma=2, transition=lambda p, b: 0)
-        dump_tree_json(callback)

@@ -13,8 +13,7 @@ from randsteward.circuits import (
     Not,
     Var,
     acceptance_session,
-    circuit_size,
-    eval_circuit,
+    eval_on_ints,
     exact_mean,
     parse_circuit,
     print_circuit,
@@ -117,12 +116,12 @@ def test_print_parse_round_trip(expr):
 @given(expr=circuit_asts, point=st.integers(0, (1 << N) - 1))
 def test_eval_matches_reference(expr, point):
     bits = format(point, f"0{N}b")[::-1]
-    assert eval_circuit(expr, bits) == ref_eval_circuit(expr, bits)
+    assert eval_on_ints(expr, np.array([point])).tolist() == [ref_eval_circuit(expr, bits)]
 
 
 def test_eval_is_little_endian():
-    assert eval_circuit(Var(0), "10") == 1
-    assert eval_circuit(Var(1), "10") == 0
+    assert eval_on_ints(Var(0), np.array([1])).tolist() == [1]  # the string "10"
+    assert eval_on_ints(Var(1), np.array([1])).tolist() == [0]
 
 
 def test_truth_tables_and_means():
@@ -133,11 +132,6 @@ def test_truth_tables_and_means():
     assert exact_mean(parse_circuit("x0 & ~x0", 1), 1) == 0
     with pytest.raises(ValueError):
         to_truth_table(Const(1), 27)
-
-
-def test_circuit_size():
-    assert circuit_size(Var(0)) == 1
-    assert circuit_size(parse_circuit("x0 & x1 | ~x2", 3)) == 6
 
 
 # ---------------------------------------------------------------- acceptance

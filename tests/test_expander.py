@@ -5,7 +5,6 @@ from randsteward.expander import (
     DEGREE,
     GabberGalilGraph,
     adjacency_matrix,
-    bits_from_vertex,
     neighbor,
     permutation_array,
     torus_side_for_bits,
@@ -13,7 +12,7 @@ from randsteward.expander import (
     walk,
 )
 
-from oracles import ref_gg_neighbor
+from oracles import bits_from_vertex, ref_gg_neighbor
 
 
 def test_neighbor_goldens():

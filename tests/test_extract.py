@@ -6,7 +6,6 @@ import pytest
 
 from randsteward.expander import (
     SECOND_EIGENVALUE_BOUND,
-    bits_from_vertex,
     torus_side_for_bits,
     vertex_from_bits,
 )
@@ -14,12 +13,10 @@ from randsteward.extract import (
     ExtractorParams,
     FreshExtractorParams,
     extract,
-    fresh_extractor,
     plan_extractor,
-    seed_to_labels,
 )
 
-from oracles import ref_extract, ref_walk_distribution
+from oracles import bits_from_vertex, ref_extract, ref_walk_distribution
 
 
 def test_plan_goldens():
@@ -75,24 +72,16 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         plan_extractor(4, 0, Fraction(3, 2))
     with pytest.raises(ValueError):
-        fresh_extractor(0)
+        FreshExtractorParams(s=0)
 
 
 def test_seed_lengths():
     assert ExtractorParams(s=6, t=1, beta=Fraction(1, 4), walk_len=34).seed_len == 102
-    assert fresh_extractor(9).seed_len == 9
-
-
-def test_seed_to_labels():
-    assert seed_to_labels("") == []
-    assert seed_to_labels("011101") == [6, 5]
-    assert seed_to_labels("000111") == [0, 7]
-    with pytest.raises(ValueError):
-        seed_to_labels("0110")
+    assert FreshExtractorParams(s=9).seed_len == 9
 
 
 def test_fresh_extract_returns_seed():
-    params = fresh_extractor(4)
+    params = FreshExtractorParams(s=4)
     assert extract(params, "1011", "0100") == "0100"
     with pytest.raises(ValueError):
         extract(params, "101", "0100")

@@ -5,13 +5,12 @@ from hypothesis import given, strategies as st
 
 from randsteward.numeric import (
     Grid,
-    contained_in_one_interval,
     interval_index,
     rat_to_str,
     round_to_midpoint,
 )
 
-from oracles import ref_contained, ref_interval_index, ref_midpoint
+from oracles import ref_interval_index, ref_midpoint
 
 UNIT = Grid(interval_length=Fraction(1))
 
@@ -33,18 +32,6 @@ def test_round_to_midpoint_goldens():
     assert round_to_midpoint(Fraction(3, 2), UNIT) == Fraction(3, 2)
     assert round_to_midpoint(Fraction(1, 5), UNIT) == Fraction(1, 2)
     assert round_to_midpoint(Fraction(-3, 10), UNIT) == Fraction(-1, 2)
-
-
-def test_containment_goldens():
-    assert not contained_in_one_interval(Fraction(3, 4), Fraction(5, 4), UNIT)
-    assert contained_in_one_interval(Fraction(5, 4), Fraction(7, 4), UNIT)
-    # touching the right cell boundary counts as escaping
-    assert not contained_in_one_interval(Fraction(1, 2), Fraction(1), UNIT)
-
-
-def test_containment_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        contained_in_one_interval(Fraction(1), Fraction(0), UNIT)
 
 
 def test_grid_rejects_nonpositive_length():
@@ -69,17 +56,6 @@ def test_midpoint_lies_in_the_same_cell(w, length):
     assert interval_index(mid, grid) == interval_index(w, grid)
     assert abs(mid - w) <= length / 2
     assert mid == ref_midpoint(w, length)
-
-
-@given(lo=rationals, hi=rationals, length=lengths)
-def test_containment_matches_index_equality(lo, hi, length):
-    if lo > hi:
-        lo, hi = hi, lo
-    grid = Grid(interval_length=length)
-    assert contained_in_one_interval(lo, hi, grid) == (
-        interval_index(lo, grid) == interval_index(hi, grid)
-    )
-    assert contained_in_one_interval(lo, hi, grid) == ref_contained(lo, hi, length)
 
 
 @given(value=rationals)

@@ -16,7 +16,6 @@ from randsteward.sampler import (
     TruthTableOracle,
     _batch_seeds,
     app_amplify,
-    averaging_mean,
     averaging_points,
     averaging_sample,
     batch_cosets,
@@ -267,12 +266,6 @@ def test_fn_oracle_counts_numpy_bools():
     ]
     assert runs[0].batch_means == runs[1].batch_means
     assert 0 < runs[0].estimate < 1
-    avg = plan_averaging(5, Fraction(1, 2), Fraction(1, 2))
-    means = [
-        averaging_mean(avg, f, CounterSource(master=b"bools", index=1)) for f in (as_int, as_bool)
-    ]
-    assert means[0] == means[1]
-    assert 0 < means[0] < 1
 
 
 def _pointwise_run(plan, values, source):
@@ -400,16 +393,6 @@ def test_averaging_handles_odd_n():
     strings = averaging_sample(plan, tape)
     assert all(len(s) == 3 for s in strings)
     assert tape.remaining == 0
-
-
-def test_averaging_mean_is_exact():
-    plan = plan_averaging(3, Fraction(1), Fraction(1, 2))
-    src = CounterSource(master=b"avg", index=0)
-    replay = CounterSource(master=b"avg", index=0)
-    mean = averaging_mean(plan, PARITY3, src)
-    pts = averaging_points(plan, replay)
-    want = Fraction(int(PARITY3.eval_ints(pts).sum()), plan.t)
-    assert mean == want
 
 
 def test_median_amplify_constant():

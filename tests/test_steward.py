@@ -158,6 +158,7 @@ def test_config_validation():
         dict(ok, gamma=Fraction(1)),
         dict(ok, d0=0),
         dict(ok, kind="turbo"),
+        dict(ok, backend="quantum"),
     ]:
         with pytest.raises(ValueError):
             StewardConfig(**bad)
@@ -179,7 +180,7 @@ def test_config_derived_quantities():
     )
     assert flat.d0 == 5
     assert flat.sigma == 7  # d + 2 when d0 = d
-    assert KINDS == ("main", "s0", "union", "saks-zhou", "naive-fresh", "naive-reuse")
+    assert tuple(KINDS) == ("main", "s0", "union", "saks-zhou", "naive-fresh", "naive-reuse")
 
 
 # ---------------------------------------------------------------- sessions
@@ -217,9 +218,26 @@ def test_main_blocks_come_from_the_generator():
     assert [r.x for r in sess.transcript.rounds] == [out[:4], out[4:8]]
 
 
+BITS_BY_PHASE = {
+    "main": {"seed": 139},
+    "s0": {"sample": 8},
+    "union": {"seed": 4},
+    "saks-zhou": {"seed": 4, "shift": 8},
+    "naive-fresh": {"sample": 8},
+    "naive-reuse": {"seed": 4},
+}
+
+
 @pytest.mark.parametrize(
     "kind,total,reuses",
-    [("s0", 8, False), ("union", 4, True), ("naive-fresh", 8, False), ("naive-reuse", 4, True)],
+    [
+        ("main", 139, False),
+        ("s0", 8, False),
+        ("union", 4, True),
+        ("saks-zhou", 12, True),
+        ("naive-fresh", 8, False),
+        ("naive-reuse", 4, True),
+    ],
 )
 def test_baseline_budgets(kind, total, reuses):
     cfg = StewardConfig(
@@ -232,6 +250,7 @@ def test_baseline_budgets(kind, total, reuses):
     rounds = sess.transcript.rounds
     assert (rounds[0].x == rounds[1].x) == reuses
     assert sess.transcript.bits_used == total
+    assert sess.transcript.bits_by_phase == BITS_BY_PHASE[kind]
 
 
 def test_raw_kinds_answer_unrounded():
