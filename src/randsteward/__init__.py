@@ -1,16 +1,15 @@
 """Randomness stewards: answer k adaptive estimation queries with ~n + O(k log d) bits.
 
-The protocol stack, bottom to top: exact rational grids (`numeric`), audited
-bit sources (`randomness`), constant-degree expander walks (`expander`),
-walk-based extractors (`extract`), block decision trees (`bdt`) and the
-recursive generator fooling them (`prg`), the steward protocol itself
-(`steward`), pairwise-independent and averaging samplers (`sampler`), and
-two applications: heavy Fourier coefficient search (`fourier`) and adaptive
+The protocol stack, bottom to top: audited bit sources (`randomness`),
+constant-degree expander walks (`expander`), walk-based extractors
+(`extract`), block decision trees (`bdt`) and the recursive generator fooling
+them (`prg`), the steward protocol with its exact shift-and-round (`steward`),
+pairwise-independent and averaging samplers (`sampler`), and two
+applications: heavy Fourier coefficient search (`fourier`) and adaptive
 circuit acceptance estimation (`circuits`).  `adversary` holds owners that
 break naive baselines.
 """
 
-from .numeric import Grid, interval_index, round_to_midpoint
 from .randomness import (
     BitSource,
     BudgetReport,
@@ -31,7 +30,6 @@ from .steward import (
     StewardConfig,
     Transcript,
     certification_check,
-    choose_shift,
     run_steward,
 )
 from .sampler import (
@@ -63,7 +61,6 @@ from .adversary import boundary_owner, constant_owner, extracting_owner
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "interval_index", "round_to_midpoint",
     "BitSource", "BudgetReport", "TapeSource", "SystemSource", "CounterSource",
     "TapeExhausted",
     "GabberGalilGraph", "neighbor", "walk",
@@ -71,7 +68,7 @@ __all__ = [
     "BlockDecisionTree", "table_tree", "exact_node_distribution", "tv_distance",
     "PrgSchedule", "build_schedule", "expand",
     "StewardConfig", "ConcentratedFn", "Session", "Transcript",
-    "choose_shift", "run_steward", "certification_check",
+    "run_steward", "certification_check",
     "SamplerPlan", "AveragingSamplerPlan", "plan_sampler", "plan_averaging",
     "sample_mean", "averaging_sample", "median_amplify", "app_amplify",
     "FourierSpectrum", "wht", "estimate_W", "goldreich_levin", "gl_randomness_audit",

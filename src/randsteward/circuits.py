@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,8 @@ from .randomness import BitSource, TapeSource
 from .sampler import (
     FnOracle,
     SamplerPlan,
-    app_amplify,
+    median_amplify,
+    plan_averaging,
     plan_sampler,
     sample_mean,
 )
@@ -395,18 +397,17 @@ def run_app_oracle_algorithm(
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    probe = app_amplify(lambda coins: 0, n, delta / (2 * k))
-    config = _steward_config(probe.plan.seed_bits, k, epsilon, delta, kind, backend)
+    plan = plan_averaging(n, Fraction(1, 10), delta / (2 * k))
+    config = _steward_config(plan.seed_bits, k, epsilon, delta, kind, backend)
     session: Session | None = None  # opens, and draws its seed, at the first ask
 
     def ask(w) -> Fraction:
         nonlocal session
         if session is None:
             session = Session(config, source)
-        amp = app_amplify(lambda coins: phi_estimator(w, coins), n, delta / (2 * k))
 
         def f(tape: str):
-            return [amp(TapeSource(tape))]
+            return [median_amplify(partial(phi_estimator, w), plan, TapeSource(tape))]
 
         return _answer(session, f)
 

@@ -371,16 +371,18 @@ def estimate_W(
     delta: Fraction,
     source: BitSource,
     mode: str = "walk",
-    plan: SamplerPlan | None = None,
 ) -> Fraction:
-    """Standalone W_prefix estimate to accuracy epsilon, failure delta."""
+    """Standalone W_prefix estimate to accuracy epsilon, failure delta.
+
+    The sampler plan over n + len(prefix) bits follows from epsilon, delta
+    and mode, so no other plan can be passed in and bias the estimate.
+    """
     table = as_boolean_function(f).materialize()
     n = table.size.bit_length() - 1
     ell = len(prefix)
     if ell > n:
         raise ValueError("prefix longer than n")
-    if plan is None:
-        plan = plan_sampler(n + ell, Fraction(epsilon) / 2, Fraction(delta), mode=mode)
+    plan = plan_sampler(n + ell, Fraction(epsilon) / 2, Fraction(delta), mode=mode)
     tape = source.draw(plan.seed_bits, phase="sampler")
     return _weights_from_tape(table, [bits_to_int(prefix)], ell, n, plan, tape)[0]
 

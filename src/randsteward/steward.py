@@ -14,8 +14,8 @@ window [W_j + (2D-1)e, W_j + (2D+1)e] sits inside a single cell, and answer
 with the cell midpoint of W_j + 2*D*e.  Each coordinate rules out exactly
 one shift, so a feasible D always exists; whenever W is epsilon-close to mu
 the answer is a function of mu and D alone.  That collapses the owner's view
-of a round to sigma = (d0+1)^g + 1 symbols (g = d_pad/d0 groups, plus one
-abort symbol), which is what lets the main steward feed S0 from the blocks
+of a round to sigma = (d0+1)^g + 1 symbols (g = ceil(d/d0) groups, plus
+one abort symbol), which is what lets the main steward feed S0 from the blocks
 of a short-seed generator fooling sigma-ary block decision trees:
 n + O(k log d) bits total, failure <= k*delta + gamma.
 
@@ -23,7 +23,9 @@ The code makes that argument the algorithm.  In units of 2e, coordinate j
 rules out the one shift whose window holds the first cell boundary above
 z_j = (W_j + e)/(2e); D is the smallest shift no coordinate rules out, and
 each answer is a single exact rational.  One pass over a group in integer
-arithmetic does it (see choose_shift).
+arithmetic does it (see shift_round), and every cell midpoint in this module,
+main, coarse or certified, comes from one integer floor division
+(_midpoints).
 
 Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
@@ -38,14 +40,12 @@ log2(u) bits ("coarse", the Saks-Zhou baseline), or returned as is ("raw").
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .bdt import split_blocks
-from .numeric import Grid, rat_to_str, round_to_midpoint
 from .prg import BACKENDS, PrgSchedule, build_schedule, expand
 from .randomness import BitSource, draw_uniform_power_of_two
 
@@ -97,31 +97,32 @@ class StewardConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
 
     @property
-    def d_pad(self) -> int:
-        return math.ceil(self.d / self.d0) * self.d0
-
-    @property
     def groups(self) -> int:
-        return self.d_pad // self.d0
+        return -(-self.d // self.d0)
 
     @property
     def sigma(self) -> int:
         """Per-round symbol count of the owner's view; d + 2 when d0 = d."""
         return (self.d0 + 1) ** self.groups + 1
 
-    @cached_property  # read every round; the config is frozen
-    def grid(self) -> Grid:
-        return Grid(interval_length=2 * (self.d0 + 1) * self.epsilon)
-
-    @cached_property  # planned once per config, however many sessions open it
+    @property
     def schedule(self) -> PrgSchedule:
         """The generator plan for k blocks of n bits against sigma-ary trees."""
-        return build_schedule(self.n, self.k, self.sigma, self.gamma, backend=self.backend)
+        return _planned_schedule(self.n, self.k, self.sigma, self.gamma, self.backend)
 
     @property
     def error_bound(self) -> Fraction:
         """Guaranteed accuracy epsilon' of every answer against mu."""
         return (3 * self.d0 + 5) * self.epsilon
+
+
+# Planning is pure, so configs built more than once, or that differ only in
+# kind or epsilon, share one plan.
+@lru_cache(maxsize=64)
+def _planned_schedule(
+    n: int, k: int, sigma: int, gamma: Fraction, backend: str
+) -> PrgSchedule:
+    return build_schedule(n, k, sigma, gamma, backend=backend)
 
 
 @dataclass
@@ -138,84 +139,62 @@ class ConcentratedFn:
     delta: Fraction | None = None
     mu: tuple[Fraction, ...] | None = None
 
-    @staticmethod
-    def wrap(query) -> "ConcentratedFn":
-        if isinstance(query, ConcentratedFn):
-            return query
-        return ConcentratedFn(oracle=query)
 
+def _midpoints(
+    ws: Sequence[Fraction], shift: int, epsilon: Fraction, units: int
+) -> list[Fraction]:
+    """Per w, the midpoint of the cell [m*L, (m+1)*L) that holds w + shift*e, L = units*e.
 
-def _shift_group(
-    w: Sequence[Fraction], epsilon: Fraction, grid: Grid
-) -> tuple[int, list[Fraction]]:
-    """One-pass shift-and-round of one group -> (D, answers); see choose_shift."""
-    cell = len(w) + 1
-    p, q = epsilon.numerator, epsilon.denominator
-    length = grid.interval_length
-    if length.numerator * q != 2 * cell * p * length.denominator:
-        raise ValueError("grid interval length must be 2*(len(w)+1)*epsilon")
-    # z_j = (w_j + e) / (2e) = num / den, measured in units of 2e
-    zs = []
-    ruled_out = set()
-    for wj in w:
-        a, b = wj.numerator, wj.denominator
-        num, den = a * q + p * b, 2 * p * b
-        zs.append((num, den))
-        ruled_out.add(cell - num // den % cell)
-    delta = 1
-    while delta in ruled_out:
-        delta += 1
-    y = []
-    for num, den in zs:
-        m = (2 * num + (2 * delta - 1) * den) // (2 * den * cell)  # cell of z_j + D - 1/2
-        y.append(Fraction((2 * m + 1) * cell * p, q))
-    return delta, y
-
-
-def choose_shift(w: Sequence[Fraction], epsilon: Fraction, grid: Grid) -> int:
-    """Smallest shift D in {1..len(w)+1} whose windows all stay in one cell.
-
-    The window for coordinate j is [w_j + (2D-1)e, w_j + (2D+1)e]; touching a
-    cell's right boundary counts as escaping.  The grid must be the canonical
-    one, cells of length 2*(d0+1)*e with d0 = len(w); anything else raises
-    ValueError.  In units of 2e a cell is d0+1 long and the window is
-    [z_j + D - 1, z_j + D] with z_j = (w_j + e)/(2e), so it escapes exactly
-    when a cell boundary lies in (z_j + D - 1, z_j + D].  Only the first
-    boundary above z_j can, which rules out the single shift
-    D_bad = (d0+1) - (floor(z_j) mod (d0+1)) in 1..d0+1.  The d0 coordinates
-    rule out at most d0 of the d0+1 shifts, and D is the smallest one left,
-    found in one pass over w in integer arithmetic.
+    m = floor((w + shift*e) / L) is one integer floor division on the
+    numerators and denominators, so a value on a cell line belongs to the
+    cell to its right.  Every rounding in this module goes through here.
     """
-    return _shift_group(w, epsilon, grid)[0]
-
-
-def pad_vector(w: Sequence[Fraction], d0: int) -> list[Fraction]:
-    padded = list(w)
-    while len(padded) % d0:
-        padded.append(Fraction(0))
-    return padded
+    p, q = epsilon.numerator, epsilon.denominator
+    length_num, sp = units * p, shift * p  # L = length_num/q, shift*e = sp/q
+    out = []
+    for w in ws:
+        b = w.denominator
+        m = (w.numerator * q + sp * b) // (length_num * b)
+        out.append(Fraction((2 * m + 1) * length_num, 2 * q))
+    return out
 
 
 def shift_round(
-    w: Sequence[Fraction], epsilon: Fraction, d0: int, grid: Grid | None = None
+    w: Sequence[Fraction], epsilon: Fraction, d0: int
 ) -> tuple[list[Fraction], list[int]]:
-    """Grouped shift-and-round of a padded vector -> (answers, shift per group).
+    """Grouped shift-and-round -> (len(w) answers, one shift per group of d0).
 
-    Each group of d0 coordinates gets its shift D from choose_shift's rule and
-    answers y_j = (2m+1)*(d0+1)*e, the midpoint of the cell with index m that
-    holds w_j + 2*D*e.  The grid, when given, must be the canonical one.
+    A short last group is padded with zeros, whose answers are dropped.  In
+    units of 2e a cell is d0+1 long, and coordinate j's window for shift D is
+    [z_j + D - 1, z_j + D] with z_j = (w_j + e)/(2e).  It escapes its cell
+    exactly when a cell line lies in (z_j + D - 1, z_j + D], and only the
+    first line above z_j can, which rules out the single shift
+    (d0+1) - (floor(z_j) mod (d0+1)).  The d0 coordinates rule out at most d0
+    of the d0+1 shifts; D is the smallest one left, and y_j is the midpoint
+    of the cell of length 2*(d0+1)*e that holds w_j + 2*D*e.
     """
-    if len(w) % d0:
-        raise ValueError("vector length must be a multiple of d0")
-    if grid is None:
-        grid = Grid(interval_length=2 * (d0 + 1) * epsilon)
+    padded = list(w) + [Fraction(0)] * (-len(w) % d0)
+    cell = d0 + 1
+    p, q = epsilon.numerator, epsilon.denominator
     y: list[Fraction] = []
     deltas: list[int] = []
-    for start in range(0, len(w), d0):
-        delta, y_group = _shift_group(w[start : start + d0], epsilon, grid)
+    for start in range(0, len(padded), d0):
+        group = padded[start : start + d0]
+        ruled_out = set()
+        for v in group:
+            b = v.denominator
+            ruled_out.add(cell - (v.numerator * q + p * b) // (2 * p * b) % cell)
+        delta = 1
+        while delta in ruled_out:
+            delta += 1
         deltas.append(delta)
-        y.extend(y_group)
-    return y, deltas
+        y.extend(_midpoints(group, 2 * delta, epsilon, 2 * cell))
+    return y[: len(w)], deltas
+
+
+def _rat_to_str(x: Fraction) -> str:
+    """Serialize as 'p/q', always with an explicit denominator."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass
@@ -225,7 +204,6 @@ class RoundRecord:
     w: tuple[Fraction, ...]
     deltas: tuple[int, ...] | None
     y: tuple[Fraction, ...]
-    oracle_calls: int = 1
 
 
 @dataclass
@@ -243,9 +221,9 @@ class Transcript:
         doc = {
             "config": {
                 "n": cfg.n, "k": cfg.k, "d": cfg.d, "d0": cfg.d0,
-                "epsilon": rat_to_str(cfg.epsilon),
-                "delta": rat_to_str(cfg.delta),
-                "gamma": rat_to_str(cfg.gamma),
+                "epsilon": _rat_to_str(cfg.epsilon),
+                "delta": _rat_to_str(cfg.delta),
+                "gamma": _rat_to_str(cfg.gamma),
                 "kind": cfg.kind, "backend": cfg.backend,
             },
             "bits_used": self.bits_used,
@@ -254,10 +232,9 @@ class Transcript:
                 {
                     "round": r.index,
                     "x": r.x,
-                    "w": [rat_to_str(v) for v in r.w],
+                    "w": [_rat_to_str(v) for v in r.w],
                     "deltas": list(r.deltas) if r.deltas is not None else None,
-                    "y": [rat_to_str(v) for v in r.y],
-                    "oracle_calls": r.oracle_calls,
+                    "y": [_rat_to_str(v) for v in r.y],
                 }
                 for r in self.rounds
             ],
@@ -290,7 +267,6 @@ class Session:
             while u < target:
                 u *= 2
             self.u = u
-            self._coarse_grid = Grid(interval_length=u * config.epsilon)
 
     @property
     def bits_used(self) -> int:
@@ -313,7 +289,7 @@ class Session:
         return self._x
 
     def answer(self, query) -> tuple[Fraction, ...]:
-        """Answer one round, rounded with the config's d0 and grid.
+        """Answer one round, rounded with the config's d0.
 
         Every round therefore shows the owner at most config.sigma symbols,
         the alphabet the generator's schedule was planned for.
@@ -321,41 +297,27 @@ class Session:
         cfg = self.config
         if self.round >= cfg.k:
             raise StewardProtocolError(f"query budget of {cfg.k} rounds exhausted")
-        fn = ConcentratedFn.wrap(query)
+        oracle = query.oracle if isinstance(query, ConcentratedFn) else query
         x = self._next_sample()
-
-        calls = 0
-
-        def counted_oracle(bits: str):
-            nonlocal calls
-            calls += 1
-            return fn.oracle(bits)
-
         # Fractions are immutable: keep them, convert anything else
-        w = tuple(v if type(v) is Fraction else Fraction(v) for v in counted_oracle(x))
-        if calls != 1:
-            raise StewardProtocolError(f"one-query discipline violated: {calls} calls")
+        w = tuple(v if type(v) is Fraction else Fraction(v) for v in oracle(x))
         if len(w) != cfg.d:
             raise StewardProtocolError(f"query returned {len(w)} values, expected {cfg.d}")
 
         deltas: tuple[int, ...] | None = None
         if self._rounding == "shift":
-            y_full, delta_list = shift_round(
-                pad_vector(w, cfg.d0), cfg.epsilon, cfg.d0, cfg.grid
-            )
-            y = tuple(y_full[: cfg.d])
+            y_list, delta_list = shift_round(w, cfg.epsilon, cfg.d0)
+            y = tuple(y_list)
             deltas = tuple(delta_list)
         elif self._rounding == "coarse":
             delta = draw_uniform_power_of_two(self.source, self.u, phase="shift")
-            y = tuple(
-                round_to_midpoint(wj + delta * cfg.epsilon, self._coarse_grid) for wj in w
-            )
+            y = tuple(_midpoints(w, delta, cfg.epsilon, self.u))
             deltas = (delta,)
         else:  # "raw"
             y = w
 
         self.transcript.rounds.append(
-            RoundRecord(index=self.round, x=x, w=w, deltas=deltas, y=y, oracle_calls=calls)
+            RoundRecord(index=self.round, x=x, w=w, deltas=deltas, y=y)
         )
         self.round += 1
         self._finish_budget()
@@ -387,16 +349,13 @@ def certify_round(
     """
     if len(y) != config.d or len(mu) != config.d:
         raise ValueError("y and mu must have d coordinates")
-    grid = config.grid
+    cell, eps = config.d0 + 1, config.epsilon
     out: list[int | None] = []
     for g in range(config.groups):
-        coords = [j for j in range(g * config.d0, (g + 1) * config.d0) if j < config.d]
+        start, stop = g * config.d0, min((g + 1) * config.d0, config.d)
         found = None
-        for delta in range(1, config.d0 + 2):
-            if all(
-                y[j] == round_to_midpoint(mu[j] + 2 * delta * config.epsilon, grid)
-                for j in coords
-            ):
+        for delta in range(1, cell + 1):
+            if _midpoints(mu[start:stop], 2 * delta, eps, 2 * cell) == list(y[start:stop]):
                 found = delta
                 break
         out.append(found)

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 
-# ---------------------------------------------------------------- numeric
+# ---------------------------------------------------------------- cells, shift-and-round
 
 def ref_interval_index(w: Fraction, length: Fraction) -> int:
     """Index m with w in [m*L, (m+1)*L), by pure Fraction comparison."""

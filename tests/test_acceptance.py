@@ -115,10 +115,10 @@ def test_criterion_01():
             cells = (np.unravel_index(int(v), (33,) * 4) for v in flat)
         for cell in cells:
             w = [step * int(c) for c in cell]
-            y, deltas = shift_round(w, epsilon, d, config.grid)
+            y, deltas = shift_round(w, config.epsilon, config.d0)
             delta = deltas[0]
             assert 1 <= delta <= d + 1
-            length = config.grid.interval_length
+            length = 2 * (config.d0 + 1) * config.epsilon
             for wj in w:
                 assert ref_contained(
                     wj + (2 * delta - 1) * epsilon,

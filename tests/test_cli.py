@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from randsteward import cli
+from randsteward import cli, steward
 from randsteward.cli import main
 
 MASTER = "00112233445566778899aabbccddeeff"
@@ -127,6 +127,30 @@ def test_gl_cli_recovers_a_parity(capsys, tmp_path):
     assert not doc["aborted"]
     assert doc["audit"]["fresh_bits"] == 374
     assert "1 heavy prefixes, 349 bits" in err
+
+
+def test_gl_plans_the_steward_schedule_once(capsys, tmp_path, monkeypatch):
+    # the command, the search and the audit each build a config for the same
+    # plan; planning it once serves all three
+    calls = []
+    real = steward.build_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    steward._planned_schedule.cache_clear()
+    monkeypatch.setattr(steward, "build_schedule", counting)
+    table = tmp_path / "chi1.tt"
+    table.write_text("n=2\n0a\n")
+    rc, out, _ = run_cli(
+        ["gl", "--truth-table", str(table), "--theta", "9/10",
+         "--delta", "1/2", "--seed-hex", ("0123456789abcdef" * 6)[:88]],
+        capsys,
+    )
+    assert rc == 0
+    assert json.loads(out)["bits_used"] == 349
+    assert len(calls) == 1
 
 
 def test_audit_reports_budget(capsys):

@@ -166,9 +166,23 @@ def test_estimate_w_is_unbiased_over_tapes():
             tape = TapeSource(int_to_bits(seed, plan.seed_bits))
             total += estimate_W(
                 [1, -1], prefix, Fraction(1), Fraction(15, 16), tape,
-                mode="independent", plan=plan,
+                mode="independent",
             )
+            assert tape.report.bits_drawn == plan.seed_bits
         assert total / (1 << plan.seed_bits) == want
+
+
+def test_estimate_w_plans_over_n_plus_prefix_bits():
+    # the sampler runs over the n + len(prefix) bits of (x, prefix); a plan
+    # over fewer bits used to be accepted and biased the estimate
+    table = np.random.default_rng(8).choice([-1, 1], size=1 << 8).tolist()
+    args = (table, "1011", Fraction(1, 2), Fraction(1, 4))
+    want = plan_sampler(12, Fraction(1, 4), Fraction(1, 4), mode="walk")
+    source = CounterSource(master=b"west-plan", index=0)
+    estimate_W(*args, source)
+    assert source.report.bits_drawn == want.seed_bits
+    with pytest.raises(TypeError):
+        estimate_W(*args, source, plan=plan_sampler(2, Fraction(1, 4), Fraction(1, 4)))
 
 
 def test_estimate_w_is_unbiased_for_majority():
@@ -179,7 +193,7 @@ def test_estimate_w_is_unbiased_for_majority():
         tape = TapeSource(int_to_bits(seed, plan.seed_bits))
         total += estimate_W(
             MAJ3, "1", Fraction(1), Fraction(15, 16), tape,
-            mode="independent", plan=plan,
+            mode="independent",
         )
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 

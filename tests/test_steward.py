@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randsteward.numeric import Grid
 from randsteward.prg import build_schedule, expand
 from randsteward.randomness import CounterSource, TapeExhausted, TapeSource
 from randsteward.steward import (
@@ -17,8 +16,6 @@ from randsteward.steward import (
     StewardProtocolError,
     certification_check,
     certify_round,
-    choose_shift,
-    pad_vector,
     run_steward,
     shift_round,
 )
@@ -39,22 +36,19 @@ def const_query(*values):
 
 
 def test_choose_shift_goldens():
-    grid = Grid(interval_length=Fraction(1))
-    assert choose_shift([Fraction(1, 2)], Fraction(1, 4), grid) == 2
-    assert choose_shift([Fraction(0)], Fraction(1, 4), grid) == 1
-    assert choose_shift(
-        [Fraction(1, 2), Fraction(5, 6)], Fraction(1, 6), Grid(interval_length=Fraction(1))
-    ) == 2
+    # one group each, cells of length 2*(d0+1)*e = 1
+    assert shift_round([Fraction(1, 2)], Fraction(1, 4), 1)[1] == [2]
+    assert shift_round([Fraction(0)], Fraction(1, 4), 1)[1] == [1]
+    assert shift_round([Fraction(1, 2), Fraction(5, 6)], Fraction(1, 6), 2)[1] == [2]
 
 
 @settings(max_examples=300)
 @given(w=st.lists(small_rationals, min_size=1, max_size=3))
 def test_choose_shift_matches_reference_and_is_feasible(w):
     epsilon = Fraction(1, 8)
-    grid = Grid(interval_length=2 * (len(w) + 1) * epsilon)
     want = ref_choose_shift(w, epsilon, len(w))
     assert want is not None  # a feasible shift always exists
-    assert choose_shift(w, epsilon, grid) == want
+    assert shift_round(w, epsilon, len(w))[1] == [want]
 
 
 def test_shift_round_golden():
@@ -63,20 +57,33 @@ def test_shift_round_golden():
     assert deltas == [2]
 
 
-def test_shift_round_requires_multiple_of_d0():
-    with pytest.raises(ValueError):
-        shift_round([Fraction(0)] * 3, Fraction(1, 8), 2)
+def test_shift_round_pads_to_a_multiple_of_d0():
+    # a short last group is rounded as if zero-padded, and the padding's
+    # answers are dropped: the same as the reference on the padded vector
+    rng = random.Random(7_001)
+    seen_short = 0
+    for _ in range(2_000):
+        d0 = rng.randrange(2, 6)
+        epsilon = rng.choice(EPSILONS)
+        w = [_edge_value(rng, d0, epsilon) for _ in range(rng.randrange(1, 3 * d0))]
+        pad = -len(w) % d0
+        seen_short += pad > 0
+        y, deltas = shift_round(w, epsilon, d0)
+        want_y, want_deltas = ref_shift_round(w + [Fraction(0)] * pad, epsilon, d0)
+        assert len(y) == len(w)
+        assert (y, deltas) == (want_y[: len(w)], want_deltas), (w, epsilon, d0)
+    assert seen_short > 1_000
 
 
 @settings(max_examples=200)
 @given(w=st.lists(small_rationals, min_size=2, max_size=6), d0=st.integers(1, 3))
 def test_shift_round_accuracy(w, d0):
     epsilon = Fraction(1, 16)
-    padded = pad_vector(w, d0)
-    y, deltas = shift_round(padded, epsilon, d0)
-    assert len(deltas) == len(padded) // d0
+    y, deltas = shift_round(w, epsilon, d0)
+    assert len(y) == len(w)
+    assert len(deltas) == -(-len(w) // d0)
     assert all(1 <= delta <= d0 + 1 for delta in deltas)
-    for yj, wj in zip(y, padded):
+    for yj, wj in zip(y, w):
         assert abs(yj - wj) <= (3 * d0 + 3) * epsilon
 
 
@@ -113,33 +120,24 @@ def test_shift_round_matches_fraction_reference_bit_for_bit():
         seen_d0.add(d0)
         epsilon = rng.choice(EPSILONS)
         w = [_edge_value(rng, d0, epsilon) for _ in range(d0 * groups)]
-        grid = Grid(interval_length=2 * (d0 + 1) * epsilon)
-        y, deltas = shift_round(w, epsilon, d0, grid)
+        y, deltas = shift_round(w, epsilon, d0)
         want_y, want_deltas = ref_shift_round(w, epsilon, d0)
         assert deltas == want_deltas, (w, epsilon, d0)
         assert y == want_y, (w, epsilon, d0)
         assert all(type(v) is Fraction for v in y)
-        if groups == 1:
-            assert choose_shift(w, epsilon, grid) == want_deltas[0]
     assert seen_d0 == set(range(1, 34))
 
 
-def test_shift_needs_the_canonical_grid():
-    epsilon = Fraction(1, 6)
-    w = [Fraction(1, 2), Fraction(5, 6)]
-    for length in (Fraction(1, 2), 2 * 2 * epsilon, 2 * 4 * epsilon):
-        with pytest.raises(ValueError):
-            choose_shift(w, epsilon, Grid(interval_length=length))
-        with pytest.raises(ValueError):
-            shift_round(w, epsilon, 2, Grid(interval_length=length))
-    canonical = Grid(interval_length=2 * 3 * epsilon)
-    assert choose_shift(w, epsilon, canonical) == 2
-    assert shift_round(w, epsilon, 2, canonical) == shift_round(w, epsilon, 2)
-
-
 def test_pad_vector():
-    assert pad_vector([Fraction(1)], 3) == [Fraction(1), Fraction(0), Fraction(0)]
-    assert pad_vector([Fraction(1), Fraction(2)], 2) == [Fraction(1), Fraction(2)]
+    # shift_round pads a short last group with zeros itself
+    epsilon = Fraction(1, 8)
+    y, deltas = shift_round([Fraction(1)], epsilon, 3)
+    padded_y, padded_deltas = shift_round([Fraction(1), Fraction(0), Fraction(0)], epsilon, 3)
+    assert (y, deltas) == (padded_y[:1], padded_deltas)
+    assert deltas == [1]
+    full = [Fraction(1), Fraction(2)]
+    assert len(shift_round(full, epsilon, 2)[0]) == 2
+    assert shift_round(full, epsilon, 2) == ref_shift_round(full, epsilon, 2)
 
 
 # ---------------------------------------------------------------- config
@@ -170,10 +168,8 @@ def test_config_derived_quantities():
     cfg = StewardConfig(
         n=4, k=2, d=5, epsilon=Fraction(1, 8), delta=Fraction(0), gamma=Fraction(1, 4), d0=2
     )
-    assert cfg.d_pad == 6
-    assert cfg.groups == 3
+    assert cfg.groups == 3  # ceil(5 / 2): the last group is padded
     assert cfg.sigma == 3**3 + 1
-    assert cfg.grid.interval_length == 2 * 3 * Fraction(1, 8)
     assert cfg.error_bound == 11 * Fraction(1, 8)
     flat = StewardConfig(
         n=4, k=2, d=5, epsilon=Fraction(1, 8), delta=Fraction(0), gamma=Fraction(1, 4)
@@ -298,16 +294,28 @@ def test_main_session_needs_full_seed():
 
 
 def test_concentrated_fn_wrap():
-    fn = ConcentratedFn(oracle=const_query(1), epsilon=Fraction(1, 8))
-    assert ConcentratedFn.wrap(fn) is fn
-    wrapped = ConcentratedFn.wrap(const_query(1))
-    assert wrapped.epsilon is None
+    # answer() takes a ConcentratedFn or its bare oracle, and treats them alike
+    fn = ConcentratedFn(oracle=const_query(Fraction(1, 2)), epsilon=Fraction(1, 8))
+    assert ConcentratedFn(oracle=fn.oracle).epsilon is None
+    answers = []
+    for query in (fn, fn.oracle):
+        sess = Session(MAIN_CFG, CounterSource(master=b"wrap", index=0))
+        answers.append(sess.answer(query))
+        assert sess.transcript.rounds[0].w == (Fraction(1, 2),)
+    assert answers[0] == answers[1]
 
 
-def test_oracle_calls_are_recorded():
+def test_oracle_is_called_once_per_round():
+    calls = []
+
+    def oracle(x):
+        calls.append(x)
+        return [Fraction(0)]
+
     sess = Session(MAIN_CFG, CounterSource(master=b"x", index=2))
-    sess.answer(const_query(0))
-    assert sess.transcript.rounds[0].oracle_calls == 1
+    sess.answer(oracle)
+    sess.answer(ConcentratedFn(oracle=oracle))
+    assert calls == [r.x for r in sess.transcript.rounds]
 
 
 def test_grouped_rounds():
@@ -408,5 +416,5 @@ def test_transcript_json():
     assert doc["bits_used"] == 139
     assert doc["bits_by_phase"] == {"seed": 139}
     (entry,) = doc["rounds"]
-    assert set(entry) == {"round", "x", "w", "deltas", "y", "oracle_calls"}
+    assert set(entry) == {"round", "x", "w", "deltas", "y"}
     assert entry["w"] == ["1/2"]
