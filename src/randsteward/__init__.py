@@ -35,7 +35,6 @@ from .steward import (
 from .sampler import (
     AveragingSamplerPlan,
     SamplerPlan,
-    app_amplify,
     averaging_sample,
     median_amplify,
     plan_averaging,
@@ -70,7 +69,7 @@ __all__ = [
     "StewardConfig", "ConcentratedFn", "Session", "Transcript",
     "run_steward", "certification_check",
     "SamplerPlan", "AveragingSamplerPlan", "plan_sampler", "plan_averaging",
-    "sample_mean", "averaging_sample", "median_amplify", "app_amplify",
+    "sample_mean", "averaging_sample", "median_amplify",
     "FourierSpectrum", "wht", "estimate_W", "goldreich_levin", "gl_randomness_audit",
     "parse_circuit", "print_circuit", "acceptance_session",
     "run_promise_bpp_oracle_algorithm", "run_app_oracle_algorithm",

@@ -41,7 +41,7 @@ from .sampler import (
     plan_sampler,
     sample_mean,
 )
-from .steward import ConcentratedFn, Session, StewardConfig
+from .steward import Session, StewardConfig
 
 PROOF_CONSTANT = 8  # c = 3*d0 + 5 at d0 = d = 1, the error factor of one round
 
@@ -264,9 +264,9 @@ def _clamp_unit(y: Fraction) -> Fraction:
 
 
 def _steward_config(
-    tape_bits: int, k: int, epsilon: Fraction, delta: Fraction, kind: str, backend: str
+    tape_bits: int, k: int, epsilon: Fraction, delta: Fraction
 ) -> StewardConfig:
-    """The d = 1 steward behind every estimate here.
+    """The d = 1 main steward behind every estimate here.
 
     Each round is planned for accuracy epsilon/8 and failure delta/(2k), and
     gamma = delta/2, so all k answers land within epsilon except with
@@ -279,29 +279,13 @@ def _steward_config(
         epsilon=epsilon / PROOF_CONSTANT,
         delta=delta / (2 * k),
         gamma=delta / 2,
-        kind=kind,
-        backend=backend,
     )
-
-
-def _answer(session: Session, f: Callable[[str], list]) -> Fraction:
-    cfg = session.config
-    return session.answer(ConcentratedFn(oracle=f, epsilon=cfg.epsilon, delta=cfg.delta))[0]
 
 
 class AcceptanceSession:
     """Up to k rounds of: give a circuit, get Y = mu(C) +- epsilon in [0,1]."""
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        epsilon,
-        delta,
-        source: BitSource,
-        kind: str = "main",
-        backend: str = "expander",
-    ):
+    def __init__(self, n: int, k: int, epsilon, delta, source: BitSource):
         self.n = n
         self.k = k
         self.epsilon = Fraction(epsilon)
@@ -309,9 +293,7 @@ class AcceptanceSession:
         self.plan: SamplerPlan = plan_sampler(
             n, self.epsilon / PROOF_CONSTANT, self.delta / (2 * k), mode="walk"
         )
-        self.config = _steward_config(
-            self.plan.seed_bits, k, self.epsilon, self.delta, kind, backend
-        )
+        self.config = _steward_config(self.plan.seed_bits, k, self.epsilon, self.delta)
         self.session = Session(self.config, source)
 
     @property
@@ -332,14 +314,11 @@ class AcceptanceSession:
         def f(tape: str):
             return [sample_mean(self.plan, oracle, TapeSource(tape))]
 
-        return _clamp_unit(_answer(self.session, f))
+        return _clamp_unit(self.session.answer(f)[0])
 
 
-def acceptance_session(
-    n: int, k: int, epsilon, delta, source: BitSource,
-    kind: str = "main", backend: str = "expander",
-) -> AcceptanceSession:
-    return AcceptanceSession(n, k, epsilon, delta, source, kind=kind, backend=backend)
+def acceptance_session(n: int, k: int, epsilon, delta, source: BitSource) -> AcceptanceSession:
+    return AcceptanceSession(n, k, epsilon, delta, source)
 
 
 def run_promise_bpp_oracle_algorithm(
@@ -349,8 +328,6 @@ def run_promise_bpp_oracle_algorithm(
     k: int,
     delta,
     source: BitSource,
-    kind: str = "main",
-    backend: str = "expander",
 ):
     """Run outer(ask); each ask(query) thresholds an estimate of the oracle's
     acceptance probability at 1/2.
@@ -366,9 +343,7 @@ def run_promise_bpp_oracle_algorithm(
     def ask(query) -> int:
         nonlocal session
         if session is None:
-            session = AcceptanceSession(
-                n, k, Fraction(1, 10), delta, source, kind=kind, backend=backend
-            )
+            session = AcceptanceSession(n, k, Fraction(1, 10), delta, source)
         oracle = FnOracle(n, lambda coins: decision_oracle(query, coins))
         return 1 if session._estimate_oracle(oracle) >= Fraction(1, 2) else 0
 
@@ -383,8 +358,6 @@ def run_app_oracle_algorithm(
     epsilon,
     delta,
     source: BitSource,
-    kind: str = "main",
-    backend: str = "expander",
 ):
     """Run outer(ask); ask(w) estimates phi(w) to +-epsilon, all k answers
     good except with probability delta.
@@ -398,7 +371,7 @@ def run_app_oracle_algorithm(
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     plan = plan_averaging(n, Fraction(1, 10), delta / (2 * k))
-    config = _steward_config(plan.seed_bits, k, epsilon, delta, kind, backend)
+    config = _steward_config(plan.seed_bits, k, epsilon, delta)
     session: Session | None = None  # opens, and draws its seed, at the first ask
 
     def ask(w) -> Fraction:
@@ -409,6 +382,6 @@ def run_app_oracle_algorithm(
         def f(tape: str):
             return [median_amplify(partial(phi_estimator, w), plan, TapeSource(tape))]
 
-        return _answer(session, f)
+        return session.answer(f)[0]
 
     return outer(ask)

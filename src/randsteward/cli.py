@@ -5,7 +5,9 @@ goes to stderr.  Every command is bit-for-bit reproducible given --seed-hex:
 single-run commands read their tape straight from the hex string, and
 Monte-Carlo commands derive trial i's tape from a SHA-256 counter stream
 keyed by (seed bytes, i).  Usage errors exit 2; runtime failures and a
-Goldreich-Levin abort exit 1.
+Goldreich-Levin abort exit 1.  gl, accept and audit run the main steward on
+the expander generator; only prg expand picks a generator backend, and only
+demo adversary a steward kind.
 """
 
 from __future__ import annotations
@@ -75,24 +77,17 @@ def _cmd_gl(args) -> int:
         table = fourier.load_truth_table(fh.read())
     n = table.size.bit_length() - 1
     params = fourier.gl_params(n, args.theta, args.delta)
-    config = params.steward_config(kind=args.steward, backend=args.backend)
-    need = None
-    if args.seed_hex is not None and config.kind == "main":
-        need = config.schedule.seed_len
-    source = _single_source(args.seed_hex, need)
-    result = fourier.goldreich_levin(
-        table, args.theta, args.delta, source, kind=args.steward, backend=args.backend
-    )
+    source = _single_source(args.seed_hex, params.steward_config().schedule.seed_len)
+    result = fourier.goldreich_levin(table, args.theta, args.delta, source)
     doc = {
         "n": n,
         "theta": str(args.theta),
         "delta": str(args.delta),
-        "steward": args.steward,
         "aborted": result.aborted,
         "masks": result.masks,
         "strings": result.strings,
         "bits_used": result.bits_used,
-        "audit": fourier.gl_audit_dict(params, backend=args.backend),
+        "audit": fourier.gl_audit_dict(params),
     }
     _emit(doc, args.output)
     if result.aborted:
@@ -110,9 +105,7 @@ def _cmd_gl(args) -> int:
 
 def _cmd_accept(args) -> int:
     source = _single_source(args.seed_hex)
-    session = circuits.acceptance_session(
-        args.n, args.k, args.epsilon, args.delta, source, kind=args.steward
-    )
+    session = circuits.acceptance_session(args.n, args.k, args.epsilon, args.delta, source)
     rounds = []
     for line in sys.stdin:
         text = line.strip()
@@ -134,7 +127,6 @@ def _cmd_accept(args) -> int:
         "k": args.k,
         "epsilon": str(args.epsilon),
         "delta": str(args.delta),
-        "steward": args.steward,
         "bits_used": session.bits_used,
         "sampler_queries_per_round": session.queries_per_round,
         "rounds": rounds,
@@ -229,7 +221,7 @@ def _cmd_sampler_bench(args) -> int:
 
 def _cmd_audit(args) -> int:
     params = fourier.gl_params(args.n, args.theta, args.delta)
-    doc = fourier.gl_audit_dict(params, backend=args.backend)
+    doc = fourier.gl_audit_dict(params)
     _emit(doc, args.output)
     print(
         f"audit: steward seed {doc['steward_bits']} bits vs fresh {doc['fresh_bits']}",
@@ -331,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-table", required=True, help="file: n=<int> line, then hex bits")
     p.add_argument("--theta", type=_rat, required=True)
     p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--steward", default="main", choices=steward.KINDS)
-    p.add_argument("--backend", default="expander", choices=prg.BACKENDS)
     common(p)
     p.set_defaults(fn=_cmd_gl)
 
@@ -341,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=_rat, required=True)
     p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--steward", default="main", choices=steward.KINDS)
     common(p)
     p.set_defaults(fn=_cmd_accept)
 
@@ -374,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=_rat, required=True)
     p.add_argument("--delta", type=_rat, required=True)
-    p.add_argument("--backend", default="expander", choices=prg.BACKENDS)
     common(p)
     p.set_defaults(fn=_cmd_audit)
 

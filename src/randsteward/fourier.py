@@ -56,7 +56,7 @@ from .sampler import (
     lower_median,
     plan_sampler,
 )
-from .steward import ConcentratedFn, Session, StewardConfig
+from .steward import Session, StewardConfig
 
 MATERIALIZE_CAP = 22  # largest n for which a callback F is expanded to a table
 TEMP_BITS = 16  # batch sums touch at most ~2^16 points or dual terms per numpy pass
@@ -219,7 +219,7 @@ class GlParams:
     def keep_threshold(self) -> Fraction:
         return self.theta**2 / 2
 
-    def steward_config(self, kind: str = "main", backend: str = "expander") -> StewardConfig:
+    def steward_config(self) -> StewardConfig:
         return StewardConfig(
             n=self.tape_bits,
             k=self.k,
@@ -227,8 +227,6 @@ class GlParams:
             epsilon=self.eps_est,
             delta=self.delta / (2 * self.n),
             gamma=self.delta / 2,
-            kind=kind,
-            backend=backend,
         )
 
 
@@ -401,16 +399,14 @@ class GlResult:
 
 
 def goldreich_levin(
-    f, theta: Fraction, delta: Fraction, source: BitSource,
-    kind: str = "main", backend: str = "expander", n: int | None = None,
+    f, theta: Fraction, delta: Fraction, source: BitSource, n: int | None = None
 ) -> GlResult:
     """Prefix search for {x : |F_hat(x)| >= theta}; misses nothing above theta
     and returns nothing below theta/2, except with probability delta."""
     table = as_boolean_function(f, n).materialize()
     n = table.size.bit_length() - 1
     params = gl_params(n, theta, delta)
-    config = params.steward_config(kind=kind, backend=backend)
-    session = Session(config, source)
+    session = Session(params.steward_config(), source)
     survivors = [""]
     cap = Fraction(params.d, 1 << params.u)
     for level in range(params.k):
@@ -429,13 +425,7 @@ def goldreich_levin(
             w = _weights_from_tape(table, _c, _l, n, _p, tape)
             return w + [Fraction(0)] * (params.d - len(w))
 
-        y = session.answer(
-            ConcentratedFn(
-                oracle=evaluate,
-                epsilon=params.eps_est,
-                delta=params.d * params.est_delta,
-            )
-        )
+        y = session.answer(evaluate)
         keep = params.keep_threshold
         survivors = [cands[j] for j in range(len(cands)) if y[j] >= keep]
     return GlResult(
@@ -444,18 +434,18 @@ def goldreich_levin(
     )
 
 
-def gl_randomness_audit(params: GlParams, backend: str = "expander") -> BudgetReport:
+def gl_randomness_audit(params: GlParams) -> BudgetReport:
     """Coin budget of one run: the steward seed, split tape vs ladder."""
-    schedule = params.steward_config(backend=backend).schedule
+    schedule = params.steward_config().schedule
     report = BudgetReport()
     report.add("tape", params.tape_bits)
     report.add("ladder", schedule.seed_len - params.tape_bits)
     return report
 
 
-def gl_audit_dict(params: GlParams, backend: str = "expander") -> dict:
+def gl_audit_dict(params: GlParams) -> dict:
     """Expanded audit for reporting: budgets plus query counts."""
-    report = gl_randomness_audit(params, backend=backend)
+    report = gl_randomness_audit(params)
     return {
         "n": params.n,
         "levels": params.k,

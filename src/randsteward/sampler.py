@@ -20,12 +20,7 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
 * averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
   t = ceil(6*ceil(log2(2/delta))/eps^2) vertex labels serve as the sample
   points directly.  Unlike the median form this keeps the estimate an
-  empirical mean, which is what the amplifier below needs.
-
-`app_amplify` turns a coin-flipping approximator that is accurate with
-probability >= 2/3 into one accurate with probability >= 1 - delta: run it
-on the points of a (1/10, delta) averaging sampler and answer the lower
-median of its outputs.
+  empirical mean, which is what median_amplify needs.
 """
 
 from __future__ import annotations
@@ -94,13 +89,7 @@ class SamplerPlan:
         return self.t0 * self.r
 
 
-def plan_sampler(
-    n: int,
-    epsilon: Fraction,
-    delta: Fraction,
-    mode: str = "walk",
-    reps_factor: int = MEDIAN_REPS_FACTOR,
-) -> SamplerPlan:
+def plan_sampler(n: int, epsilon: Fraction, delta: Fraction, mode: str = "walk") -> SamplerPlan:
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -111,7 +100,7 @@ def plan_sampler(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     t0 = math.ceil(BATCH_POINTS_FACTOR / epsilon**2)
-    r = max(1, _ceil_log2((1 / delta) ** reps_factor))  # ceil(8 * log2(1/delta))
+    r = max(1, _ceil_log2((1 / delta) ** MEDIAN_REPS_FACTOR))  # ceil(8 * log2(1/delta))
     field_bits = max(n, (t0 - 1).bit_length())
     return SamplerPlan(
         n=n, epsilon=epsilon, delta=delta, mode=mode, t0=t0, r=r, field_bits=field_bits
@@ -306,12 +295,7 @@ class AveragingSamplerPlan:
         return self.n_emb + 3 * (self.t - 1)
 
 
-def plan_averaging(
-    n: int,
-    epsilon: Fraction,
-    delta: Fraction,
-    quality_factor: int = AVERAGING_QUALITY_FACTOR,
-) -> AveragingSamplerPlan:
+def plan_averaging(n: int, epsilon: Fraction, delta: Fraction) -> AveragingSamplerPlan:
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -319,7 +303,7 @@ def plan_averaging(
         raise ValueError("epsilon must lie in (0, 1]")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    t = math.ceil(Fraction(quality_factor * _ceil_log2(2 / delta)) / epsilon**2)
+    t = math.ceil(Fraction(AVERAGING_QUALITY_FACTOR * _ceil_log2(2 / delta)) / epsilon**2)
     return AveragingSamplerPlan(n=n, epsilon=epsilon, delta=delta, t=max(1, t))
 
 
@@ -337,30 +321,10 @@ def averaging_sample(plan: AveragingSamplerPlan, source: BitSource) -> list[str]
 
 
 def median_amplify(f: Callable[[str], object], plan: AveragingSamplerPlan, source: BitSource):
-    """Lower median of f over the points of one averaging-sampler run."""
-    return lower_median([f(p) for p in averaging_sample(plan, source)])
+    """Lower median of f over the points of one averaging-sampler run.
 
-
-@dataclass
-class AmplifiedEstimator:
-    """Callable on a BitSource; .plan exposes the seed budget."""
-
-    plan: AveragingSamplerPlan
-    phi: Callable[[str], object]
-
-    def __call__(self, source: BitSource):
-        return median_amplify(self.phi, self.plan, source)
-
-
-def app_amplify(phi: Callable[[str], object], coin_bits: int, delta) -> AmplifiedEstimator:
-    """Amplify a 2/3-confidence coin-flipping approximator to 1 - delta.
-
-    phi(coins) must land in the good interval for >= 2/3 of coin strings;
-    the (1/10, delta) averaging sampler pins the bad fraction among its
-    points below 1/2, so the median of the sampled outputs is good except
-    with probability delta.
+    If f is good on >= 2/3 of its inputs, a (1/10, delta) plan keeps the bad
+    points below half of the sample, so the median is good, except with
+    probability delta.
     """
-    if coin_bits < 1:
-        raise ValueError("coin_bits must be >= 1")
-    plan = plan_averaging(coin_bits, Fraction(1, 10), Fraction(delta))
-    return AmplifiedEstimator(plan=plan, phi=phi)
+    return lower_median([f(p) for p in averaging_sample(plan, source)])

@@ -30,11 +30,14 @@ main, coarse or certified, comes from one integer floor division
 Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
 comes from, how it rounds), and Session switches on those two members only.
-A sample is one block of the generator's output ("blocks", the main steward),
-n fresh bits drawn in the round ("fresh") or one n-bit sample drawn at open
-and reused every round ("reused").  An answer is shift-and-rounded as above
-("shift"), snapped to a coarse grid u*epsilon after a fresh random shift of
-log2(u) bits ("coarse", the Saks-Zhou baseline), or returned as is ("raw").
+A sample is one block of the expander generator's output ("blocks", the main
+steward), n fresh bits drawn in the round ("fresh") or one n-bit sample drawn
+at open and reused every round ("reused").  Which generator makes the blocks
+is chosen in prg only: its identity generator would give the main steward
+the s0 kind's uniform blocks, drawn all at once.  An answer is
+shift-and-rounded as above ("shift"), snapped to a coarse grid u*epsilon
+after a fresh random shift of log2(u) bits ("coarse", the Saks-Zhou
+baseline), or returned as is ("raw").
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .bdt import split_blocks
-from .prg import BACKENDS, PrgSchedule, build_schedule, expand
+from .prg import PrgSchedule, build_schedule, expand
 from .randomness import BitSource, draw_uniform_power_of_two
 
 KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
@@ -73,7 +76,6 @@ class StewardConfig:
     gamma: Fraction
     d0: int | None = None
     kind: str = "main"
-    backend: str = "expander"
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
@@ -93,8 +95,6 @@ class StewardConfig:
             raise ValueError("d0 must lie in 1..d")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {tuple(KINDS)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
 
     @property
     def groups(self) -> int:
@@ -107,8 +107,8 @@ class StewardConfig:
 
     @property
     def schedule(self) -> PrgSchedule:
-        """The generator plan for k blocks of n bits against sigma-ary trees."""
-        return _planned_schedule(self.n, self.k, self.sigma, self.gamma, self.backend)
+        """The expander-generator plan for k blocks of n bits against sigma-ary trees."""
+        return _planned_schedule(self.n, self.k, self.sigma, self.gamma)
 
     @property
     def error_bound(self) -> Fraction:
@@ -119,10 +119,8 @@ class StewardConfig:
 # Planning is pure, so configs built more than once, or that differ only in
 # kind or epsilon, share one plan.
 @lru_cache(maxsize=64)
-def _planned_schedule(
-    n: int, k: int, sigma: int, gamma: Fraction, backend: str
-) -> PrgSchedule:
-    return build_schedule(n, k, sigma, gamma, backend=backend)
+def _planned_schedule(n: int, k: int, sigma: int, gamma: Fraction) -> PrgSchedule:
+    return build_schedule(n, k, sigma, gamma)
 
 
 @dataclass
@@ -224,7 +222,7 @@ class Transcript:
                 "epsilon": _rat_to_str(cfg.epsilon),
                 "delta": _rat_to_str(cfg.delta),
                 "gamma": _rat_to_str(cfg.gamma),
-                "kind": cfg.kind, "backend": cfg.backend,
+                "kind": cfg.kind,
             },
             "bits_used": self.bits_used,
             "bits_by_phase": dict(self.bits_by_phase),

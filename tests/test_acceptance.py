@@ -74,9 +74,7 @@ def _run_logged(config, owner, source):
 
 
 def _failure_sessions(config, owner_factory, master, trials):
-    expected_bits = prg.build_schedule(
-        config.n, config.k, config.sigma, config.gamma, backend=config.backend
-    ).seed_len
+    expected_bits = config.schedule.seed_len
     fails = 0
     for i in range(trials):
         transcript, mus = _run_logged(
@@ -396,9 +394,7 @@ def test_criterion_06():
     rate_bound = float(config.k * config.delta + config.gamma)
     assert fails / total <= three_sigma_bound(rate_bound, total)
 
-    schedule = prg.build_schedule(
-        config.n, config.k, config.sigma, config.gamma, backend=config.backend
-    )
+    schedule = config.schedule
     assert schedule.seed_len == 806  # n + 3 * sum(walk_len) = 8 + 3 * (79 + 88 + 99)
     half_nk = config.n * config.k // 2
     if schedule.seed_len >= half_nk:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -230,3 +231,22 @@ def test_short_seed_is_a_runtime_error(capsys):
     )
     assert rc == 1
     assert "error:" in err
+
+
+def _flags_by_command(parser, path=()):
+    """Every option string of every leaf command, keyed by its command path."""
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(_flags_by_command(sub, path + (name,)))
+    if not flags:
+        flags[path] = {s for a in parser._actions for s in a.option_strings}
+    return flags
+
+
+def test_only_prg_expand_and_demo_adversary_pick_a_generator_or_kind():
+    flags = _flags_by_command(cli.build_parser())
+    assert {"gl", "accept", "audit"} <= {path[0] for path in flags}
+    assert [p for p, f in flags.items() if "--steward" in f] == [("demo", "adversary")]
+    assert [p for p, f in flags.items() if "--backend" in f] == [("prg", "expand")]

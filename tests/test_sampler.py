@@ -11,11 +11,9 @@ from randsteward.gf2 import field_poly, gf_mul, is_irreducible
 from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.sampler import (
     MODES,
-    AmplifiedEstimator,
     FnOracle,
     TruthTableOracle,
     _batch_seeds,
-    app_amplify,
     averaging_points,
     averaging_sample,
     batch_cosets,
@@ -401,24 +399,15 @@ def test_median_amplify_constant():
     assert out == Fraction(2, 7)
 
 
-def test_app_amplify():
-    amp = app_amplify(lambda coins: Fraction(7, 2), 4, Fraction(1, 4))
-    assert isinstance(amp, AmplifiedEstimator)
-    assert amp.plan.epsilon == Fraction(1, 10)
-    assert amp.plan.delta == Fraction(1, 4)
-    assert amp(CounterSource(master=b"amp", index=0)) == Fraction(7, 2)
-    with pytest.raises(ValueError):
-        app_amplify(lambda coins: 0, 0, Fraction(1, 4))
-
-
 def test_app_amplify_beats_a_third_of_bad_coins():
     # phi is wrong on 1/4 < 1/3 of coin strings; the median repair must
     # almost always return the good value
     def phi(coins):
         return 99 if coins.startswith("11") else 1
 
-    amp = app_amplify(phi, 6, Fraction(1, 8))
+    plan = plan_averaging(6, Fraction(1, 10), Fraction(1, 8))
     wrong = sum(
-        amp(CounterSource(master=b"amp-trial", index=i)) != 1 for i in range(40)
+        median_amplify(phi, plan, CounterSource(master=b"amp-trial", index=i)) != 1
+        for i in range(40)
     )
     assert wrong == 0

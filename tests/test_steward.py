@@ -156,7 +156,6 @@ def test_config_validation():
         dict(ok, gamma=Fraction(1)),
         dict(ok, d0=0),
         dict(ok, kind="turbo"),
-        dict(ok, backend="quantum"),
     ]:
         with pytest.raises(ValueError):
             StewardConfig(**bad)
@@ -411,6 +410,7 @@ def test_transcript_json():
     sess = Session(MAIN_CFG, CounterSource(master=b"json", index=0))
     sess.answer(const_query(Fraction(1, 2)))
     doc = json.loads(sess.transcript.to_json())
+    assert set(doc["config"]) == {"n", "k", "d", "d0", "epsilon", "delta", "gamma", "kind"}
     assert doc["config"]["kind"] == "main"
     assert doc["config"]["epsilon"] == "1/8"
     assert doc["bits_used"] == 139
