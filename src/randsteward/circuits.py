@@ -242,21 +242,28 @@ def exact_mean(expr: CircuitExpr, n: int) -> Fraction:
 
 
 class _CircuitOracle:
+    """A circuit as a sampler oracle.  cube_total builds the truth table and
+    keeps it, and eval_ints then reads points from it; before that, or past
+    the table cap, eval_ints evaluates the circuit on the points.  No table
+    is built for eval_ints alone."""
+
     def __init__(self, expr: CircuitExpr, n: int):
         self.expr = expr
         self.n = n
-        self._total = None
+        self._table = None
 
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return self._table[xs]
         return eval_on_ints(self.expr, xs)
 
     def cube_total(self):
         """mu(C) * 2^n, the sum over the whole cube; None past the table cap."""
         if self.n > TRUTH_TABLE_CAP:
             return None
-        if self._total is None:
-            self._total = int(to_truth_table(self.expr, self.n).sum())
-        return self._total
+        if self._table is None:
+            self._table = to_truth_table(self.expr, self.n)
+        return int(self._table.sum())
 
 
 def _clamp_unit(y: Fraction) -> Fraction:

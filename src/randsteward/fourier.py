@@ -337,14 +337,15 @@ def _weights_from_tape(
     Enumerating it costs |V| points: their products F(yz)F(y'z) go into a
     histogram over y xor y', whose Walsh sums give every candidate at once.
     The Walsh dual costs |V-perp| * 2^(n - ell) terms per candidate; it uses
-    the row-wise Walsh sums A[z, q] = sum_y F(yz)(-1)^<q, y>, computed once.
+    the row-wise Walsh sums A[z, q] = sum_y F(yz)(-1)^<q, y>, computed
+    once, when the first coset takes this path.
     Each batch's mean of the Boolean variable C = 1/2 + product/2 is exact,
     so W = 2*median(C-means) - 1 comes out as Fraction(median of batch
     product-sums, t0), equal to the pointwise sum."""
     src = TapeSource(tape_bits[: plan.seed_bits])
     seeds = _batch_seeds(plan, src)
     signs = np.asarray(table, dtype=np.int64)
-    rows = wht_ints(signs.reshape(-1, 1 << ell))
+    rows = None  # the row-wise Walsh sums, made for the first dual coset
     cands = np.asarray(cand_ints, dtype=np.uint64)
     width = n + ell
     sums = np.zeros((len(cand_ints), plan.r), dtype=np.int64)
@@ -356,6 +357,8 @@ def _weights_from_tape(
             if 1 << rank <= len(cand_ints) << (width - rank + n - ell):
                 _add_coset_histogram(hist, signs, ell, mult, c, basis)
             else:
+                if rows is None:
+                    rows = wht_ints(signs.reshape(-1, 1 << ell))
                 dual = _dual_coset_sums(rows, cands, ell, c, basis, width)
                 sums[:, bi] += [mult * t for t in dual]
         sums[:, bi] += wht_ints(hist)[cand_ints]

@@ -15,7 +15,12 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   cube adds the oracle's cube_total(), and any other coset is evaluated once
   on each of its points.  An oracle's optional cube_total() returns the
   exact sum of f over all 2^n points, or None when it has no cheap way to
-  get it; then the whole cube is evaluated too.
+  get it; then the whole cube is evaluated too.  batch_cosets eliminates
+  the block columns into a pivot dict and builds a reduced basis only for
+  a block below full rank; every full-rank block shares the unit basis of
+  the cube.  A batch's parts are added as Python ints (a Fraction part
+  makes the sum a Fraction, a float part enters as its exact Fraction),
+  and each batch makes one Fraction, its sum over t0.
 
 * averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
   t = ceil(6*ceil(log2(2/delta))/eps^2) vertex labels serve as the sample
@@ -59,12 +64,13 @@ def _ceil_log2(q: Fraction) -> int:
     return L
 
 
-def _exact(value) -> Fraction:
-    """Exact rational of a sum: Fractions and integers as they are, floats exactly."""
-    if isinstance(value, Fraction):
+def _exact(value) -> int | Fraction:
+    """Exact value of a sum: Python ints and Fractions as they are, numpy
+    integers as Python ints, floats as their exact Fractions."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
+    if isinstance(value, np.integer):
+        return int(value)
     return Fraction(float(value))
 
 
@@ -182,28 +188,57 @@ def batch_cosets(
     point of it 2^(j - dim V) times.  Returns (multiplicity, c, basis)
     triples; each basis is in reduced row echelon form, ascending: distinct
     leading bits, none of which is set in any other basis vector.
+
+    The columns are eliminated into a dict from leading bit to vector, and
+    the reduced basis is built only for a block below full rank; a
+    full-rank block gets the unit vectors (1, 2, 4, ...), the reduced basis
+    of the whole cube.  The offsets c come from one top-down pass that xors
+    in a * x^i for each set bit i of t0.
     """
     if t0 > 1 << field_bits:
         raise ValueError("field too small for t0 distinct points")
     powers = _powers(a, field_bits)
     mask = (1 << n) - 1
-    basis: list[int] = []
-    cosets = []
-    for j in range(field_bits + 1):
+    blocks = []  # (j, c), top down
+    c = b
+    for j in reversed(range(t0.bit_length())):
         if t0 >> j & 1:
-            c = b
-            for i in range(j + 1, field_bits):
-                if t0 >> i & 1:
-                    c ^= powers[i]
-            cosets.append((1 << (j - len(basis)), c & mask, tuple(basis)))
-        if j < field_bits and len(basis) < n:  # a full-rank V stays the same
-            v = powers[j] & mask
-            for w in basis:
-                v = min(v, v ^ w)
-            if v:
-                top = 1 << (v.bit_length() - 1)
-                basis = sorted([w ^ v if w & top else w for w in basis] + [v])
+            blocks.append((j, c & mask))
+            if j < field_bits:  # j = field_bits only when t0 = 2^field_bits
+                c ^= powers[j]
+    units = tuple(1 << i for i in range(n))
+    pivots: dict[int, int] = {}  # bit length of a vector -> the vector
+    done = 0  # columns eliminated so far
+    cosets = []
+    for j, c in reversed(blocks):
+        for v in powers[done:j]:
+            if len(pivots) == n:  # a full-rank V stays the same
+                break
+            v &= mask
+            while v:
+                w = pivots.get(v.bit_length())
+                if w is None:
+                    pivots[v.bit_length()] = v
+                    break
+                v ^= w
+        done = j
+        rank = len(pivots)
+        basis = units if rank == n else _reduced(pivots)
+        cosets.append((1 << (j - rank), c, basis))
     return cosets
+
+
+def _reduced(pivots: dict[int, int]) -> tuple[int, ...]:
+    """The reduced row echelon form, ascending, of echelon vectors keyed by
+    their bit lengths."""
+    basis: list[int] = []
+    for length in sorted(pivots):  # each lead is above those already reduced
+        v = pivots[length]
+        for w in basis:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        basis.append(v)
+    return tuple(basis)
 
 
 def _span_chunks(vectors, c: int, chunk_bits: int):
@@ -235,14 +270,14 @@ def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
     total = cube() if cube is not None and plan.t0 >> plan.n else None
     means = []
     for a, b in seeds:
-        batch = Fraction(0)
+        batch = 0  # an int while every part is one
         for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
             if len(basis) == plan.n and total is not None:
                 part = total
             else:
                 part = oracle.eval_ints(next(_span_chunks(basis, c, len(basis)))).sum()
             batch += mult * _exact(part)
-        means.append(batch / plan.t0)
+        means.append(Fraction(batch) / plan.t0)
     return SampleRun(
         plan=plan,
         batch_means=means,

@@ -228,6 +228,39 @@ def batch_points(a: int, b: int, t0: int, field_bits: int, n: int):
     return acc & np.uint64((1 << n) - 1)
 
 
+def ref_batch_cosets(a: int, b: int, t0: int, field_bits: int, n: int):
+    """The batch a*g + b (g < t0), truncated to n bits, as (multiplicity, c,
+    basis) triples, one per set bit j of t0: the column-by-column split that
+    sampler.batch_cosets replaced, kept as its triple-for-triple reference.
+
+    A reduced row echelon basis of span{(a * x^i) mod 2^n : i < j} is kept
+    after every column, reducing each new vector against it with min and
+    re-sorting; c is b xored with a * x^i for every set bit i > j of t0.
+    """
+    if t0 > 1 << field_bits:
+        raise ValueError("field too small for t0 distinct points")
+    poly = ref_field_poly(field_bits)
+    powers = [ref_gf2_mul(a, 1 << i, poly, field_bits) for i in range(field_bits)]
+    mask = (1 << n) - 1
+    basis: list[int] = []
+    cosets = []
+    for j in range(field_bits + 1):
+        if t0 >> j & 1:
+            c = b
+            for i in range(j + 1, field_bits):
+                if t0 >> i & 1:
+                    c ^= powers[i]
+            cosets.append((1 << (j - len(basis)), c & mask, tuple(basis)))
+        if j < field_bits and len(basis) < n:  # a full-rank V stays the same
+            v = powers[j] & mask
+            for w in basis:
+                v = min(v, v ^ w)
+            if v:
+                top = 1 << (v.bit_length() - 1)
+                basis = sorted([w ^ v if w & top else w for w in basis] + [v])
+    return cosets
+
+
 # ---------------------------------------------------------------- Fourier
 
 def brute_wht(table) -> list[int]:

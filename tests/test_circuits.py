@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randsteward import circuits
 from randsteward.circuits import (
     PROOF_CONSTANT,
+    TRUTH_TABLE_CAP,
     AcceptanceSession,
     BinOp,
     CircuitSyntaxError,
     Const,
     Not,
     Var,
+    _CircuitOracle,
     acceptance_session,
     eval_on_ints,
     exact_mean,
@@ -132,6 +135,33 @@ def test_truth_tables_and_means():
     assert exact_mean(parse_circuit("x0 & ~x0", 1), 1) == 0
     with pytest.raises(ValueError):
         to_truth_table(Const(1), 27)
+
+
+@settings(max_examples=100)
+@given(expr=circuit_asts, xs=st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=20))
+def test_circuit_oracle_table_matches_evaluation(expr, xs):
+    # eval_ints evaluates the circuit until cube_total builds the table,
+    # then reads the table: the same values and dtype either way
+    xs = np.array(xs, dtype=np.uint64)
+    want = eval_on_ints(expr, xs)
+    oracle = _CircuitOracle(expr, N)
+    for _ in range(2):
+        got = oracle.eval_ints(xs)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert oracle.cube_total() == int(to_truth_table(expr, N).sum())
+
+
+def test_circuit_oracle_builds_no_table_past_the_cap(monkeypatch):
+    def refuse(expr, n):
+        raise AssertionError("no table may be built here")
+
+    monkeypatch.setattr(circuits, "to_truth_table", refuse)
+    n = TRUTH_TABLE_CAP + 1
+    expr = parse_circuit(f"x0 ^ x{n - 1} | ~x3", n)
+    oracle = _CircuitOracle(expr, n)
+    assert oracle.cube_total() is None
+    xs = np.array([0, 1, 1 << (n - 1), (1 << n) - 1, 8], dtype=np.uint64)
+    assert oracle.eval_ints(xs).tolist() == eval_on_ints(expr, xs).tolist() == [1, 1, 1, 0, 0]
 
 
 # ---------------------------------------------------------------- acceptance

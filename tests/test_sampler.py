@@ -29,6 +29,7 @@ from oracles import (
     batch_points,
     lower_median_ref,
     ref_affine_points,
+    ref_batch_cosets,
     ref_gf2_mul,
     ref_is_irreducible,
 )
@@ -168,6 +169,7 @@ def test_batch_cosets_match_batch_points():
         )
     for a, b, t0, field_bits, n in cases:
         cosets = batch_cosets(a, b, t0, field_bits, n)
+        assert cosets == ref_batch_cosets(a, b, t0, field_bits, n)
         assert len(cosets) == bin(t0).count("1")
         for mult, c, basis in cosets:
             assert mult & (mult - 1) == 0 and 0 <= c < 1 << n
@@ -177,6 +179,21 @@ def test_batch_cosets_match_batch_points():
                 assert basis == ()
         want = Counter(batch_points(a, b, t0, field_bits, n).tolist())
         assert _expand_cosets(cosets) == want
+
+
+def test_batch_cosets_match_reference_at_the_acceptance_plan():
+    # criterion 12's sampler (n = 10, t0 = 256000, field 2^18): mostly
+    # full-rank blocks, and the others must get the same reduced bases
+    plan = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    assert (plan.t0, plan.r, plan.field_bits) == (256000, 67, 18)
+    rng = random.Random(12)
+    ranks = Counter()
+    for _ in range(200):
+        a, b = rng.randrange(1 << 18), rng.randrange(1 << 18)
+        cosets = batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+        assert cosets == ref_batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+        ranks.update(len(basis) == plan.n for _, _, basis in cosets)
+    assert ranks[True] > 0 and ranks[False] > 0
 
 
 def test_batch_cosets_rejects_small_field():
@@ -341,6 +358,37 @@ def test_run_sampler_matches_pointwise_reference():
         kinds[kind, plan.t0 >> n > 0] += 1
     # every kind meets both plans with a whole-cube block and plans without
     assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
+
+
+def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
+    # one batch of t0 = 256000 points over n = 10 bits, criterion 12's batch
+    # size, on every oracle kind; seeds 32 and 47 have blocks below full
+    # rank, where a circuit's table is read point by point
+    rng = random.Random(160)
+    n = 10
+    values = [rng.randrange(2) for _ in range(1 << n)]
+    expr = parse_circuit(_random_circuit(rng, n, depth=5), n)
+    circuit_values = to_truth_table(expr, n).tolist()
+    raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)]) for v in values]
+    oracles = [
+        (TruthTableOracle(np.array(values, dtype=np.int64)), values),
+        (_CircuitOracle(expr, n), circuit_values),
+        (_NoCubeCircuit(expr, n), circuit_values),
+        (FnOracle(n, lambda bits: raw[bits_to_int(bits)]),
+         [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]),
+    ]
+    plan = plan_sampler(n, Fraction(1, 160), Fraction(15, 16))
+    assert (plan.r, plan.t0, plan.field_bits) == (1, 256000, 18)
+    ranks = set()
+    for i in (0, 32, 47):
+        (a, b), = _batch_seeds(plan, CounterSource(master=b"c12", index=i))
+        cosets = batch_cosets(a, b, plan.t0, plan.field_bits, n)
+        ranks.update(len(basis) for _, _, basis in cosets)
+        for oracle, want_values in oracles:
+            run = run_sampler(plan, oracle, CounterSource(master=b"c12", index=i))
+            want = _pointwise_run(plan, want_values, CounterSource(master=b"c12", index=i))
+            assert (run.batch_means, run.bits_used) == want
+    assert {6, 7, 8, 9, 10} <= ranks
 
 
 def test_lower_median():
