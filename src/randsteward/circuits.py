@@ -270,6 +270,13 @@ def _clamp_unit(y: Fraction) -> Fraction:
     return min(max(y, Fraction(0)), Fraction(1))
 
 
+def _round_delta(k: int, delta: Fraction) -> Fraction:
+    """delta/(2k), each of the k rounds' share of the failure budget."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    return delta / (2 * k)
+
+
 def _steward_config(
     tape_bits: int, k: int, epsilon: Fraction, delta: Fraction
 ) -> StewardConfig:
@@ -284,7 +291,7 @@ def _steward_config(
         k=k,
         d=1,
         epsilon=epsilon / PROOF_CONSTANT,
-        delta=delta / (2 * k),
+        delta=_round_delta(k, delta),
         gamma=delta / 2,
     )
 
@@ -298,7 +305,7 @@ class AcceptanceSession:
         self.epsilon = Fraction(epsilon)
         self.delta = Fraction(delta)
         self.plan: SamplerPlan = plan_sampler(
-            n, self.epsilon / PROOF_CONSTANT, self.delta / (2 * k), mode="walk"
+            n, self.epsilon / PROOF_CONSTANT, _round_delta(k, self.delta)
         )
         self.config = _steward_config(self.plan.seed_bits, k, self.epsilon, self.delta)
         self.session = Session(self.config, source)
@@ -377,7 +384,7 @@ def run_app_oracle_algorithm(
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    plan = plan_averaging(n, Fraction(1, 10), delta / (2 * k))
+    plan = plan_averaging(n, Fraction(1, 10), _round_delta(k, delta))
     config = _steward_config(plan.seed_bits, k, epsilon, delta)
     session: Session | None = None  # opens, and draws its seed, at the first ask
 

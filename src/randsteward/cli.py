@@ -38,6 +38,20 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _unit_rat(text: str) -> Fraction:
+    value = _rat(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"not in [0, 1]: {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative count: {text!r}")
+    return value
+
+
 def _emit(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if output:
@@ -170,8 +184,8 @@ def _cmd_prg_expand(args) -> int:
 
 
 def _bench_trial(packed) -> str:
-    master, index, n, epsilon, delta, mode, threshold = packed
-    plan = sampler.plan_sampler(n, epsilon, delta, mode=mode)
+    master, index, n, epsilon, delta, threshold = packed
+    plan = sampler.plan_sampler(n, epsilon, delta)
     source = CounterSource(master, index)
     oracle = sampler.TruthTableOracle((np.arange(1 << n) < threshold).astype(np.uint8))
     estimate = sampler.sample_mean(plan, oracle, source)
@@ -179,11 +193,11 @@ def _bench_trial(packed) -> str:
 
 
 def _cmd_sampler_bench(args) -> int:
-    plan = sampler.plan_sampler(args.n, args.epsilon, args.delta, mode=args.mode)
+    plan = sampler.plan_sampler(args.n, args.epsilon, args.delta)
     threshold = int(args.mean * (1 << args.n))
     master = _master_key(args.seed_hex)
     packed = [
-        (master, i, args.n, args.epsilon, args.delta, args.mode, threshold)
+        (master, i, args.n, args.epsilon, args.delta, threshold)
         for i in range(args.trials)
     ]
     errors = [Fraction(e) for e in _run_trials(_bench_trial, packed, args.jobs)]
@@ -351,10 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--epsilon", type=_rat, required=True)
     q.add_argument("--delta", type=_rat, required=True)
-    q.add_argument("--mode", default="walk", choices=sampler.MODES)
-    q.add_argument("--mean", type=_rat, default=Fraction(1, 2),
+    q.add_argument("--mean", type=_unit_rat, default=Fraction(1, 2),
                    help="true mean of the benchmark oracle")
-    q.add_argument("--trials", type=int, default=100)
+    q.add_argument("--trials", type=_count, default=100)
     q.add_argument("--jobs", type=int, default=1)
     common(q)
     q.set_defaults(fn=_cmd_sampler_bench)
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--epsilon", type=_rat, default=Fraction(1, 128))
     q.add_argument("--delta", type=_rat, default=Fraction(1, 128))
     q.add_argument("--gamma", type=_rat, default=Fraction(1, 16))
-    q.add_argument("--trials", type=int, default=200)
+    q.add_argument("--trials", type=_count, default=200)
     q.add_argument("--jobs", type=int, default=1)
     common(q)
     q.set_defaults(fn=_cmd_demo_adversary)

@@ -9,9 +9,13 @@ bound 221/250 = 0.884 and the test suite checks it numerically for small m.
 (The coefficient of 2 matters: the superficially similar maps (x+y, y) /
 (x, y+x) blow past 0.884 already at m = 16.)
 
-Bit embedding: an s-bit string splits little-endian into two s/2-bit torus
-coordinates on the side-2^ceil(s/2) torus; odd s is zero-padded by one bit
-(charged as +1 entropy deficit by the extractor planner).
+Seed layout.  The extractor and both samplers read walks from seed bits
+only through seed_start, seed_labels and seed_walk: an int seed starts at
+the vertex (low half bits, next half bits) of the side-2^half torus and
+follows the 3-bit fields above those 2*half bits, low end first.  An s-bit
+extractor input is a start vertex with half = ceil(s/2); for odd s the top
+coordinate bit is zero (charged as +1 entropy deficit by the extractor
+planner).
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from fractions import Fraction
 from typing import ClassVar, Iterable
 
 import numpy as np
-
-from .randomness import bits_to_int
 
 Vertex = tuple[int, int]
 
@@ -39,10 +41,6 @@ class GabberGalilGraph:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("modulus m must be >= 1")
-
-
-def neighbor(g: GabberGalilGraph, v: Vertex, label: int) -> Vertex:
-    return walk(g, v, (label,))
 
 
 def walk(g: GabberGalilGraph, start: Vertex, labels: Iterable[int]) -> Vertex:
@@ -72,9 +70,9 @@ def walk(g: GabberGalilGraph, start: Vertex, labels: Iterable[int]) -> Vertex:
 
 
 def permutation_array(g: GabberGalilGraph, label: int) -> np.ndarray:
-    """perm[x + m*y] = image vertex id under the label's map (from `neighbor`)."""
+    """perm[x + m*y] = image vertex id under the label's map (from `walk`)."""
     m = g.m
-    images = (neighbor(g, (x, y), label) for y in range(m) for x in range(m))
+    images = (walk(g, (x, y), (label,)) for y in range(m) for x in range(m))
     return np.fromiter((nx + m * ny for nx, ny in images), dtype=np.int64, count=m * m)
 
 
@@ -88,13 +86,28 @@ def adjacency_matrix(g: GabberGalilGraph) -> np.ndarray:
     return a
 
 
-def torus_side_for_bits(s: int) -> int:
-    """Side of the torus embedding s-bit strings: 2^ceil(s/2)."""
-    return 1 << ((s + 1) // 2)
+# octal digit characters -> label bytes 0..7
+_OCTAL = bytes.maketrans(b"01234567", bytes(range(8)))
 
 
-def vertex_from_bits(bits: str) -> Vertex:
-    if len(bits) % 2:
-        bits = bits + "0"
-    half = len(bits) // 2
-    return (bits_to_int(bits[:half]), bits_to_int(bits[half:]))
+def seed_start(seed: int, half: int) -> Vertex:
+    """The torus vertex in the low 2*half bits of seed: low half bits first."""
+    mask = (1 << half) - 1
+    return seed & mask, seed >> half & mask
+
+
+def seed_labels(seed: int, count: int) -> bytes:
+    """The count 3-bit fields of seed, low end first: octal digits reversed."""
+    return format(seed, f"0{count}o")[::-1][:count].encode().translate(_OCTAL)
+
+
+def seed_walk(seed: int, half: int, steps: int) -> list[Vertex]:
+    """The steps + 1 vertices of the walk that seed encodes on the side-2^half
+    torus: its start vertex, then one vertex per label above it."""
+    g = GabberGalilGraph(1 << half)
+    vertex = seed_start(seed, half)
+    vertices = [vertex]
+    for label in seed_labels(seed >> 2 * half, steps):
+        vertex = walk(g, vertex, (label,))
+        vertices.append(vertex)
+    return vertices

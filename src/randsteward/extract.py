@@ -28,10 +28,10 @@ integers of about 1.5k bits, so it is memoized (a bounded cache: a session
 plans one extractor per generator level).
 
 `extract_int` is the walk on Python ints, in the library's little-endian
-convention: bit i of an s-bit string is bit i of its int.  The start vertex
-is the low and the high ceil(s/2) bits of x (odd s pads a zero on top), the
-labels are the 3-bit fields of y from the low end, and the endpoint is read
-back the same way, masked to s bits.  `extract` is its string wrapper.
+convention: bit i of an s-bit string is bit i of its int.  x is the start
+vertex and y the labels, both in the expander's seed layout with half =
+ceil(s/2), and the endpoint is written back the same way, masked to s
+bits.  `extract` is its string wrapper.
 
 `FreshExtractorParams(s)` is the `fresh` backend's degenerate extractor,
 Ext(x, y) = y; like a planned walk it needs s >= 1.
@@ -45,10 +45,6 @@ from functools import lru_cache
 
 from . import expander
 from .randomness import bits_to_int, int_to_bits
-
-# octal digit characters -> label bytes 0..7
-_OCTAL = bytes.maketrans(b"01234567", bytes(range(8)))
-
 
 @dataclass(frozen=True)
 class ExtractorParams:
@@ -107,19 +103,14 @@ def plan_extractor(s: int, t: int, beta: Fraction) -> ExtractorParams:
     return ExtractorParams(s=s, t=t, beta=beta, walk_len=walk_len)
 
 
-def _labels(y: int, walk_len: int) -> bytes:
-    """The walk_len 3-bit fields of y, low end first: octal digits reversed."""
-    digits = format(y, f"0{walk_len}o")[::-1] if walk_len else ""
-    return digits.encode().translate(_OCTAL)
-
-
 def extract_int(params, x: int, y: int) -> int:
     """Apply the planned extractor to ints x (params.s bits) and y (seed_len bits)."""
     if isinstance(params, FreshExtractorParams):
         return y
     half = (params.s + 1) // 2
     g = expander.GabberGalilGraph(1 << half)
-    a, b = expander.walk(g, (x & (g.m - 1), x >> half), _labels(y, params.walk_len))
+    start = expander.seed_start(x, half)
+    a, b = expander.walk(g, start, expander.seed_labels(y, params.walk_len))
     return (a | b << half) & ((1 << params.s) - 1)
 
 

@@ -250,10 +250,7 @@ def gl_params(n: int, theta: Fraction, delta: Fraction) -> GlParams:
     est_delta = delta / (2 * d * n)
     block_lens = tuple(min(u, n - i * u) for i in range(k))
     prefix_lens = tuple(sum(block_lens[: i + 1]) for i in range(k))
-    plans = tuple(
-        plan_sampler(n + ell, eps_est / 2, est_delta, mode="walk")
-        for ell in prefix_lens
-    )
+    plans = tuple(plan_sampler(n + ell, eps_est / 2, est_delta) for ell in prefix_lens)
     return GlParams(
         n=n, theta=theta, delta=delta, u=u, k=k, d=d,
         eps_est=eps_est, est_delta=est_delta,
@@ -371,19 +368,18 @@ def estimate_W(
     epsilon: Fraction,
     delta: Fraction,
     source: BitSource,
-    mode: str = "walk",
 ) -> Fraction:
     """Standalone W_prefix estimate to accuracy epsilon, failure delta.
 
-    The sampler plan over n + len(prefix) bits follows from epsilon, delta
-    and mode, so no other plan can be passed in and bias the estimate.
+    The sampler plan over n + len(prefix) bits follows from epsilon and
+    delta, so no other plan can be passed in and bias the estimate.
     """
     table = as_boolean_function(f).materialize()
     n = table.size.bit_length() - 1
     ell = len(prefix)
     if ell > n:
         raise ValueError("prefix longer than n")
-    plan = plan_sampler(n + ell, Fraction(epsilon) / 2, Fraction(delta), mode=mode)
+    plan = plan_sampler(n + ell, Fraction(epsilon) / 2, Fraction(delta))
     tape = source.draw(plan.seed_bits, phase="sampler")
     return _weights_from_tape(table, [bits_to_int(prefix)], ell, n, plan, tape)[0]
 

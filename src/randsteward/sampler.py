@@ -7,24 +7,27 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   Chebyshev, and the (lower) median of r = ceil(8*log2(1/delta)) batches
   drives the failure below delta.  Points of one batch are g -> a*g + b over
   GF(2^n'), truncated to the low n bits; n' = max(n, ceil(log2 t0)) so the
-  field has room for t0 distinct g's.  Batch seeds (a, b) are either fresh
-  (2*n'*r bits) or successive vertices of an expander walk on the 2^n' x 2^n'
-  torus (2*n' + 3*(r-1) bits).  Estimates stay exact: a batch of 0/1 oracle
-  values yields Fraction(count, t0).  A batch is summed over the affine
-  cosets of batch_cosets, never point by point: a coset that is the whole
-  cube adds the oracle's cube_total(), and any other coset is evaluated once
-  on each of its points.  An oracle's optional cube_total() returns the
+  field has room for t0 distinct g's.  The seed is drawn at once, and batch
+  seeds (a, b) are either its r successive 2*n'-bit fields (independent,
+  2*n'*r bits) or the vertices of the expander walk it encodes on the
+  2^n' x 2^n' torus (walk, 2*n' + 3*(r-1) bits); with r = 1 both are the
+  same.  Estimates stay exact: a batch of 0/1 oracle values yields
+  Fraction(count, t0).  A batch is summed over the affine cosets of
+  batch_cosets, never point by point: a coset that is the whole cube adds
+  the oracle's cube_total(), and any other coset is evaluated once on each
+  of its points.  An oracle's optional cube_total() returns the
   exact sum of f over all 2^n points, or None when it has no cheap way to
   get it; then the whole cube is evaluated too.  batch_cosets eliminates
   the block columns into a pivot dict and builds a reduced basis only for
   a block below full rank; every full-rank block shares the unit basis of
-  the cube.  A batch's parts are added as Python ints (a Fraction part
-  makes the sum a Fraction, a float part enters as its exact Fraction),
-  and each batch makes one Fraction, its sum over t0.
+  the cube.  A batch's parts are added as Python ints: an integer or bool
+  array is summed by numpy, any other array value by value, each as its
+  exact Fraction; each batch makes one Fraction, its sum over t0.
 
 * averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
-  t = ceil(6*ceil(log2(2/delta))/eps^2) vertex labels serve as the sample
-  points directly.  Unlike the median form this keeps the estimate an
+  t = ceil(6*ceil(log2(2/delta))/eps^2) vertices serve as the sample points
+  directly.  The expander module fixes how both samplers' seeds encode
+  their walks.  Unlike the median form this keeps the estimate an
   empirical mean, which is what median_amplify needs.
 """
 
@@ -37,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expander import GabberGalilGraph, neighbor, torus_side_for_bits, vertex_from_bits
+from .expander import seed_start, seed_walk
 from .gf2 import field_poly
 from .randomness import BitSource, bits_to_int, int_to_bits
 
@@ -64,14 +67,14 @@ def _ceil_log2(q: Fraction) -> int:
     return L
 
 
-def _exact(value) -> int | Fraction:
-    """Exact value of a sum: Python ints and Fractions as they are, numpy
-    integers as Python ints, floats as their exact Fractions."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    return Fraction(float(value))
+def _exact_sum(values: np.ndarray) -> int | Fraction:
+    """The exact sum of oracle values: one numpy sum for an integer or bool
+    array, else value by value, numpy scalars as Python ones (so np.bool_
+    adds as 0/1) and a non-int as its exact Fraction."""
+    if values.dtype.kind in "biu":
+        return int(values.sum())
+    items = (v.item() if isinstance(v, np.generic) else v for v in values.tolist())
+    return sum(v if isinstance(v, int) else Fraction(v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,8 @@ class TruthTableOracle:
         return self.table[np.asarray(xs, dtype=np.int64)]
 
     def cube_total(self):
-        """The sum of f over the whole cube."""
-        return self.table.sum()
+        """The exact sum of f over the whole cube."""
+        return _exact_sum(self.table)
 
     def __call__(self, bits: str):
         return self.table[bits_to_int(bits)].item()
@@ -142,12 +145,8 @@ class FnOracle:
         self.fn = fn
 
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
-        """fn at each point, in an object array; numpy scalars become Python
-        ones, so that .sum() adds np.bool_ values as 0/1, not as logical or."""
-        vals = [self.fn(int_to_bits(int(x), self.n)) for x in xs]
-        return np.array(
-            [v.item() if isinstance(v, np.generic) else v for v in vals], dtype=object
-        )
+        """fn at each point, in an object array."""
+        return np.array([self.fn(int_to_bits(int(x), self.n)) for x in xs], dtype=object)
 
     def __call__(self, bits: str):
         return self.fn(bits)
@@ -275,8 +274,8 @@ def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
             if len(basis) == plan.n and total is not None:
                 part = total
             else:
-                part = oracle.eval_ints(next(_span_chunks(basis, c, len(basis)))).sum()
-            batch += mult * _exact(part)
+                part = _exact_sum(oracle.eval_ints(next(_span_chunks(basis, c, len(basis)))))
+            batch += mult * part
         means.append(Fraction(batch) / plan.t0)
     return SampleRun(
         plan=plan,
@@ -291,27 +290,12 @@ def sample_mean(plan: SamplerPlan, oracle, source: BitSource) -> Fraction:
 
 
 def _batch_seeds(plan: SamplerPlan, source: BitSource) -> list[tuple[int, int]]:
+    """The r batch seeds (a, b), from one draw of the plan's seed."""
     nf = plan.field_bits
+    seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
     if plan.mode == "independent":
-        seeds = []
-        for _ in range(plan.r):
-            bits = source.draw(2 * nf, phase="sampler")
-            seeds.append((bits_to_int(bits[:nf]), bits_to_int(bits[nf:])))
-        return seeds
-    return _torus_walk(2 * nf, plan.r, source)  # walk mode: successive vertices
-
-
-def _torus_walk(bits: int, count: int, source: BitSource) -> list[tuple[int, int]]:
-    """The first count vertices of a walk on the torus of bits-bit strings:
-    the start vertex costs `bits` drawn bits, each step one 3-bit label."""
-    g = GabberGalilGraph(torus_side_for_bits(bits))
-    vertex = vertex_from_bits(source.draw(bits, phase="sampler"))
-    vertices = [vertex]
-    for _ in range(count - 1):
-        label = bits_to_int(source.draw(3, phase="sampler"))
-        vertex = neighbor(g, vertex, label)
-        vertices.append(vertex)
-    return vertices
+        return [seed_start(seed >> 2 * nf * i, nf) for i in range(plan.r)]
+    return seed_walk(seed, nf, plan.r - 1)
 
 
 @dataclass(frozen=True)
@@ -346,7 +330,8 @@ def averaging_points(plan: AveragingSamplerPlan, source: BitSource) -> np.ndarra
     """The t walk vertices, truncated to n-bit point labels (uint64)."""
     half = plan.n_emb // 2
     mask = (1 << plan.n) - 1
-    pts = [(x | y << half) & mask for x, y in _torus_walk(plan.n_emb, plan.t, source)]
+    seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
+    pts = [(x | y << half) & mask for x, y in seed_walk(seed, half, plan.t - 1)]
     return np.array(pts, dtype=np.uint64)
 
 

@@ -104,11 +104,50 @@ def ref_int_to_bits(value: int, width: int) -> str:
     return "".join("1" if value >> i & 1 else "0" for i in range(width))
 
 
+def ref_vertex_from_bits(bits: str) -> tuple[int, int]:
+    """The torus vertex a bit string embeds: its first and second halves,
+    little-endian, an odd length padded with a zero on top."""
+    if len(bits) % 2:
+        bits += "0"
+    half = len(bits) // 2
+    return ref_bits_to_int(bits[:half]), ref_bits_to_int(bits[half:])
+
+
 def bits_from_vertex(v: tuple[int, int], s: int) -> str:
     """The s-bit string a torus vertex embeds: both coordinates on ceil(s/2)
-    bits, low coordinate first, cut to s bits (inverse of vertex_from_bits)."""
+    bits, low coordinate first, cut to s bits (inverse of ref_vertex_from_bits)."""
     half = (s + 1) // 2
     return (ref_int_to_bits(v[0], half) + ref_int_to_bits(v[1], half))[:s]
+
+
+def ref_torus_walk(bits: int, count: int, source) -> list[tuple[int, int]]:
+    """The first count vertices of a walk on the torus of bits-bit strings,
+    drawn step by step: the start vertex costs `bits` drawn bits, and each
+    step one 3-bit label."""
+    m = 1 << ((bits + 1) // 2)
+    v = ref_vertex_from_bits(source.draw(bits, phase="sampler"))
+    vertices = [v]
+    for _ in range(count - 1):
+        v = ref_gg_neighbor(m, v, ref_bits_to_int(source.draw(3, phase="sampler")))
+        vertices.append(v)
+    return vertices
+
+
+def ref_batch_seeds(plan, source) -> list[tuple[int, int]]:
+    """A median sampler's r batch seeds (a, b), one draw per batch in
+    independent mode and one per walk step in walk mode."""
+    nf = plan.field_bits
+    if plan.mode == "independent":
+        return [ref_vertex_from_bits(source.draw(2 * nf, phase="sampler"))
+                for _ in range(plan.r)]
+    return ref_torus_walk(2 * nf, plan.r, source)
+
+
+def ref_averaging_points(plan, source) -> list[int]:
+    """An averaging sampler's t points: walk vertices cut to n-bit ints."""
+    half = plan.n_emb // 2
+    return [(x | y << half) & ((1 << plan.n) - 1)
+            for x, y in ref_torus_walk(plan.n_emb, plan.t, source)]
 
 
 def ref_extract(params, x: str, y: str) -> str:
@@ -119,9 +158,8 @@ def ref_extract(params, x: str, y: str) -> str:
     if walk_len is None:
         return y
     assert len(x) == params.s and len(y) == 3 * walk_len
-    padded = x + "0" * (len(x) % 2)
-    half = len(padded) // 2
-    v = (ref_bits_to_int(padded[:half]), ref_bits_to_int(padded[half:]))
+    half = (len(x) + 1) // 2
+    v = ref_vertex_from_bits(x)
     for i in range(0, len(y), 3):
         v = ref_gg_neighbor(1 << half, v, ref_bits_to_int(y[i : i + 3]))
     return (ref_int_to_bits(v[0], half) + ref_int_to_bits(v[1], half))[: params.s]

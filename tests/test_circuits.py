@@ -281,6 +281,18 @@ def test_app_runner_estimates_with_bad_tapes():
         assert abs(got - want) <= Fraction(1, 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_applications_reject_k_below_one(k):
+    source = CounterSource(master=b"k0", index=0)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        AcceptanceSession(3, k, Fraction(1, 2), Fraction(1, 2), source)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        run_app_oracle_algorithm(
+            lambda ask: [], lambda w, coins: w, 4, k, Fraction(1, 4), Fraction(1, 2), source
+        )
+    assert source.report.bits_drawn == 0
+
+
 def test_app_runner_values_are_not_clamped():
     # phi targets above 1 must come back above 1, not squashed into [0, 1]
     def phi(w, coins):

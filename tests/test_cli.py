@@ -170,7 +170,7 @@ def test_audit_reports_budget(capsys):
 def test_sampler_bench_golden(capsys):
     rc, out, err = run_cli(
         ["sampler", "bench", "--n", "3", "--epsilon", "1/4", "--delta", "1/2",
-         "--mode", "walk", "--mean", "1/2", "--trials", "5",
+         "--mean", "1/2", "--trials", "5",
          "--seed-hex", MASTER],
         capsys,
     )
@@ -220,7 +220,34 @@ def test_usage_errors_exit_two(capsys):
         main(["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
               "--gamma", "zero"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "adversary", "--trials", "-2"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_sampler_bench_rejects_impossible_inputs(capsys):
+    # an oracle mean outside [0, 1] or a negative trial count is a usage error
+    base = ["sampler", "bench", "--n", "3", "--epsilon", "1/4", "--delta", "1/2"]
+    for extra in (["--mean", "3/2"], ["--mean", "-1/8"], ["--trials", "-2"],
+                  ["--mode", "independent"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, _ = run_cli(base + ["--mean", "1", "--trials", "0"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["oracle_mean"] == "1" and doc["failure_rate"] == 0.0
+
+
+def test_accept_k_zero_is_a_runtime_error(capsys):
+    rc, out, err = run_cli(
+        ["accept", "--n", "4", "--k", "0", "--epsilon", "1/2", "--delta", "1/2"],
+        capsys, stdin="x0\n",
+    )
+    assert rc == 1
+    assert "error: need k >= 1" in err and "Traceback" not in err
 
 
 def test_short_seed_is_a_runtime_error(capsys):

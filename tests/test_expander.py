@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,20 @@ from randsteward.expander import (
     DEGREE,
     GabberGalilGraph,
     adjacency_matrix,
-    neighbor,
     permutation_array,
-    torus_side_for_bits,
-    vertex_from_bits,
+    seed_labels,
+    seed_start,
+    seed_walk,
     walk,
 )
+from randsteward.randomness import TapeSource, int_to_bits
 
-from oracles import bits_from_vertex, ref_gg_neighbor
+from oracles import bits_from_vertex, ref_gg_neighbor, ref_torus_walk, ref_vertex_from_bits
+
+
+def neighbor(g, v, label):
+    """One step of the walk: the vertex label's map sends v to."""
+    return walk(g, v, (label,))
 
 
 def test_neighbor_goldens():
@@ -120,31 +128,58 @@ def test_walk_goldens():
 def test_single_step_walk_is_neighbor():
     g = GabberGalilGraph(7)
     for label in range(8):
-        assert walk(g, (3, 5), [label]) == neighbor(g, (3, 5), label)
+        assert walk(g, (3, 5), [label]) == ref_gg_neighbor(7, (3, 5), label)
+    labels = [7, 0, 3, 3, 5]
+    v = (3, 5)
+    for label in labels:
+        v = neighbor(g, v, label)
+    assert walk(g, (3, 5), labels) == v
 
 
 def test_torus_side_goldens():
-    assert torus_side_for_bits(0) == 1
-    assert torus_side_for_bits(1) == 2
-    assert torus_side_for_bits(2) == 2
-    assert torus_side_for_bits(3) == 4
-    assert torus_side_for_bits(8) == 16
-    assert torus_side_for_bits(45) == 1 << 23
+    # s-bit strings embed on the side-2^ceil(s/2) torus: the all-ones
+    # string reaches its largest coordinate
+    for s, side in [(0, 1), (1, 2), (2, 2), (3, 4), (8, 16), (45, 1 << 23)]:
+        assert max(seed_start((1 << s) - 1, (s + 1) // 2)) + 1 == side
 
 
 def test_vertex_from_bits_goldens():
-    assert vertex_from_bits("1011") == (1, 3)
-    # odd length pads the high coordinate with a zero bit
-    assert vertex_from_bits("101") == (1, 1)
+    assert seed_start(0b1101, 2) == (1, 3)  # the string "1011"
+    # odd length: the high coordinate's top bit is zero
+    assert seed_start(0b101, 2) == (1, 1)
     assert bits_from_vertex((1, 1), 3) == "101"
     assert bits_from_vertex((1, 3), 4) == "1011"
+    # bits above the start vertex belong to the labels
+    assert seed_start(0b111_1101, 2) == (1, 3)
+    assert seed_start(12345, 0) == (0, 0)
 
 
 def test_bits_round_trip_exhaustive():
     for s in range(1, 10):
+        half = (s + 1) // 2
         for value in range(1 << s):
             bits = format(value, f"0{s}b")[::-1]
-            v = vertex_from_bits(bits)
-            side = torus_side_for_bits(s)
-            assert 0 <= v[0] < side and 0 <= v[1] < side
+            v = seed_start(value, half)
+            assert v == ref_vertex_from_bits(bits)
+            assert 0 <= v[0] < 1 << half and 0 <= v[1] < 1 << half
             assert bits_from_vertex(v, s) == bits
+
+
+def test_seed_labels_goldens():
+    assert seed_labels(0o7650, 4) == bytes([0, 5, 6, 7])  # low field first
+    assert seed_labels(0o5, 3) == bytes([5, 0, 0])  # missing high fields are 0
+    assert seed_labels(0o7654, 2) == bytes([4, 5])  # fields past count are cut
+    assert seed_labels(0o7, 0) == b""
+    assert seed_labels(0, 0) == b""
+
+
+def test_seed_walk_matches_reference():
+    # the one-int decoder against the string walk that draws step by step
+    rng = random.Random(8)
+    assert seed_walk(0b1101, 2, 0) == [(1, 3)]
+    for _ in range(300):
+        half, steps = rng.randint(0, 12), rng.randint(0, 40)
+        width = 2 * half + 3 * steps
+        seed = rng.getrandbits(width)
+        want = ref_torus_walk(2 * half, steps + 1, TapeSource(int_to_bits(seed, width)))
+        assert seed_walk(seed, half, steps) == want

@@ -4,17 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from randsteward.expander import (
-    SECOND_EIGENVALUE_BOUND,
-    torus_side_for_bits,
-    vertex_from_bits,
-)
+from randsteward.expander import SECOND_EIGENVALUE_BOUND, seed_start
 from randsteward.extract import (
     ExtractorParams,
     FreshExtractorParams,
     extract,
     plan_extractor,
 )
+from randsteward.randomness import bits_to_int
 
 from oracles import bits_from_vertex, ref_extract, ref_walk_distribution
 
@@ -136,7 +133,7 @@ def _subcube_start(s: int, positions: tuple[int, ...], vals: tuple[str, ...]) ->
             else:
                 bits.append(free[fi])
                 fi += 1
-        v = vertex_from_bits("".join(bits))
+        v = seed_start(bits_to_int("".join(bits)), (s + 1) // 2)
         start[v] = start.get(v, 0) + 1
     return start
 
@@ -145,7 +142,7 @@ def _exact_subcube_tv(s: int, t: int, beta: Fraction) -> Fraction:
     """Worst-case exact TV(extracted output, uniform) over all 2^t * C(s, t)
     subcube sources of deficit t, by integer distribution propagation."""
     params = plan_extractor(s, t, beta)
-    side = torus_side_for_bits(s)
+    side = 1 << ((s + 1) // 2)
     worst = Fraction(0)
     for positions in itertools.combinations(range(s), t):
         for vals in itertools.product("01", repeat=t):

@@ -156,18 +156,15 @@ def test_estimate_w_golden():
 
 
 def test_estimate_w_is_unbiased_over_tapes():
-    # independent mode with one batch: averaging the estimate over every
-    # seed tape reproduces the true subcube weight exactly
-    plan = plan_sampler(2, Fraction(1, 2), Fraction(15, 16), mode="independent")
+    # one batch: averaging the estimate over every seed tape reproduces the
+    # true subcube weight exactly
+    plan = plan_sampler(2, Fraction(1, 2), Fraction(15, 16))
     assert plan.r == 1 and plan.seed_bits == 12
     for prefix, want in [("0", Fraction(0)), ("1", Fraction(1))]:
         total = Fraction(0)
         for seed in range(1 << plan.seed_bits):
             tape = TapeSource(int_to_bits(seed, plan.seed_bits))
-            total += estimate_W(
-                [1, -1], prefix, Fraction(1), Fraction(15, 16), tape,
-                mode="independent",
-            )
+            total += estimate_W([1, -1], prefix, Fraction(1), Fraction(15, 16), tape)
             assert tape.report.bits_drawn == plan.seed_bits
         assert total / (1 << plan.seed_bits) == want
 
@@ -177,24 +174,23 @@ def test_estimate_w_plans_over_n_plus_prefix_bits():
     # over fewer bits used to be accepted and biased the estimate
     table = np.random.default_rng(8).choice([-1, 1], size=1 << 8).tolist()
     args = (table, "1011", Fraction(1, 2), Fraction(1, 4))
-    want = plan_sampler(12, Fraction(1, 4), Fraction(1, 4), mode="walk")
+    want = plan_sampler(12, Fraction(1, 4), Fraction(1, 4))
     source = CounterSource(master=b"west-plan", index=0)
     estimate_W(*args, source)
     assert source.report.bits_drawn == want.seed_bits
     with pytest.raises(TypeError):
         estimate_W(*args, source, plan=plan_sampler(2, Fraction(1, 4), Fraction(1, 4)))
+    with pytest.raises(TypeError):
+        estimate_W(*args, source, mode="independent")
 
 
 def test_estimate_w_is_unbiased_for_majority():
-    plan = plan_sampler(4, Fraction(1, 2), Fraction(15, 16), mode="independent")
+    plan = plan_sampler(4, Fraction(1, 2), Fraction(15, 16))
     assert plan.r == 1 and plan.seed_bits == 12
     total = Fraction(0)
     for seed in range(1 << plan.seed_bits):
         tape = TapeSource(int_to_bits(seed, plan.seed_bits))
-        total += estimate_W(
-            MAJ3, "1", Fraction(1), Fraction(15, 16), tape,
-            mode="independent",
-        )
+        total += estimate_W(MAJ3, "1", Fraction(1), Fraction(15, 16), tape)
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_t
 from randsteward.sampler import (
     MODES,
     FnOracle,
+    SamplerPlan,
     TruthTableOracle,
     _batch_seeds,
     averaging_points,
@@ -29,7 +31,9 @@ from oracles import (
     batch_points,
     lower_median_ref,
     ref_affine_points,
+    ref_averaging_points,
     ref_batch_cosets,
+    ref_batch_seeds,
     ref_gf2_mul,
     ref_is_irreducible,
 )
@@ -283,6 +287,24 @@ def test_fn_oracle_counts_numpy_bools():
     assert 0 < runs[0].estimate < 1
 
 
+def test_float_and_mixed_values_sum_exactly():
+    # float values, and a mix of Fractions and floats, add as exact
+    # Fractions: a float sum would round the means (to 2^-53 denominators)
+    floats = [0.1, 0.2, 0.3, 0.7, 0.9, 0.1, 0.6, 0.3]
+    mixed = [Fraction(1, 3) if x & 1 else 0.5 for x in range(4)]
+    assert TruthTableOracle(floats).cube_total() == sum(map(Fraction, floats))
+    bools = TruthTableOracle(np.array([np.True_] * 3 + [np.False_], dtype=object))
+    assert bools.cube_total() == 3
+    for values, oracle, plan in [
+        (floats, TruthTableOracle(floats), plan_sampler(3, Fraction(1, 2), Fraction(15, 16))),
+        (mixed, FnOracle(2, lambda bits: mixed[bits_to_int(bits)]),
+         plan_sampler(2, Fraction(1, 2), Fraction(1, 2))),
+    ]:
+        run = run_sampler(plan, oracle, CounterSource(b"floats", 0))
+        want = _pointwise_run(plan, list(map(Fraction, values)), CounterSource(b"floats", 0))
+        assert (run.batch_means, run.bits_used) == want
+
+
 def _pointwise_run(plan, values, source):
     """Batch means and bits drawn, summing values over every listed point."""
     before = source.report.bits_drawn
@@ -312,6 +334,47 @@ def test_a_zero_batch_matches_pointwise():
         want.append(Fraction(sum(int(PARITY3.table[p]) for p in pts), plan.t0))
     assert want[0] == 1  # a = 0, b = 1: ten copies of the point 1
     assert run.batch_means == want
+
+
+class _LoggedSource(CounterSource):
+    """A counter stream that records the size of each draw."""
+
+    def __init__(self, master: bytes, index: int):
+        super().__init__(master, index)
+        self.draws = []
+
+    def draw(self, count, phase="default"):
+        self.draws.append(count)
+        return super().draw(count, phase)
+
+
+def test_batch_seeds_match_per_step_reference():
+    # one draw of the whole seed, decoded by the expander, against the
+    # string path that drew once per batch or once per walk step
+    crit12 = plan_sampler(10, Fraction(1, 20) / 8, Fraction(1, 10) / 32)
+    assert (crit12.r, crit12.t0, crit12.field_bits) == (67, 256000, 18)
+    plans = [crit12, replace(crit12, mode="independent")]
+    rng = random.Random(2024)
+    for i in range(140):  # each r from 1 to 70 in both modes
+        field_bits = rng.randint(1, 20)
+        plans.append(SamplerPlan(
+            n=field_bits, epsilon=Fraction(1), delta=Fraction(1, 2), mode=MODES[i % 2],
+            t0=1, r=i // 2 + 1, field_bits=field_bits,
+        ))
+    for i, plan in enumerate(plans):
+        source = _LoggedSource(b"seeds", i)
+        got = _batch_seeds(plan, source)
+        assert source.draws == [plan.seed_bits]
+        assert got == ref_batch_seeds(plan, CounterSource(b"seeds", i))
+
+
+def test_averaging_points_match_per_step_reference():
+    for n in range(1, 13):  # odd n embeds on n + 1 bits
+        plan = plan_averaging(n, Fraction(1, n % 3 + 1), Fraction(1, 4))
+        source = _LoggedSource(b"avg", n)
+        got = averaging_points(plan, source).tolist()
+        assert source.draws == [plan.seed_bits]
+        assert got == ref_averaging_points(plan, CounterSource(b"avg", n))
 
 
 def _random_circuit(rng, n: int, depth: int = 3) -> str:
