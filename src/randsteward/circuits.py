@@ -35,11 +35,12 @@ import numpy as np
 from .randomness import BitSource, TapeSource
 from .sampler import (
     FnOracle,
+    Oracle,
     SamplerPlan,
     median_amplify,
     plan_averaging,
     plan_sampler,
-    sample_mean,
+    run_sampler,
 )
 from .steward import Session, StewardConfig
 
@@ -241,7 +242,7 @@ def exact_mean(expr: CircuitExpr, n: int) -> Fraction:
     return Fraction(int(table.sum()), 1 << n)
 
 
-class _CircuitOracle:
+class _CircuitOracle(Oracle):
     """A circuit as a sampler oracle.  cube_total builds the truth table and
     keeps it, and eval_ints then reads points from it; before that, or past
     the table cap, eval_ints evaluates the circuit on the points.  No table
@@ -326,7 +327,7 @@ class AcceptanceSession:
         """Y = E[oracle] +- epsilon in [0,1], for any 0/1 oracle on n bits."""
 
         def f(tape: str):
-            return [sample_mean(self.plan, oracle, TapeSource(tape))]
+            return [run_sampler(self.plan, oracle, TapeSource(tape)).estimate]
 
         return _clamp_unit(self.session.answer(f)[0])
 

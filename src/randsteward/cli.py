@@ -188,7 +188,7 @@ def _bench_trial(packed) -> str:
     plan = sampler.plan_sampler(n, epsilon, delta)
     source = CounterSource(master, index)
     oracle = sampler.TruthTableOracle((np.arange(1 << n) < threshold).astype(np.uint8))
-    estimate = sampler.sample_mean(plan, oracle, source)
+    estimate = sampler.run_sampler(plan, oracle, source).estimate
     return str(estimate - Fraction(threshold, 1 << n))  # signed error
 
 

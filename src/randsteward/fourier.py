@@ -22,12 +22,12 @@ is the steward seed, n_tape + O(k log d) bits, against n_tape * k for
 freshly seeded levels.
 
 A batch holds t0 points (10^8 at n=12, theta=1/2), but its sums are never
-taken point by point.  The batch is at most field_bits affine cosets c + V,
-each hit equally often (sampler.batch_cosets).  A small coset is enumerated;
-a large one is summed through its Walsh dual, sum over c + V of h =
-|V|/2^(n+ell) * sum over s in V-perp of h_hat(s)(-1)^<s, c>, where h_hat
-comes from one row-wise Walsh transform of F per level.  All of it is
-integer arithmetic, and the sums equal the pointwise ones exactly.
+taken point by point: the candidates' h_p form one vector-valued oracle,
+and sampler.batch_sums, the sampler's one batch loop, sums it over the
+affine cosets of each batch.  The oracle sums a small coset through a
+histogram over y xor y', a large one through its Walsh dual, and the whole
+cube through a closed form (see _WeightOracle).  All of it is integer
+arithmetic, and the sums equal the pointwise ones exactly.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ from .randomness import (
     hex_to_bits,
     int_to_bits,
 )
-from .sampler import (
-    SamplerPlan,
-    _batch_seeds,
-    _span_chunks,
-    batch_cosets,
-    lower_median,
-    plan_sampler,
-)
+from .sampler import SamplerPlan, _span_chunks, batch_sums, lower_median, plan_sampler
 from .steward import Session, StewardConfig
 
 MATERIALIZE_CAP = 22  # largest n for which a callback F is expanded to a table
@@ -95,6 +88,8 @@ class BooleanFunction:
 
 def as_boolean_function(f, n: int | None = None) -> BooleanFunction:
     if isinstance(f, BooleanFunction):
+        if n is not None and f.n != n:
+            raise ValueError(f"F has n={f.n}, not n={n}")
         return f
     if callable(f):
         if n is None:
@@ -104,6 +99,8 @@ def as_boolean_function(f, n: int | None = None) -> BooleanFunction:
     size = table.size
     if size == 0 or size & (size - 1):
         raise ValueError("table length must be a power of two")
+    if n is not None and size != 1 << n:
+        raise ValueError(f"table length {size} is not 2^n at n={n}")
     return BooleanFunction(n=size.bit_length() - 1, table=table)
 
 
@@ -263,8 +260,8 @@ def _parity_signs(x: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int64)
 
 
-def _add_coset_histogram(hist, signs, ell, mult, c, basis) -> None:
-    """Add mult * F(yz)F(y'z) over the points of c + V to hist[y xor y']."""
+def _add_coset_histogram(hist, signs, ell, c, basis) -> None:
+    """Add F(yz)F(y'z) over the points of c + V to hist[y xor y']."""
     mask_l = np.uint64((1 << ell) - 1)
     for v in _span_chunks(basis, c, TEMP_BITS):
         y = v & mask_l
@@ -272,10 +269,8 @@ def _add_coset_histogram(hist, signs, ell, mult, c, basis) -> None:
         zl = (v >> np.uint64(2 * ell)) << np.uint64(ell)
         prod = signs[(y | zl).astype(np.intp)] * signs[(yp | zl).astype(np.intp)]
         diff = (y ^ yp).astype(np.intp)
-        hist += mult * (
-            np.bincount(diff[prod > 0], minlength=hist.size)
-            - np.bincount(diff[prod < 0], minlength=hist.size)
-        )
+        hist += np.bincount(diff[prod > 0], minlength=hist.size)
+        hist -= np.bincount(diff[prod < 0], minlength=hist.size)
 
 
 def _dual_coset_sums(rows, cands, ell, c, basis, width) -> list[int]:
@@ -317,6 +312,38 @@ def _dual_coset_sums(rows, cands, ell, c, basis, width) -> list[int]:
     return [t // size for t in totals]
 
 
+class _WeightOracle:
+    """h_p(y, y', z) = F(yz)F(y'z)(-1)^<p, y xor y'> for every candidate p
+    at once, as a sampler oracle on the n + ell bits (y, y', z), packed
+    little-endian; each sum is an int64 array with one entry per candidate.
+
+    A coset c + V is summed the cheaper way.  Enumerating it costs |V|
+    points: their products F(yz)F(y'z) go into a histogram over y xor y',
+    whose Walsh sums give every candidate at once.  The Walsh dual costs
+    |V-perp| * 2^(n - ell) terms per candidate, on the row-wise Walsh sums
+    rows[z, q] = sum_y F(yz)(-1)^<q, y>.  Over the whole cube the sum over
+    y and y' factors, so the cube total is sum_z rows[z, p]^2.
+    """
+
+    def __init__(self, table: np.ndarray, cand_ints: list[int], ell: int, n: int):
+        self.signs = np.asarray(table, dtype=np.int64)
+        self.cands = np.asarray(cand_ints, dtype=np.uint64)
+        self.ell = ell
+        self.n = n + ell
+        self.rows = wht_ints(self.signs.reshape(-1, 1 << ell))
+
+    def coset_sum(self, c: int, basis: tuple[int, ...]) -> np.ndarray:
+        rank = len(basis)
+        if 1 << rank <= len(self.cands) * self.rows.shape[0] << (self.n - rank):
+            hist = np.zeros(1 << self.ell, dtype=np.int64)
+            _add_coset_histogram(hist, self.signs, self.ell, c, basis)
+            return wht_ints(hist)[self.cands]
+        return np.array(_dual_coset_sums(self.rows, self.cands, self.ell, c, basis, self.n))
+
+    def cube_total(self) -> np.ndarray:
+        return (self.rows[:, self.cands] ** 2).sum(axis=0)
+
+
 def _weights_from_tape(
     table: np.ndarray,
     cand_ints: list[int],
@@ -327,39 +354,12 @@ def _weights_from_tape(
 ) -> list[Fraction]:
     """Median-of-batches estimates of W_p for every candidate, one shared tape.
 
-    Points are (y, y', z) packed little-endian into n + ell bits, and each
-    candidate p sums h_p = F(yz)F(y'z)(-1)^<p, y xor y'> over a batch.  No
-    batch is listed point by point: batch_cosets splits it into cosets
-    c + V with multiplicities, and each coset is summed the cheaper way.
-    Enumerating it costs |V| points: their products F(yz)F(y'z) go into a
-    histogram over y xor y', whose Walsh sums give every candidate at once.
-    The Walsh dual costs |V-perp| * 2^(n - ell) terms per candidate; it uses
-    the row-wise Walsh sums A[z, q] = sum_y F(yz)(-1)^<q, y>, computed
-    once, when the first coset takes this path.
-    Each batch's mean of the Boolean variable C = 1/2 + product/2 is exact,
-    so W = 2*median(C-means) - 1 comes out as Fraction(median of batch
-    product-sums, t0), equal to the pointwise sum."""
-    src = TapeSource(tape_bits[: plan.seed_bits])
-    seeds = _batch_seeds(plan, src)
-    signs = np.asarray(table, dtype=np.int64)
-    rows = None  # the row-wise Walsh sums, made for the first dual coset
-    cands = np.asarray(cand_ints, dtype=np.uint64)
-    width = n + ell
-    sums = np.zeros((len(cand_ints), plan.r), dtype=np.int64)
-    for bi, (a, b) in enumerate(seeds):
-        hist = np.zeros(1 << ell, dtype=np.int64)
-        for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, width):
-            rank = len(basis)
-            # |V| points against |V-perp| * 2^(n - ell) dual terms per candidate
-            if 1 << rank <= len(cand_ints) << (width - rank + n - ell):
-                _add_coset_histogram(hist, signs, ell, mult, c, basis)
-            else:
-                if rows is None:
-                    rows = wht_ints(signs.reshape(-1, 1 << ell))
-                dual = _dual_coset_sums(rows, cands, ell, c, basis, width)
-                sums[:, bi] += [mult * t for t in dual]
-        sums[:, bi] += wht_ints(hist)[cand_ints]
-    return [Fraction(int(lower_median(row)), plan.t0) for row in sums.tolist()]
+    Each batch's mean of the Boolean variable C = 1/2 + h_p/2 is exact, so
+    W = 2*median(C-means) - 1 comes out as Fraction(median of batch h_p
+    sums, t0), equal to the pointwise sum."""
+    oracle = _WeightOracle(table, cand_ints, ell, n)
+    sums = batch_sums(plan, oracle, TapeSource(tape_bits[: plan.seed_bits]))
+    return [Fraction(lower_median(col), plan.t0) for col in np.array(sums).T.tolist()]
 
 
 def estimate_W(

@@ -11,18 +11,19 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   seeds (a, b) are either its r successive 2*n'-bit fields (independent,
   2*n'*r bits) or the vertices of the expander walk it encodes on the
   2^n' x 2^n' torus (walk, 2*n' + 3*(r-1) bits); with r = 1 both are the
-  same.  Estimates stay exact: a batch of 0/1 oracle values yields
-  Fraction(count, t0).  A batch is summed over the affine cosets of
-  batch_cosets, never point by point: a coset that is the whole cube adds
-  the oracle's cube_total(), and any other coset is evaluated once on each
-  of its points.  An oracle's optional cube_total() returns the
-  exact sum of f over all 2^n points, or None when it has no cheap way to
-  get it; then the whole cube is evaluated too.  batch_cosets eliminates
-  the block columns into a pivot dict and builds a reduced basis only for
-  a block below full rank; every full-rank block shares the unit basis of
-  the cube.  A batch's parts are added as Python ints: an integer or bool
-  array is summed by numpy, any other array value by value, each as its
-  exact Fraction; each batch makes one Fraction, its sum over t0.
+  same.
+
+  An oracle has n, coset_sum(c, basis), the exact sum of f over the affine
+  coset c + span(basis), and cube_total(), the exact sum over all 2^n
+  points or None.  The base Oracle sums a coset point by point through
+  eval_ints and has no cube total.  batch_sums is the one batch loop: it
+  splits a batch into the cosets of batch_cosets and adds mult *
+  cube_total() (taken once per run) for a coset that is the whole cube,
+  mult * coset_sum for any other; a part may be an int, a Fraction or an
+  int64 array of one sum per coordinate.  Values are summed exactly: an
+  integer or bool array by numpy, any other array value by value, each as
+  its exact Fraction.  batch_cosets builds a reduced basis only for a block
+  below full rank; every full-rank block shares the unit basis of the cube.
 
 * averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
   t = ceil(6*ceil(log2(2/delta))/eps^2) vertices serve as the sample points
@@ -116,7 +117,18 @@ def plan_sampler(n: int, epsilon: Fraction, delta: Fraction, mode: str = "walk")
     )
 
 
-class TruthTableOracle:
+class Oracle:
+    """The point-by-point base of the oracle protocol: coset_sum evaluates
+    eval_ints on every point of the coset, and there is no cube total."""
+
+    def coset_sum(self, c: int, basis: tuple[int, ...]):
+        return _exact_sum(self.eval_ints(next(_span_chunks(basis, c, len(basis)))))
+
+    def cube_total(self):
+        return None
+
+
+class TruthTableOracle(Oracle):
     """f given as a dense table of 2^n values, indexed by little-endian ints."""
 
     def __init__(self, table):
@@ -133,11 +145,8 @@ class TruthTableOracle:
         """The exact sum of f over the whole cube."""
         return _exact_sum(self.table)
 
-    def __call__(self, bits: str):
-        return self.table[bits_to_int(bits)].item()
 
-
-class FnOracle:
+class FnOracle(Oracle):
     """Adapter running a bits -> value callable pointwise."""
 
     def __init__(self, n: int, fn: Callable[[str], object]):
@@ -147,17 +156,6 @@ class FnOracle:
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
         """fn at each point, in an object array."""
         return np.array([self.fn(int_to_bits(int(x), self.n)) for x in xs], dtype=object)
-
-    def __call__(self, bits: str):
-        return self.fn(bits)
-
-
-def as_oracle(f, n: int):
-    if hasattr(f, "eval_ints"):
-        return f
-    if callable(f):
-        return FnOracle(n, f)
-    raise TypeError("oracle must expose eval_ints or be callable on bit strings")
 
 
 def _powers(a: int, field_bits: int) -> list[int]:
@@ -260,33 +258,31 @@ class SampleRun:
     bits_used: int
 
 
-def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
-    oracle = as_oracle(oracle, plan.n)
-    before = source.report.bits_drawn
-    seeds = _batch_seeds(plan, source)
-    cube = getattr(oracle, "cube_total", None)
+def batch_sums(plan: SamplerPlan, oracle, source: BitSource) -> list:
+    """The r exact batch sums of an oracle on plan.n bits, from one seed draw."""
+    if oracle.n != plan.n:
+        raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     # only a block of >= 2^n points can map onto the whole cube
-    total = cube() if cube is not None and plan.t0 >> plan.n else None
-    means = []
-    for a, b in seeds:
-        batch = 0  # an int while every part is one
+    total = oracle.cube_total() if plan.t0 >> plan.n else None
+    sums = []
+    for a, b in _batch_seeds(plan, source):
+        batch = 0
         for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
-            if len(basis) == plan.n and total is not None:
-                part = total
-            else:
-                part = _exact_sum(oracle.eval_ints(next(_span_chunks(basis, c, len(basis)))))
-            batch += mult * part
-        means.append(Fraction(batch) / plan.t0)
+            full = len(basis) == plan.n and total is not None
+            batch += mult * (total if full else oracle.coset_sum(c, basis))
+        sums.append(batch)
+    return sums
+
+
+def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
+    before = source.report.bits_drawn
+    means = [Fraction(s) / plan.t0 for s in batch_sums(plan, oracle, source)]
     return SampleRun(
         plan=plan,
         batch_means=means,
         estimate=lower_median(means),
         bits_used=source.report.bits_drawn - before,
     )
-
-
-def sample_mean(plan: SamplerPlan, oracle, source: BitSource) -> Fraction:
-    return run_sampler(plan, oracle, source).estimate
 
 
 def _batch_seeds(plan: SamplerPlan, source: BitSource) -> list[tuple[int, int]]:

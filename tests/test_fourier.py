@@ -125,6 +125,15 @@ def test_boolean_function_validation():
         as_boolean_function(lambda bits: 1)  # callable needs explicit n
 
 
+def test_explicit_n_must_match_the_table():
+    assert as_boolean_function(CHI1, 2).n == 2
+    for f in (CHI1, BooleanFunction(n=2, table=CHI1)):
+        with pytest.raises(ValueError):
+            as_boolean_function(f, 5)
+    with pytest.raises(ValueError):
+        goldreich_levin(CHI1, 1, Fraction(1, 2), TapeSource("0" * 64), n=5)
+
+
 def test_callback_materialization():
     fn = BooleanFunction(n=2, query=lambda bits: -1 if bits == "11" else 1)
     assert fn.materialize().tolist() == [1, 1, 1, -1]
@@ -204,13 +213,14 @@ def _pointwise_weights(table, cand_ints, ell, n, plan, tape_bits):
 
 def _count_branches(monkeypatch) -> Counter:
     calls = Counter()
-    for name in ("_add_coset_histogram", "_dual_coset_sums"):
+    for owner, name in [(fourier, "_add_coset_histogram"), (fourier, "_dual_coset_sums"),
+                        (fourier._WeightOracle, "cube_total")]:
 
-        def spy(*args, _real=getattr(fourier, name), _name=name):
+        def spy(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(fourier, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -235,7 +245,8 @@ def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
                 for tape in ["0" * plan.seed_bits, random_tape]:
                     got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
                     assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
-    assert calls["_add_coset_histogram"] > 0 and calls["_dual_coset_sums"] > 0
+    assert all(calls[name] > 0 for name in ("_add_coset_histogram", "_dual_coset_sums",
+                                            "cube_total"))
 
 
 def test_dual_coset_sums_match_enumeration():
@@ -252,12 +263,33 @@ def test_dual_coset_sums_match_enumeration():
             t0 = rng.randint(1, 1 << field_bits)
             for mult, c, basis in batch_cosets(a, b, t0, field_bits, width):
                 hist = np.zeros(1 << ell, dtype=np.int64)
-                fourier._add_coset_histogram(hist, table, ell, 1, c, basis)
+                fourier._add_coset_histogram(hist, table, ell, c, basis)
                 direct = wht_ints(hist)[cand_ints].tolist()
                 dual = fourier._dual_coset_sums(
                     rows, np.array(cand_ints, dtype=np.uint64), ell, c, basis, width
                 )
                 assert dual == direct
+
+
+def test_cube_total_matches_dual_and_histogram():
+    # the closed form sum_z rows[z, p]^2 against both coset paths on the
+    # whole cube, entered at random offsets c
+    rng = random.Random(2718)
+    for n, ell in [(1, 0), (1, 1), (2, 0), (3, 3), (4, 2), (5, 1), (6, 6)]:
+        width = n + ell
+        table = np.array([rng.choice([-1, 1]) for _ in range(1 << n)], dtype=np.int64)
+        cands = rng.sample(range(1 << ell), rng.randint(1, 1 << ell))
+        oracle = fourier._WeightOracle(table, cands, ell, n)
+        total = oracle.cube_total().tolist()
+        units = tuple(1 << i for i in range(width))
+        for _ in range(5):
+            c = rng.randrange(1 << width)
+            dual = fourier._dual_coset_sums(
+                oracle.rows, oracle.cands, ell, c, units, width
+            )
+            hist = np.zeros(1 << ell, dtype=np.int64)
+            fourier._add_coset_histogram(hist, table, ell, c, units)
+            assert total == dual == wht_ints(hist)[cands].tolist()
 
 
 def test_search_and_estimates_match_pointwise_reference(monkeypatch):

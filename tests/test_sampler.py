@@ -24,7 +24,6 @@ from randsteward.sampler import (
     plan_averaging,
     plan_sampler,
     run_sampler,
-    sample_mean,
 )
 
 from oracles import (
@@ -236,6 +235,14 @@ def test_run_sampler_independent_mode():
     assert run.bits_used == plan.seed_bits == 64
 
 
+def test_oracle_size_must_match_the_plan():
+    # an 8-point cube total must not stand in for a 4-point coset
+    for n in (2, 5):
+        with pytest.raises(ValueError):
+            run_sampler(plan_sampler(n, Fraction(1, 2), Fraction(15, 16)),
+                        TruthTableOracle([1] * 8), CounterSource(b"size", 0))
+
+
 def test_sampler_consumes_exactly_its_seed():
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2))
     tape = TapeSource(("01" * plan.seed_bits)[: plan.seed_bits])
@@ -253,14 +260,14 @@ def test_independent_single_batch_is_unbiased():
     total = Fraction(0)
     for seed in range(1 << plan.seed_bits):
         tape = TapeSource(int_to_bits(seed, plan.seed_bits))
-        total += sample_mean(plan, oracle, tape)
+        total += run_sampler(plan, oracle, tape).estimate
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 
 
 def test_fn_oracle_and_fraction_values():
     plan = plan_sampler(2, Fraction(1), Fraction(1, 2))
     oracle = FnOracle(2, lambda bits: Fraction(1, 3))
-    estimate = sample_mean(plan, oracle, CounterSource(master=b"frac", index=0))
+    estimate = run_sampler(plan, oracle, CounterSource(master=b"frac", index=0)).estimate
     assert estimate == Fraction(1, 3)
 
 
@@ -468,7 +475,7 @@ def test_truth_table_oracle_validation():
     with pytest.raises(ValueError):
         TruthTableOracle([0, 1, 1])
     oracle = TruthTableOracle([5, 7, 1, 3])
-    assert oracle("10") == 7  # little-endian: "10" indexes entry 1
+    assert oracle.eval_ints(np.array([1])).tolist() == [7]  # little-endian: "10" is 1
     assert oracle.eval_ints(np.array([2, 0])).tolist() == [1, 5]
 
 
