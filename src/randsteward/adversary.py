@@ -1,7 +1,10 @@
 """Adaptive owners that stress stewards.
 
-An owner is a callable (round index, response history) -> ConcentratedFn.
-Three stressors:
+An owner is a callable (round index, response history) -> ConcentratedFn,
+and each oracle it returns gets the round's sample as an n-bit int whose bit
+j is the j-th bit drawn.  The boundary and extracting owners read that int
+as the binary fraction sum_j bit_j * 2^-(j+1), first bit drawn first, which
+needs no n.  Three stressors:
 
 * `constant_owner` -- point masses, the friendly baseline: every steward
   answers within its error bound, and certification never aborts.
@@ -52,7 +55,7 @@ def constant_owner(mus: Sequence, d: int = 1) -> Owner:
     def choose(round_index: int, history: list) -> ConcentratedFn:
         mu = vectors[round_index % len(vectors)]
         return ConcentratedFn(
-            oracle=lambda bits, _mu=mu: _mu,
+            oracle=lambda x, _mu=mu: _mu,
             epsilon=Fraction(0),
             delta=Fraction(0),
             mu=mu,
@@ -61,11 +64,11 @@ def constant_owner(mus: Sequence, d: int = 1) -> Owner:
     return choose
 
 
-def _unit_fraction(bits: str) -> Fraction:
-    """The sample read as a dyadic fraction in [0, 1)."""
-    n = len(bits)
-    value = sum(1 << (n - 1 - j) for j, b in enumerate(bits) if b == "1")
-    return Fraction(value, 1 << n)
+def _unit_fraction(x: int) -> Fraction:
+    """The sample read as the dyadic fraction sum_j bit_j(x) * 2^-(j+1) in [0, 1)."""
+    width = x.bit_length()
+    value = sum(1 << (width - 1 - j) for j in range(width) if x >> j & 1)
+    return Fraction(value, 1 << width)
 
 
 def boundary_owner(epsilon, d: int = 1) -> Owner:
@@ -85,8 +88,8 @@ def boundary_owner(epsilon, d: int = 1) -> Owner:
     def choose(round_index: int, history: list) -> ConcentratedFn:
         mu = tuple((round_index + j + 1) * cell - epsilon for j in range(d))
 
-        def oracle(bits: str, _mu=mu):
-            jitter = epsilon * (2 * _unit_fraction(bits) - 1)
+        def oracle(x: int, _mu=mu):
+            jitter = epsilon * (2 * _unit_fraction(x) - 1)
             return tuple(m + jitter for m in _mu)
 
         return ConcentratedFn(oracle=oracle, epsilon=epsilon, delta=Fraction(0), mu=mu)
@@ -98,7 +101,9 @@ def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
     """Decode-and-strike owner against stewards that leak their sample.
 
     epsilon must be a power of two (the embedding writes log2(1/epsilon)
-    zeroes, then the sample's bits, into a binary expansion).
+    zeroes, then the sample's bits, first drawn first, into a binary
+    expansion; decoding reads them back as an int bit-reversed over n bits
+    and reverses that).
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0 or epsilon.numerator != 1 or epsilon.denominator & (epsilon.denominator - 1):
@@ -109,23 +114,20 @@ def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
     spike = 2 * (3 * d + 5) * epsilon  # twice the error bound of a d0 = d steward
     zero_vec = (Fraction(0),) * d
 
-    def embed(bits: str) -> Fraction:
+    def embed(x: int) -> Fraction:
         # binary expansion: e zeroes, then the sample's bits; always < epsilon
-        return sum(
-            (Fraction(1, 1 << (e + 1 + j)) for j, b in enumerate(bits) if b == "1"),
-            Fraction(0),
-        )
+        return _unit_fraction(x) / (1 << e)
 
-    def decode(value: Fraction) -> str | None:
+    def decode(value: Fraction) -> int | None:
         scaled = value * (1 << (e + n))
         if scaled.denominator != 1 or not 0 <= scaled.numerator < (1 << n):
             return None
         m = scaled.numerator
-        return "".join("1" if m >> (n - 1 - j) & 1 else "0" for j in range(n))
+        return sum(1 << j for j in range(n) if m >> (n - 1 - j) & 1)
 
     def zero_query() -> ConcentratedFn:
         return ConcentratedFn(
-            oracle=lambda bits: zero_vec,
+            oracle=lambda x: zero_vec,
             epsilon=Fraction(0),
             delta=Fraction(0),
             mu=zero_vec,
@@ -134,8 +136,8 @@ def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
     def choose(round_index: int, history: list) -> ConcentratedFn:
         if round_index == 0:
 
-            def oracle(bits: str):
-                return (embed(bits),) + (Fraction(0),) * (d - 1)
+            def oracle(x: int):
+                return (embed(x),) + (Fraction(0),) * (d - 1)
 
             return ConcentratedFn(
                 oracle=oracle, epsilon=epsilon, delta=Fraction(0), mu=zero_vec
@@ -145,8 +147,8 @@ def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
             if target is None:
                 return zero_query()
 
-            def oracle(bits: str, _t=target):
-                hit = spike if bits == _t else Fraction(0)
+            def oracle(x: int, _t=target):
+                hit = spike if x == _t else Fraction(0)
                 return (hit,) + (Fraction(0),) * (d - 1)
 
             return ConcentratedFn(

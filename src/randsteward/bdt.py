@@ -8,8 +8,10 @@ model everything an adaptive adversary can remember about a protocol, which
 is why generator quality is measured as statistical distance between leaf
 distributions.
 
-Trees are either table-backed (one row of 2^n symbols per node, block decoded
-little-endian as the row index) or callback-backed.  Nodes omitted from a
+A block is an n-bit int whose bit i is the block's i-th bit, and k blocks
+are one nk-bit int, block j in bits j*n .. (j+1)*n - 1; split_blocks cuts it
+by shift and mask.  Trees are either table-backed (one row of 2^n symbols
+per node, indexed by the block) or callback-backed.  Nodes omitted from a
 table default to constant symbol 0, which keeps sparse fixtures small.
 """
 
@@ -20,8 +22,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-
-from .randomness import bits_to_int, int_to_bits
 
 ENUMERATION_CAP = 24
 
@@ -37,14 +37,14 @@ class BlockDecisionTree:
     k: int
     n: int
     sigma: int
-    transition: Callable[[Path, str], int]
+    transition: Callable[[Path, int], int]
     tables: dict[Path, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.sigma < 1:
             raise ValueError("need k >= 1, n >= 1, sigma >= 1")
 
-    def node_symbol(self, path: Path, block: str) -> int:
+    def node_symbol(self, path: Path, block: int) -> int:
         sym = self.transition(path, block)
         if not 0 <= sym < self.sigma:
             raise ValueError(f"node {path} produced symbol {sym} outside 0..{self.sigma - 1}")
@@ -61,31 +61,34 @@ def table_tree(k: int, n: int, sigma: int, tables: dict[Path, np.ndarray]) -> Bl
             raise ValueError(f"node {path}: symbols out of range")
         rows[tuple(path)] = row
 
-    def transition(path: Path, block: str) -> int:
-        row = rows.get(path)
-        if row is None:
-            return 0
-        return int(row[bits_to_int(block)])
+    # one symbol is read per block, which is cheaper from a list than from numpy
+    symbols = {path: row.tolist() for path, row in rows.items()}
+
+    def transition(path: Path, block: int) -> int:
+        row = symbols.get(path)
+        return 0 if row is None else row[block]
 
     return BlockDecisionTree(k=k, n=n, sigma=sigma, transition=transition, tables=rows)
 
 
-def evaluate(tree: BlockDecisionTree, blocks: list[str]) -> Path:
+def evaluate(tree: BlockDecisionTree, blocks: list[int]) -> Path:
     """Leaf path reached on the given k blocks of n bits."""
     if len(blocks) != tree.k:
         raise ValueError(f"expected {tree.k} blocks, got {len(blocks)}")
     path: Path = ()
     for block in blocks:
-        if len(block) != tree.n:
-            raise ValueError(f"block {block!r} does not have {tree.n} bits")
+        if block < 0 or block >> tree.n:
+            raise ValueError(f"block {block} does not fit in {tree.n} bits")
         path = path + (tree.node_symbol(path, block),)
     return path
 
 
-def split_blocks(bits: str, n: int, k: int) -> list[str]:
-    if len(bits) != n * k:
-        raise ValueError(f"need {n * k} bits, got {len(bits)}")
-    return [bits[i * n : (i + 1) * n] for i in range(k)]
+def split_blocks(value: int, n: int, k: int) -> list[int]:
+    """The k n-bit blocks of an nk-bit int, block j in bits j*n .. (j+1)*n - 1."""
+    if value < 0 or value >> (n * k):
+        raise ValueError(f"{value} does not fit in {n * k} bits")
+    mask = (1 << n) - 1
+    return [value >> (i * n) & mask for i in range(k)]
 
 
 @dataclass
@@ -120,8 +123,8 @@ def exact_node_distribution(
 
     With no generator the input is U_{nk}; table-backed trees are handled by
     per-node symbol counting (no enumeration), callback trees by enumerating
-    all 2^{nk} inputs.  With `generator` (a callable seed_bits -> nk bits) the
-    seed space {0,1}^seed_len is enumerated exhaustively.  Either way the cap
+    all 2^{nk} inputs.  With `generator` (a callable from a seed_len-bit int
+    to an nk-bit int) every seed is enumerated.  Either way the cap
     bounds the bits being enumerated.
     """
     if generator is None:
@@ -136,12 +139,8 @@ def exact_node_distribution(
     if seed_len > cap:
         raise CapExceeded(f"seed enumeration over {seed_len} bits exceeds cap {cap}")
     counts: dict[Path, int] = {}
-    nk = tree.n * tree.k
     for seed in range(1 << seed_len):
-        out = generator(int_to_bits(seed, seed_len))
-        if len(out) != nk:
-            raise ValueError("generator output length mismatch")
-        path = evaluate(tree, split_blocks(out, tree.n, tree.k))
+        path = evaluate(tree, split_blocks(generator(seed), tree.n, tree.k))
         counts[path] = counts.get(path, 0) + 1
     denom = 1 << seed_len
     return NodeDistribution(
@@ -176,7 +175,7 @@ def _uniform_by_enumeration(tree: BlockDecisionTree) -> NodeDistribution:
     nk = tree.n * tree.k
     counts: dict[Path, int] = {}
     for value in range(1 << nk):
-        path = evaluate(tree, split_blocks(int_to_bits(value, nk), tree.n, tree.k))
+        path = evaluate(tree, split_blocks(value, tree.n, tree.k))
         counts[path] = counts.get(path, 0) + 1
     return NodeDistribution(
         k=tree.k, sigma=tree.sigma,

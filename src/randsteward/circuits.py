@@ -8,11 +8,12 @@ exercise the adaptive protocol while keeping the parser small.
 `acceptance_session` answers up to k adaptively chosen circuits with
 estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  Round i
 wraps a median-of-batches sampler run for C_i into a scalar function of the
-steward's tape block: the sampler is planned for accuracy epsilon/8 and
-failure delta/(2k), the steward (d = 1, gamma = delta/2) adds a factor
-3*1 + 5 = 8, and the reported estimate is clamped to [0,1] -- so every Y_i
-is within epsilon of mu(C_i) except with probability delta, at a coin cost
-of one steward seed for the whole session.
+steward's block, an int that is the sampler's seed as it stands: the sampler
+is planned for accuracy epsilon/8 and failure delta/(2k), the steward
+(d = 1, gamma = delta/2) adds a factor 3*1 + 5 = 8, and the reported
+estimate is clamped to [0,1] -- so every Y_i is within epsilon of mu(C_i)
+except with probability delta, at a coin cost of one steward seed for the
+whole session.
 
 Two oracle runners ride on the same pipeline: `run_promise_bpp_oracle_algorithm`
 answers decision queries by thresholding an estimate at 1/2 (fixed
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .randomness import BitSource, TapeSource
+from .randomness import BitSource
 from .sampler import (
     FnOracle,
     Oracle,
@@ -326,8 +327,8 @@ class AcceptanceSession:
     def _estimate_oracle(self, oracle) -> Fraction:
         """Y = E[oracle] +- epsilon in [0,1], for any 0/1 oracle on n bits."""
 
-        def f(tape: str):
-            return [run_sampler(self.plan, oracle, TapeSource(tape)).estimate]
+        def f(tape: int):
+            return [run_sampler(self.plan, oracle, tape).estimate]
 
         return _clamp_unit(self.session.answer(f)[0])
 
@@ -338,7 +339,7 @@ def acceptance_session(n: int, k: int, epsilon, delta, source: BitSource) -> Acc
 
 def run_promise_bpp_oracle_algorithm(
     outer: Callable[[Callable[[object], int]], object],
-    decision_oracle: Callable[[object, str], int],
+    decision_oracle: Callable[[object, int], int],
     n: int,
     k: int,
     delta,
@@ -347,9 +348,10 @@ def run_promise_bpp_oracle_algorithm(
     """Run outer(ask); each ask(query) thresholds an estimate of the oracle's
     acceptance probability at 1/2.
 
-    decision_oracle(query, coins) uses n coin bits and errs on at most 1/3 of
-    tapes for promise-satisfying queries, so with estimate error below
-    epsilon = 1/10 every such answer is correct; overall failure <= delta.
+    decision_oracle(query, coins) uses n coin bits, given as an n-bit int,
+    and errs on at most 1/3 of tapes for promise-satisfying queries, so with
+    estimate error below epsilon = 1/10 every such answer is correct;
+    overall failure <= delta.
     An acceptance session (and its seed) opens only if outer actually asks;
     clamping its estimates to [0,1] cannot change a comparison with 1/2.
     """
@@ -367,7 +369,7 @@ def run_promise_bpp_oracle_algorithm(
 
 def run_app_oracle_algorithm(
     outer: Callable[[Callable[[object], Fraction]], object],
-    phi_estimator: Callable[[object, str], object],
+    phi_estimator: Callable[[object, int], object],
     n: int,
     k: int,
     epsilon,
@@ -377,8 +379,8 @@ def run_app_oracle_algorithm(
     """Run outer(ask); ask(w) estimates phi(w) to +-epsilon, all k answers
     good except with probability delta.
 
-    phi_estimator(w, coins) uses n coin bits and lands within epsilon/8 of
-    phi(w) on >= 2/3 of tapes.  Median amplification over an averaging
+    phi_estimator(w, coins) uses n coin bits, given as an n-bit int, and
+    lands within epsilon/8 of phi(w) on >= 2/3 of tapes.  Median amplification over an averaging
     sampler pushes its failure to delta/(2k); the steward (gamma = delta/2)
     multiplies the accuracy by the round constant 8.  Estimates are not
     clamped -- phi need not be a probability.
@@ -394,8 +396,8 @@ def run_app_oracle_algorithm(
         if session is None:
             session = Session(config, source)
 
-        def f(tape: str):
-            return [median_amplify(partial(phi_estimator, w), plan, TapeSource(tape))]
+        def f(tape: int):
+            return [median_amplify(partial(phi_estimator, w), plan, tape)]
 
         return session.answer(f)[0]
 

@@ -27,7 +27,9 @@ from .randomness import (
     SystemSource,
     TapeSource,
     bits_to_hex,
+    bits_to_int,
     hex_to_bits,
+    int_to_bits,
 )
 
 
@@ -164,7 +166,7 @@ def _cmd_prg_expand(args) -> int:
         seed = hex_to_bits(args.seed_hex, schedule.seed_len)
     else:
         seed = SystemSource().draw(schedule.seed_len)
-    output = prg.expand(schedule, seed)
+    output = int_to_bits(prg.expand(schedule, bits_to_int(seed)), schedule.output_len)
     doc = {
         "schedule": json.loads(schedule.to_json()),
         "seed_bits": seed,
@@ -186,9 +188,9 @@ def _cmd_prg_expand(args) -> int:
 def _bench_trial(packed) -> str:
     master, index, n, epsilon, delta, threshold = packed
     plan = sampler.plan_sampler(n, epsilon, delta)
-    source = CounterSource(master, index)
+    seed = bits_to_int(CounterSource(master, index).draw(plan.seed_bits, phase="sampler"))
     oracle = sampler.TruthTableOracle((np.arange(1 << n) < threshold).astype(np.uint8))
-    estimate = sampler.run_sampler(plan, oracle, source).estimate
+    estimate = sampler.run_sampler(plan, oracle, seed).estimate
     return str(estimate - Fraction(threshold, 1 << n))  # signed error
 
 

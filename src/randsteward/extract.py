@@ -27,11 +27,10 @@ anything else relies on it.  The plan is pure and its loop multiplies
 integers of about 1.5k bits, so it is memoized (a bounded cache: a session
 plans one extractor per generator level).
 
-`extract_int` is the walk on Python ints, in the library's little-endian
-convention: bit i of an s-bit string is bit i of its int.  x is the start
-vertex and y the labels, both in the expander's seed layout with half =
-ceil(s/2), and the endpoint is written back the same way, masked to s
-bits.  `extract` is its string wrapper.
+`extract_int` is the walk on ints, whose bit i is the i-th bit of the
+input or seed: x (s bits) is the start vertex and y (seed_len bits) the
+labels, both in the expander's seed layout with half = ceil(s/2), and the
+endpoint is written back the same way, masked to s bits.
 
 `FreshExtractorParams(s)` is the `fresh` backend's degenerate extractor,
 Ext(x, y) = y; like a planned walk it needs s >= 1.
@@ -44,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import expander
-from .randomness import bits_to_int, int_to_bits
+
 
 @dataclass(frozen=True)
 class ExtractorParams:
@@ -113,12 +112,3 @@ def extract_int(params, x: int, y: int) -> int:
     a, b = expander.walk(g, start, expander.seed_labels(y, params.walk_len))
     return (a | b << half) & ((1 << params.s) - 1)
 
-
-def extract(params, x_bits: str, y_bits: str) -> str:
-    """Apply the planned extractor: walk from x along the labels in y."""
-    if len(x_bits) != params.s:
-        raise ValueError(f"input has {len(x_bits)} bits, expected {params.s}")
-    if len(y_bits) != params.seed_len:
-        raise ValueError(f"seed has {len(y_bits)} bits, expected {params.seed_len}")
-    out = extract_int(params, bits_to_int(x_bits), bits_to_int(y_bits))
-    return int_to_bits(out, params.s)

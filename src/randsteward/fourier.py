@@ -14,12 +14,12 @@ theta^2) weights at once -- one adaptive d-dimensional query per level,
 answered by a steward whose accuracy (3d+5)*eps_est = theta^2/4 separates
 weights above theta^2 from weights below theta^2/4.
 
-Each level's query is deterministic in the steward's n-bit tape block: the
-block seeds a walk-mode median sampler over (y, y', z) points, and all <= d
-coordinates reuse the same points (the product F(yz)F(y'z) is shared; only
-the parity of p & (y xor y') differs per coordinate).  The total coin cost
-is the steward seed, n_tape + O(k log d) bits, against n_tape * k for
-freshly seeded levels.
+Each level's query is deterministic in the steward's tape block, an int
+whose low bits seed a walk-mode median sampler over (y, y', z) points, and
+all <= d coordinates reuse the same points (the product F(yz)F(y'z) is
+shared; only the parity of p & (y xor y') differs per coordinate).  The
+total coin cost is the steward seed, n_tape + O(k log d) bits, against
+n_tape * k for freshly seeded levels.
 
 A batch holds t0 points (10^8 at n=12, theta=1/2), but its sums are never
 taken point by point: the candidates' h_p form one vector-valued oracle,
@@ -39,15 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .randomness import (
-    BitSource,
-    BudgetReport,
-    TapeSource,
-    bits_to_hex,
-    bits_to_int,
-    hex_to_bits,
-    int_to_bits,
-)
+from .randomness import BitSource, BudgetReport, bits_to_int, int_to_bits
 from .sampler import SamplerPlan, _span_chunks, batch_sums, lower_median, plan_sampler
 from .steward import Session, StewardConfig
 
@@ -57,11 +49,12 @@ TEMP_BITS = 16  # batch sums touch at most ~2^16 points or dual terms per numpy 
 
 @dataclass
 class BooleanFunction:
-    """F: {0,1}^n -> {-1, +1}, as a dense table and/or a query callback."""
+    """F: {0,1}^n -> {-1, +1}, as a dense table and/or a query callback on
+    n-bit ints (bit i of the int is input bit i, the table's index)."""
 
     n: int
     table: np.ndarray | None = None
-    query: Callable[[str], int] | None = None
+    query: Callable[[int], int] | None = None
 
     def __post_init__(self):
         if self.table is None and self.query is None:
@@ -79,7 +72,7 @@ class BooleanFunction:
                 raise ValueError(
                     f"refusing to expand a callback at n={self.n} > {MATERIALIZE_CAP}"
                 )
-            vals = [self.query(int_to_bits(x, self.n)) for x in range(1 << self.n)]
+            vals = [self.query(x) for x in range(1 << self.n)]
             self.table = np.asarray(vals, dtype=np.int8)
             if not np.all(np.abs(self.table) == 1):
                 raise ValueError("callback values must be +-1")
@@ -172,26 +165,32 @@ def subcube_weight_exact(table, prefix: str) -> Fraction:
     ell = len(prefix)
     if ell > n:
         raise ValueError("prefix longer than n")
-    p = bits_to_int(prefix) if ell else 0
+    p = bits_to_int(prefix)
     total = sum(int(sums[p + (s << ell)]) ** 2 for s in range(1 << (n - ell)))
     return Fraction(total, 1 << (2 * n))
 
 
 def load_truth_table(text: str) -> np.ndarray:
-    """Parse 'n=<int>' then hex-packed bits; bit 1 means F = -1, as +-1 int8."""
+    """Parse 'n=<int>' then the 2^n bits packed into exactly ceil(2^n / 8)
+    hex bytes, LSB first; bit 1 means F = -1.  Returns +-1 int8."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("first line must be n=<int>")
     n = int(lines[0][2:])
-    bits = hex_to_bits("".join(lines[1:]), 1 << n)
-    return np.array([-1 if b == "1" else 1 for b in bits], dtype=np.int8)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    data = bytes.fromhex("".join(lines[1:]))
+    size = 1 << n
+    if len(data) != -(-size // 8):
+        raise ValueError(f"n={n} needs {-(-size // 8)} table bytes, got {len(data)}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:size]
+    return 1 - 2 * bits.astype(np.int8)
 
 
 def dump_truth_table(table) -> str:
     table = np.asarray(table)
     n = table.size.bit_length() - 1
-    bits = "".join("1" if v < 0 else "0" for v in table)
-    return f"n={n}\n{bits_to_hex(bits)}\n"
+    return f"n={n}\n{np.packbits(table < 0, bitorder='little').tobytes().hex()}\n"
 
 
 @dataclass(frozen=True)
@@ -350,15 +349,16 @@ def _weights_from_tape(
     ell: int,
     n: int,
     plan: SamplerPlan,
-    tape_bits: str,
+    tape: int,
 ) -> list[Fraction]:
-    """Median-of-batches estimates of W_p for every candidate, one shared tape.
+    """Median-of-batches estimates of W_p for every candidate, one shared tape
+    whose low plan.seed_bits bits are the sampler's seed.
 
     Each batch's mean of the Boolean variable C = 1/2 + h_p/2 is exact, so
     W = 2*median(C-means) - 1 comes out as Fraction(median of batch h_p
     sums, t0), equal to the pointwise sum."""
     oracle = _WeightOracle(table, cand_ints, ell, n)
-    sums = batch_sums(plan, oracle, TapeSource(tape_bits[: plan.seed_bits]))
+    sums = batch_sums(plan, oracle, tape & ((1 << plan.seed_bits) - 1))
     return [Fraction(lower_median(col), plan.t0) for col in np.array(sums).T.tolist()]
 
 
@@ -380,7 +380,7 @@ def estimate_W(
     if ell > n:
         raise ValueError("prefix longer than n")
     plan = plan_sampler(n + ell, Fraction(epsilon) / 2, Fraction(delta))
-    tape = source.draw(plan.seed_bits, phase="sampler")
+    tape = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
     return _weights_from_tape(table, [bits_to_int(prefix)], ell, n, plan, tape)[0]
 
 
@@ -406,7 +406,7 @@ def goldreich_levin(
     n = table.size.bit_length() - 1
     params = gl_params(n, theta, delta)
     session = Session(params.steward_config(), source)
-    survivors = [""]
+    survivors = [0]  # prefixes as ints: bit i is prefix bit i
     cap = Fraction(params.d, 1 << params.u)
     for level in range(params.k):
         if len(survivors) > cap:  # only reachable on estimation failure
@@ -416,11 +416,10 @@ def goldreich_levin(
             )
         ell = params.prefix_lens[level]
         blen = params.block_lens[level]
-        cands = [p + int_to_bits(e, blen) for p in survivors for e in range(1 << blen)]
-        cand_ints = [bits_to_int(c) for c in cands]
+        cands = [p | e << (ell - blen) for p in survivors for e in range(1 << blen)]
         plan = params.plans[level]
 
-        def evaluate(tape, _c=cand_ints, _l=ell, _p=plan):
+        def evaluate(tape, _c=cands, _l=ell, _p=plan):
             w = _weights_from_tape(table, _c, _l, n, _p, tape)
             return w + [Fraction(0)] * (params.d - len(w))
 
@@ -428,8 +427,8 @@ def goldreich_levin(
         keep = params.keep_threshold
         survivors = [cands[j] for j in range(len(cands)) if y[j] >= keep]
     return GlResult(
-        params=params, strings=sorted(survivors), aborted=False,
-        bits_used=session.bits_used, levels_run=params.k,
+        params=params, strings=sorted(int_to_bits(p, n) for p in survivors),
+        aborted=False, bits_used=session.bits_used, levels_run=params.k,
     )
 
 

@@ -16,11 +16,10 @@ n*k bits.
 `build_schedule` fixes every length up front, so expansion is deterministic
 and the bit budget is auditable before any seed is drawn.
 
-`expand` turns the seed string into an int once, in the library's
-little-endian convention (bit i of the string is bit i of the int), runs the
-recursion on ints -- x is the low s_i bits of a level-(i+1) seed, y the rest,
-and G_i(x) fills the low n*2^i output bits -- and turns the output back into
-a string once.
+`expand` maps an int seed to an int output, bit i being the i-th bit
+drawn: x is the low s_i bits of a level-(i+1) seed, y the rest, and G_i(x)
+fills the low n*2^i output bits, so block j of the output is bits
+j*n .. (j+1)*n - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from fractions import Fraction
 from typing import Union
 
 from .extract import ExtractorParams, FreshExtractorParams, extract_int, plan_extractor
-from .randomness import bits_to_int, int_to_bits
 
 LevelParams = Union[ExtractorParams, FreshExtractorParams]
 
@@ -124,16 +122,12 @@ def build_schedule(
     )
 
 
-def expand(schedule: PrgSchedule, seed_bits: str) -> str:
-    """Run the recursion on a full seed and truncate to n*k output bits."""
-    if len(seed_bits) != schedule.seed_len:
-        raise ValueError(
-            f"seed must have {schedule.seed_len} bits, got {len(seed_bits)}"
-        )
-    seed = bits_to_int(seed_bits)
+def expand(schedule: PrgSchedule, seed: int) -> int:
+    """Run the recursion on a seed of seed_len bits and keep the low n*k output bits."""
+    if seed < 0 or seed >> schedule.seed_len:
+        raise ValueError(f"seed must fit in {schedule.seed_len} bits")
     out = _expand_level(schedule, schedule.levels, seed) if schedule.levels else seed
-    width = schedule.output_len
-    return int_to_bits(out & ((1 << width) - 1), width)
+    return out & ((1 << schedule.output_len) - 1)
 
 
 def _expand_level(schedule: PrgSchedule, level: int, seed: int) -> int:

@@ -2,8 +2,12 @@
 
 All randomness consumed anywhere in the library flows through a `BitSource`,
 so "how many bits did this protocol really use" is a counted fact, not an
-estimate.  Bits are strings of '0'/'1'; integers are decoded little-endian
-(first bit drawn is the least significant).
+estimate.  A draw returns a string of '0'/'1', and each library draw site
+decodes it once with `bits_to_int`, little-endian: bit i of the int is the
+i-th bit drawn.  From there on seeds, generator outputs, blocks and samples
+are ints all the way to the oracle; bit strings come back only where a person
+reads or writes bits (the CLI, a transcript's JSON, GL's printed strings).
+The codecs here are the only conversions between the two.
 
 Sources:
 

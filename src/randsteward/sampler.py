@@ -7,11 +7,14 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   Chebyshev, and the (lower) median of r = ceil(8*log2(1/delta)) batches
   drives the failure below delta.  Points of one batch are g -> a*g + b over
   GF(2^n'), truncated to the low n bits; n' = max(n, ceil(log2 t0)) so the
-  field has room for t0 distinct g's.  The seed is drawn at once, and batch
-  seeds (a, b) are either its r successive 2*n'-bit fields (independent,
-  2*n'*r bits) or the vertices of the expander walk it encodes on the
-  2^n' x 2^n' torus (walk, 2*n' + 3*(r-1) bits); with r = 1 both are the
-  same.
+  field has room for t0 distinct g's.  The batch seeds (a, b) are either the
+  r successive 2*n'-bit fields of the sampler's seed (independent, 2*n'*r
+  bits) or the vertices of the expander walk it encodes on the 2^n' x 2^n'
+  torus (walk, 2*n' + 3*(r-1) bits); with r = 1 both are the same.
+
+  Every entry point takes its seed as an int of at most seed_bits bits, bit
+  i being the i-th bit drawn; the caller draws and decodes it.  Points are
+  n-bit ints, and so is each argument of an oracle.
 
   An oracle has n, coset_sum(c, basis), the exact sum of f over the affine
   coset c + span(basis), and cube_total(), the exact sum over all 2^n
@@ -43,7 +46,6 @@ import numpy as np
 
 from .expander import seed_start, seed_walk
 from .gf2 import field_poly
-from .randomness import BitSource, bits_to_int, int_to_bits
 
 MODES = ("walk", "independent")
 
@@ -147,15 +149,15 @@ class TruthTableOracle(Oracle):
 
 
 class FnOracle(Oracle):
-    """Adapter running a bits -> value callable pointwise."""
+    """Adapter running a callable on n-bit ints pointwise."""
 
-    def __init__(self, n: int, fn: Callable[[str], object]):
+    def __init__(self, n: int, fn: Callable[[int], object]):
         self.n = n
         self.fn = fn
 
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
         """fn at each point, in an object array."""
-        return np.array([self.fn(int_to_bits(int(x), self.n)) for x in xs], dtype=object)
+        return np.array([self.fn(int(x)) for x in xs], dtype=object)
 
 
 def _powers(a: int, field_bits: int) -> list[int]:
@@ -255,17 +257,16 @@ class SampleRun:
     plan: SamplerPlan
     batch_means: list[Fraction]
     estimate: Fraction
-    bits_used: int
 
 
-def batch_sums(plan: SamplerPlan, oracle, source: BitSource) -> list:
-    """The r exact batch sums of an oracle on plan.n bits, from one seed draw."""
+def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
+    """The r exact batch sums of an oracle on plan.n bits, from one seed."""
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     # only a block of >= 2^n points can map onto the whole cube
     total = oracle.cube_total() if plan.t0 >> plan.n else None
     sums = []
-    for a, b in _batch_seeds(plan, source):
+    for a, b in _batch_seeds(plan, seed):
         batch = 0
         for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
             full = len(basis) == plan.n and total is not None
@@ -274,21 +275,16 @@ def batch_sums(plan: SamplerPlan, oracle, source: BitSource) -> list:
     return sums
 
 
-def run_sampler(plan: SamplerPlan, oracle, source: BitSource) -> SampleRun:
-    before = source.report.bits_drawn
-    means = [Fraction(s) / plan.t0 for s in batch_sums(plan, oracle, source)]
-    return SampleRun(
-        plan=plan,
-        batch_means=means,
-        estimate=lower_median(means),
-        bits_used=source.report.bits_drawn - before,
-    )
+def run_sampler(plan: SamplerPlan, oracle, seed: int) -> SampleRun:
+    means = [Fraction(s) / plan.t0 for s in batch_sums(plan, oracle, seed)]
+    return SampleRun(plan=plan, batch_means=means, estimate=lower_median(means))
 
 
-def _batch_seeds(plan: SamplerPlan, source: BitSource) -> list[tuple[int, int]]:
-    """The r batch seeds (a, b), from one draw of the plan's seed."""
+def _batch_seeds(plan: SamplerPlan, seed: int) -> list[tuple[int, int]]:
+    """The r batch seeds (a, b) that the plan's seed encodes."""
+    if seed < 0 or seed >> plan.seed_bits:
+        raise ValueError(f"seed must fit in {plan.seed_bits} bits")
     nf = plan.field_bits
-    seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
     if plan.mode == "independent":
         return [seed_start(seed >> 2 * nf * i, nf) for i in range(plan.r)]
     return seed_walk(seed, nf, plan.r - 1)
@@ -322,25 +318,21 @@ def plan_averaging(n: int, epsilon: Fraction, delta: Fraction) -> AveragingSampl
     return AveragingSamplerPlan(n=n, epsilon=epsilon, delta=delta, t=max(1, t))
 
 
-def averaging_points(plan: AveragingSamplerPlan, source: BitSource) -> np.ndarray:
-    """The t walk vertices, truncated to n-bit point labels (uint64)."""
+def averaging_points(plan: AveragingSamplerPlan, seed: int) -> np.ndarray:
+    """The t walk vertices the seed encodes, truncated to n-bit points (uint64)."""
+    if seed < 0 or seed >> plan.seed_bits:
+        raise ValueError(f"seed must fit in {plan.seed_bits} bits")
     half = plan.n_emb // 2
     mask = (1 << plan.n) - 1
-    seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
     pts = [(x | y << half) & mask for x, y in seed_walk(seed, half, plan.t - 1)]
     return np.array(pts, dtype=np.uint64)
 
 
-def averaging_sample(plan: AveragingSamplerPlan, source: BitSource) -> list[str]:
-    """The t sample points as n-bit strings."""
-    return [int_to_bits(int(x), plan.n) for x in averaging_points(plan, source)]
-
-
-def median_amplify(f: Callable[[str], object], plan: AveragingSamplerPlan, source: BitSource):
+def median_amplify(f: Callable[[int], object], plan: AveragingSamplerPlan, seed: int):
     """Lower median of f over the points of one averaging-sampler run.
 
     If f is good on >= 2/3 of its inputs, a (1/10, delta) plan keeps the bad
     points below half of the sample, so the median is good, except with
     probability delta.
     """
-    return lower_median([f(p) for p in averaging_sample(plan, source)])
+    return lower_median([f(int(p)) for p in averaging_points(plan, seed)])

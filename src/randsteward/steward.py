@@ -32,9 +32,11 @@ once, round the answer.  KINDS maps each kind to the pair (where its sample
 comes from, how it rounds), and Session switches on those two members only.
 A sample is one block of the expander generator's output ("blocks", the main
 steward), n fresh bits drawn in the round ("fresh") or one n-bit sample drawn
-at open and reused every round ("reused").  Which generator makes the blocks
-is chosen in prg only: its identity generator would give the main steward
-the s0 kind's uniform blocks, drawn all at once.  An answer is
+at open and reused every round ("reused").  Either way it is an n-bit int
+whose bit i is the sample's i-th bit, and that int is what the oracle gets;
+only the transcript's JSON writes it back as a bit string.  Which generator
+makes the blocks is chosen in prg only: its identity generator would give the
+main steward the s0 kind's uniform blocks, drawn all at once.  An answer is
 shift-and-rounded as above ("shift"), snapped to a coarse grid u*epsilon
 after a fresh random shift of log2(u) bits ("coarse", the Saks-Zhou
 baseline), or returned as is ("raw").
@@ -50,7 +52,7 @@ from typing import Callable, Sequence
 
 from .bdt import split_blocks
 from .prg import PrgSchedule, build_schedule, expand
-from .randomness import BitSource, draw_uniform_power_of_two
+from .randomness import BitSource, bits_to_int, draw_uniform_power_of_two, int_to_bits
 
 KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
     "main": ("blocks", "shift"),
@@ -125,14 +127,15 @@ def _planned_schedule(n: int, k: int, sigma: int, gamma: Fraction) -> PrgSchedul
 
 @dataclass
 class ConcentratedFn:
-    """An estimation query: oracle maps an n-bit string to d values.
+    """An estimation query: oracle maps an n-bit int (bit i is the i-th bit of
+    the sample) to d values.
 
     epsilon/delta document the declared concentration; mu is the
     concentration point.  The steward reads none of them -- they ride along
     for certification checks and accuracy audits in the harness.
     """
 
-    oracle: Callable[[str], Sequence]
+    oracle: Callable[[int], Sequence]
     epsilon: Fraction | None = None
     delta: Fraction | None = None
     mu: tuple[Fraction, ...] | None = None
@@ -198,7 +201,7 @@ def _rat_to_str(x: Fraction) -> str:
 @dataclass
 class RoundRecord:
     index: int
-    x: str
+    x: int
     w: tuple[Fraction, ...]
     deltas: tuple[int, ...] | None
     y: tuple[Fraction, ...]
@@ -229,7 +232,7 @@ class Transcript:
             "rounds": [
                 {
                     "round": r.index,
-                    "x": r.x,
+                    "x": int_to_bits(r.x, cfg.n),
                     "w": [_rat_to_str(v) for v in r.w],
                     "deltas": list(r.deltas) if r.deltas is not None else None,
                     "y": [_rat_to_str(v) for v in r.y],
@@ -254,10 +257,10 @@ class Session:
         self._sample, self._rounding = KINDS[config.kind]
         if self._sample == "blocks":
             self.schedule = config.schedule
-            seed = source.draw(self.schedule.seed_len, phase="seed")
+            seed = bits_to_int(source.draw(self.schedule.seed_len, phase="seed"))
             self._blocks = split_blocks(expand(self.schedule, seed), config.n, config.k)
         elif self._sample == "reused":
-            self._x = source.draw(config.n, phase="seed")
+            self._x = bits_to_int(source.draw(config.n, phase="seed"))
         # "fresh" samples are drawn inside each round
         if self._rounding == "coarse":
             target = Fraction(2 * config.k * config.d) / config.gamma
@@ -279,11 +282,11 @@ class Session:
                 per_phase[phase] = diff
         self.transcript.bits_by_phase = per_phase
 
-    def _next_sample(self) -> str:
+    def _next_sample(self) -> int:
         if self._sample == "blocks":
             return self._blocks[self.round]
         if self._sample == "fresh":
-            return self.source.draw(self.config.n, phase="sample")
+            return bits_to_int(self.source.draw(self.config.n, phase="sample"))
         return self._x
 
     def answer(self, query) -> tuple[Fraction, ...]:

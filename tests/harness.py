@@ -16,10 +16,6 @@ from fractions import Fraction
 from randsteward.steward import ConcentratedFn
 
 
-def bits_to_index(bits: str) -> int:
-    return sum(1 << i for i, b in enumerate(bits) if b == "1")
-
-
 class ExplicitConcentrated:
     """A d-dimensional query with known mu and an explicit bad set."""
 
@@ -44,8 +40,7 @@ class ExplicitConcentrated:
         h = (index * 2654435761 + j * 40503 + self.salt) % (1 << 16)
         return self.epsilon * Fraction(h - (1 << 15), 1 << 15)
 
-    def values(self, bits: str) -> tuple[Fraction, ...]:
-        index = bits_to_index(bits)
+    def values(self, index: int) -> tuple[Fraction, ...]:
         if index in self.bad:
             return tuple(m + self.wild for m in self.mu)
         return tuple(self.mu[j] + self._jitter(index, j) for j in range(self.d))
@@ -59,6 +54,16 @@ class ExplicitConcentrated:
 def make_concentrated(rng: random.Random, n: int, d: int,
                       epsilon: Fraction, delta: Fraction) -> ExplicitConcentrated:
     return ExplicitConcentrated(n, d, Fraction(epsilon), Fraction(delta), rng)
+
+
+def random_circuit(rng: random.Random, n: int, depth: int = 3) -> str:
+    """A random circuit expression over x0..x{n-1}, nested at most depth deep."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([f"x{rng.randrange(n)}"] * 4 + ["0", "1"])
+    if rng.random() < 0.2:
+        return f"~({random_circuit(rng, n, depth - 1)})"
+    left, right = random_circuit(rng, n, depth - 1), random_circuit(rng, n, depth - 1)
+    return f"({left}) {rng.choice('&^|')} ({right})"
 
 
 def make_owner(instances) -> object:

@@ -40,7 +40,7 @@ from randsteward.expander import (
     adjacency_matrix,
     permutation_array,
 )
-from randsteward.extract import extract, plan_extractor
+from randsteward.extract import extract_int, plan_extractor
 from randsteward.fourier import (
     gl_params,
     gl_randomness_audit,
@@ -48,7 +48,7 @@ from randsteward.fourier import (
     heavy_set_exact,
     wht_ints,
 )
-from randsteward.randomness import CounterSource, TapeSource, int_to_bits
+from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.steward import (
     Session,
     StewardConfig,
@@ -137,7 +137,7 @@ def test_criterion_02():
         index = rng.randrange(256)
         while index in inst.bad:
             index = rng.randrange(256)
-        w = inst.values(int_to_bits(index, 8))
+        w = inst.values(index)
         assert max(abs(wj - mj) for wj, mj in zip(w, inst.mu)) <= epsilon
         y, _ = shift_round(list(w), epsilon, d)
         assert max(abs(yj - mj) for yj, mj in zip(y, inst.mu)) <= (3 * d + 5) * epsilon
@@ -332,10 +332,9 @@ def test_criterion_05():
     params = plan_extractor(n, 1, Fraction(1, 4))
     assert schedule.seed_len == n + params.seed_len
     for i in range(5):  # the expansion really is x || Ext(x, y)
-        seed = CounterSource(master=b"crit5-shape", index=i).draw(schedule.seed_len)
-        assert prg.expand(schedule, seed) == seed[:n] + extract(
-            params, seed[:n], seed[n:]
-        )
+        seed = bits_to_int(CounterSource(master=b"crit5-shape", index=i).draw(schedule.seed_len))
+        x = seed & ((1 << n) - 1)
+        assert prg.expand(schedule, seed) == x | extract_int(params, x, seed >> n) << n
     side = 1 << (n // 2)
     denom = 8**params.walk_len
     tree = _random_table_tree(rng, k, n, sigma)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,8 +15,8 @@ def test_constant_owner_cycles_point_masses():
     for i, want in [(0, Fraction(1, 3)), (1, Fraction(2, 3)), (2, Fraction(1, 3))]:
         fn = owner(i, [])
         assert fn.mu == (want,)
-        assert fn.oracle("0101") == (want,)
-        assert fn.oracle("1111") == (want,)
+        assert fn.oracle(0b1010) == (want,)
+        assert fn.oracle(0b1111) == (want,)
         assert fn.epsilon == 0 and fn.delta == 0
 
 
@@ -38,7 +40,7 @@ def test_boundary_owner_is_concentrated_with_zero_delta():
         cell = 2 * 3 * epsilon
         assert fn.mu == tuple((i + j + 1) * cell - epsilon for j in range(2))
         for v in range(64):
-            w = fn.oracle(int_to_bits(v, 6))
+            w = fn.oracle(v)
             for wj, mj in zip(w, fn.mu):
                 assert abs(wj - mj) <= epsilon
 
@@ -80,7 +82,7 @@ def test_extracting_owner_round_one_embeds_injectively():
     owner = extracting_owner(6, Fraction(1, 64))
     fn = owner(0, [])
     assert fn.delta == 0 and fn.mu == (Fraction(0),)
-    values = {fn.oracle(int_to_bits(v, 6))[0] for v in range(64)}
+    values = {fn.oracle(v)[0] for v in range(64)}
     assert len(values) == 64
     assert max(values) < Fraction(1, 64)
     assert min(values) == 0
@@ -120,7 +122,7 @@ def test_extracting_owner_cannot_decode_rounded_answers():
     follow_up = owner(1, [y1])
     assert follow_up.delta == 0
     for v in range(0, 256, 17):
-        assert follow_up.oracle(int_to_bits(v, 8)) == (Fraction(0),)
+        assert follow_up.oracle(v) == (Fraction(0),)
     y2 = session.answer(follow_up)
     assert abs(y2[0]) <= EXTRACT_CFG.error_bound
 
@@ -128,5 +130,44 @@ def test_extracting_owner_cannot_decode_rounded_answers():
 def test_extracting_owner_goes_quiet_after_round_two():
     owner = extracting_owner(4, Fraction(1, 16))
     fn = owner(5, [(Fraction(0),), (Fraction(0),)])
-    assert fn.oracle("1010") == (Fraction(0),)
+    assert fn.oracle(0b0101) == (Fraction(0),)
     assert fn.delta == 0
+
+
+# One main session per owner at a fixed key, pinned to the answers and the
+# byte-exact transcript JSON that the string-sample implementation produced:
+# an oracle now gets an n-bit int, and the transcript still writes x as the
+# bit string drawn.
+PIN_CFG = StewardConfig(
+    n=8, k=3, d=2, epsilon=Fraction(1, 128), delta=Fraction(1, 128), gamma=Fraction(1, 16)
+)
+PIN_X = [0b10101011, 0b01010101, 0b10101110]  # drawn as "11010101", "10101010", "01110101"
+PINS = {
+    "constant": (
+        lambda: constant_owner([(Fraction(1, 3), Fraction(-5, 16))], d=2),
+        [("45/128", "-39/128")] * 3,
+        "ddc2eaad8fa0c5f620e01b1dd28bc5e6e3d423e0a3d6eb2225c4f3981bf59b69",
+    ),
+    "boundary": (
+        lambda: boundary_owner(PIN_CFG.epsilon, d=2),
+        [("9/128", "15/128"), ("15/128", "21/128"), ("21/128", "27/128")],
+        "5b49c445cd816d1680d4141a4fa0ff831a5803cd3919ee35641d6cc68ce66b02",
+    ),
+    "extracting": (
+        lambda: extracting_owner(PIN_CFG.n, PIN_CFG.epsilon, d=2),
+        [("3/128", "3/128")] * 3,
+        "d7781383d2e270fb7d6e0a44c5fc39502c79906782fec0eed944b75a2883edb8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_main_session_pins_the_owner_contract(name):
+    make_owner, answers, digest = PINS[name]
+    t = run_steward(PIN_CFG, make_owner(), CounterSource(master=b"owner-contract", index=0))
+    assert [tuple(str(v) for v in y) for y in t.responses()] == answers
+    assert [r.x for r in t.rounds] == PIN_X
+    text = t.to_json()
+    xs = [r["x"] for r in json.loads(text)["rounds"]]
+    assert xs == ["11010101", "10101010", "01110101"]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -15,7 +15,9 @@ from randsteward.bdt import (
     tv_distance,
 )
 
-from oracles import ref_tree_distribution
+from randsteward.randomness import int_to_bits
+
+from oracles import ref_bits_to_int, ref_tree_distribution
 
 DEMO = table_tree(
     k=2,
@@ -50,31 +52,36 @@ def test_shape_validation():
 def test_callback_symbol_range_enforced():
     tree = BlockDecisionTree(k=1, n=1, sigma=2, transition=lambda p, b: 5)
     with pytest.raises(ValueError):
-        evaluate(tree, ["0"])
+        evaluate(tree, [0])
 
 
 def test_evaluate_goldens():
-    assert evaluate(DEMO, ["1", "0"]) == (1, 0)
-    assert evaluate(DEMO, ["0", "1"]) == (0, 1)
-    assert evaluate(DEMO, ["0", "0"]) == (0, 1)  # node (0,) maps everything to 1
+    assert evaluate(DEMO, [1, 0]) == (1, 0)
+    assert evaluate(DEMO, [0, 1]) == (0, 1)
+    assert evaluate(DEMO, [0, 0]) == (0, 1)  # node (0,) maps everything to 1
 
 
 def test_evaluate_defaults_missing_nodes_to_zero():
     tree = table_tree(k=3, n=1, sigma=3, tables={(): [2, 1]})
-    assert evaluate(tree, ["0", "1", "1"]) == (2, 0, 0)
+    assert evaluate(tree, [0, 1, 1]) == (2, 0, 0)
 
 
 def test_evaluate_validates_blocks():
     with pytest.raises(ValueError):
-        evaluate(DEMO, ["1"])
+        evaluate(DEMO, [1])
     with pytest.raises(ValueError):
-        evaluate(DEMO, ["10", "0"])
+        evaluate(DEMO, [2, 0])  # a two-bit block in a one-bit tree
+    with pytest.raises(ValueError):
+        evaluate(DEMO, [-1, 0])
 
 
 def test_split_blocks():
-    assert split_blocks("011011", 2, 3) == ["01", "10", "11"]
+    # the bits "01", "10", "11" in drawing order: block j is bits 2j, 2j + 1
+    assert split_blocks(0b110110, 2, 3) == [0b10, 0b01, 0b11]
     with pytest.raises(ValueError):
-        split_blocks("0110", 2, 3)
+        split_blocks(1 << 6, 2, 3)
+    with pytest.raises(ValueError):
+        split_blocks(-1, 2, 3)
 
 
 def test_uniform_distribution_matches_reference():
@@ -84,11 +91,38 @@ def test_uniform_distribution_matches_reference():
             tree = random_table_tree(rng, k, n, sigma)
             got = exact_node_distribution(tree)
             want = ref_tree_distribution(
-                lambda bits: evaluate(tree, split_blocks(bits, n, k)), k, n
+                lambda bits: _ref_path(tree.tables, n, k, bits), k, n
             )
             denom = 1 << (n * k)
             assert got.probs == {p: Fraction(c, denom) for p, c in want.items()}
             assert got.total() == 1
+
+
+def _ref_path(tables, n: int, k: int, bits: str) -> tuple[int, ...]:
+    """The leaf path on a bit string, read block by block from the tables."""
+    path = ()
+    for j in range(k):
+        row = tables.get(path)
+        path += (0 if row is None else int(row[ref_bits_to_int(bits[j * n : (j + 1) * n])]),)
+    return path
+
+
+def test_generator_distribution_matches_string_reference():
+    # an int generator against the string tree walk over every seed; the
+    # strings exist only here
+    rng = random.Random(20_240_818)
+    for k, n, sigma, seed_len in [(2, 1, 2, 3), (3, 2, 2, 5), (2, 3, 4, 8), (4, 2, 3, 6)]:
+        for _ in range(3):
+            tree = random_table_tree(rng, k, n, sigma)
+            outputs = [rng.getrandbits(n * k) for _ in range(1 << seed_len)]
+            got = exact_node_distribution(tree, generator=outputs.__getitem__, seed_len=seed_len)
+            want = ref_tree_distribution(
+                lambda bits: _ref_path(
+                    tree.tables, n, k, int_to_bits(outputs[ref_bits_to_int(bits)], n * k)
+                ),
+                1, seed_len,
+            )
+            assert got.probs == {p: Fraction(c, 1 << seed_len) for p, c in want.items()}
 
 
 def test_counting_agrees_with_enumeration():
@@ -110,7 +144,7 @@ def test_identity_generator_reproduces_uniform():
 
 
 def test_constant_generator_is_a_point_mass():
-    dist = exact_node_distribution(DEMO, generator=lambda s: "10", seed_len=3)
+    dist = exact_node_distribution(DEMO, generator=lambda s: 0b01, seed_len=3)
     assert dist.probs == {(1, 0): Fraction(1)}
     uniform = exact_node_distribution(DEMO)
     assert tv_distance(dist, uniform) == 1 - uniform.probs[(1, 0)]
@@ -130,9 +164,9 @@ def test_enumeration_caps():
     with pytest.raises(CapExceeded):
         exact_node_distribution(big)
     with pytest.raises(CapExceeded):
-        exact_node_distribution(DEMO, generator=lambda s: "00", seed_len=30)
+        exact_node_distribution(DEMO, generator=lambda s: 0, seed_len=30)
     with pytest.raises(ValueError):
-        exact_node_distribution(DEMO, generator=lambda s: "00")  # seed_len missing
+        exact_node_distribution(DEMO, generator=lambda s: 0)  # seed_len missing
     # a permissive cap lets the same instance through
     small = table_tree(k=2, n=1, sigma=2, tables={})
     assert exact_node_distribution(small, cap=2).total() == 1
@@ -140,4 +174,4 @@ def test_enumeration_caps():
 
 def test_generator_output_length_checked():
     with pytest.raises(ValueError):
-        exact_node_distribution(DEMO, generator=lambda s: "0", seed_len=2)
+        exact_node_distribution(DEMO, generator=lambda s: 4, seed_len=2)  # 3 bits, nk = 2

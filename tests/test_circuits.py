@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +25,10 @@ from randsteward.circuits import (
     run_promise_bpp_oracle_algorithm,
     to_truth_table,
 )
-from randsteward.randomness import CounterSource
+from randsteward.randomness import CounterSource, int_to_bits
 from randsteward.steward import StewardProtocolError
 
+from harness import random_circuit
 from oracles import ref_eval_circuit
 
 N = 3
@@ -118,8 +120,20 @@ def test_print_parse_round_trip(expr):
 @settings(max_examples=150)
 @given(expr=circuit_asts, point=st.integers(0, (1 << N) - 1))
 def test_eval_matches_reference(expr, point):
-    bits = format(point, f"0{N}b")[::-1]
-    assert eval_on_ints(expr, np.array([point])).tolist() == [ref_eval_circuit(expr, bits)]
+    want = ref_eval_circuit(expr, int_to_bits(point, N))
+    assert eval_on_ints(expr, np.array([point])).tolist() == [want]
+
+
+def test_eval_matches_reference_at_random_widths():
+    # random circuits on up to 40 inputs at random points; the strings
+    # exist only here
+    rng = random.Random(121)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        expr = parse_circuit(random_circuit(rng, n, depth=4), n)
+        xs = [rng.getrandbits(n) for _ in range(8)]
+        want = [ref_eval_circuit(expr, int_to_bits(x, n)) for x in xs]
+        assert eval_on_ints(expr, np.array(xs, dtype=np.uint64)).tolist() == want
 
 
 def test_eval_is_little_endian():
@@ -226,7 +240,7 @@ def test_promise_bpp_runner_decides_with_noise():
     for decision in (int, np.bool_):
 
         def oracle(query, coins):
-            wrong = coins.startswith("11")
+            wrong = coins & 3 == 3  # the first two coins drawn are 1
             return decision((query % 2 == 0) != wrong)
 
         answers = run_promise_bpp_oracle_algorithm(
@@ -244,7 +258,7 @@ def test_promise_bpp_runner_tolerates_promise_violations():
     # a coin-flip oracle satisfies no promise; the answer is unspecified
     # but the protocol must still complete
     def oracle(query, coins):
-        return int(coins[0] == "1")
+        return coins & 1
 
     out = run_promise_bpp_oracle_algorithm(
         lambda ask: ask("whatever"),
@@ -261,10 +275,10 @@ def test_promise_bpp_runner_tolerates_promise_violations():
 
 
 def test_app_runner_estimates_with_bad_tapes():
-    # phi is exact except on the 1/4 of tapes starting "11", where it is
-    # wildly wrong; the median repair keeps every answer within epsilon
+    # phi is exact except on the 1/4 of tapes whose first two coins are 1,
+    # where it is wildly wrong; the median repair keeps every answer within epsilon
     def phi(w, coins):
-        return w + 17 if coins.startswith("11") else w
+        return w + 17 if coins & 3 == 3 else w
 
     targets = [Fraction(1, 3), Fraction(3, 4)]
     out = run_app_oracle_algorithm(

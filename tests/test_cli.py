@@ -130,6 +130,16 @@ def test_gl_cli_recovers_a_parity(capsys, tmp_path):
     assert "1 heavy prefixes, 349 bits" in err
 
 
+def test_gl_rejects_a_malformed_truth_table(capsys, tmp_path):
+    table = tmp_path / "long.tt"
+    table.write_text("n=1\nffff\n")  # n=1 packs into one byte, not two
+    rc, out, err = run_cli(
+        ["gl", "--truth-table", str(table), "--theta", "1", "--delta", "1/2"], capsys
+    )
+    assert rc == 1 and out == ""
+    assert "error: n=1 needs 1 table bytes, got 2" in err
+
+
 def test_gl_plans_the_steward_schedule_once(capsys, tmp_path, monkeypatch):
     # the command, the search and the audit each build a config for the same
     # plan; planning it once serves all three

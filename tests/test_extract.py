@@ -8,10 +8,10 @@ from randsteward.expander import SECOND_EIGENVALUE_BOUND, seed_start
 from randsteward.extract import (
     ExtractorParams,
     FreshExtractorParams,
-    extract,
+    extract_int,
     plan_extractor,
 )
-from randsteward.randomness import bits_to_int
+from randsteward.randomness import int_to_bits
 
 from oracles import bits_from_vertex, ref_extract, ref_walk_distribution
 
@@ -79,61 +79,46 @@ def test_seed_lengths():
 
 def test_fresh_extract_returns_seed():
     params = FreshExtractorParams(s=4)
-    assert extract(params, "1011", "0100") == "0100"
-    with pytest.raises(ValueError):
-        extract(params, "101", "0100")
-    with pytest.raises(ValueError):
-        extract(params, "1011", "010")
+    assert extract_int(params, 0b1101, 0b0010) == 0b0010
 
 
 def test_walk_extract_golden():
     params = plan_extractor(4, 0, Fraction(1, 2))
     assert params.walk_len == 23
-    assert extract(params, "1011", "011" * 23) == "1010"
+    labels = sum(6 << 3 * i for i in range(23))  # the bits "011" repeated
+    assert extract_int(params, 0b1101, labels) == 0b0101
 
 
 def test_walk_extract_matches_string_reference():
-    # the int core behind extract against the old walk over '0'/'1' strings
+    # extract_int against the walk over '0'/'1' strings, at random inputs;
+    # the strings exist only here
     rng = random.Random(80_021)
     for s in range(1, 14):
         for t in (0, 1, 3):
             params = plan_extractor(s, t, Fraction(1, rng.randrange(2, 9)))
-            for _ in range(20):
-                x = "".join(rng.choice("01") for _ in range(s))
-                y = "".join(rng.choice("01") for _ in range(params.seed_len))
-                assert extract(params, x, y) == ref_extract(params, x, y)
-
-
-def test_walk_extract_validates_lengths():
-    params = plan_extractor(4, 0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        extract(params, "10110", "011" * 23)
-    with pytest.raises(ValueError):
-        extract(params, "1011", "011")
+            for p in (params, FreshExtractorParams(s)):
+                for _ in range(20):
+                    x, y = rng.getrandbits(s), rng.getrandbits(p.seed_len)
+                    want = ref_extract(p, int_to_bits(x, s), int_to_bits(y, p.seed_len))
+                    assert int_to_bits(extract_int(p, x, y), s) == want
 
 
 def test_walk_extract_bijective_in_input():
     params = plan_extractor(4, 0, Fraction(1, 2))
-    seed = "101" * params.walk_len
-    outputs = {extract(params, format(v, "04b")[::-1], seed) for v in range(16)}
+    seed = sum(5 << 3 * i for i in range(params.walk_len))  # the bits "101" repeated
+    outputs = {extract_int(params, v, seed) for v in range(16)}
     assert len(outputs) == 16
 
 
 def _subcube_start(s: int, positions: tuple[int, ...], vals: tuple[str, ...]) -> dict:
-    """Integer start weights (one per string) for the subcube fixing the
+    """Integer start weights (one per input) for the subcube fixing the
     given bit positions, mapped onto torus vertices."""
     start: dict = {}
-    free_count = s - len(positions)
-    for u in range(1 << free_count):
-        free = format(u, f"0{free_count}b")[::-1] if free_count else ""
-        bits, fi = [], 0
-        for i in range(s):
-            if i in positions:
-                bits.append(vals[positions.index(i)])
-            else:
-                bits.append(free[fi])
-                fi += 1
-        v = seed_start(bits_to_int("".join(bits)), (s + 1) // 2)
+    free = [i for i in range(s) if i not in positions]
+    fixed = sum(1 << i for i, b in zip(positions, vals) if b == "1")
+    for u in range(1 << len(free)):
+        x = fixed | sum(1 << i for j, i in enumerate(free) if u >> j & 1)
+        v = seed_start(x, (s + 1) // 2)
         start[v] = start.get(v, 0) + 1
     return start
 

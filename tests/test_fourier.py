@@ -122,7 +122,7 @@ def test_boolean_function_validation():
     with pytest.raises(ValueError):
         BooleanFunction(n=1, table=[1, 2])
     with pytest.raises(ValueError):
-        as_boolean_function(lambda bits: 1)  # callable needs explicit n
+        as_boolean_function(lambda x: 1)  # callable needs explicit n
 
 
 def test_explicit_n_must_match_the_table():
@@ -135,9 +135,9 @@ def test_explicit_n_must_match_the_table():
 
 
 def test_callback_materialization():
-    fn = BooleanFunction(n=2, query=lambda bits: -1 if bits == "11" else 1)
+    fn = BooleanFunction(n=2, query=lambda x: -1 if x == 0b11 else 1)
     assert fn.materialize().tolist() == [1, 1, 1, -1]
-    big = BooleanFunction(n=MATERIALIZE_CAP + 1, query=lambda bits: 1)
+    big = BooleanFunction(n=MATERIALIZE_CAP + 1, query=lambda x: 1)
     with pytest.raises(ValueError):
         big.materialize()
 
@@ -152,6 +152,19 @@ def test_truth_table_files():
     for n in (0, 1, 4, 6):
         tab = rng.choice([-1, 1], size=1 << n).tolist()
         assert load_truth_table(dump_truth_table(tab)).tolist() == tab
+    assert dump_truth_table(CHI1) == "n=2\n0a\n"
+    assert dump_truth_table([-1] * 16) == "n=4\nffff\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n=1\nffff", "needs 1 table bytes, got 2"),  # a whole surplus byte
+    ("n=4\nff", "needs 2 table bytes, got 1"),
+    ("n=3\n", "needs 1 table bytes, got 0"),
+    ("n=-1\n00", "n must be >= 0"),
+])
+def test_truth_table_files_reject_malformed_tables(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_truth_table(text)
 
 
 # ---------------------------------------------------------------- estimation
@@ -203,9 +216,9 @@ def test_estimate_w_is_unbiased_for_majority():
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 
 
-def _pointwise_weights(table, cand_ints, ell, n, plan, tape_bits):
+def _pointwise_weights(table, cand_ints, ell, n, plan, tape):
     """The reference: the same batches as the package, summed point by point."""
-    seeds = _batch_seeds(plan, TapeSource(tape_bits[: plan.seed_bits]))
+    seeds = _batch_seeds(plan, tape & ((1 << plan.seed_bits) - 1))
     width = n + ell
     batches = [batch_points(a, b, plan.t0, plan.field_bits, width) for a, b in seeds]
     return ref_weights_pointwise(table, cand_ints, ell, n, batches, plan.t0)
@@ -241,8 +254,7 @@ def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
                     n=width, epsilon=Fraction(1, 2), delta=Fraction(1, 2), mode=mode,
                     t0=t0, r=3, field_bits=field_bits,
                 )
-                random_tape = int_to_bits(rng.getrandbits(plan.seed_bits), plan.seed_bits)
-                for tape in ["0" * plan.seed_bits, random_tape]:
+                for tape in [0, rng.getrandbits(plan.seed_bits)]:
                     got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
                     assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
     assert all(calls[name] > 0 for name in ("_add_coset_histogram", "_dual_coset_sums",
@@ -296,9 +308,9 @@ def test_search_and_estimates_match_pointwise_reference(monkeypatch):
     real = fourier._weights_from_tape
     levels = []
 
-    def checked(table, cand_ints, ell, n, plan, tape_bits):
-        got = real(table, cand_ints, ell, n, plan, tape_bits)
-        assert got == _pointwise_weights(table, cand_ints, ell, n, plan, tape_bits)
+    def checked(table, cand_ints, ell, n, plan, tape):
+        got = real(table, cand_ints, ell, n, plan, tape)
+        assert got == _pointwise_weights(table, cand_ints, ell, n, plan, tape)
         levels.append(ell)
         return got
 

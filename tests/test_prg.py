@@ -7,7 +7,7 @@ import pytest
 from randsteward.bdt import exact_node_distribution, table_tree, tv_distance
 from randsteward.extract import ExtractorParams, FreshExtractorParams
 from randsteward.prg import BACKENDS, build_schedule, expand
-from randsteward.randomness import CounterSource
+from randsteward.randomness import int_to_bits
 
 from oracles import ref_expand
 
@@ -37,7 +37,7 @@ def test_single_block_schedule_is_trivial():
     assert s.levels == 0
     assert s.extractors == ()
     assert s.seed_len == 6
-    assert expand(s, "010011") == "010011"
+    assert expand(s, 0b110010) == 0b110010
 
 
 def test_deficits_are_exact_log_ceilings():
@@ -77,8 +77,8 @@ def test_fresh_backend_is_the_identity():
     assert s.levels == 2
     assert all(isinstance(p, FreshExtractorParams) for p in s.extractors)
     assert s.seed_len == 3 * (1 << s.levels) == 12
-    seed = "011010110101"
-    assert expand(s, seed) == seed[:9]  # truncated to nk
+    seed = 0b101011010110
+    assert expand(s, seed) == seed & 0x1FF  # truncated to nk = 9 bits
 
 
 def test_fresh_backend_output_is_exactly_uniform():
@@ -86,7 +86,7 @@ def test_fresh_backend_output_is_exactly_uniform():
     tree = table_tree(k=2, n=2, sigma=2, tables={(): [0, 1, 1, 0], (1,): [1, 0, 0, 1]})
     uniform = exact_node_distribution(tree)
     seeded = exact_node_distribution(
-        tree, generator=lambda bits: expand(s, bits), seed_len=s.seed_len
+        tree, generator=lambda seed: expand(s, seed), seed_len=s.seed_len
     )
     assert tv_distance(uniform, seeded) == 0
 
@@ -95,34 +95,35 @@ def test_expander_expand_golden():
     s = build_schedule(2, 2, 2, Fraction(1, 2))
     assert s.seed_len == 104
     assert s.extractors[0].walk_len == 34
-    seed = ("10" * 52)[: s.seed_len]
-    assert expand(s, seed) == "1000"
+    seed = int("5" * 26, 16)  # bits 0, 2, 4, ... of 104
+    assert expand(s, seed) == 0b0001
 
 
 def test_expand_deterministic_and_sized():
     s = build_schedule(3, 4, 2, Fraction(1, 4))
-    seed = ("110" * s.seed_len)[: s.seed_len]
+    seed = sum(3 << i for i in range(0, s.seed_len - 1, 3))  # bits "110" repeated
     out = expand(s, seed)
-    assert len(out) == 12
+    assert 0 <= out < 1 << 12
     assert expand(s, seed) == out
-    assert set(out) <= {"0", "1"}
 
 
 def test_expand_starts_with_left_recursion():
     # G(x, y) = G'(x) || G'(Ext(x, y)): flipping only y never changes the left half
     s = build_schedule(2, 4, 2, Fraction(1, 2))
-    x = "01" * (s.s[s.levels - 1] // 2)
-    x = x[: s.s[s.levels - 1]]
-    tail = s.seed_len - len(x)
-    out_a = expand(s, x + "0" * tail)
-    out_b = expand(s, x + "1" * tail)
+    x_len = s.s[s.levels - 1]
+    x = int("10" * (x_len // 2), 2)  # bits "01" repeated
+    tail = s.seed_len - x_len
+    out_a = expand(s, x)
+    out_b = expand(s, x | ((1 << tail) - 1) << x_len)
     half = s.n * (1 << (s.levels - 1))
-    assert out_a[:half] == out_b[:half]
+    assert out_a & ((1 << half) - 1) == out_b & ((1 << half) - 1)
+    assert out_a != out_b
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_expand_matches_string_reference_bit_for_bit(backend):
-    # the int recursion against the old walk over '0'/'1' strings
+    # the int generator against the walk over '0'/'1' strings, at random
+    # seeds; the strings exist only here
     rng = random.Random(70_011)
     seen_parity = set()
     for k in range(1, 10):
@@ -131,15 +132,19 @@ def test_expand_matches_string_reference_bit_for_bit(backend):
             schedule = build_schedule(n, k, sigma, Fraction(1, rng.randrange(2, 17)), backend)
             seen_parity.update(s % 2 for s in schedule.s)
             for i in range(3):
-                seed = CounterSource(b"expand-diff", 100 * k + 10 * n + i).draw(schedule.seed_len)
-                assert expand(schedule, seed) == ref_expand(schedule, seed), (k, n, i)
+                seed = rng.getrandbits(schedule.seed_len)
+                got = int_to_bits(expand(schedule, seed), schedule.output_len)
+                assert got == ref_expand(schedule, int_to_bits(seed, schedule.seed_len)), (k, n)
     assert seen_parity == {0, 1}
 
 
 def test_expand_rejects_wrong_seed_length():
     s = build_schedule(4, 2, 2, Fraction(1, 4))
+    expand(s, (1 << s.seed_len) - 1)
     with pytest.raises(ValueError):
-        expand(s, "0" * (s.seed_len - 1))
+        expand(s, 1 << s.seed_len)
+    with pytest.raises(ValueError):
+        expand(s, -1)
 
 
 def test_schedule_json_report():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -149,3 +152,27 @@ def test_hex_requires_enough_bits():
 @given(bits=bitstrings)
 def test_hex_round_trip(bits):
     assert hex_to_bits(bits_to_hex(bits), len(bits)) == bits
+
+
+CODECS = {"bits_to_int", "int_to_bits", "hex_to_bits", "bits_to_hex"}
+# where a person reads or writes bits: the sources, the CLI, a transcript's
+# JSON and GL's printed strings
+CODEC_MODULES = {"randomness", "cli", "steward", "fourier"}
+
+
+def test_only_the_edge_modules_use_the_bit_codecs():
+    # past a draw, bits are ints; any other module naming a codec, by import
+    # or as a module attribute, converts where it should not
+    src = Path(__file__).resolve().parents[1] / "src" / "randsteward"
+    users = {}
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if names & CODECS:
+            users[path.stem] = sorted(names & CODECS)
+    assert "prg" in {p.stem for p in src.glob("*.py")}
+    assert set(users) <= CODEC_MODULES, users

@@ -17,7 +17,6 @@ from randsteward.sampler import (
     TruthTableOracle,
     _batch_seeds,
     averaging_points,
-    averaging_sample,
     batch_cosets,
     lower_median,
     median_amplify,
@@ -26,6 +25,7 @@ from randsteward.sampler import (
     run_sampler,
 )
 
+from harness import random_circuit
 from oracles import (
     batch_points,
     lower_median_ref,
@@ -38,6 +38,14 @@ from oracles import (
 )
 
 PARITY3 = TruthTableOracle([0, 1, 1, 0, 1, 0, 0, 1])
+
+
+def _seed(plan, master: bytes, index: int = 0) -> int:
+    """A plan's seed, drawn and decoded as the library's draw sites do."""
+    source = CounterSource(master, index)
+    seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
+    assert source.report.bits_drawn == plan.seed_bits
+    return seed
 
 
 # ---------------------------------------------------------------- gf2 backing
@@ -221,18 +229,18 @@ def test_points_are_pairwise_uniform():
 
 def test_run_sampler_exact_and_budgeted():
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2))
-    run = run_sampler(plan, PARITY3, CounterSource(master=b"sampler", index=0))
+    run = run_sampler(plan, PARITY3, _seed(plan, b"sampler"))
     assert run.estimate == Fraction(1, 2)
-    assert run.bits_used == plan.seed_bits == 29
+    assert plan.seed_bits == 29
     assert len(run.batch_means) == plan.r
     assert all(m.denominator <= plan.t0 for m in run.batch_means)
 
 
 def test_run_sampler_independent_mode():
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2), mode="independent")
-    run = run_sampler(plan, PARITY3, CounterSource(master=b"sampler", index=0))
+    run = run_sampler(plan, PARITY3, _seed(plan, b"sampler"))
     assert run.estimate == Fraction(1, 2)
-    assert run.bits_used == plan.seed_bits == 64
+    assert plan.seed_bits == 64
 
 
 def test_oracle_size_must_match_the_plan():
@@ -240,15 +248,16 @@ def test_oracle_size_must_match_the_plan():
     for n in (2, 5):
         with pytest.raises(ValueError):
             run_sampler(plan_sampler(n, Fraction(1, 2), Fraction(15, 16)),
-                        TruthTableOracle([1] * 8), CounterSource(b"size", 0))
+                        TruthTableOracle([1] * 8), 0)
 
 
 def test_sampler_consumes_exactly_its_seed():
+    # any seed of at most seed_bits bits is a whole seed; a wider one is refused
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2))
-    tape = TapeSource(("01" * plan.seed_bits)[: plan.seed_bits])
-    run = run_sampler(plan, PARITY3, tape)
-    assert tape.remaining == 0
-    assert run.bits_used == plan.seed_bits
+    run_sampler(plan, PARITY3, (1 << plan.seed_bits) - 1)
+    for seed in (1 << plan.seed_bits, -1):
+        with pytest.raises(ValueError):
+            run_sampler(plan, PARITY3, seed)
 
 
 def test_independent_single_batch_is_unbiased():
@@ -259,15 +268,14 @@ def test_independent_single_batch_is_unbiased():
     oracle = TruthTableOracle([0, 1])
     total = Fraction(0)
     for seed in range(1 << plan.seed_bits):
-        tape = TapeSource(int_to_bits(seed, plan.seed_bits))
-        total += run_sampler(plan, oracle, tape).estimate
+        total += run_sampler(plan, oracle, seed).estimate
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 
 
 def test_fn_oracle_and_fraction_values():
     plan = plan_sampler(2, Fraction(1), Fraction(1, 2))
-    oracle = FnOracle(2, lambda bits: Fraction(1, 3))
-    estimate = run_sampler(plan, oracle, CounterSource(master=b"frac", index=0)).estimate
+    oracle = FnOracle(2, lambda x: Fraction(1, 3))
+    estimate = run_sampler(plan, oracle, _seed(plan, b"frac")).estimate
     assert estimate == Fraction(1, 3)
 
 
@@ -275,21 +283,19 @@ def test_large_integer_sums_stay_exact():
     # 2**53 + 1 has no float: a batch sum must not pass through one
     plan = plan_sampler(1, Fraction(1), Fraction(15, 16), mode="independent")
     oracle = TruthTableOracle([2**53 + 1, 0])
-    run = run_sampler(plan, oracle, CounterSource(b"x", 0))
+    run = run_sampler(plan, oracle, _seed(plan, b"x"))
     assert run.batch_means == [Fraction(2**53 + 1, 2)]
 
 
 def test_fn_oracle_counts_numpy_bools():
     # an object-array sum adds np.bool_ values as logical or, not as 0/1
-    def parity(bits):
-        return bits.count("1") % 2
+    def parity(x):
+        return x.bit_count() % 2
 
     as_int = FnOracle(5, parity)
-    as_bool = FnOracle(5, lambda bits: np.bool_(parity(bits)))
+    as_bool = FnOracle(5, lambda x: np.bool_(parity(x)))
     plan = plan_sampler(5, Fraction(1, 2), Fraction(1, 4))
-    runs = [
-        run_sampler(plan, f, CounterSource(master=b"bools", index=0)) for f in (as_int, as_bool)
-    ]
+    runs = [run_sampler(plan, f, _seed(plan, b"bools")) for f in (as_int, as_bool)]
     assert runs[0].batch_means == runs[1].batch_means
     assert 0 < runs[0].estimate < 1
 
@@ -304,23 +310,22 @@ def test_float_and_mixed_values_sum_exactly():
     assert bools.cube_total() == 3
     for values, oracle, plan in [
         (floats, TruthTableOracle(floats), plan_sampler(3, Fraction(1, 2), Fraction(15, 16))),
-        (mixed, FnOracle(2, lambda bits: mixed[bits_to_int(bits)]),
+        (mixed, FnOracle(2, mixed.__getitem__),
          plan_sampler(2, Fraction(1, 2), Fraction(1, 2))),
     ]:
-        run = run_sampler(plan, oracle, CounterSource(b"floats", 0))
-        want = _pointwise_run(plan, list(map(Fraction, values)), CounterSource(b"floats", 0))
-        assert (run.batch_means, run.bits_used) == want
+        seed = _seed(plan, b"floats")
+        run = run_sampler(plan, oracle, seed)
+        assert run.batch_means == _pointwise_run(plan, list(map(Fraction, values)), seed)
 
 
-def _pointwise_run(plan, values, source):
-    """Batch means and bits drawn, summing values over every listed point."""
-    before = source.report.bits_drawn
+def _pointwise_run(plan, values, seed):
+    """Batch means, summing values over every listed point."""
     means = []
-    for a, b in _batch_seeds(plan, source):
+    for a, b in _batch_seeds(plan, seed):
         pts = batch_points(a, b, plan.t0, plan.field_bits, plan.n)
         counts = np.bincount(pts.astype(np.intp), minlength=len(values)).tolist()
         means.append(sum(k * v for k, v in zip(counts, values)) / Fraction(plan.t0))
-    return means, source.report.bits_drawn - before
+    return means
 
 
 def test_a_zero_batch_matches_pointwise():
@@ -330,34 +335,22 @@ def test_a_zero_batch_matches_pointwise():
     nf = plan.field_bits
     assert (plan.t0, nf) == (10, 4) and 2 * plan.t0 > 1 << nf
     rng = random.Random(7)
-    rest = plan.seed_bits - 2 * nf
-    tape = "0000" + "1000" + int_to_bits(rng.getrandbits(rest), rest)
-    run = run_sampler(plan, PARITY3, TapeSource(tape))
+    seed = 1 << nf | rng.getrandbits(plan.seed_bits - 2 * nf) << 2 * nf  # a = 0, b = 1
+    run = run_sampler(plan, PARITY3, seed)
     want = []
     for i in range(plan.r):
-        seed = tape[2 * nf * i : 2 * nf * (i + 1)]
-        a, b = bits_to_int(seed[:nf]), bits_to_int(seed[nf:])
+        field = seed >> 2 * nf * i
+        a, b = field & (1 << nf) - 1, field >> nf & (1 << nf) - 1
         pts = ref_affine_points(a, b, plan.t0, field_poly(nf), nf, plan.n)
         want.append(Fraction(sum(int(PARITY3.table[p]) for p in pts), plan.t0))
     assert want[0] == 1  # a = 0, b = 1: ten copies of the point 1
     assert run.batch_means == want
 
 
-class _LoggedSource(CounterSource):
-    """A counter stream that records the size of each draw."""
-
-    def __init__(self, master: bytes, index: int):
-        super().__init__(master, index)
-        self.draws = []
-
-    def draw(self, count, phase="default"):
-        self.draws.append(count)
-        return super().draw(count, phase)
-
-
 def test_batch_seeds_match_per_step_reference():
-    # one draw of the whole seed, decoded by the expander, against the
-    # string path that drew once per batch or once per walk step
+    # one int seed, decoded by the expander, against the string path that
+    # drew once per batch or once per walk step, at random seeds; the
+    # strings exist only here
     crit12 = plan_sampler(10, Fraction(1, 20) / 8, Fraction(1, 10) / 32)
     assert (crit12.r, crit12.t0, crit12.field_bits) == (67, 256000, 18)
     plans = [crit12, replace(crit12, mode="independent")]
@@ -368,29 +361,21 @@ def test_batch_seeds_match_per_step_reference():
             n=field_bits, epsilon=Fraction(1), delta=Fraction(1, 2), mode=MODES[i % 2],
             t0=1, r=i // 2 + 1, field_bits=field_bits,
         ))
-    for i, plan in enumerate(plans):
-        source = _LoggedSource(b"seeds", i)
-        got = _batch_seeds(plan, source)
-        assert source.draws == [plan.seed_bits]
-        assert got == ref_batch_seeds(plan, CounterSource(b"seeds", i))
+    for plan in plans:
+        seed = rng.getrandbits(plan.seed_bits)
+        tape = TapeSource(int_to_bits(seed, plan.seed_bits))
+        assert _batch_seeds(plan, seed) == ref_batch_seeds(plan, tape)
+        assert tape.remaining == 0
 
 
 def test_averaging_points_match_per_step_reference():
+    rng = random.Random(2025)
     for n in range(1, 13):  # odd n embeds on n + 1 bits
         plan = plan_averaging(n, Fraction(1, n % 3 + 1), Fraction(1, 4))
-        source = _LoggedSource(b"avg", n)
-        got = averaging_points(plan, source).tolist()
-        assert source.draws == [plan.seed_bits]
-        assert got == ref_averaging_points(plan, CounterSource(b"avg", n))
-
-
-def _random_circuit(rng, n: int, depth: int = 3) -> str:
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([f"x{rng.randrange(n)}"] * 4 + ["0", "1"])
-    if rng.random() < 0.2:
-        return f"~({_random_circuit(rng, n, depth - 1)})"
-    left, right = _random_circuit(rng, n, depth - 1), _random_circuit(rng, n, depth - 1)
-    return f"({left}) {rng.choice('&^|')} ({right})"
+        seed = rng.getrandbits(plan.seed_bits)
+        tape = TapeSource(int_to_bits(seed, plan.seed_bits))
+        assert averaging_points(plan, seed).tolist() == ref_averaging_points(plan, tape)
+        assert tape.remaining == 0
 
 
 class _NoCubeCircuit(_CircuitOracle):
@@ -414,17 +399,16 @@ def test_run_sampler_matches_pointwise_reference():
             values = [rng.randrange(4) for _ in range(1 << n)]
             oracle = TruthTableOracle(np.array(values, dtype=np.int64))
         elif kind in (1, 2):
-            expr = parse_circuit(_random_circuit(rng, n), n)
+            expr = parse_circuit(random_circuit(rng, n), n)
             values = to_truth_table(expr, n).tolist()
             oracle = (_CircuitOracle if kind == 1 else _NoCubeCircuit)(expr, n)
         else:
             raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)])
                    for v in (rng.randrange(2) for _ in range(1 << n))]
             values = [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]
-            oracle = FnOracle(n, lambda bits, _raw=raw: _raw[bits_to_int(bits)])
-        run = run_sampler(plan, oracle, CounterSource(master=b"diff", index=i))
-        want = _pointwise_run(plan, values, CounterSource(master=b"diff", index=i))
-        assert (run.batch_means, run.bits_used) == want
+            oracle = FnOracle(n, raw.__getitem__)
+        seed = _seed(plan, b"diff", i)
+        assert run_sampler(plan, oracle, seed).batch_means == _pointwise_run(plan, values, seed)
         kinds[kind, plan.t0 >> n > 0] += 1
     # every kind meets both plans with a whole-cube block and plans without
     assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
@@ -437,27 +421,27 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     rng = random.Random(160)
     n = 10
     values = [rng.randrange(2) for _ in range(1 << n)]
-    expr = parse_circuit(_random_circuit(rng, n, depth=5), n)
+    expr = parse_circuit(random_circuit(rng, n, depth=5), n)
     circuit_values = to_truth_table(expr, n).tolist()
     raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)]) for v in values]
     oracles = [
         (TruthTableOracle(np.array(values, dtype=np.int64)), values),
         (_CircuitOracle(expr, n), circuit_values),
         (_NoCubeCircuit(expr, n), circuit_values),
-        (FnOracle(n, lambda bits: raw[bits_to_int(bits)]),
+        (FnOracle(n, raw.__getitem__),
          [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]),
     ]
     plan = plan_sampler(n, Fraction(1, 160), Fraction(15, 16))
     assert (plan.r, plan.t0, plan.field_bits) == (1, 256000, 18)
     ranks = set()
     for i in (0, 32, 47):
-        (a, b), = _batch_seeds(plan, CounterSource(master=b"c12", index=i))
+        seed = _seed(plan, b"c12", i)
+        (a, b), = _batch_seeds(plan, seed)
         cosets = batch_cosets(a, b, plan.t0, plan.field_bits, n)
         ranks.update(len(basis) for _, _, basis in cosets)
         for oracle, want_values in oracles:
-            run = run_sampler(plan, oracle, CounterSource(master=b"c12", index=i))
-            want = _pointwise_run(plan, want_values, CounterSource(master=b"c12", index=i))
-            assert (run.batch_means, run.bits_used) == want
+            run = run_sampler(plan, oracle, seed)
+            assert run.batch_means == _pointwise_run(plan, want_values, seed)
     assert {6, 7, 8, 9, 10} <= ranks
 
 
@@ -494,26 +478,24 @@ def test_plan_averaging_goldens():
 
 def test_averaging_points_golden():
     plan = plan_averaging(4, Fraction(1), Fraction(1, 2))
-    pts = averaging_points(plan, TapeSource("1011" + "000" * 11))
+    assert plan.seed_bits == 4 + 3 * 11
+    pts = averaging_points(plan, 0b1101)  # start "1011", then eleven label-0 steps
     assert pts.tolist() == [13, 15] * 6
-    strings = averaging_sample(plan, TapeSource("1011" + "000" * 11))
-    assert strings[:2] == ["1011", "1111"]
-    assert len(strings) == plan.t
-    assert all(len(s) == 4 for s in strings)
+    assert len(pts) == plan.t
 
 
 def test_averaging_handles_odd_n():
     plan = plan_averaging(3, Fraction(1), Fraction(1, 2))
     assert plan.n_emb == 4
-    tape = TapeSource("0" * plan.seed_bits)
-    strings = averaging_sample(plan, tape)
-    assert all(len(s) == 3 for s in strings)
-    assert tape.remaining == 0
+    pts = averaging_points(plan, (1 << plan.seed_bits) - 1)
+    assert len(pts) == plan.t and all(p < 8 for p in pts.tolist())
+    with pytest.raises(ValueError):
+        averaging_points(plan, 1 << plan.seed_bits)
 
 
 def test_median_amplify_constant():
     plan = plan_averaging(4, Fraction(1), Fraction(1, 2))
-    out = median_amplify(lambda p: Fraction(2, 7), plan, CounterSource(master=b"m", index=0))
+    out = median_amplify(lambda x: Fraction(2, 7), plan, _seed(plan, b"m"))
     assert out == Fraction(2, 7)
 
 
@@ -521,11 +503,10 @@ def test_app_amplify_beats_a_third_of_bad_coins():
     # phi is wrong on 1/4 < 1/3 of coin strings; the median repair must
     # almost always return the good value
     def phi(coins):
-        return 99 if coins.startswith("11") else 1
+        return 99 if coins & 3 == 3 else 1  # the first two coins drawn are 1
 
     plan = plan_averaging(6, Fraction(1, 10), Fraction(1, 8))
     wrong = sum(
-        median_amplify(phi, plan, CounterSource(master=b"amp-trial", index=i)) != 1
-        for i in range(40)
+        median_amplify(phi, plan, _seed(plan, b"amp-trial", i)) != 1 for i in range(40)
     )
     assert wrong == 0

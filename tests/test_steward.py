@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randsteward.prg import build_schedule, expand
-from randsteward.randomness import CounterSource, TapeExhausted, TapeSource
+from randsteward.randomness import CounterSource, TapeExhausted, TapeSource, bits_to_int
 from randsteward.steward import (
     KINDS,
     ConcentratedFn,
@@ -196,7 +196,7 @@ def test_main_session_golden():
     assert y2 == (Fraction(1, 4),)
     assert sess.bits_used == 139
     assert [r.deltas for r in sess.transcript.rounds] == [(1,), (2,)]
-    assert [r.x for r in sess.transcript.rounds] == ["0010", "1111"]
+    assert [r.x for r in sess.transcript.rounds] == [0b0100, 0b1111]  # "0010", "1111"
     cert = certification_check(sess.transcript, [[Fraction(1, 2)], [Fraction(-3, 16)]])
     # certification scans from 1, so it may find a smaller consistent shift
     assert cert == [(1,), (1,)]
@@ -208,9 +208,9 @@ def test_main_blocks_come_from_the_generator():
     sess.answer(const_query(0))
     sess.answer(const_query(0))
     schedule = build_schedule(MAIN_CFG.n, MAIN_CFG.k, MAIN_CFG.sigma, MAIN_CFG.gamma)
-    seed = CounterSource(master=b"replay", index=7).draw(schedule.seed_len)
+    seed = bits_to_int(CounterSource(master=b"replay", index=7).draw(schedule.seed_len))
     out = expand(schedule, seed)
-    assert [r.x for r in sess.transcript.rounds] == [out[:4], out[4:8]]
+    assert [r.x for r in sess.transcript.rounds] == [out & 15, out >> 4]
 
 
 BITS_BY_PHASE = {
