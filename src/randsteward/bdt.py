@@ -123,20 +123,20 @@ def exact_node_distribution(
 
     With no generator the input is U_{nk}; table-backed trees are handled by
     per-node symbol counting (no enumeration), callback trees by enumerating
-    all 2^{nk} inputs.  With `generator` (a callable from a seed_len-bit int
-    to an nk-bit int) every seed is enumerated.  Either way the cap
-    bounds the bits being enumerated.
+    all 2^{nk} inputs as the seeds of the identity generator.  With
+    `generator` (a callable from a seed_len-bit int to an nk-bit int) every
+    seed is enumerated.  Either way the cap bounds the bits being enumerated.
     """
     if generator is None:
-        bits = tree.n * tree.k
-        if bits > cap:
-            raise CapExceeded(f"uniform enumeration over {bits} bits exceeds cap {cap}")
+        seed_len = tree.n * tree.k
+        if seed_len > cap:
+            raise CapExceeded(f"uniform enumeration over {seed_len} bits exceeds cap {cap}")
         if tree.tables is not None:
             return _uniform_by_counting(tree)
-        return _uniform_by_enumeration(tree)
-    if seed_len is None:
+        generator = lambda seed: seed  # callback trees: the seeds are all of U_{nk}
+    elif seed_len is None:
         raise ValueError("seed_len is required when a generator is supplied")
-    if seed_len > cap:
+    elif seed_len > cap:
         raise CapExceeded(f"seed enumeration over {seed_len} bits exceeds cap {cap}")
     counts: dict[Path, int] = {}
     for seed in range(1 << seed_len):
@@ -170,14 +170,3 @@ def _uniform_by_counting(tree: BlockDecisionTree) -> NodeDistribution:
     descend((), Fraction(1))
     return NodeDistribution(k=tree.k, sigma=tree.sigma, probs=probs)
 
-
-def _uniform_by_enumeration(tree: BlockDecisionTree) -> NodeDistribution:
-    nk = tree.n * tree.k
-    counts: dict[Path, int] = {}
-    for value in range(1 << nk):
-        path = evaluate(tree, split_blocks(value, tree.n, tree.k))
-        counts[path] = counts.get(path, 0) + 1
-    return NodeDistribution(
-        k=tree.k, sigma=tree.sigma,
-        probs={path: Fraction(c, 1 << nk) for path, c in counts.items()},
-    )

@@ -1,6 +1,13 @@
 """Finding heavy Fourier coefficients with a steward-driven prefix search.
 
-For F: {0,1}^n -> {-1, +1} and a threshold theta, the goal is every x with
+F: {0,1}^n -> {-1, +1} is given as its truth table, index x holding F(x)
+with bit i of x as input bit i.  Every entry point checks it the same way
+(_sign_table): 2^n values, each exactly +1 or -1.  The paper assumes query
+access to F, but the exact batch sums below read the whole table, so a
+query callback would be tabulated before its first query anyway; a caller
+with one passes [f(x) for x in range(1 << n)].
+
+For such an F and a threshold theta, the goal is every x with
 |F_hat(x)| >= theta, where F_hat(x) = 2^-n * sum_y F(y) * (-1)^<x, y>.  The
 search grows prefixes u bits at a time (u = floor(log2(1/theta)), at least
 1) and keeps a prefix p alive while the subcube weight
@@ -35,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -43,58 +49,20 @@ from .randomness import BitSource, BudgetReport, bits_to_int, int_to_bits
 from .sampler import SamplerPlan, _span_chunks, batch_sums, lower_median, plan_sampler
 from .steward import Session, StewardConfig
 
-MATERIALIZE_CAP = 22  # largest n for which a callback F is expanded to a table
 TEMP_BITS = 16  # batch sums touch at most ~2^16 points or dual terms per numpy pass
 
 
-@dataclass
-class BooleanFunction:
-    """F: {0,1}^n -> {-1, +1}, as a dense table and/or a query callback on
-    n-bit ints (bit i of the int is input bit i, the table's index)."""
-
-    n: int
-    table: np.ndarray | None = None
-    query: Callable[[int], int] | None = None
-
-    def __post_init__(self):
-        if self.table is None and self.query is None:
-            raise ValueError("need a truth table or a query callback")
-        if self.table is not None:
-            self.table = np.asarray(self.table, dtype=np.int8)
-            if self.table.size != 1 << self.n:
-                raise ValueError("table length must be 2^n")
-            if not np.all(np.abs(self.table) == 1):
-                raise ValueError("values must be +-1")
-
-    def materialize(self) -> np.ndarray:
-        if self.table is None:
-            if self.n > MATERIALIZE_CAP:
-                raise ValueError(
-                    f"refusing to expand a callback at n={self.n} > {MATERIALIZE_CAP}"
-                )
-            vals = [self.query(x) for x in range(1 << self.n)]
-            self.table = np.asarray(vals, dtype=np.int8)
-            if not np.all(np.abs(self.table) == 1):
-                raise ValueError("callback values must be +-1")
-        return self.table
-
-
-def as_boolean_function(f, n: int | None = None) -> BooleanFunction:
-    if isinstance(f, BooleanFunction):
-        if n is not None and f.n != n:
-            raise ValueError(f"F has n={f.n}, not n={n}")
-        return f
-    if callable(f):
-        if n is None:
-            raise ValueError("callable F needs an explicit n")
-        return BooleanFunction(n=n, query=f)
+def _sign_table(f) -> np.ndarray:
+    """F as its +-1 int8 truth table, index x holding F(x) (bit i of x is
+    input bit i).  The length must be a power of two and every value exactly
+    +1 or -1; both are checked before the cast, so no value wraps to -1."""
     table = np.asarray(f)
     size = table.size
-    if size == 0 or size & (size - 1):
-        raise ValueError("table length must be a power of two")
-    if n is not None and size != 1 << n:
-        raise ValueError(f"table length {size} is not 2^n at n={n}")
-    return BooleanFunction(n=size.bit_length() - 1, table=table)
+    if table.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError(f"F must be a flat table of 2^n values, got shape {table.shape}")
+    if not np.all((table == 1) | (table == -1)):
+        raise ValueError("F's values must be exactly +1 or -1")
+    return table.astype(np.int8)
 
 
 def wht_ints(values) -> np.ndarray:
@@ -115,64 +83,35 @@ def wht_ints(values) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """All 2^n coefficients, held exactly as Walsh sums (2^n times F_hat)."""
-
-    n: int
-    sums: np.ndarray
-
-    def coefficient(self, mask: int) -> Fraction:
-        return Fraction(int(self.sums[mask]), 1 << self.n)
-
-    def coefficients(self) -> dict[int, Fraction]:
-        """Nonzero coefficients, bitmask -> exact value."""
-        return {
-            int(m): Fraction(int(self.sums[m]), 1 << self.n)
-            for m in np.nonzero(self.sums)[0]
-        }
-
-    def heavy(self, theta: Fraction) -> list[int]:
-        """Masks with |F_hat| >= theta, ascending; exact comparison."""
-        theta = Fraction(theta)
-        bound = theta * (1 << self.n)
-        return [
-            int(m)
-            for m in range(1 << self.n)
-            if abs(int(self.sums[m])) * bound.denominator >= bound.numerator
-        ]
-
-    def parseval(self) -> Fraction:
-        return Fraction(int((self.sums.astype(object) ** 2).sum()), 1 << (2 * self.n))
-
-
-def wht(table) -> FourierSpectrum:
-    fn = as_boolean_function(table)
-    sums = wht_ints(fn.materialize())
-    return FourierSpectrum(n=fn.n, sums=sums)
-
-
-def heavy_set_exact(table, theta: Fraction) -> list[str]:
+def heavy_set_exact(f, theta: Fraction) -> list[str]:
     """All x (as bit strings, sorted) with |F_hat(x)| >= theta, exactly."""
-    spectrum = wht(table)
-    return sorted(int_to_bits(m, spectrum.n) for m in spectrum.heavy(theta))
+    table = _sign_table(f)
+    n = table.size.bit_length() - 1
+    bound = Fraction(theta) * table.size  # |F_hat(x)| >= theta iff |sums[x]| >= bound
+    return sorted(
+        int_to_bits(x, n)
+        for x, total in enumerate(wht_ints(table).tolist())
+        if abs(total) * bound.denominator >= bound.numerator
+    )
 
 
-def subcube_weight_exact(table, prefix: str) -> Fraction:
+def subcube_weight_exact(f, prefix: str) -> Fraction:
     """W_prefix = sum of F_hat(x)^2 over x whose first len(prefix) bits are prefix."""
-    spectrum = wht(table)
-    sums, n = spectrum.sums, spectrum.n
+    table = _sign_table(f)
+    n = table.size.bit_length() - 1
     ell = len(prefix)
     if ell > n:
         raise ValueError("prefix longer than n")
+    sums = wht_ints(table).tolist()
     p = bits_to_int(prefix)
-    total = sum(int(sums[p + (s << ell)]) ** 2 for s in range(1 << (n - ell)))
+    total = sum(sums[p + (s << ell)] ** 2 for s in range(1 << (n - ell)))
     return Fraction(total, 1 << (2 * n))
 
 
 def load_truth_table(text: str) -> np.ndarray:
     """Parse 'n=<int>' then the 2^n bits packed into exactly ceil(2^n / 8)
-    hex bytes, LSB first; bit 1 means F = -1.  Returns +-1 int8."""
+    hex bytes, LSB first; bit 1 means F = -1, and the padding bits of the
+    last byte (n <= 2) must be 0.  Returns +-1 int8."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("first line must be n=<int>")
@@ -183,12 +122,14 @@ def load_truth_table(text: str) -> np.ndarray:
     size = 1 << n
     if len(data) != -(-size // 8):
         raise ValueError(f"n={n} needs {-(-size // 8)} table bytes, got {len(data)}")
+    if size < 8 and data[0] >> size:  # dump_truth_table pads with zeros
+        raise ValueError(f"n={n} sets padding bits at or above bit {size}: {data.hex()}")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:size]
     return 1 - 2 * bits.astype(np.int8)
 
 
-def dump_truth_table(table) -> str:
-    table = np.asarray(table)
+def dump_truth_table(f) -> str:
+    table = _sign_table(f)
     n = table.size.bit_length() - 1
     return f"n={n}\n{np.packbits(table < 0, bitorder='little').tobytes().hex()}\n"
 
@@ -374,7 +315,7 @@ def estimate_W(
     The sampler plan over n + len(prefix) bits follows from epsilon and
     delta, so no other plan can be passed in and bias the estimate.
     """
-    table = as_boolean_function(f).materialize()
+    table = _sign_table(f)
     n = table.size.bit_length() - 1
     ell = len(prefix)
     if ell > n:
@@ -397,12 +338,12 @@ class GlResult:
         return [bits_to_int(s) for s in self.strings]
 
 
-def goldreich_levin(
-    f, theta: Fraction, delta: Fraction, source: BitSource, n: int | None = None
-) -> GlResult:
-    """Prefix search for {x : |F_hat(x)| >= theta}; misses nothing above theta
-    and returns nothing below theta/2, except with probability delta."""
-    table = as_boolean_function(f, n).materialize()
+def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> GlResult:
+    """Prefix search for {x : |F_hat(x)| >= theta} over F's +-1 truth table
+    (a query callback is tabulated first; see the module docstring); misses
+    nothing above theta and returns nothing below theta/2, except with
+    probability delta."""
+    table = _sign_table(f)
     n = table.size.bit_length() - 1
     params = gl_params(n, theta, delta)
     session = Session(params.steward_config(), source)

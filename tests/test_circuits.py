@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randsteward import circuits
+from randsteward import circuits, sampler
 from randsteward.circuits import (
     PROOF_CONSTANT,
     TRUTH_TABLE_CAP,
@@ -220,6 +220,24 @@ def test_acceptance_session_error_factor():
     assert sess.config.error_bound == Fraction(1, 2)  # 8 * (epsilon / 8)
     assert sess.config.gamma == Fraction(1, 8)
     assert sess.config.d == 1
+
+
+def test_acceptance_session_runs_the_sampler_through_its_module(monkeypatch):
+    # a wrapper patched onto sampler.run_sampler (as a tracer does) sees every
+    # round; a name bound at import in circuits would bypass it
+    calls = []
+
+    def counting(*args, _real=sampler.run_sampler):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(sampler, "run_sampler", counting)
+    sess = AcceptanceSession(
+        2, 1, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"factors", index=0)
+    )
+    sess.estimate("x0")
+    assert len(calls) == 1
+    assert calls[0][0] is sess.plan
 
 
 # ---------------------------------------------------------------- bpp runner

@@ -8,10 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from randsteward import fourier
 from randsteward.fourier import (
-    MATERIALIZE_CAP,
-    BooleanFunction,
-    FourierSpectrum,
-    as_boolean_function,
     dump_truth_table,
     estimate_W,
     gl_audit_dict,
@@ -21,7 +17,6 @@ from randsteward.fourier import (
     heavy_set_exact,
     load_truth_table,
     subcube_weight_exact,
-    wht,
     wht_ints,
 )
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
@@ -49,10 +44,9 @@ sign_tables = st.integers(0, 3).flatmap(
 
 
 def test_wht_goldens():
-    assert wht(MAJ3).sums.tolist() == [0, 4, 4, 0, 4, 0, 0, -4]
-    assert wht(CHI1).sums.tolist() == [0, 4, 0, 0]
-    assert wht(CHI1).n == 2
-    assert wht([1, 1, 1, 1]).sums.tolist() == [4, 0, 0, 0]
+    assert wht_ints(MAJ3).tolist() == [0, 4, 4, 0, 4, 0, 0, -4]
+    assert wht_ints(CHI1).tolist() == [0, 4, 0, 0]
+    assert wht_ints([1, 1, 1, 1]).tolist() == [4, 0, 0, 0]
 
 
 def test_wht_matches_brute_force():
@@ -73,7 +67,7 @@ def test_wht_involution(table):
 @settings(max_examples=60)
 @given(table=sign_tables)
 def test_parseval(table):
-    assert wht(table).parseval() == 1
+    assert subcube_weight_exact(table, "") == 1
 
 
 def test_wht_rejects_bad_lengths():
@@ -84,15 +78,17 @@ def test_wht_rejects_bad_lengths():
 
 
 def test_spectrum_accessors():
-    spec = wht(MAJ3)
-    assert spec.coefficient(1) == Fraction(1, 2)
-    assert spec.coefficient(7) == Fraction(-1, 2)
-    assert spec.coefficients() == {
+    # coefficients are the Walsh sums over 2^n; heavy_set_exact reads them exactly
+    coefficients = {
+        x: Fraction(int(s), len(MAJ3)) for x, s in enumerate(wht_ints(MAJ3)) if s
+    }
+    assert coefficients == {
         1: Fraction(1, 2), 2: Fraction(1, 2), 4: Fraction(1, 2), 7: Fraction(-1, 2)
     }
-    assert spec.heavy(Fraction(2, 5)) == [1, 2, 4, 7]
-    assert spec.heavy(Fraction(1, 2)) == [1, 2, 4, 7]  # threshold is inclusive
-    assert spec.heavy(Fraction(51, 100)) == []
+    assert heavy_set_exact(MAJ3, Fraction(2, 5)) == ["001", "010", "100", "111"]
+    # MAJ3's four nonzero coefficients are exactly +-1/2: the threshold is inclusive
+    assert heavy_set_exact(MAJ3, Fraction(1, 2)) == ["001", "010", "100", "111"]
+    assert heavy_set_exact(MAJ3, Fraction(51, 100)) == []
 
 
 def test_heavy_set_exact_strings():
@@ -111,35 +107,34 @@ def test_subcube_weights():
         subcube_weight_exact(MAJ3, "0101")
 
 
-# ---------------------------------------------------------------- functions
+# ---------------------------------------------------------------- tables
 
 
-def test_boolean_function_validation():
-    with pytest.raises(ValueError):
-        BooleanFunction(n=2)
-    with pytest.raises(ValueError):
-        BooleanFunction(n=2, table=[1, -1])
-    with pytest.raises(ValueError):
-        BooleanFunction(n=1, table=[1, 2])
-    with pytest.raises(ValueError):
-        as_boolean_function(lambda x: 1)  # callable needs explicit n
+LOSSY_TABLES = [
+    np.array([1, 255, 1, 255]),  # 255 wraps to -1 in an int8 cast
+    [1.0, -1.7, 1, -1],  # -1.7 truncates to -1
+    [1, -1, 1],  # length not a power of two
+    [],
+]
 
 
-def test_explicit_n_must_match_the_table():
-    assert as_boolean_function(CHI1, 2).n == 2
-    for f in (CHI1, BooleanFunction(n=2, table=CHI1)):
+def test_sign_table_rejects_lossy_inputs():
+    source = TapeSource("0" * 64)
+    for bad in LOSSY_TABLES:
         with pytest.raises(ValueError):
-            as_boolean_function(f, 5)
+            heavy_set_exact(bad, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            goldreich_levin(bad, Fraction(1, 2), Fraction(1, 2), source)
+        with pytest.raises(ValueError):
+            subcube_weight_exact(bad, "")
+        with pytest.raises(ValueError):
+            estimate_W(bad, "", Fraction(1, 2), Fraction(1, 4), source)
+    assert source.report.bits_drawn == 0
     with pytest.raises(ValueError):
-        goldreich_levin(CHI1, 1, Fraction(1, 2), TapeSource("0" * 64), n=5)
-
-
-def test_callback_materialization():
-    fn = BooleanFunction(n=2, query=lambda x: -1 if x == 0b11 else 1)
-    assert fn.materialize().tolist() == [1, 1, 1, -1]
-    big = BooleanFunction(n=MATERIALIZE_CAP + 1, query=lambda x: 1)
-    with pytest.raises(ValueError):
-        big.materialize()
+        heavy_set_exact([[1, -1], [1, -1]], Fraction(1, 2))  # not a flat table
+    # exact +-1 values pass whatever their dtype
+    assert heavy_set_exact([1.0, -1.0, 1.0, -1.0], Fraction(1, 2)) == ["10"]
+    assert heavy_set_exact(np.array(CHI1, dtype=np.int8), Fraction(1, 2)) == ["10"]
 
 
 def test_truth_table_files():
@@ -154,6 +149,9 @@ def test_truth_table_files():
         assert load_truth_table(dump_truth_table(tab)).tolist() == tab
     assert dump_truth_table(CHI1) == "n=2\n0a\n"
     assert dump_truth_table([-1] * 16) == "n=4\nffff\n"
+    for bad in LOSSY_TABLES:  # no file that load_truth_table would misread
+        with pytest.raises(ValueError):
+            dump_truth_table(bad)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -161,6 +159,8 @@ def test_truth_table_files():
     ("n=4\nff", "needs 2 table bytes, got 1"),
     ("n=3\n", "needs 1 table bytes, got 0"),
     ("n=-1\n00", "n must be >= 0"),
+    ("n=1\nff", "padding bits"),
+    ("n=2\nf5", "padding bits"),
 ])
 def test_truth_table_files_reject_malformed_tables(text, message):
     with pytest.raises(ValueError, match=message):
