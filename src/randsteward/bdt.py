@@ -10,16 +10,15 @@ distributions.
 
 A block is an n-bit int whose bit i is the block's i-th bit, and k blocks
 are one nk-bit int, block j in bits j*n .. (j+1)*n - 1; split_blocks cuts it
-by shift and mask.  Trees are either table-backed (one row of 2^n symbols
-per node, indexed by the block) or callback-backed.  Nodes omitted from a
-table default to constant symbol 0, which keeps sparse fixtures small.
+by shift and mask.  A tree is its tables: one row of 2^n symbols per node,
+indexed by the block.  Nodes omitted from the tables default to constant
+symbol 0, which keeps sparse fixtures small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -37,38 +36,23 @@ class BlockDecisionTree:
     k: int
     n: int
     sigma: int
-    transition: Callable[[Path, int], int]
-    tables: dict[Path, np.ndarray] | None = None
+    tables: dict[Path, np.ndarray]
+    # one symbol is read per block, which is cheaper from a list than from numpy
+    _symbols: dict[Path, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.sigma < 1:
             raise ValueError("need k >= 1, n >= 1, sigma >= 1")
-
-    def node_symbol(self, path: Path, block: int) -> int:
-        sym = self.transition(path, block)
-        if not 0 <= sym < self.sigma:
-            raise ValueError(f"node {path} produced symbol {sym} outside 0..{self.sigma - 1}")
-        return sym
-
-
-def table_tree(k: int, n: int, sigma: int, tables: dict[Path, np.ndarray]) -> BlockDecisionTree:
-    rows = {}
-    for path, row in tables.items():
-        row = np.asarray(row, dtype=np.int64)
-        if row.shape != (1 << n,):
-            raise ValueError(f"node {path}: table row must have 2^{n} entries")
-        if row.min() < 0 or row.max() >= sigma:
-            raise ValueError(f"node {path}: symbols out of range")
-        rows[tuple(path)] = row
-
-    # one symbol is read per block, which is cheaper from a list than from numpy
-    symbols = {path: row.tolist() for path, row in rows.items()}
-
-    def transition(path: Path, block: int) -> int:
-        row = symbols.get(path)
-        return 0 if row is None else row[block]
-
-    return BlockDecisionTree(k=k, n=n, sigma=sigma, transition=transition, tables=rows)
+        rows = {}
+        for path, row in self.tables.items():
+            row = np.asarray(row, dtype=np.int64)
+            if row.shape != (1 << self.n,):
+                raise ValueError(f"node {path}: table row must have 2^{self.n} entries")
+            if row.min() < 0 or row.max() >= self.sigma:
+                raise ValueError(f"node {path}: symbols out of range")
+            rows[tuple(path)] = row
+        self.tables = rows
+        self._symbols = {path: row.tolist() for path, row in rows.items()}
 
 
 def evaluate(tree: BlockDecisionTree, blocks: list[int]) -> Path:
@@ -79,7 +63,8 @@ def evaluate(tree: BlockDecisionTree, blocks: list[int]) -> Path:
     for block in blocks:
         if block < 0 or block >> tree.n:
             raise ValueError(f"block {block} does not fit in {tree.n} bits")
-        path = path + (tree.node_symbol(path, block),)
+        row = tree._symbols.get(path)
+        path = path + (0 if row is None else row[block],)
     return path
 
 
@@ -121,22 +106,19 @@ def exact_node_distribution(
 ) -> NodeDistribution:
     """Exact leaf distribution, over uniform blocks or over a generator's seeds.
 
-    With no generator the input is U_{nk}; table-backed trees are handled by
-    per-node symbol counting (no enumeration), callback trees by enumerating
-    all 2^{nk} inputs as the seeds of the identity generator.  With
-    `generator` (a callable from a seed_len-bit int to an nk-bit int) every
-    seed is enumerated.  Either way the cap bounds the bits being enumerated.
+    With no generator the input is U_{nk}, handled by per-node symbol
+    counting (no enumeration).  With `generator` (a callable from a
+    seed_len-bit int to an nk-bit int) every seed is enumerated.  Either way
+    the cap bounds the bits being enumerated.
     """
     if generator is None:
-        seed_len = tree.n * tree.k
-        if seed_len > cap:
-            raise CapExceeded(f"uniform enumeration over {seed_len} bits exceeds cap {cap}")
-        if tree.tables is not None:
-            return _uniform_by_counting(tree)
-        generator = lambda seed: seed  # callback trees: the seeds are all of U_{nk}
-    elif seed_len is None:
+        bits = tree.n * tree.k
+        if bits > cap:
+            raise CapExceeded(f"uniform enumeration over {bits} bits exceeds cap {cap}")
+        return _uniform_by_counting(tree)
+    if seed_len is None:
         raise ValueError("seed_len is required when a generator is supplied")
-    elif seed_len > cap:
+    if seed_len > cap:
         raise CapExceeded(f"seed enumeration over {seed_len} bits exceeds cap {cap}")
     counts: dict[Path, int] = {}
     for seed in range(1 << seed_len):

@@ -1,9 +1,10 @@
 """Boolean circuit expressions and steward-backed acceptance estimation.
 
 The expression DSL covers variables x0..x{n-1}, constants 0/1, and ~ & ^ |
-with precedence NOT > AND > XOR > OR (binary operators left-associative).
-Circuits here are expression trees, not gate lists: enough structure to
-exercise the adaptive protocol while keeping the parser small.
+with precedence NOT > AND > XOR > OR (binary operators left-associative),
+read from one table by one precedence-climbing loop.  Circuits here are
+expression trees, not gate lists: enough structure to exercise the adaptive
+protocol while keeping the parser small.
 
 `acceptance_session` answers up to k adaptively chosen circuits with
 estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  Round i
@@ -123,30 +124,19 @@ class _Parser:
     def parse(self) -> CircuitExpr:
         if not self.tokens:
             raise CircuitSyntaxError("empty expression", 0)
-        expr = self.or_level()
+        expr = self.binary()
         if self.i < len(self.tokens):
             raise CircuitSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
         return expr
 
-    def or_level(self):
-        expr = self.xor_level()
-        while self.peek() == "|":
-            self.take()
-            expr = BinOp("|", expr, self.xor_level())
-        return expr
-
-    def xor_level(self):
-        expr = self.and_level()
-        while self.peek() == "^":
-            self.take()
-            expr = BinOp("^", expr, self.and_level())
-        return expr
-
-    def and_level(self):
+    def binary(self, min_prec: int = 1):
+        """Precedence climbing: a left-associative chain of the operators
+        binding at least as tightly as min_prec, each right operand one
+        level tighter."""
         expr = self.unary()
-        while self.peek() == "&":
-            self.take()
-            expr = BinOp("&", expr, self.unary())
+        while _PRECEDENCE.get(self.peek(), 0) >= min_prec:
+            op, _ = self.take()
+            expr = BinOp(op, expr, self.binary(_PRECEDENCE[op] + 1))
         return expr
 
     def unary(self):
@@ -158,7 +148,7 @@ class _Parser:
             return Not(self.unary())
         if tok == "(":
             _, open_pos = self.take()
-            expr = self.or_level()
+            expr = self.binary()
             if self.peek() != ")":
                 raise CircuitSyntaxError("unclosed parenthesis", open_pos)
             self.take()
@@ -181,34 +171,6 @@ def parse_circuit(text: str, n: int) -> CircuitExpr:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _Parser(text, n).parse()
-
-
-def _print_prec(expr) -> int:
-    if isinstance(expr, BinOp):
-        return _PRECEDENCE[expr.op]
-    return 4  # atoms and ~ bind tightest
-
-
-def print_circuit(expr: CircuitExpr) -> str:
-    if isinstance(expr, Var):
-        return f"x{expr.index}"
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Not):
-        inner = print_circuit(expr.child)
-        if isinstance(expr.child, BinOp):
-            inner = f"({inner})"
-        return f"~{inner}"
-    if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
-        left = print_circuit(expr.left)
-        if _print_prec(expr.left) < prec:
-            left = f"({left})"
-        right = print_circuit(expr.right)
-        if _print_prec(expr.right) <= prec:  # strict: rebuilt tree stays left-deep
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"not a circuit node: {expr!r}")
 
 
 def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:

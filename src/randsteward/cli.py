@@ -1,13 +1,14 @@
 """Command-line surface: gl, accept, prg expand, sampler bench, audit, demo adversary.
 
 Structured JSON goes to stdout (or --output FILE); a one-line human summary
-goes to stderr.  Every command is bit-for-bit reproducible given --seed-hex:
-single-run commands read their tape straight from the hex string, and
-Monte-Carlo commands derive trial i's tape from a SHA-256 counter stream
-keyed by (seed bytes, i).  Usage errors exit 2; runtime failures and a
-Goldreich-Levin abort exit 1.  gl, accept and audit run the main steward on
-the expander generator; only prg expand picks a generator backend, and only
-demo adversary a steward kind.
+goes to stderr.  Every command that draws bits is bit-for-bit reproducible
+given --seed-hex (audit only plans, so it takes none): single-run commands
+read their tape straight from the hex string, and Monte-Carlo commands
+derive trial i's tape from a SHA-256 counter stream keyed by (seed bytes, i).
+Usage errors exit 2; runtime failures and a Goldreich-Levin abort exit 1.
+gl, accept and audit run the main steward on the expander generator; only
+prg expand picks a generator backend, and only demo adversary a steward
+kind.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"negative count: {text!r}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least one job: {text!r}")
     return value
 
 
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mean", type=_unit_rat, default=Fraction(1, 2),
                    help="true mean of the benchmark oracle")
     q.add_argument("--trials", type=_count, default=100)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_jobs, default=1)
     common(q)
     q.set_defaults(fn=_cmd_sampler_bench)
 
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=_rat, required=True)
     p.add_argument("--delta", type=_rat, required=True)
-    common(p)
+    p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("demo", help="demonstrations")
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--delta", type=_rat, default=Fraction(1, 128))
     q.add_argument("--gamma", type=_rat, default=Fraction(1, 16))
     q.add_argument("--trials", type=_count, default=200)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_jobs, default=1)
     common(q)
     q.set_defaults(fn=_cmd_demo_adversary)
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .randomness import BitSource, BudgetReport, bits_to_int, int_to_bits
+from .randomness import BitSource, bits_to_int, int_to_bits
 from .sampler import SamplerPlan, _span_chunks, batch_sums, lower_median, plan_sampler
 from .steward import Session, StewardConfig
 
@@ -373,25 +373,17 @@ def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> G
     )
 
 
-def gl_randomness_audit(params: GlParams) -> BudgetReport:
-    """Coin budget of one run: the steward seed, split tape vs ladder."""
-    schedule = params.steward_config().schedule
-    report = BudgetReport()
-    report.add("tape", params.tape_bits)
-    report.add("ladder", schedule.seed_len - params.tape_bits)
-    return report
-
-
 def gl_audit_dict(params: GlParams) -> dict:
-    """Expanded audit for reporting: budgets plus query counts."""
-    report = gl_randomness_audit(params)
+    """Coin budget of one run, the steward seed split tape vs ladder, plus
+    query counts."""
+    seed_len = params.steward_config().schedule.seed_len
     return {
         "n": params.n,
         "levels": params.k,
         "d": params.d,
         "tape_bits": params.tape_bits,
-        "steward_bits": report.bits_drawn,
+        "steward_bits": seed_len,
         "fresh_bits": params.tape_bits * params.k,
-        "per_phase": dict(report.per_phase),
+        "per_phase": {"tape": params.tape_bits, "ladder": seed_len - params.tape_bits},
         "sampler_queries_per_level": [plan.queries for plan in params.plans],
     }

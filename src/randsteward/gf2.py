@@ -1,9 +1,10 @@
 """Binary-field arithmetic on Python ints (bit i = coefficient of x^i).
 
-The pairwise-independent sampler needs GF(2^m) multiplication for the map
-g -> a*g + b.  The modulus is the smallest irreducible polynomial of degree
-m, found by scanning upward from x^m with Rabin's test: f is irreducible iff
-x^(2^m) = x (mod f) and gcd(x^(2^(m/p)) - x, f) = 1 for every prime p | m.
+field_poly(m) is the GF(2^m) modulus behind the sampler's map g -> a*g + b,
+which sampler._powers multiplies by shift and reduce: the smallest
+irreducible polynomial of degree m, found by scanning upward from x^m with
+Rabin's test: f is irreducible iff x^(2^m) = x (mod f) and
+gcd(x^(2^(m/p)) - x, f) = 1 for every prime p | m.
 """
 
 from __future__ import annotations
@@ -79,7 +80,3 @@ def field_poly(m: int) -> int:
             return f
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
-
-def gf_mul(a: int, b: int, m: int) -> int:
-    """Product in GF(2^m) with the field_poly(m) modulus."""
-    return pmod(pmul(a, b), field_poly(m))

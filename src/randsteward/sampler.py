@@ -14,7 +14,8 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
 
   Every entry point takes its seed as an int of at most seed_bits bits, bit
   i being the i-th bit drawn; the caller draws and decodes it.  Points are
-  n-bit ints, and so is each argument of an oracle.
+  n-bit ints, and so is each argument of an oracle.  Points travel as
+  uint64 arrays, so a run needs n <= 64; planning does not.
 
   An oracle has n, coset_sum(c, basis), the exact sum of f over the affine
   coset c + span(basis), and cube_total(), the exact sum over all 2^n
@@ -261,6 +262,8 @@ class SampleRun:
 
 def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     """The r exact batch sums of an oracle on plan.n bits, from one seed."""
+    if plan.n > 64:
+        raise ValueError(f"sampler points are uint64, so n={plan.n} > 64 cannot be run")
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     # only a block of >= 2^n points can map onto the whole cube
@@ -308,8 +311,8 @@ class AveragingSamplerPlan:
 
 def plan_averaging(n: int, epsilon: Fraction, delta: Fraction) -> AveragingSamplerPlan:
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 64:
+        raise ValueError("n must lie in 1..64: sampler points are uint64")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if not 0 < delta < 1:

@@ -380,6 +380,19 @@ def full_paren_python(expr) -> str:
     return f"({left} {expr.op} {right})"
 
 
+def ref_print_circuit(expr) -> str:
+    """Render an AST in the circuit language with every binary operation
+    parenthesized, so parsing it back needs no precedence."""
+    kind = type(expr).__name__
+    if kind == "Var":
+        return f"x{expr.index}"
+    if kind == "Const":
+        return str(expr.value)
+    if kind == "Not":
+        return f"~{ref_print_circuit(expr.child)}"
+    return f"({ref_print_circuit(expr.left)} {expr.op} {ref_print_circuit(expr.right)})"
+
+
 def ref_eval_circuit(expr, bits: str) -> int:
     x = [1 if b == "1" else 0 for b in bits]
     return eval(full_paren_python(expr), {"x": x})  # noqa: S307 - test oracle

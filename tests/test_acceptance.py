@@ -29,9 +29,9 @@ from harness import ExplicitConcentrated, make_owner, session_failures
 
 from randsteward import adversary, prg
 from randsteward.bdt import (
+    BlockDecisionTree,
     NodeDistribution,
     exact_node_distribution,
-    table_tree,
     tv_distance,
 )
 from randsteward.circuits import acceptance_session, exact_mean, parse_circuit
@@ -42,8 +42,8 @@ from randsteward.expander import (
 )
 from randsteward.extract import extract_int, plan_extractor
 from randsteward.fourier import (
+    gl_audit_dict,
     gl_params,
-    gl_randomness_audit,
     goldreich_levin,
     heavy_set_exact,
     wht_ints,
@@ -90,7 +90,7 @@ def _random_table_tree(rng, k, n, sigma):
     for depth in range(k):
         for path in itertools.product(range(sigma), repeat=depth):
             tables[path] = [rng.randrange(sigma) for _ in range(1 << n)]
-    return table_tree(k=k, n=n, sigma=sigma, tables=tables)
+    return BlockDecisionTree(k=k, n=n, sigma=sigma, tables=tables)
 
 
 # ---------------------------------------------------------------- 1-3
@@ -553,14 +553,14 @@ def test_criterion_10():
         )
         assert not result.aborted
         assert result.strings == want
-        assert result.bits_used == gl_randomness_audit(result.params).bits_drawn
+        assert result.bits_used == gl_audit_dict(result.params)["steward_bits"]
 
 
 def test_criterion_11():
     """The tape budget is insensitive to theta and grows sublinearly in n."""
     delta = Fraction(1, 10)
     bits = {
-        (n, theta): gl_randomness_audit(gl_params(n, theta, delta)).bits_drawn
+        (n, theta): gl_audit_dict(gl_params(n, theta, delta))["steward_bits"]
         for n in (8, 12, 16)
         for theta in (Fraction(1, 2), Fraction(1, 4))
     }

@@ -11,7 +11,6 @@ from randsteward.bdt import (
     evaluate,
     exact_node_distribution,
     split_blocks,
-    table_tree,
     tv_distance,
 )
 
@@ -19,7 +18,7 @@ from randsteward.randomness import int_to_bits
 
 from oracles import ref_bits_to_int, ref_tree_distribution
 
-DEMO = table_tree(
+DEMO = BlockDecisionTree(
     k=2,
     n=1,
     sigma=2,
@@ -37,22 +36,16 @@ def random_table_tree(rng: random.Random, k: int, n: int, sigma: int) -> BlockDe
                 tables[path] = [rng.randrange(sigma) for _ in range(1 << n)]
             nxt.extend(path + (sym,) for sym in range(sigma))
         frontier = nxt
-    return table_tree(k=k, n=n, sigma=sigma, tables=tables)
+    return BlockDecisionTree(k=k, n=n, sigma=sigma, tables=tables)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        BlockDecisionTree(k=0, n=1, sigma=2, transition=lambda p, b: 0)
+        BlockDecisionTree(k=0, n=1, sigma=2, tables={})
     with pytest.raises(ValueError):
-        table_tree(k=1, n=2, sigma=2, tables={(): [0, 1]})  # row too short
+        BlockDecisionTree(k=1, n=2, sigma=2, tables={(): [0, 1]})  # row too short
     with pytest.raises(ValueError):
-        table_tree(k=1, n=1, sigma=2, tables={(): [0, 2]})  # symbol out of range
-
-
-def test_callback_symbol_range_enforced():
-    tree = BlockDecisionTree(k=1, n=1, sigma=2, transition=lambda p, b: 5)
-    with pytest.raises(ValueError):
-        evaluate(tree, [0])
+        BlockDecisionTree(k=1, n=1, sigma=2, tables={(): [0, 2]})  # symbol out of range
 
 
 def test_evaluate_goldens():
@@ -62,7 +55,7 @@ def test_evaluate_goldens():
 
 
 def test_evaluate_defaults_missing_nodes_to_zero():
-    tree = table_tree(k=3, n=1, sigma=3, tables={(): [2, 1]})
+    tree = BlockDecisionTree(k=3, n=1, sigma=3, tables={(): [2, 1]})
     assert evaluate(tree, [0, 1, 1]) == (2, 0, 0)
 
 
@@ -129,10 +122,9 @@ def test_counting_agrees_with_enumeration():
     rng = random.Random(7)
     tree = random_table_tree(rng, 3, 2, 3)
     by_counting = exact_node_distribution(tree)
-    as_callback = BlockDecisionTree(
-        k=tree.k, n=tree.n, sigma=tree.sigma, transition=tree.transition, tables=None
+    by_enumeration = exact_node_distribution(
+        tree, generator=lambda s: s, seed_len=tree.n * tree.k
     )
-    by_enumeration = exact_node_distribution(as_callback)
     assert by_counting.probs == by_enumeration.probs
 
 
@@ -160,7 +152,7 @@ def test_tv_distance_basics():
 
 
 def test_enumeration_caps():
-    big = table_tree(k=5, n=5, sigma=2, tables={})
+    big = BlockDecisionTree(k=5, n=5, sigma=2, tables={})
     with pytest.raises(CapExceeded):
         exact_node_distribution(big)
     with pytest.raises(CapExceeded):
@@ -168,7 +160,7 @@ def test_enumeration_caps():
     with pytest.raises(ValueError):
         exact_node_distribution(DEMO, generator=lambda s: 0)  # seed_len missing
     # a permissive cap lets the same instance through
-    small = table_tree(k=2, n=1, sigma=2, tables={})
+    small = BlockDecisionTree(k=2, n=1, sigma=2, tables={})
     assert exact_node_distribution(small, cap=2).total() == 1
 
 

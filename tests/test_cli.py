@@ -233,6 +233,14 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "adversary", "--trials", "-2"])
     assert exc.value.code == 2
+    # audit only plans, so it takes no seed; a job count below one is refused
+    for argv in (["audit", "--n", "2", "--theta", "9/10", "--delta", "1/2", "--seed-hex", "zz"],
+                 ["demo", "adversary", "--jobs", "-4"],
+                 ["sampler", "bench", "--n", "3", "--epsilon", "1/4", "--delta", "1/2",
+                  "--jobs", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -258,6 +266,17 @@ def test_accept_k_zero_is_a_runtime_error(capsys):
     )
     assert rc == 1
     assert "error: need k >= 1" in err and "Traceback" not in err
+
+
+def test_accept_wider_than_64_bits_is_a_runtime_error(capsys):
+    # sampler points are uint64, so n = 65 fails with error: rather than a traceback
+    rc, _, err = run_cli(
+        ["accept", "--n", "65", "--k", "1", "--epsilon", "1/2", "--delta", "1/2",
+         "--seed-hex", "f" * 800],
+        capsys, stdin="x64\n",
+    )
+    assert rc == 1
+    assert "error:" in err and "64" in err and "Traceback" not in err
 
 
 def test_short_seed_is_a_runtime_error(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from randsteward.bdt import exact_node_distribution, table_tree, tv_distance
+from randsteward.bdt import BlockDecisionTree, exact_node_distribution, tv_distance
 from randsteward.extract import ExtractorParams, FreshExtractorParams
 from randsteward.prg import BACKENDS, build_schedule, expand
 from randsteward.randomness import int_to_bits
@@ -83,7 +83,7 @@ def test_fresh_backend_is_the_identity():
 
 def test_fresh_backend_output_is_exactly_uniform():
     s = build_schedule(2, 2, 2, Fraction(1, 4), backend="fresh")
-    tree = table_tree(k=2, n=2, sigma=2, tables={(): [0, 1, 1, 0], (1,): [1, 0, 0, 1]})
+    tree = BlockDecisionTree(k=2, n=2, sigma=2, tables={(): [0, 1, 1, 0], (1,): [1, 0, 0, 1]})
     uniform = exact_node_distribution(tree)
     seeded = exact_node_distribution(
         tree, generator=lambda seed: expand(s, seed), seed_len=s.seed_len

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
-from randsteward.gf2 import field_poly, gf_mul, is_irreducible
+from randsteward.gf2 import field_poly, is_irreducible
 from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.sampler import (
     MODES,
@@ -16,6 +16,7 @@ from randsteward.sampler import (
     SamplerPlan,
     TruthTableOracle,
     _batch_seeds,
+    _powers,
     averaging_points,
     batch_cosets,
     lower_median,
@@ -61,20 +62,32 @@ def test_field_polys_are_minimal_irreducibles():
             assert not is_irreducible(candidate)
 
 
+def _mul(a: int, b: int, m: int) -> int:
+    """a * b in GF(2^m), as the sampler forms it: the xor of a * x^i over the
+    set bits i of b."""
+    out = 0
+    for i, power in enumerate(_powers(a, m)):
+        if b >> i & 1:
+            out ^= power
+    return out
+
+
 def test_gf_mul_matches_reference_exhaustively():
     poly = field_poly(4)
     for a in range(16):
         for b in range(16):
-            assert gf_mul(a, b, 4) == ref_gf2_mul(a, b, poly, 4)
+            assert _mul(a, b, 4) == ref_gf2_mul(a, b, poly, 4)
 
 
 def test_gf_mul_field_axioms_spot():
     m = 6
+    poly = field_poly(m)
     for a, b, c in [(3, 41, 17), (62, 62, 1), (5, 0, 63)]:
-        assert gf_mul(a, b, m) == gf_mul(b, a, m)
-        assert gf_mul(a, gf_mul(b, c, m), m) == gf_mul(gf_mul(a, b, m), c, m)
-        assert gf_mul(a, b ^ c, m) == gf_mul(a, b, m) ^ gf_mul(a, c, m)
-        assert gf_mul(a, 1, m) == a
+        assert _mul(a, b, m) == ref_gf2_mul(a, b, poly, m)
+        assert _mul(a, b, m) == _mul(b, a, m)
+        assert _mul(a, _mul(b, c, m), m) == _mul(_mul(a, b, m), c, m)
+        assert _mul(a, b ^ c, m) == _mul(a, b, m) ^ _mul(a, c, m)
+        assert _mul(a, 1, m) == a
 
 
 # ---------------------------------------------------------------- plans
@@ -474,6 +487,22 @@ def test_plan_averaging_goldens():
         plan_averaging(0, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
         plan_averaging(3, Fraction(1, 2), Fraction(1))
+
+
+def test_runs_wider_than_64_bits_are_refused():
+    # points are uint64: a 65-bit median-sampler run fails cleanly at any seed,
+    # though it plans; the averaging sampler refuses to plan it
+    plan = plan_sampler(65, Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="64"):
+        run_sampler(plan, FnOracle(65, lambda x: 0), (1 << plan.seed_bits) - 1)
+    with pytest.raises(ValueError, match="64"):
+        plan_averaging(65, Fraction(1, 2), Fraction(1, 2))
+    plan = plan_sampler(64, Fraction(1, 2), Fraction(1, 2))
+    run = run_sampler(plan, FnOracle(64, lambda x: x >> 63), (1 << plan.seed_bits) - 1)
+    assert 0 <= run.estimate <= 1
+    wide = plan_averaging(64, Fraction(1), Fraction(1, 2))
+    pts = averaging_points(wide, (1 << wide.seed_bits) - 1)
+    assert len(pts) == wide.t and pts.dtype == np.uint64
 
 
 def test_averaging_points_golden():
