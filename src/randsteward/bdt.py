@@ -45,6 +45,8 @@ class BlockDecisionTree:
             raise ValueError("need k >= 1, n >= 1, sigma >= 1")
         rows = {}
         for path, row in self.tables.items():
+            if len(path) >= self.k or not all(0 <= s < self.sigma for s in path):
+                raise ValueError(f"node {path}: need a path of < k symbols in 0..sigma-1")
             row = np.asarray(row, dtype=np.int64)
             if row.shape != (1 << self.n,):
                 raise ValueError(f"node {path}: table row must have 2^{self.n} entries")

@@ -13,8 +13,8 @@ steward's block, an int that is the sampler's seed as it stands: the sampler
 is planned for accuracy epsilon/8 and failure delta/(2k), the steward
 (d = 1, gamma = delta/2) adds a factor 3*1 + 5 = 8, and the reported
 estimate is clamped to [0,1] -- so every Y_i is within epsilon of mu(C_i)
-except with probability delta, at a coin cost of one steward seed for the
-whole session.
+except with probability delta, at a coin cost of one steward seed, drawn at
+the session's first estimate.
 
 Two oracle runners ride on the same pipeline: `run_promise_bpp_oracle_algorithm`
 answers decision queries by thresholding an estimate at 1/2 (fixed
@@ -314,15 +314,12 @@ def run_promise_bpp_oracle_algorithm(
     and errs on at most 1/3 of tapes for promise-satisfying queries, so with
     estimate error below epsilon = 1/10 every such answer is correct;
     overall failure <= delta.
-    An acceptance session (and its seed) opens only if outer actually asks;
-    clamping its estimates to [0,1] cannot change a comparison with 1/2.
+    The seed is drawn at the first ask, if any; clamping estimates to [0,1]
+    cannot change a comparison with 1/2.
     """
-    session: AcceptanceSession | None = None
+    session = AcceptanceSession(n, k, Fraction(1, 10), delta, source)
 
     def ask(query) -> int:
-        nonlocal session
-        if session is None:
-            session = AcceptanceSession(n, k, Fraction(1, 10), delta, source)
         oracle = FnOracle(n, lambda coins: decision_oracle(query, coins))
         return 1 if session._estimate_oracle(oracle) >= Fraction(1, 2) else 0
 
@@ -345,19 +342,14 @@ def run_app_oracle_algorithm(
     lands within epsilon/8 of phi(w) on >= 2/3 of tapes.  Median amplification over an averaging
     sampler pushes its failure to delta/(2k); the steward (gamma = delta/2)
     multiplies the accuracy by the round constant 8.  Estimates are not
-    clamped -- phi need not be a probability.
+    clamped -- phi need not be a probability.  The seed is drawn at the
+    first ask.
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    epsilon, delta = Fraction(epsilon), Fraction(delta)
     plan = plan_averaging(n, Fraction(1, 10), _round_delta(k, delta))
-    config = _steward_config(plan.seed_bits, k, epsilon, delta)
-    session: Session | None = None  # opens, and draws its seed, at the first ask
+    session = Session(_steward_config(plan.seed_bits, k, epsilon, delta), source)
 
     def ask(w) -> Fraction:
-        nonlocal session
-        if session is None:
-            session = Session(config, source)
-
         def f(tape: int):
             return [median_amplify(partial(phi_estimator, w), plan, tape)]
 

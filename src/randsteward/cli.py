@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,14 +72,11 @@ def _emit(doc: dict, output: str | None) -> None:
         print(text)
 
 
-def _single_source(seed_hex: str | None, need_bits: int | None = None):
-    """Tape from hex if given (validated when the need is known), else OS."""
+def _single_source(seed_hex: str | None):
+    """A tape of every bit of the hex, which fails at the draw past its end; else OS."""
     if seed_hex is None:
         return SystemSource()
-    if need_bits is None:
-        # length unknown up front: decode everything the hex provides
-        return TapeSource(hex_to_bits(seed_hex, 4 * len(seed_hex)))
-    return TapeSource(hex_to_bits(seed_hex, need_bits))
+    return TapeSource(hex_to_bits(seed_hex, 4 * len(seed_hex)))
 
 
 def _master_key(seed_hex: str | None) -> bytes:
@@ -99,19 +97,16 @@ def _run_trials(worker, args_list, jobs: int) -> list:
 def _cmd_gl(args) -> int:
     with open(args.truth_table) as fh:
         table = fourier.load_truth_table(fh.read())
-    n = table.size.bit_length() - 1
-    params = fourier.gl_params(n, args.theta, args.delta)
-    source = _single_source(args.seed_hex, params.steward_config().schedule.seed_len)
-    result = fourier.goldreich_levin(table, args.theta, args.delta, source)
+    result = fourier.goldreich_levin(table, args.theta, args.delta, _single_source(args.seed_hex))
     doc = {
-        "n": n,
+        "n": result.params.n,
         "theta": str(args.theta),
         "delta": str(args.delta),
         "aborted": result.aborted,
         "masks": result.masks,
         "strings": result.strings,
         "bits_used": result.bits_used,
-        "audit": fourier.gl_audit_dict(params),
+        "audit": fourier.gl_audit_dict(result.params),
     }
     _emit(doc, args.output)
     if result.aborted:
@@ -167,13 +162,8 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_prg_expand(args) -> int:
-    schedule = prg.build_schedule(
-        args.n, args.k, args.sigma, args.gamma, backend=args.backend
-    )
-    if args.seed_hex is not None:
-        seed = hex_to_bits(args.seed_hex, schedule.seed_len)
-    else:
-        seed = SystemSource().draw(schedule.seed_len)
+    schedule = prg.build_schedule(args.n, args.k, args.sigma, args.gamma, backend=args.backend)
+    seed = _single_source(args.seed_hex).draw(schedule.seed_len, phase="seed")
     output = int_to_bits(prg.expand(schedule, bits_to_int(seed)), schedule.output_len)
     doc = {
         "schedule": json.loads(schedule.to_json()),
@@ -193,12 +183,25 @@ def _cmd_prg_expand(args) -> int:
 # ---------------------------------------------------------------- sampler bench
 
 
+@dataclass
+class _ThresholdOracle(sampler.Oracle):
+    """x < threshold on n-bit points, whose cube total is the threshold itself."""
+
+    n: int
+    threshold: int
+
+    def eval_ints(self, xs: np.ndarray) -> np.ndarray:
+        return (xs < self.threshold).astype(np.uint8)
+
+    def cube_total(self) -> int:
+        return self.threshold
+
+
 def _bench_trial(packed) -> str:
     master, index, n, epsilon, delta, threshold = packed
     plan = sampler.plan_sampler(n, epsilon, delta)
     seed = bits_to_int(CounterSource(master, index).draw(plan.seed_bits, phase="sampler"))
-    oracle = sampler.TruthTableOracle((np.arange(1 << n) < threshold).astype(np.uint8))
-    estimate = sampler.run_sampler(plan, oracle, seed).estimate
+    estimate = sampler.run_sampler(plan, _ThresholdOracle(n, threshold), seed).estimate
     return str(estimate - Fraction(threshold, 1 << n))  # signed error
 
 

@@ -2,11 +2,12 @@
 
 All randomness consumed anywhere in the library flows through a `BitSource`,
 so "how many bits did this protocol really use" is a counted fact, not an
-estimate.  A draw returns a string of '0'/'1', and each library draw site
-decodes it once with `bits_to_int`, little-endian: bit i of the int is the
-i-th bit drawn.  From there on seeds, generator outputs, blocks and samples
-are ints all the way to the oracle; bit strings come back only where a person
-reads or writes bits (the CLI, a transcript's JSON, GL's printed strings).
+estimate (a steward session also books its own draws, as sessions may share
+a source).  A draw returns a string of '0'/'1', and each draw site decodes it
+once with `bits_to_int`, little-endian: bit i of the int is the i-th bit
+drawn.  From there on seeds, generator outputs, blocks and samples are ints
+all the way to the oracle; bit strings come back only where a person reads or
+writes bits (the CLI, a transcript's JSON, GL's printed strings).
 The codecs here are the only conversions between the two.
 
 Sources:
@@ -141,18 +142,6 @@ def int_to_bits(value: int, width: int) -> str:
 def _bytes_to_bits(data: bytes) -> str:
     """Per-byte LSB first, which is little-endian over the whole byte string."""
     return int_to_bits(int.from_bytes(data, "little"), 8 * len(data))
-
-
-def draw_uniform_power_of_two(source: BitSource, u: int, phase: str = "shift") -> int:
-    """Uniform draw from {1, ..., u} for u a power of two.
-
-    Consumes exactly log2(u) bits; the drawn bits decode little-endian and
-    the result is decoded + 1.  u = 1 consumes nothing and returns 1.
-    """
-    if u < 1 or u & (u - 1):
-        raise ValueError(f"u must be a power of two, got {u}")
-    k = u.bit_length() - 1
-    return bits_to_int(source.draw(k, phase)) + 1
 
 
 def hex_to_bits(hex_string: str, nbits: int) -> str:

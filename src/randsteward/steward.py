@@ -31,20 +31,22 @@ Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
 comes from, how it rounds), and Session switches on those two members only.
 A sample is one block of the expander generator's output ("blocks", the main
-steward), n fresh bits drawn in the round ("fresh") or one n-bit sample drawn
-at open and reused every round ("reused").  Either way it is an n-bit int
-whose bit i is the sample's i-th bit, and that int is what the oracle gets;
-only the transcript's JSON writes it back as a bit string.  Which generator
-makes the blocks is chosen in prg only: its identity generator would give the
-main steward the s0 kind's uniform blocks, drawn all at once.  An answer is
-shift-and-rounded as above ("shift"), snapped to a coarse grid u*epsilon
-after a fresh random shift of log2(u) bits ("coarse", the Saks-Zhou
-baseline), or returned as is ("raw").
+steward), n fresh bits drawn in the round ("fresh") or one n-bit sample reused
+every round ("reused"); the generator's seed or the reused sample is drawn
+once, at the first round.  Either way a sample is an n-bit int whose bit i is
+its i-th bit, and that int is what the oracle gets; only the transcript's
+JSON writes it back as a bit string.  Which generator makes the blocks is
+chosen in prg only: its identity generator would give the main steward the
+s0 kind's uniform blocks, drawn all at once.  An answer is shift-and-rounded
+as above ("shift"), snapped to a coarse grid u*epsilon after a fresh random
+shift of log2(u) bits ("coarse", the Saks-Zhou baseline), or returned as is
+("raw").
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +54,7 @@ from typing import Callable, Sequence
 
 from .bdt import split_blocks
 from .prg import PrgSchedule, build_schedule, expand
-from .randomness import BitSource, bits_to_int, draw_uniform_power_of_two, int_to_bits
+from .randomness import BitSource, bits_to_int, int_to_bits
 
 KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
     "main": ("blocks", "shift"),
@@ -250,44 +252,37 @@ class Session:
         self.config = config
         self.source = source
         self.round = 0
-        self._bits_at_open = source.report.bits_drawn
-        self._phase_at_open = dict(source.report.per_phase)
         self.transcript = Transcript(config=config)
-        self.schedule: PrgSchedule | None = None
         self._sample, self._rounding = KINDS[config.kind]
-        if self._sample == "blocks":
-            self.schedule = config.schedule
-            seed = bits_to_int(source.draw(self.schedule.seed_len, phase="seed"))
-            self._blocks = split_blocks(expand(self.schedule, seed), config.n, config.k)
-        elif self._sample == "reused":
-            self._x = bits_to_int(source.draw(config.n, phase="seed"))
-        # "fresh" samples are drawn inside each round
-        if self._rounding == "coarse":
-            target = Fraction(2 * config.k * config.d) / config.gamma
-            u = 1
-            while u < target:
-                u *= 2
-            self.u = u
+        self.schedule = config.schedule if self._sample == "blocks" else None
+        self._samples: list[int] | None = None  # a seed's k samples, once drawn
+        if self._rounding == "coarse":  # the smallest power of two >= 2kd/gamma
+            self.u = 1 << (math.ceil(2 * config.k * config.d / config.gamma) - 1).bit_length()
 
     @property
     def bits_used(self) -> int:
-        return self.source.report.bits_drawn - self._bits_at_open
+        return self.transcript.bits_used
 
-    def _finish_budget(self):
-        self.transcript.bits_used = self.bits_used
-        per_phase = {}
-        for phase, total in self.source.report.per_phase.items():
-            diff = total - self._phase_at_open.get(phase, 0)
-            if diff:
-                per_phase[phase] = diff
-        self.transcript.bits_by_phase = per_phase
+    def _draw(self, count: int, phase: str) -> int:
+        """The session's one draw site: count bits as an int, booked in its transcript."""
+        value = bits_to_int(self.source.draw(count, phase))
+        if count:
+            books = self.transcript
+            books.bits_used += count
+            books.bits_by_phase[phase] = books.bits_by_phase.get(phase, 0) + count
+        return value
 
     def _next_sample(self) -> int:
-        if self._sample == "blocks":
-            return self._blocks[self.round]
+        cfg = self.config
         if self._sample == "fresh":
-            return bits_to_int(self.source.draw(self.config.n, phase="sample"))
-        return self._x
+            return self._draw(cfg.n, "sample")
+        if self._samples is None:
+            if self._sample == "blocks":
+                seed = self._draw(self.schedule.seed_len, "seed")
+                self._samples = split_blocks(expand(self.schedule, seed), cfg.n, cfg.k)
+            else:  # "reused"
+                self._samples = [self._draw(cfg.n, "seed")] * cfg.k
+        return self._samples[self.round]
 
     def answer(self, query) -> tuple[Fraction, ...]:
         """Answer one round, rounded with the config's d0.
@@ -308,20 +303,16 @@ class Session:
         deltas: tuple[int, ...] | None = None
         if self._rounding == "shift":
             y_list, delta_list = shift_round(w, cfg.epsilon, cfg.d0)
-            y = tuple(y_list)
-            deltas = tuple(delta_list)
+            y, deltas = tuple(y_list), tuple(delta_list)
         elif self._rounding == "coarse":
-            delta = draw_uniform_power_of_two(self.source, self.u, phase="shift")
+            delta = self._draw(self.u.bit_length() - 1, "shift") + 1  # uniform on 1..u
             y = tuple(_midpoints(w, delta, cfg.epsilon, self.u))
             deltas = (delta,)
         else:  # "raw"
             y = w
 
-        self.transcript.rounds.append(
-            RoundRecord(index=self.round, x=x, w=w, deltas=deltas, y=y)
-        )
+        self.transcript.rounds.append(RoundRecord(self.round, x, w, deltas, y))
         self.round += 1
-        self._finish_budget()
         return y
 
 

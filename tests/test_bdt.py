@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from randsteward.bdt import (
@@ -46,6 +45,16 @@ def test_shape_validation():
         BlockDecisionTree(k=1, n=2, sigma=2, tables={(): [0, 1]})  # row too short
     with pytest.raises(ValueError):
         BlockDecisionTree(k=1, n=1, sigma=2, tables={(): [0, 2]})  # symbol out of range
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(5,), (0, 0, 0), (0, 2), (-1,), (1, 1)],  # a bad symbol, or a node at depth >= k
+)
+def test_a_table_key_must_be_an_internal_node(path):
+    with pytest.raises(ValueError, match="path"):
+        BlockDecisionTree(k=2, n=1, sigma=2, tables={path: [0, 1]})
+    BlockDecisionTree(k=2, n=1, sigma=2, tables={(): [0, 1], (1,): [1, 1]})
 
 
 def test_evaluate_goldens():

@@ -178,8 +178,9 @@ def test_acceptance_session_constants():
     )
     assert sess.plan.t0 == 2560
     assert sess.queries_per_round == 81920
-    assert sess.bits_used == 288  # whole steward seed, drawn up front
+    assert sess.bits_used == 0  # nothing is drawn at open
     assert sess.estimate("1") == 1  # mu = 1 survives rounding exactly
+    assert sess.bits_used == 288  # the whole steward seed, at the first estimate
     # mu = 0 keeps a positive shift: the estimate is small but not zero
     y = sess.estimate("x0 & ~x0")
     assert y == Fraction(1, 8)

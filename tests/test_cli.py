@@ -141,8 +141,8 @@ def test_gl_rejects_a_malformed_truth_table(capsys, tmp_path):
 
 
 def test_gl_plans_the_steward_schedule_once(capsys, tmp_path, monkeypatch):
-    # the command, the search and the audit each build a config for the same
-    # plan; planning it once serves all three
+    # the search and the audit each build a config for the same plan;
+    # planning it once serves both
     calls = []
     real = steward.build_schedule
 
@@ -279,14 +279,72 @@ def test_accept_wider_than_64_bits_is_a_runtime_error(capsys):
     assert "error:" in err and "64" in err and "Traceback" not in err
 
 
-def test_short_seed_is_a_runtime_error(capsys):
+def test_short_seed_is_a_runtime_error(capsys, tmp_path):
+    # a tape is every bit of --seed-hex; a short one fails at the draw that
+    # runs past its end, which the error names
     rc, _, err = run_cli(
         ["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
          "--gamma", "1/2", "--seed-hex", "ab"],
         capsys,
     )
     assert rc == 1
-    assert "error:" in err
+    assert "error:" in err and "phase 'seed': requested 113, only 8 left" in err
+    table = tmp_path / "chi1.tt"
+    table.write_text("n=2\n0a\n")
+    rc, _, err = run_cli(
+        ["gl", "--truth-table", str(table), "--theta", "9/10", "--delta", "1/2",
+         "--seed-hex", "ab"],
+        capsys,
+    )
+    assert rc == 1
+    assert "error:" in err and "phase 'seed': requested 349, only 8 left" in err
+
+
+def test_accept_with_no_circuits_draws_nothing(capsys):
+    rc, _, err = run_cli(
+        ["accept", "--n", "2", "--k", "1", "--epsilon", "1/2", "--delta", "1/2",
+         "--seed-hex", "00"],
+        capsys, stdin="",
+    )
+    assert rc == 0
+    assert "accept: 0 rounds, 0 bits" in err
+
+
+def test_sampler_bench_matches_the_table_oracle(capsys):
+    # the threshold oracle sums like the 2^n-entry table it replaced
+    rc, out, _ = run_cli(
+        ["sampler", "bench", "--n", "8", "--epsilon", "1/4", "--delta", "1/4",
+         "--mean", "1/3", "--trials", "6", "--seed-hex", MASTER],
+        capsys,
+    )
+    assert rc == 0
+    assert json.loads(out) == {
+        "plan": {
+            "n": 8, "epsilon": "1/4", "delta": "1/4", "mode": "walk",
+            "t0": 160, "r": 16, "field_bits": 8, "seed_bits": 61, "queries": 2560,
+        },
+        "oracle_mean": "85/256",
+        "trials": 6,
+        "master_hex": MASTER,
+        "max_abs_error": "7/1280",
+        "failures_beyond_epsilon": 0,
+        "failure_rate": 0.0,
+    }
+
+
+@pytest.mark.parametrize("n,mean", [(40, "1/2"), (64, "1")])
+def test_sampler_bench_runs_past_any_table(capsys, n, mean):
+    # no 2^n table is built, so n = 40 and n = 64 run in small memory
+    rc, out, _ = run_cli(
+        ["sampler", "bench", "--n", str(n), "--epsilon", "1/4", "--delta", "1/4",
+         "--mean", mean, "--trials", "2", "--seed-hex", MASTER],
+        capsys,
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["failures_beyond_epsilon"] == 0
+    if mean == "1":
+        assert doc["max_abs_error"] == "0"
 
 
 def _flags_by_command(parser, path=()):

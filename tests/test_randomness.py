@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randsteward.randomness import (
-    BudgetReport,
     CounterSource,
     SystemSource,
     TapeExhausted,
     TapeSource,
     bits_to_hex,
     bits_to_int,
-    draw_uniform_power_of_two,
     hex_to_bits,
     int_to_bits,
 )
@@ -97,29 +95,6 @@ def test_int_to_bits_overflow():
         int_to_bits(8, 3)
     with pytest.raises(ValueError):
         int_to_bits(-1, 3)
-
-
-def test_uniform_power_of_two_decodes_plus_one():
-    # little-endian decode of the drawn bits, then +1
-    assert draw_uniform_power_of_two(TapeSource("011"), 8) == 7
-    assert draw_uniform_power_of_two(TapeSource("000"), 8) == 1
-    assert draw_uniform_power_of_two(TapeSource("111"), 8) == 8
-    assert draw_uniform_power_of_two(TapeSource(""), 1) == 1
-
-
-def test_uniform_power_of_two_is_uniform_and_exact_cost():
-    u = 16
-    seen = []
-    for val in range(u):
-        tape = TapeSource(int_to_bits(val, 4))
-        seen.append(draw_uniform_power_of_two(tape, u))
-        assert tape.report.bits_drawn == 4
-    assert sorted(seen) == list(range(1, u + 1))
-
-
-def test_uniform_power_of_two_rejects_non_powers():
-    with pytest.raises(ValueError):
-        draw_uniform_power_of_two(TapeSource("0000"), 6)
 
 
 def test_counter_source_is_reproducible():

@@ -1,4 +1,3 @@
-import itertools
 import random
 from collections import Counter
 from dataclasses import replace

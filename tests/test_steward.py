@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randsteward.prg import build_schedule, expand
-from randsteward.randomness import CounterSource, TapeExhausted, TapeSource, bits_to_int
+from randsteward.randomness import (
+    CounterSource,
+    TapeExhausted,
+    TapeSource,
+    bits_to_int,
+    int_to_bits,
+)
 from randsteward.steward import (
     KINDS,
     ConcentratedFn,
@@ -189,8 +195,9 @@ def test_main_session_golden():
     src = CounterSource(master=b"steward-golden", index=0)
     sess = Session(MAIN_CFG, src)
     assert sess.schedule.seed_len == 139
-    assert sess.bits_used == 139  # the whole budget is drawn up front
+    assert sess.bits_used == 0  # nothing is drawn at open
     y1 = sess.answer(const_query(Fraction(1, 2)))
+    assert sess.bits_used == 139  # the whole seed, at the first round
     y2 = sess.answer(const_query(Fraction(-3, 16)))
     assert y1 == (Fraction(3, 4),)
     assert y2 == (Fraction(1, 4),)
@@ -273,6 +280,22 @@ def test_saks_zhou_session_golden():
     assert abs(Fraction(3)) <= Fraction(3, 2) * 8 * cfg.epsilon + 3 * cfg.epsilon
 
 
+def test_saks_zhou_shift_is_uniform_on_1_to_u():
+    # every log2(u)-bit shift tape, decoded little-endian, gives a different
+    # shift in 1..u
+    cfg = StewardConfig(
+        n=4, k=2, d=1, epsilon=Fraction(1, 4), delta=Fraction(0), gamma=Fraction(1, 2),
+        kind="saks-zhou",
+    )
+    seen = []
+    for value in range(8):
+        sess = Session(cfg, TapeSource("0000" + int_to_bits(value, 3)))
+        sess.answer(const_query(0))
+        seen.append(sess.transcript.rounds[0].deltas[0])
+        assert sess.transcript.bits_by_phase == {"seed": 4, "shift": 3}
+    assert seen == list(range(1, 9))
+
+
 def test_session_budget_exhaustion():
     sess = Session(MAIN_CFG, CounterSource(master=b"x", index=0))
     sess.answer(const_query(0))
@@ -288,8 +311,44 @@ def test_session_rejects_wrong_dimension():
 
 
 def test_main_session_needs_full_seed():
+    sess = Session(MAIN_CFG, TapeSource("01" * 30))
     with pytest.raises(TapeExhausted):
-        Session(MAIN_CFG, TapeSource("01" * 30))
+        sess.answer(const_query(0))
+
+
+def test_a_failed_first_round_does_not_redraw_the_seed():
+    src = CounterSource(master=b"x", index=1)
+    sess = Session(MAIN_CFG, src)
+    with pytest.raises(StewardProtocolError):
+        sess.answer(const_query(0, 0))  # wrong dimension, after the seed is drawn
+    sess.answer(const_query(0))
+    assert sess.bits_used == src.report.bits_drawn == 139
+    assert sess.transcript.bits_by_phase == {"seed": 139}
+
+
+def test_interleaved_sessions_on_one_source_count_their_own_bits():
+    s0 = StewardConfig(
+        n=4, k=2, d=1, epsilon=Fraction(1, 8), delta=Fraction(0), gamma=Fraction(1, 4),
+        kind="s0",
+    )
+    src = CounterSource(b"y", 0)
+    first, second = Session(s0, src), Session(s0, src)
+    for _ in range(2):
+        first.answer(const_query(0))
+        second.answer(const_query(0))
+    assert first.bits_used == second.bits_used == 8
+    assert first.transcript.bits_by_phase == {"sample": 8}
+    assert src.report.bits_drawn == 16
+
+
+def test_main_sessions_opened_on_one_source_count_their_own_seeds():
+    src = CounterSource(b"y", 0)
+    first, second = Session(MAIN_CFG, src), Session(MAIN_CFG, src)
+    for sess in (first, second):
+        sess.answer(const_query(0))
+    assert first.bits_used == second.bits_used == 139
+    assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 139}
+    assert src.report.bits_drawn == 278
 
 
 def test_concentrated_fn_wrap():
