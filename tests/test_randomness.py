@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from randsteward.randomness import (
     hex_to_bits,
     int_to_bits,
 )
+from randsteward.steward import Session, StewardConfig
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
 
@@ -95,6 +97,37 @@ def test_int_to_bits_overflow():
         int_to_bits(8, 3)
     with pytest.raises(ValueError):
         int_to_bits(-1, 3)
+
+
+def _coarse_shift(shift_bits):
+    """The saks-zhou shift one round draws from `shift_bits`, after a 4-bit seed.
+
+    n=4, k=2, d=1, gamma=1/4 makes u = 16, so the shift is log2(u) = 4 bits.
+    """
+    cfg = StewardConfig(
+        n=4, k=2, d=1, epsilon=Fraction(1, 4), delta=Fraction(0), gamma=Fraction(1, 4),
+        kind="saks-zhou",
+    )
+    sess = Session(cfg, TapeSource("0000" + shift_bits))
+    assert sess.u == 16
+    sess.answer(lambda x: [Fraction(0)])
+    return sess.transcript.rounds[0].deltas[0], sess.transcript.bits_by_phase
+
+
+def test_uniform_power_of_two_decodes_plus_one():
+    # little-endian decode of the drawn bits, then +1
+    assert _coarse_shift("0111")[0] == 15
+    assert _coarse_shift("0000")[0] == 1
+    assert _coarse_shift("1111")[0] == 16
+
+
+def test_uniform_power_of_two_is_uniform_and_exact_cost():
+    seen = []
+    for value in range(16):
+        shift, books = _coarse_shift(int_to_bits(value, 4))
+        seen.append(shift)
+        assert books == {"seed": 4, "shift": 4}
+    assert seen == list(range(1, 17))
 
 
 def test_counter_source_is_reproducible():

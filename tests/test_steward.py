@@ -12,7 +12,6 @@ from randsteward.randomness import (
     TapeExhausted,
     TapeSource,
     bits_to_int,
-    int_to_bits,
 )
 from randsteward.steward import (
     KINDS,
@@ -278,22 +277,6 @@ def test_saks_zhou_session_golden():
     assert sess.bits_used == 4 + 2 * 3
     # the coarse grid costs up to 1.5*u*eps + 3*eps against the true mean
     assert abs(Fraction(3)) <= Fraction(3, 2) * 8 * cfg.epsilon + 3 * cfg.epsilon
-
-
-def test_saks_zhou_shift_is_uniform_on_1_to_u():
-    # every log2(u)-bit shift tape, decoded little-endian, gives a different
-    # shift in 1..u
-    cfg = StewardConfig(
-        n=4, k=2, d=1, epsilon=Fraction(1, 4), delta=Fraction(0), gamma=Fraction(1, 2),
-        kind="saks-zhou",
-    )
-    seen = []
-    for value in range(8):
-        sess = Session(cfg, TapeSource("0000" + int_to_bits(value, 3)))
-        sess.answer(const_query(0))
-        seen.append(sess.transcript.rounds[0].deltas[0])
-        assert sess.transcript.bits_by_phase == {"seed": 4, "shift": 3}
-    assert seen == list(range(1, 9))
 
 
 def test_session_budget_exhaustion():
