@@ -6,7 +6,7 @@ read from one table by one precedence-climbing loop.  Circuits here are
 expression trees, not gate lists: enough structure to exercise the adaptive
 protocol while keeping the parser small.
 
-`acceptance_session` answers up to k adaptively chosen circuits with
+`AcceptanceSession` answers up to k adaptively chosen circuits with
 estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  Round i
 wraps a median-of-batches sampler run for C_i into a scalar function of the
 steward's block, an int that is the sampler's seed as it stands: the sampler
@@ -278,10 +278,6 @@ class AcceptanceSession:
     def bits_used(self) -> int:
         return self.session.bits_used
 
-    @property
-    def queries_per_round(self) -> int:
-        return self.plan.queries
-
     def estimate(self, circuit) -> Fraction:
         expr = parse_circuit(circuit, self.n) if isinstance(circuit, str) else circuit
         return self._estimate_oracle(_CircuitOracle(expr, self.n))
@@ -296,6 +292,8 @@ class AcceptanceSession:
 
 
 def acceptance_session(n: int, k: int, epsilon, delta, source: BitSource) -> AcceptanceSession:
+    """Only renames AcceptanceSession.  It stays because perfbench/workloads.py
+    imports it, and it goes with ROADMAP item 1."""
     return AcceptanceSession(n, k, epsilon, delta, source)
 
 

@@ -56,6 +56,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed_hex(text: str) -> str:
+    try:
+        bytes.fromhex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a hex string: {text!r}") from exc
+    return text
+
+
 def _jobs(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -76,7 +84,7 @@ def _single_source(seed_hex: str | None):
     """A tape of every bit of the hex, which fails at the draw past its end; else OS."""
     if seed_hex is None:
         return SystemSource()
-    return TapeSource(hex_to_bits(seed_hex, 4 * len(seed_hex)))
+    return TapeSource(hex_to_bits(seed_hex))
 
 
 def _master_key(seed_hex: str | None) -> bytes:
@@ -124,7 +132,7 @@ def _cmd_gl(args) -> int:
 
 def _cmd_accept(args) -> int:
     source = _single_source(args.seed_hex)
-    session = circuits.acceptance_session(args.n, args.k, args.epsilon, args.delta, source)
+    session = circuits.AcceptanceSession(args.n, args.k, args.epsilon, args.delta, source)
     rounds = []
     for line in sys.stdin:
         text = line.strip()
@@ -147,7 +155,7 @@ def _cmd_accept(args) -> int:
         "epsilon": str(args.epsilon),
         "delta": str(args.delta),
         "bits_used": session.bits_used,
-        "sampler_queries_per_round": session.queries_per_round,
+        "sampler": session.plan.to_dict(),
         "rounds": rounds,
     }
     if args.output:
@@ -166,7 +174,7 @@ def _cmd_prg_expand(args) -> int:
     seed = _single_source(args.seed_hex).draw(schedule.seed_len, phase="seed")
     output = int_to_bits(prg.expand(schedule, bits_to_int(seed)), schedule.output_len)
     doc = {
-        "schedule": json.loads(schedule.to_json()),
+        "schedule": schedule.to_dict(),
         "seed_bits": seed,
         "seed_hex": bits_to_hex(seed),
         "output_bits": output,
@@ -216,17 +224,7 @@ def _cmd_sampler_bench(args) -> int:
     errors = [Fraction(e) for e in _run_trials(_bench_trial, packed, args.jobs)]
     failures = sum(1 for e in errors if abs(e) > args.epsilon)
     doc = {
-        "plan": {
-            "n": plan.n,
-            "epsilon": str(plan.epsilon),
-            "delta": str(plan.delta),
-            "mode": plan.mode,
-            "t0": plan.t0,
-            "r": plan.r,
-            "field_bits": plan.field_bits,
-            "seed_bits": plan.seed_bits,
-            "queries": plan.queries,
-        },
+        "plan": plan.to_dict(),
         "oracle_mean": str(Fraction(threshold, 1 << args.n)),
         "trials": args.trials,
         "master_hex": master.hex(),
@@ -271,8 +269,7 @@ def _make_owner(name: str, epsilon: Fraction, n: int, d: int):
 
 
 def _adversary_trial(packed) -> dict:
-    master, index, cfg_fields, owner_name = packed
-    config = steward.StewardConfig(**cfg_fields)
+    master, index, config, owner_name = packed
     owner = _make_owner(owner_name, config.epsilon, config.n, config.d)
     mus: list = []
 
@@ -296,24 +293,18 @@ def _adversary_trial(packed) -> dict:
 
 
 def _cmd_demo_adversary(args) -> int:
-    cfg_fields = {
-        "n": args.n, "k": args.k, "d": args.d,
-        "epsilon": args.epsilon, "delta": args.delta, "gamma": args.gamma,
-        "kind": args.steward,
-    }
-    config = steward.StewardConfig(**cfg_fields)
+    config = steward.StewardConfig(
+        n=args.n, k=args.k, d=args.d, epsilon=args.epsilon, delta=args.delta,
+        gamma=args.gamma, kind=args.steward,
+    )
     master = _master_key(args.seed_hex)
-    packed = [(master, i, cfg_fields, args.owner) for i in range(args.trials)]
+    packed = [(master, i, config, args.owner) for i in range(args.trials)]
     results = _run_trials(_adversary_trial, packed, args.jobs)
     failures = sum(1 for r in results if r["failed"])
     doc = {
         "owner": args.owner,
         "steward": args.steward,
-        "config": {
-            "n": args.n, "k": args.k, "d": args.d,
-            "epsilon": str(config.epsilon), "delta": str(config.delta),
-            "gamma": str(config.gamma),
-        },
+        "config": config.to_dict(),
         "error_bound": str(config.error_bound),
         "trials": args.trials,
         "master_hex": master.hex(),
@@ -343,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed-hex", help="hex tape / master key for reproducibility")
+        p.add_argument("--seed-hex", type=_seed_hex,
+                       help="hex tape / master key for reproducibility")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("gl", help="heavy Fourier coefficient search")

@@ -375,7 +375,7 @@ def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> G
 
 def gl_audit_dict(params: GlParams) -> dict:
     """Coin budget of one run, the steward seed split tape vs ladder, plus
-    query counts."""
+    each level's sampler plan."""
     seed_len = params.steward_config().schedule.seed_len
     return {
         "n": params.n,
@@ -385,5 +385,5 @@ def gl_audit_dict(params: GlParams) -> dict:
         "steward_bits": seed_len,
         "fresh_bits": params.tape_bits * params.k,
         "per_phase": {"tape": params.tape_bits, "ladder": seed_len - params.tape_bits},
-        "sampler_queries_per_level": [plan.queries for plan in params.plans],
+        "sampler": [plan.to_dict() for plan in params.plans],
     }

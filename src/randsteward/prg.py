@@ -24,12 +24,12 @@ j*n .. (j+1)*n - 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .extract import ExtractorParams, FreshExtractorParams, extract_int, plan_extractor
+from .randomness import rat_to_str
 
 LevelParams = Union[ExtractorParams, FreshExtractorParams]
 
@@ -56,7 +56,7 @@ class PrgSchedule:
     def output_len(self) -> int:
         return self.n * self.k
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         levels = []
         for i, params in enumerate(self.extractors):
             entry = {
@@ -69,19 +69,18 @@ class PrgSchedule:
             if isinstance(params, ExtractorParams):
                 entry["walk_len"] = params.walk_len
             levels.append(entry)
-        doc = {
+        return {
             "n": self.n,
             "k": self.k,
             "sigma": self.sigma,
-            "gamma": f"{self.gamma.numerator}/{self.gamma.denominator}",
+            "gamma": rat_to_str(self.gamma),
             "backend": self.backend,
             "levels": self.levels,
-            "beta": f"{self.beta.numerator}/{self.beta.denominator}",
+            "beta": rat_to_str(self.beta),
             "seed_len": self.seed_len,
             "output_len": self.output_len,
             "schedule": levels,
         }
-        return json.dumps(doc, indent=2)
 
 
 def build_schedule(

@@ -1,14 +1,16 @@
-"""Bit sources with exact budget accounting.
+"""Bit sources that count every bit they hand out.
 
 All randomness consumed anywhere in the library flows through a `BitSource`,
 so "how many bits did this protocol really use" is a counted fact, not an
-estimate (a steward session also books its own draws, as sessions may share
-a source).  A draw returns a string of '0'/'1', and each draw site decodes it
+estimate.  A source keeps one count, `bits_drawn`; a steward session keeps
+its own books, total and per phase, in its transcript, as sessions may share
+a source.  A draw returns a string of '0'/'1', and each draw site decodes it
 once with `bits_to_int`, little-endian: bit i of the int is the i-th bit
 drawn.  From there on seeds, generator outputs, blocks and samples are ints
 all the way to the oracle; bit strings come back only where a person reads or
 writes bits (the CLI, a transcript's JSON, GL's printed strings).
-The codecs here are the only conversions between the two.
+The codecs here are the only conversions between the two, and `rat_to_str`
+is the one text form of an exact rational in a plan, config or transcript.
 
 Sources:
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 class TapeExhausted(RuntimeError):
@@ -41,32 +43,17 @@ class TapeExhausted(RuntimeError):
         )
 
 
-@dataclass
-class BudgetReport:
-    """Counted randomness consumption, total and per phase."""
-
-    bits_drawn: int = 0
-    per_phase: dict[str, int] = field(default_factory=dict)
-
-    def add(self, phase: str, count: int) -> None:
-        self.bits_drawn += count
-        self.per_phase[phase] = self.per_phase.get(phase, 0) + count
-
-    def to_json(self) -> dict:
-        return {"bits_drawn": self.bits_drawn, "per_phase": dict(self.per_phase)}
-
-
 class BitSource:
-    """Base class: draw bits, keep the books."""
+    """Base class: draw bits and count them."""
 
     def __init__(self):
-        self.report = BudgetReport()
+        self.bits_drawn = 0
 
     def draw(self, count: int, phase: str = "default") -> str:
         if count < 0:
             raise ValueError("cannot draw a negative number of bits")
         bits = self._pull(count, phase)
-        self.report.add(phase, count)
+        self.bits_drawn += count
         return bits
 
     def _pull(self, count: int, phase: str) -> str:
@@ -144,18 +131,16 @@ def _bytes_to_bits(data: bytes) -> str:
     return int_to_bits(int.from_bytes(data, "little"), 8 * len(data))
 
 
-def hex_to_bits(hex_string: str, nbits: int) -> str:
-    """Decode a hex seed to exactly nbits bits (per-byte LSB first).
-
-    The hex string must supply at least nbits bits; surplus bits in the
-    final bytes are ignored.
-    """
-    data = bytes.fromhex(hex_string)
-    if 8 * len(data) < nbits:
-        raise ValueError(f"seed supplies {8 * len(data)} bits, need {nbits}")
-    return _bytes_to_bits(data)[:nbits]
+def hex_to_bits(hex_string: str) -> str:
+    """Every bit of a hex string's bytes, per-byte LSB first."""
+    return _bytes_to_bits(bytes.fromhex(hex_string))
 
 
 def bits_to_hex(bits: str) -> str:
-    """Inverse of hex_to_bits, zero-padding the final byte."""
+    """Inverse of hex_to_bits up to the zero bits that pad the final byte."""
     return bits_to_int(bits).to_bytes((len(bits) + 7) // 8, "little").hex()
+
+
+def rat_to_str(x: Fraction) -> str:
+    """Serialize as 'p/q', always with an explicit denominator."""
+    return f"{x.numerator}/{x.denominator}"

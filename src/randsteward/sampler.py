@@ -47,6 +47,7 @@ import numpy as np
 
 from .expander import seed_start, seed_walk
 from .gf2 import field_poly
+from .randomness import rat_to_str
 
 MODES = ("walk", "independent")
 
@@ -100,6 +101,13 @@ class SamplerPlan:
     @property
     def queries(self) -> int:
         return self.t0 * self.r
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n, "epsilon": rat_to_str(self.epsilon), "delta": rat_to_str(self.delta),
+            "mode": self.mode, "t0": self.t0, "r": self.r, "field_bits": self.field_bits,
+            "seed_bits": self.seed_bits, "queries": self.queries,
+        }
 
 
 def plan_sampler(n: int, epsilon: Fraction, delta: Fraction, mode: str = "walk") -> SamplerPlan:

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 from .bdt import split_blocks
 from .prg import PrgSchedule, build_schedule, expand
-from .randomness import BitSource, bits_to_int, int_to_bits
+from .randomness import BitSource, bits_to_int, int_to_bits, rat_to_str
 
 KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
     "main": ("blocks", "shift"),
@@ -113,6 +113,13 @@ class StewardConfig:
     def schedule(self) -> PrgSchedule:
         """The expander-generator plan for k blocks of n bits against sigma-ary trees."""
         return _planned_schedule(self.n, self.k, self.sigma, self.gamma)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n, "k": self.k, "d": self.d, "d0": self.d0,
+            "epsilon": rat_to_str(self.epsilon), "delta": rat_to_str(self.delta),
+            "gamma": rat_to_str(self.gamma), "kind": self.kind,
+        }
 
     @property
     def error_bound(self) -> Fraction:
@@ -195,11 +202,6 @@ def shift_round(
     return y[: len(w)], deltas
 
 
-def _rat_to_str(x: Fraction) -> str:
-    """Serialize as 'p/q', always with an explicit denominator."""
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass
 class RoundRecord:
     index: int
@@ -220,24 +222,17 @@ class Transcript:
         return [r.y for r in self.rounds]
 
     def to_json(self) -> str:
-        cfg = self.config
         doc = {
-            "config": {
-                "n": cfg.n, "k": cfg.k, "d": cfg.d, "d0": cfg.d0,
-                "epsilon": _rat_to_str(cfg.epsilon),
-                "delta": _rat_to_str(cfg.delta),
-                "gamma": _rat_to_str(cfg.gamma),
-                "kind": cfg.kind,
-            },
+            "config": self.config.to_dict(),
             "bits_used": self.bits_used,
             "bits_by_phase": dict(self.bits_by_phase),
             "rounds": [
                 {
                     "round": r.index,
-                    "x": int_to_bits(r.x, cfg.n),
-                    "w": [_rat_to_str(v) for v in r.w],
+                    "x": int_to_bits(r.x, self.config.n),
+                    "w": [rat_to_str(v) for v in r.w],
                     "deltas": list(r.deltas) if r.deltas is not None else None,
-                    "y": [_rat_to_str(v) for v in r.y],
+                    "y": [rat_to_str(v) for v in r.y],
                 }
                 for r in self.rounds
             ],

@@ -34,7 +34,7 @@ from randsteward.bdt import (
     exact_node_distribution,
     tv_distance,
 )
-from randsteward.circuits import acceptance_session, exact_mean, parse_circuit
+from randsteward.circuits import AcceptanceSession, exact_mean, parse_circuit
 from randsteward.expander import (
     GabberGalilGraph,
     adjacency_matrix,
@@ -602,10 +602,10 @@ def test_criterion_12():
     failures = 0
     queries = None
     for index in range(500):
-        session = acceptance_session(
+        session = AcceptanceSession(
             n, k, epsilon, delta, CounterSource(master=b"crit12", index=index)
         )
-        queries = session.queries_per_round
+        queries = session.plan.queries
         history = []
         bad = False
         for _ in range(k):

@@ -16,7 +16,6 @@ from randsteward.circuits import (
     Not,
     Var,
     _CircuitOracle,
-    acceptance_session,
     eval_on_ints,
     exact_mean,
     parse_circuit,
@@ -173,11 +172,11 @@ def test_circuit_oracle_builds_no_table_past_the_cap(monkeypatch):
 
 
 def test_acceptance_session_constants():
-    sess = acceptance_session(
+    sess = AcceptanceSession(
         3, 2, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"accept-unit", index=0)
     )
     assert sess.plan.t0 == 2560
-    assert sess.queries_per_round == 81920
+    assert sess.plan.queries == 81920
     assert sess.bits_used == 0  # nothing is drawn at open
     assert sess.estimate("1") == 1  # mu = 1 survives rounding exactly
     assert sess.bits_used == 288  # the whole steward seed, at the first estimate
@@ -189,7 +188,7 @@ def test_acceptance_session_constants():
 
 
 def test_acceptance_session_accuracy_and_rounds():
-    sess = acceptance_session(
+    sess = AcceptanceSession(
         3, 2, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"accept-unit", index=1)
     )
     maj = parse_circuit("x0 & x1 | x0 & x2 | x1 & x2", 3)
@@ -241,7 +240,7 @@ def test_promise_bpp_runner_lazy_without_queries():
         lambda ask: "done", lambda q, coins: 1, 4, 2, Fraction(1, 4), src
     )
     assert result == "done"
-    assert src.report.bits_drawn == 0
+    assert src.bits_drawn == 0
 
 
 def test_promise_bpp_runner_decides_with_noise():
@@ -314,7 +313,7 @@ def test_applications_reject_k_below_one(k):
         run_app_oracle_algorithm(
             lambda ask: [], lambda w, coins: w, 4, k, Fraction(1, 4), Fraction(1, 2), source
         )
-    assert source.report.bits_drawn == 0
+    assert source.bits_drawn == 0
 
 
 def test_app_runner_values_are_not_clamped():

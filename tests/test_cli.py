@@ -2,10 +2,11 @@ import argparse
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from randsteward import cli, steward
+from randsteward import cli, fourier, prg, sampler, steward
 from randsteward.cli import main
 
 MASTER = "00112233445566778899aabbccddeeff"
@@ -70,7 +71,7 @@ def test_accept_streams_estimates(capsys, tmp_path):
     ]
     doc = json.loads(target.read_text())
     assert doc["bits_used"] == 237
-    assert doc["sampler_queries_per_round"] == 61440
+    assert doc["sampler"]["queries"] == 61440
     assert doc["rounds"] == lines
     assert "2 rounds, 237 bits" in err
 
@@ -233,15 +234,96 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "adversary", "--trials", "-2"])
     assert exc.value.code == 2
-    # audit only plans, so it takes no seed; a job count below one is refused
+    # audit only plans, so it takes no seed; a job count below one is refused,
+    # and so is a seed that bytes.fromhex rejects
     for argv in (["audit", "--n", "2", "--theta", "9/10", "--delta", "1/2", "--seed-hex", "zz"],
                  ["demo", "adversary", "--jobs", "-4"],
                  ["sampler", "bench", "--n", "3", "--epsilon", "1/4", "--delta", "1/2",
-                  "--jobs", "0"]):
+                  "--jobs", "0"],
+                 ["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
+                  "--gamma", "1/2", "--seed-hex", "zz"],
+                 ["demo", "adversary", "--seed-hex", "abc"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    capsys.readouterr()
+    assert "--seed-hex: not a hex string: 'abc'" in capsys.readouterr().err
+
+
+def test_seed_hex_with_spaces_supplies_every_byte(capsys):
+    # "0e ff" is two bytes, 16 bits, although the text is five characters long
+    rc, out, _ = run_cli(
+        ["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4", "--gamma", "1/2",
+         "--backend", "fresh", "--seed-hex", "0e ff"],
+        capsys,
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["seed_bits"] == "0111"
+    assert doc["output_bits"] == "0111"
+
+
+def _json_out(argv, capsys, stdin=None):
+    rc, out, _ = run_cli(argv, capsys, stdin)
+    assert rc == 0
+    return json.loads(out)
+
+
+def test_each_plan_block_is_the_library_dict(capsys, tmp_path):
+    # every command prints a plan as the library's to_dict() of the same plan
+    q = Fraction
+    doc = _json_out(["sampler", "bench", "--n", "3", "--epsilon", "1/4", "--delta", "1/2",
+                     "--trials", "1", "--seed-hex", MASTER], capsys)
+    assert doc["plan"] == sampler.plan_sampler(3, q(1, 4), q(1, 2)).to_dict()
+    for backend in prg.BACKENDS:
+        doc = _json_out(["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
+                         "--gamma", "1/2", "--backend", backend, "--seed-hex", "ff" * 15],
+                        capsys)
+        assert doc["schedule"] == prg.build_schedule(2, 2, 4, q(1, 2), backend).to_dict()
+    doc = _json_out(["audit", "--n", "2", "--theta", "9/10", "--delta", "1/2"], capsys)
+    assert doc == fourier.gl_audit_dict(fourier.gl_params(2, q(9, 10), q(1, 2)))
+    target = tmp_path / "accept.json"
+    rc, _, _ = run_cli(["accept", "--n", "4", "--k", "2", "--epsilon", "1/2", "--delta", "1/2",
+                        "--output", str(target)], capsys, stdin="")
+    assert rc == 0
+    plan = sampler.plan_sampler(4, q(1, 16), q(1, 8))
+    assert json.loads(target.read_text())["sampler"] == plan.to_dict()
+    doc = _json_out(["demo", "adversary", "--steward", "main", "--d", "2", "--trials", "0"],
+                    capsys)
+    config = steward.StewardConfig(n=8, k=2, d=2, epsilon=q(1, 128), delta=q(1, 128),
+                                   gamma=q(1, 16), kind="main")
+    assert doc["config"] == config.to_dict()
+    assert doc["config"]["d0"] == 2 and doc["config"]["kind"] == "main"
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        assert all(isinstance(key, str) for key in value)
+        for item in value.values():
+            yield from _json_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("backend", prg.BACKENDS)
+def test_plan_dicts_hold_no_float(backend):
+    # exact values only on a path that carries a guarantee: rationals are "p/q"
+    q = Fraction
+    config = steward.StewardConfig(n=8, k=8, d=2, epsilon=q(1, 8), delta=q(1, 64),
+                                   gamma=q(1, 16), d0=1, kind="main")
+    dicts = [
+        prg.build_schedule(8, 8, 4, q(1, 16), backend).to_dict(),
+        sampler.plan_sampler(5, q(1, 4), q(1, 8)).to_dict(),
+        sampler.plan_sampler(5, q(1, 4), q(1, 8), mode="independent").to_dict(),
+        config.to_dict(),
+        fourier.gl_audit_dict(fourier.gl_params(2, q(9, 10), q(1, 2))),
+    ]
+    for doc in dicts:
+        for leaf in _json_leaves(doc):
+            assert type(leaf) in (int, str, bool, type(None)), (doc, leaf)
+        assert json.loads(json.dumps(doc)) == doc
 
 
 def test_sampler_bench_rejects_impossible_inputs(capsys):

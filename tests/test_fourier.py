@@ -128,7 +128,7 @@ def test_sign_table_rejects_lossy_inputs():
             subcube_weight_exact(bad, "")
         with pytest.raises(ValueError):
             estimate_W(bad, "", Fraction(1, 2), Fraction(1, 4), source)
-    assert source.report.bits_drawn == 0
+    assert source.bits_drawn == 0
     with pytest.raises(ValueError):
         heavy_set_exact([[1, -1], [1, -1]], Fraction(1, 2))  # not a flat table
     # exact +-1 values pass whatever their dtype
@@ -186,7 +186,7 @@ def test_estimate_w_is_unbiased_over_tapes():
         for seed in range(1 << plan.seed_bits):
             tape = TapeSource(int_to_bits(seed, plan.seed_bits))
             total += estimate_W([1, -1], prefix, Fraction(1), Fraction(15, 16), tape)
-            assert tape.report.bits_drawn == plan.seed_bits
+            assert tape.bits_drawn == plan.seed_bits
         assert total / (1 << plan.seed_bits) == want
 
 
@@ -198,7 +198,7 @@ def test_estimate_w_plans_over_n_plus_prefix_bits():
     want = plan_sampler(12, Fraction(1, 4), Fraction(1, 4))
     source = CounterSource(master=b"west-plan", index=0)
     estimate_W(*args, source)
-    assert source.report.bits_drawn == want.seed_bits
+    assert source.bits_drawn == want.seed_bits
     with pytest.raises(TypeError):
         estimate_W(*args, source, plan=plan_sampler(2, Fraction(1, 4), Fraction(1, 4)))
     with pytest.raises(TypeError):
@@ -399,6 +399,6 @@ def test_gl_randomness_audit():
     assert doc["steward_bits"] == 349
     assert doc["fresh_bits"] == 374
     assert doc["levels"] == 2
-    assert doc["sampler_queries_per_level"] == [p.queries for p in params.plans]
+    assert [p["queries"] for p in doc["sampler"]] == [p.queries for p in params.plans]
     # the saving must be genuine: one seed beats fresh tapes per level
     assert doc["steward_bits"] < doc["fresh_bits"]

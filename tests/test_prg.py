@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -149,12 +148,12 @@ def test_expand_rejects_wrong_seed_length():
 
 def test_schedule_json_report():
     s = build_schedule(4, 2, 2, Fraction(1, 4))
-    doc = json.loads(s.to_json())
+    doc = s.to_dict()
     assert doc["seed_len"] == 133
     assert doc["gamma"] == "1/4"
     assert doc["beta"] == "1/8"
     assert doc["schedule"][0]["walk_len"] == 43
     assert doc["schedule"][0]["s_in"] == 4
     assert doc["schedule"][0]["s_out"] == 133
-    fresh = json.loads(build_schedule(4, 2, 2, Fraction(1, 4), backend="fresh").to_json())
+    fresh = build_schedule(4, 2, 2, Fraction(1, 4), backend="fresh").to_dict()
     assert "walk_len" not in fresh["schedule"][0]

@@ -44,7 +44,7 @@ def _seed(plan, master: bytes, index: int = 0) -> int:
     """A plan's seed, drawn and decoded as the library's draw sites do."""
     source = CounterSource(master, index)
     seed = bits_to_int(source.draw(plan.seed_bits, phase="sampler"))
-    assert source.report.bits_drawn == plan.seed_bits
+    assert source.bits_drawn == plan.seed_bits
     return seed
 
 

@@ -305,7 +305,7 @@ def test_a_failed_first_round_does_not_redraw_the_seed():
     with pytest.raises(StewardProtocolError):
         sess.answer(const_query(0, 0))  # wrong dimension, after the seed is drawn
     sess.answer(const_query(0))
-    assert sess.bits_used == src.report.bits_drawn == 139
+    assert sess.bits_used == src.bits_drawn == 139
     assert sess.transcript.bits_by_phase == {"seed": 139}
 
 
@@ -321,7 +321,7 @@ def test_interleaved_sessions_on_one_source_count_their_own_bits():
         second.answer(const_query(0))
     assert first.bits_used == second.bits_used == 8
     assert first.transcript.bits_by_phase == {"sample": 8}
-    assert src.report.bits_drawn == 16
+    assert src.bits_drawn == 16
 
 
 def test_main_sessions_opened_on_one_source_count_their_own_seeds():
@@ -331,7 +331,7 @@ def test_main_sessions_opened_on_one_source_count_their_own_seeds():
         sess.answer(const_query(0))
     assert first.bits_used == second.bits_used == 139
     assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 139}
-    assert src.report.bits_drawn == 278
+    assert src.bits_drawn == 278
 
 
 def test_concentrated_fn_wrap():
