@@ -4,7 +4,7 @@ The protocol stack, bottom to top: audited bit sources (`randomness`),
 constant-degree expander walks (`expander`), walk-based extractors
 (`extract`), block decision trees (`bdt`) and the recursive generator fooling
 them (`prg`), the steward protocol with its exact shift-and-round (`steward`),
-pairwise-independent and averaging samplers (`sampler`), and two
+pairwise-independent samplers (`sampler`), and two
 applications: heavy Fourier coefficient search (`fourier`) and adaptive
 circuit acceptance estimation (`circuits`).  `adversary` holds owners that
 break naive baselines.

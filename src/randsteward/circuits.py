@@ -16,12 +16,16 @@ estimate is clamped to [0,1] -- so every Y_i is within epsilon of mu(C_i)
 except with probability delta, at a coin cost of one steward seed, drawn at
 the session's first estimate.
 
-Two oracle runners ride on the same pipeline: `run_promise_bpp_oracle_algorithm`
-answers decision queries by thresholding an estimate at 1/2 (fixed
-epsilon = 1/10, so promise margins of 1/3 survive), and
-`run_app_oracle_algorithm` serves approximate-probability queries by
-median-amplifying a 2/3-confidence estimator before handing it to the
-steward.
+Two oracle runners use the same steward config: `run_promise_bpp_oracle_algorithm`
+answers decision queries by thresholding an acceptance estimate at 1/2
+(fixed epsilon = 1/10, so promise margins of 1/3 survive), and
+`run_app_oracle_algorithm` serves approximate-probability queries from an
+estimator that is within epsilon/8 on >= 2/3 of its n-bit coin strings.  A
+round of the APP runner cuts the steward's r*n-bit block into r coin strings
+and answers the lower median of the estimator over them; r =
+sampler.median_reps(delta/(2k)), the fewest with
+P[Bin(r, 1/3) >= floor((r+1)/2)] <= delta/(2k), since the lower median is
+off only if that many of the r independent values are.
 """
 
 from __future__ import annotations
@@ -29,19 +33,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import sampler
+from .bdt import split_blocks
 from .randomness import BitSource
 from .sampler import (
     FnOracle,
     Oracle,
     SamplerPlan,
-    median_amplify,
-    plan_averaging,
+    check_runnable,
+    lower_median,
+    median_reps,
     plan_sampler,
 )
 from .steward import Session, StewardConfig
@@ -264,6 +269,7 @@ class AcceptanceSession:
     """Up to k rounds of: give a circuit, get Y = mu(C) +- epsilon in [0,1]."""
 
     def __init__(self, n: int, k: int, epsilon, delta, source: BitSource):
+        check_runnable(n)
         self.n = n
         self.k = k
         self.epsilon = Fraction(epsilon)
@@ -337,19 +343,20 @@ def run_app_oracle_algorithm(
     good except with probability delta.
 
     phi_estimator(w, coins) uses n coin bits, given as an n-bit int, and
-    lands within epsilon/8 of phi(w) on >= 2/3 of tapes.  Median amplification over an averaging
-    sampler pushes its failure to delta/(2k); the steward (gamma = delta/2)
-    multiplies the accuracy by the round constant 8.  Estimates are not
-    clamped -- phi need not be a probability.  The seed is drawn at the
-    first ask.
+    lands within epsilon/8 of phi(w) on >= 2/3 of coin strings.  The lower
+    median over r = median_reps(delta/(2k)) independent coin strings, one
+    r*n-bit block of the steward, pushes its failure to delta/(2k); the
+    steward (gamma = delta/2) multiplies the accuracy by the round constant
+    8.  Estimates are not clamped -- phi need not be a probability.  The seed
+    is drawn at the first ask.
     """
     epsilon, delta = Fraction(epsilon), Fraction(delta)
-    plan = plan_averaging(n, Fraction(1, 10), _round_delta(k, delta))
-    session = Session(_steward_config(plan.seed_bits, k, epsilon, delta), source)
+    r = median_reps(_round_delta(k, delta))
+    session = Session(_steward_config(r * n, k, epsilon, delta), source)
 
     def ask(w) -> Fraction:
         def f(tape: int):
-            return [median_amplify(partial(phi_estimator, w), plan, tape)]
+            return [lower_median([phi_estimator(w, coins) for coins in split_blocks(tape, n, r)])]
 
         return session.answer(f)[0]
 

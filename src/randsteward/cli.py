@@ -58,9 +58,11 @@ def _count(text: str) -> int:
 
 def _seed_hex(text: str) -> str:
     try:
-        bytes.fromhex(text)
+        seed = bytes.fromhex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a hex string: {text!r}") from exc
+    if not seed:
+        raise argparse.ArgumentTypeError(f"empty seed: {text!r}")
     return text
 
 
@@ -88,7 +90,7 @@ def _single_source(seed_hex: str | None):
 
 
 def _master_key(seed_hex: str | None) -> bytes:
-    return bytes.fromhex(seed_hex) if seed_hex else os.urandom(16)
+    return os.urandom(16) if seed_hex is None else bytes.fromhex(seed_hex)
 
 
 def _run_trials(worker, args_list, jobs: int) -> list:

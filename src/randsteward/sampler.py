@@ -1,6 +1,7 @@
 """Randomness-efficient samplers for bounded oracles.
 
-Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
+An estimator of E[f] for f: {0,1}^n -> [0, 1], and the planner of a median
+of independent values:
 
 * median-of-batches: r batches of t0 = ceil(10/eps^2) pairwise-independent
   points each; a batch mean is eps-accurate with probability >= 3/4 by
@@ -29,11 +30,13 @@ Two estimators of E[f] for f: {0,1}^n -> [0, 1]:
   its exact Fraction.  batch_cosets builds a reduced basis only for a block
   below full rank; every full-rank block shares the unit basis of the cube.
 
-* averaging: a single walk on the torus over n_emb = n (+1 if odd) bits whose
-  t = ceil(6*ceil(log2(2/delta))/eps^2) vertices serve as the sample points
-  directly.  The expander module fixes how both samplers' seeds encode
-  their walks.  Unlike the median form this keeps the estimate an
-  empirical mean, which is what median_amplify needs.
+* median_reps(delta): the fewest r independent values, each off with
+  probability at most p = 1/3, whose lower median is off with probability
+  at most delta.  The lower median (index (r-1)//2 of the sorted values) is
+  off only if floor((r+1)/2) of the values are off, so r is the smallest
+  with P[Bin(r, p) >= floor((r+1)/2)] <= delta, summed exactly in
+  rationals.  The tail is not monotone in r (an even r is no better than
+  r - 1), so every r is tried upward from 1.
 """
 
 from __future__ import annotations
@@ -53,13 +56,27 @@ MODES = ("walk", "independent")
 
 BATCH_POINTS_FACTOR = 10  # t0 = ceil(10 / eps^2): batch failure <= 1/40
 MEDIAN_REPS_FACTOR = 8  # r = ceil(8 * log2(1/delta))
-AVERAGING_QUALITY_FACTOR = 6  # t = ceil(6 * ceil(log2(2/delta)) / eps^2)
+VALUE_MISS = Fraction(1, 3)  # median_reps: each value is off with at most this probability
 
 
 def lower_median(values: Sequence):
     if not values:
         raise ValueError("median of empty sequence")
     return sorted(values)[(len(values) - 1) // 2]
+
+
+def median_reps(delta: Fraction) -> int:
+    """The smallest r with P[Bin(r, 1/3) >= floor((r+1)/2)] <= delta."""
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    p = VALUE_MISS
+    r = 1
+    while sum(
+        math.comb(r, j) * p**j * (1 - p) ** (r - j) for j in range((r + 1) // 2, r + 1)
+    ) > delta:
+        r += 1
+    return r
 
 
 def _ceil_log2(q: Fraction) -> int:
@@ -268,10 +285,15 @@ class SampleRun:
     estimate: Fraction
 
 
+def check_runnable(n: int) -> None:
+    """Refuse a run on more than 64 bits: sampler points are uint64."""
+    if n > 64:
+        raise ValueError(f"sampler points are uint64, so n={n} > 64 cannot be run")
+
+
 def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     """The r exact batch sums of an oracle on plan.n bits, from one seed."""
-    if plan.n > 64:
-        raise ValueError(f"sampler points are uint64, so n={plan.n} > 64 cannot be run")
+    check_runnable(plan.n)
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     # only a block of >= 2^n points can map onto the whole cube
@@ -299,51 +321,3 @@ def _batch_seeds(plan: SamplerPlan, seed: int) -> list[tuple[int, int]]:
     if plan.mode == "independent":
         return [seed_start(seed >> 2 * nf * i, nf) for i in range(plan.r)]
     return seed_walk(seed, nf, plan.r - 1)
-
-
-@dataclass(frozen=True)
-class AveragingSamplerPlan:
-    n: int
-    epsilon: Fraction
-    delta: Fraction
-    t: int
-
-    @property
-    def n_emb(self) -> int:
-        return self.n + (self.n & 1)
-
-    @property
-    def seed_bits(self) -> int:
-        return self.n_emb + 3 * (self.t - 1)
-
-
-def plan_averaging(n: int, epsilon: Fraction, delta: Fraction) -> AveragingSamplerPlan:
-    epsilon, delta = Fraction(epsilon), Fraction(delta)
-    if not 1 <= n <= 64:
-        raise ValueError("n must lie in 1..64: sampler points are uint64")
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    t = math.ceil(Fraction(AVERAGING_QUALITY_FACTOR * _ceil_log2(2 / delta)) / epsilon**2)
-    return AveragingSamplerPlan(n=n, epsilon=epsilon, delta=delta, t=max(1, t))
-
-
-def averaging_points(plan: AveragingSamplerPlan, seed: int) -> np.ndarray:
-    """The t walk vertices the seed encodes, truncated to n-bit points (uint64)."""
-    if seed < 0 or seed >> plan.seed_bits:
-        raise ValueError(f"seed must fit in {plan.seed_bits} bits")
-    half = plan.n_emb // 2
-    mask = (1 << plan.n) - 1
-    pts = [(x | y << half) & mask for x, y in seed_walk(seed, half, plan.t - 1)]
-    return np.array(pts, dtype=np.uint64)
-
-
-def median_amplify(f: Callable[[int], object], plan: AveragingSamplerPlan, seed: int):
-    """Lower median of f over the points of one averaging-sampler run.
-
-    If f is good on >= 2/3 of its inputs, a (1/10, delta) plan keeps the bad
-    points below half of the sample, so the median is good, except with
-    probability delta.
-    """
-    return lower_median([f(int(p)) for p in averaging_points(plan, seed)])

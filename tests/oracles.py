@@ -143,13 +143,6 @@ def ref_batch_seeds(plan, source) -> list[tuple[int, int]]:
     return ref_torus_walk(2 * nf, plan.r, source)
 
 
-def ref_averaging_points(plan, source) -> list[int]:
-    """An averaging sampler's t points: walk vertices cut to n-bit ints."""
-    half = plan.n_emb // 2
-    return [(x | y << half) & ((1 << plan.n) - 1)
-            for x, y in ref_torus_walk(plan.n_emb, plan.t, source)]
-
-
 def ref_extract(params, x: str, y: str) -> str:
     """Walk extractor on strings: x splits into two torus coordinates (odd
     lengths padded with a zero), y into 3-bit labels; a params object without
@@ -415,6 +408,23 @@ def ref_tree_distribution(evaluate, k: int, n: int) -> dict:
 def lower_median_ref(values):
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
+
+
+def ref_median_miss(r: int, p: Fraction) -> Fraction:
+    """The chance that the lower median of r independent values is off, each
+    value off with probability p and free to fall on either side: the law of
+    the miss count built by Pascal's rule, summed over the counts j at which
+    r - j good values (0) and j misses all on one side (-1 or 1) give a
+    median that misses."""
+    law = [Fraction(1)]  # law[j] = P[j misses so far]
+    for _ in range(r):
+        law = [(law[j] * (1 - p) if j < len(law) else 0) + (law[j - 1] * p if j else 0)
+               for j in range(len(law) + 1)]
+    return sum(
+        (law[j] for j in range(r + 1)
+         if any(lower_median_ref([0] * (r - j) + [side] * j) == side for side in (-1, 1))),
+        Fraction(0),
+    )
 
 
 def three_sigma_bound(rate_bound: float, trials: int) -> float:

@@ -1,7 +1,10 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from randsteward.bdt import (
     BlockDecisionTree,
@@ -15,7 +18,7 @@ from randsteward.bdt import (
 
 from randsteward.randomness import int_to_bits
 
-from oracles import ref_bits_to_int, ref_tree_distribution
+from oracles import ref_bits_to_int, ref_tree_distribution, ref_tv
 
 DEMO = BlockDecisionTree(
     k=2,
@@ -158,6 +161,27 @@ def test_tv_distance_basics():
     assert tv_distance(p, q) == tv_distance(q, p) == Fraction(1, 2)
     with pytest.raises(ValueError):
         tv_distance(p, NodeDistribution(k=2, sigma=2, probs={}))
+
+
+@st.composite
+def dyadic_leaf_pairs(draw):
+    """Two leaf distributions on one (k, sigma) shape, each 2^m units of mass
+    dropped on drawn leaves, m drawn per distribution."""
+    k, sigma = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    leaves = st.sampled_from(list(itertools.product(range(sigma), repeat=k)))
+    pair = []
+    for _ in range(2):
+        units = 1 << draw(st.integers(0, 5))
+        counts = Counter(draw(st.lists(leaves, min_size=units, max_size=units)))
+        pair.append({path: Fraction(c, units) for path, c in counts.items()})
+    return k, sigma, pair
+
+
+@given(dyadic_leaf_pairs())
+def test_tv_distance_matches_reference(case):
+    k, sigma, (p, q) = case
+    got = tv_distance(NodeDistribution(k, sigma, p), NodeDistribution(k, sigma, q))
+    assert got == ref_tv(p, q)
 
 
 def test_enumeration_caps():

@@ -23,11 +23,11 @@ from randsteward.circuits import (
     run_promise_bpp_oracle_algorithm,
     to_truth_table,
 )
-from randsteward.randomness import CounterSource, int_to_bits
+from randsteward.randomness import CounterSource, TapeSource, int_to_bits
 from randsteward.steward import StewardProtocolError
 
 from harness import random_circuit
-from oracles import ref_eval_circuit, ref_print_circuit
+from oracles import ref_eval_circuit, ref_median_miss, ref_print_circuit
 
 N = 3
 
@@ -290,6 +290,7 @@ def test_app_runner_estimates_with_bad_tapes():
         return w + 17 if coins & 3 == 3 else w
 
     targets = [Fraction(1, 3), Fraction(3, 4)]
+    source = CounterSource(master=b"app", index=0)
     out = run_app_oracle_algorithm(
         lambda ask: [ask(w) for w in targets],
         phi,
@@ -297,11 +298,63 @@ def test_app_runner_estimates_with_bad_tapes():
         2,
         Fraction(1, 4),
         Fraction(1, 2),
-        CounterSource(master=b"app", index=0),
+        source,
     )
     assert out == [Fraction(7, 16), Fraction(13, 16)]
     for got, want in zip(out, targets):
         assert abs(got - want) <= Fraction(1, 4)
+    # r = median_reps(1/8) = 11 coin strings, so the steward plans k=2 blocks of 44 bits
+    assert source.bits_drawn == 179
+
+
+def test_app_runner_misses_exactly_on_the_binomial_tail():
+    # n=2, k=1, delta=1/2: r = median_reps(1/4) = 5 coin strings, so the one
+    # block, and the whole seed, is 10 bits.  phi is off by 17 on coin string 3,
+    # a quarter of them, so over every tape an answer misses by more than
+    # epsilon exactly when 3 or more of its 5 strings are 3.
+    epsilon, mu = Fraction(1, 4), Fraction(1, 3)
+
+    def phi(w, coins):
+        return w + 17 if coins == 3 else w
+
+    misses = 0
+    for seed in range(1 << 10):
+        tape = TapeSource(int_to_bits(seed, 10))
+        (got,) = run_app_oracle_algorithm(
+            lambda ask: [ask(mu)], phi, 2, 1, epsilon, Fraction(1, 2), tape
+        )
+        assert tape.remaining == 0
+        misses += abs(got - mu) > epsilon
+    assert misses == 106 == 1024 * ref_median_miss(5, Fraction(1, 4))
+    assert Fraction(misses, 1024) <= Fraction(1, 4)  # delta/2, the round's share
+
+
+def test_app_runner_takes_coin_strings_past_64_bits():
+    seen = []
+
+    def phi(w, coins):
+        seen.append(coins)
+        return w
+
+    source = CounterSource(master=b"wide", index=0)
+    (got,) = run_app_oracle_algorithm(
+        lambda ask: [ask(Fraction(1, 2))], phi, 100, 1, Fraction(1, 4), Fraction(1, 2), source
+    )
+    assert abs(got - Fraction(1, 2)) <= Fraction(1, 4)
+    assert len(seen) == 5 and max(seen).bit_length() > 64
+    assert source.bits_drawn == 5 * 100
+
+
+def test_estimates_past_64_bits_are_refused_before_any_draw():
+    # sampler points are uint64; the session is refused when it is built
+    source = CounterSource(master=b"wide", index=0)
+    with pytest.raises(ValueError, match="64"):
+        AcceptanceSession(65, 2, Fraction(1, 2), Fraction(1, 2), source)
+    with pytest.raises(ValueError, match="64"):
+        run_promise_bpp_oracle_algorithm(
+            lambda ask: ask("q"), lambda query, coins: 0, 65, 1, Fraction(1, 2), source
+        )
+    assert source.bits_drawn == 0
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -242,11 +242,17 @@ def test_usage_errors_exit_two(capsys):
                   "--jobs", "0"],
                  ["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
                   "--gamma", "1/2", "--seed-hex", "zz"],
-                 ["demo", "adversary", "--seed-hex", "abc"]):
+                 ["demo", "adversary", "--seed-hex", "abc"],
+                 # an empty seed is neither a tape nor a master key
+                 ["prg", "expand", "--n", "2", "--k", "2", "--sigma", "4",
+                  "--gamma", "1/2", "--seed-hex", ""],
+                 ["demo", "adversary", "--seed-hex", ""]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    assert "--seed-hex: not a hex string: 'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--seed-hex: not a hex string: 'abc'" in err
+    assert "--seed-hex: empty seed: ''" in err
 
 
 def test_seed_hex_with_spaces_supplies_every_byte(capsys):

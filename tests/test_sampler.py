@@ -16,11 +16,9 @@ from randsteward.sampler import (
     TruthTableOracle,
     _batch_seeds,
     _powers,
-    averaging_points,
     batch_cosets,
     lower_median,
-    median_amplify,
-    plan_averaging,
+    median_reps,
     plan_sampler,
     run_sampler,
 )
@@ -30,11 +28,11 @@ from oracles import (
     batch_points,
     lower_median_ref,
     ref_affine_points,
-    ref_averaging_points,
     ref_batch_cosets,
     ref_batch_seeds,
     ref_gf2_mul,
     ref_is_irreducible,
+    ref_median_miss,
 )
 
 PARITY3 = TruthTableOracle([0, 1, 1, 0, 1, 0, 0, 1])
@@ -380,16 +378,6 @@ def test_batch_seeds_match_per_step_reference():
         assert tape.remaining == 0
 
 
-def test_averaging_points_match_per_step_reference():
-    rng = random.Random(2025)
-    for n in range(1, 13):  # odd n embeds on n + 1 bits
-        plan = plan_averaging(n, Fraction(1, n % 3 + 1), Fraction(1, 4))
-        seed = rng.getrandbits(plan.seed_bits)
-        tape = TapeSource(int_to_bits(seed, plan.seed_bits))
-        assert averaging_points(plan, seed).tolist() == ref_averaging_points(plan, tape)
-        assert tape.remaining == 0
-
-
 class _NoCubeCircuit(_CircuitOracle):
     def cube_total(self):
         return None
@@ -475,66 +463,33 @@ def test_truth_table_oracle_validation():
     assert oracle.eval_ints(np.array([2, 0])).tolist() == [1, 5]
 
 
-# ---------------------------------------------------------------- averaging
+# ---------------------------------------------------------------- median of independent values
 
 
-def test_plan_averaging_goldens():
-    p = plan_averaging(3, Fraction(1, 2), Fraction(1, 2))
-    assert (p.t, p.n_emb, p.seed_bits) == (48, 4, 145)
-    assert plan_averaging(4, Fraction(1), Fraction(1, 2)).t == 12
-    with pytest.raises(ValueError):
-        plan_averaging(0, Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        plan_averaging(3, Fraction(1, 2), Fraction(1))
+def test_median_reps_goldens():
+    # 1/3 is one value's miss chance, so one value is enough down to delta = 1/3;
+    # 1/320 is the APP runner's round share at k=16, delta=1/10
+    assert [median_reps(Fraction(1, q)) for q in (2, 3, 4, 8, 320)] == [1, 1, 5, 11, 63]
+    for bad in (0, 1, -1, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            median_reps(bad)
+
+
+def test_median_reps_meets_the_reference_tail():
+    # the tail is not monotone in r, so every smaller r' must exceed delta
+    for q in (2, 3, 4, 5, 7, 8, 10, 16, 32, 64, 100, 320):
+        delta = Fraction(1, q)
+        r = median_reps(delta)
+        assert ref_median_miss(r, Fraction(1, 3)) <= delta
+        assert all(ref_median_miss(s, Fraction(1, 3)) > delta for s in range(1, r))
 
 
 def test_runs_wider_than_64_bits_are_refused():
     # points are uint64: a 65-bit median-sampler run fails cleanly at any seed,
-    # though it plans; the averaging sampler refuses to plan it
+    # though it plans
     plan = plan_sampler(65, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError, match="64"):
         run_sampler(plan, FnOracle(65, lambda x: 0), (1 << plan.seed_bits) - 1)
-    with pytest.raises(ValueError, match="64"):
-        plan_averaging(65, Fraction(1, 2), Fraction(1, 2))
     plan = plan_sampler(64, Fraction(1, 2), Fraction(1, 2))
     run = run_sampler(plan, FnOracle(64, lambda x: x >> 63), (1 << plan.seed_bits) - 1)
     assert 0 <= run.estimate <= 1
-    wide = plan_averaging(64, Fraction(1), Fraction(1, 2))
-    pts = averaging_points(wide, (1 << wide.seed_bits) - 1)
-    assert len(pts) == wide.t and pts.dtype == np.uint64
-
-
-def test_averaging_points_golden():
-    plan = plan_averaging(4, Fraction(1), Fraction(1, 2))
-    assert plan.seed_bits == 4 + 3 * 11
-    pts = averaging_points(plan, 0b1101)  # start "1011", then eleven label-0 steps
-    assert pts.tolist() == [13, 15] * 6
-    assert len(pts) == plan.t
-
-
-def test_averaging_handles_odd_n():
-    plan = plan_averaging(3, Fraction(1), Fraction(1, 2))
-    assert plan.n_emb == 4
-    pts = averaging_points(plan, (1 << plan.seed_bits) - 1)
-    assert len(pts) == plan.t and all(p < 8 for p in pts.tolist())
-    with pytest.raises(ValueError):
-        averaging_points(plan, 1 << plan.seed_bits)
-
-
-def test_median_amplify_constant():
-    plan = plan_averaging(4, Fraction(1), Fraction(1, 2))
-    out = median_amplify(lambda x: Fraction(2, 7), plan, _seed(plan, b"m"))
-    assert out == Fraction(2, 7)
-
-
-def test_app_amplify_beats_a_third_of_bad_coins():
-    # phi is wrong on 1/4 < 1/3 of coin strings; the median repair must
-    # almost always return the good value
-    def phi(coins):
-        return 99 if coins & 3 == 3 else 1  # the first two coins drawn are 1
-
-    plan = plan_averaging(6, Fraction(1, 10), Fraction(1, 8))
-    wrong = sum(
-        median_amplify(phi, plan, _seed(plan, b"amp-trial", i)) != 1 for i in range(40)
-    )
-    assert wrong == 0
