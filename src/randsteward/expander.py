@@ -9,13 +9,10 @@ bound 221/250 = 0.884 and the test suite checks it numerically for small m.
 (The coefficient of 2 matters: the superficially similar maps (x+y, y) /
 (x, y+x) blow past 0.884 already at m = 16.)
 
-Seed layout.  The extractor and the median sampler read walks from seed
-bits only through seed_start, seed_labels and seed_walk: an int seed starts at
-the vertex (low half bits, next half bits) of the side-2^half torus and
-follows the 3-bit fields above those 2*half bits, low end first.  An s-bit
-extractor input is a start vertex with half = ceil(s/2); for odd s the top
-coordinate bit is zero (charged as +1 entropy deficit by the extractor
-planner).
+Seed layout.  The median sampler reads walks from seed bits only through
+seed_start, seed_labels and seed_walk: an int seed starts at the vertex (low
+half bits, next half bits) of the side-2^half torus and follows the 3-bit
+fields above those 2*half bits, low end first.
 """
 
 from __future__ import annotations

@@ -1,71 +1,53 @@
-"""Seeded extractors realized as expander walks.
+"""Seeded average-case extractors: Ext(x, (u, v)) = x XOR S(u, v).
 
-`plan_extractor(s, t, beta)` sizes a walk extractor whose output on any
-input distribution with entropy deficit at most t is beta-close to uniform
-even on average over side information -- the "average-case" form needed when
-an adversary conditions on what it has already seen.  The plan buys the
-average-case property from the ordinary one: an ordinary extractor for
-deficit t + log2(2/beta) with error beta/2 is automatically average-case for
-deficit t with error beta, so the planner inflates the deficit accordingly
-(plus one for the padding bit when s is odd) and halves the error target.
+S is the powering small-bias set of Alon, Goldreich, Hastad and Peralta
+(1992): u, v in GF(2^m) and bit i of S is <u^i, v> for i < s.  For a
+nonzero a in {0,1}^s, <a, S> = <sum_i a_i u^i, v> is unbiased over v unless
+u is one of the at most s - 1 roots of that polynomial, so every nonzero
+Fourier coefficient of S is at most eps = (s - 1)/2^m.
 
-The walk length comes from the spectral mixing bound
+Error.  Let H~(X | Z) >= s - t and X_z be X given Z = z.  Adding S multiplies
+the coefficients, P_out^(a) = P_Xz^(a) * P_S^(a).  By Cauchy-Schwarz,
+Parseval, CP(X_z) <= 2^-H_inf(X_z) and Jensen (the root is concave), with
+E_z 2^-H_inf(X_z) = 2^-H~(X | Z):
 
-    TV(endpoint, uniform) <= (1/2) * lam^len * 2^(t'/2)
+    TV_z <= 1/2 * (sum_{a != 0} P_out^(a)^2)^(1/2) <= 1/2 * eps * (2^s * CP(X_z))^(1/2),
+    E_z TV_z <= 1/2 * eps * (2^s * E_z 2^-H_inf(X_z))^(1/2) <= 1/2 * eps * 2^(t/2).
 
-for a deficit-t' start on a graph with singular-value bound lam.  We require
-lam^len * 2^(t'/2) <= beta/4 (a factor-two margin under the beta/2 target),
-i.e. the smallest len with
-
-    len >= (t'/2 + log2(2/beta) + 1) / log2(1/lam).
-
-That comparison is evaluated in exact integer arithmetic by squaring:
-lam^(2*len) * 32 * 2^(t + pad) <= beta^3.  Each step consumes 3 seed bits
-(degree 8), so the seed is 3 * walk_len bits.  test_extract checks this
-planning rule against exhaustively computed TV distances at small s before
-anything else relies on it.  The plan is pure and its loop multiplies
-integers of about 1.5k bits, so it is memoized (a bounded cache: a session
-plans one extractor per generator level).
-
-`extract_int` is the walk on ints, whose bit i is the i-th bit of the
-input or seed: x (s bits) is the start vertex and y (seed_len bits) the
-labels, both in the expander's seed layout with half = ceil(s/2), and the
-endpoint is written back the same way, masked to s bits.
-
-`FreshExtractorParams(s)` is the `fresh` backend's degenerate extractor,
-Ext(x, y) = y; like a planned walk it needs s >= 1.
+`plan_extractor` keeps a factor two, 1/2 * eps * 2^(t/2) <= beta/2: the
+smallest m >= 1 with (s - 1)^2 * 2^t * den(beta)^2 <= num(beta)^2 * 4^m, in
+integers.  The seed is 2m bits for any s: u its low m bits, v the next m.
+`FreshExtractorParams(s)` is the `fresh` backend's Ext(x, y) = y.  Ints
+carry bit i as the i-th bit; `extract_int` refuses an x outside [0, 2^s) or
+a y outside [0, 2^seed_len).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from . import expander
+from . import gf2
 
 
 @dataclass(frozen=True)
 class ExtractorParams:
-    """Walk extractor: s bits in, s bits out, 3*walk_len seed bits."""
+    """Small-bias extractor: s bits in, s bits out, 2m seed bits."""
 
     s: int
     t: int
     beta: Fraction
-    walk_len: int
+    m: int
 
     @property
     def seed_len(self) -> int:
-        return 3 * self.walk_len
+        return 2 * self.m
 
 
 @dataclass(frozen=True)
 class FreshExtractorParams:
-    """Degenerate extractor that outputs its seed: Ext(x, y) = y.
-
-    Seed length equals the output length, so schedules built on it recycle
-    nothing; it exists as the exact baseline for differential testing.
-    """
+    """Ext(x, y) = y: recycles nothing, the exact baseline for differential tests."""
 
     s: int
 
@@ -78,9 +60,8 @@ class FreshExtractorParams:
         return self.s
 
 
-@lru_cache(maxsize=256)
 def plan_extractor(s: int, t: int, beta: Fraction) -> ExtractorParams:
-    """Smallest conformant walk extractor for deficit t and error beta."""
+    """The smallest field whose small-bias extractor has deficit t and error beta."""
     if s < 1:
         raise ValueError("output length s must be >= 1")
     if t < 0:
@@ -88,27 +69,70 @@ def plan_extractor(s: int, t: int, beta: Fraction) -> ExtractorParams:
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise ValueError(f"error beta must be in (0, 1], got {beta}")
-    pad = s % 2
-    lam = expander.SECOND_EIGENVALUE_BOUND
-    # lam^(2L) * 32 * 2^(t+pad) <= beta^3, cleared to integers.
-    lhs_num = lam.numerator**2 * 32 * 2 ** (t + pad) * beta.denominator**3
-    lhs_den = lam.denominator**2
-    rhs = beta.numerator**3
-    walk_len = 1
-    while lhs_num > rhs * lhs_den:
-        walk_len += 1
-        lhs_num *= lam.numerator**2
-        lhs_den *= lam.denominator**2
-    return ExtractorParams(s=s, t=t, beta=beta, walk_len=walk_len)
+    # 4^m >= q = ceil(lhs / rhs) exactly when 2m >= (q - 1).bit_length()
+    q = -(-((s - 1) ** 2 * 2**t * beta.denominator**2) // beta.numerator**2)
+    m = max(1, ((q - 1).bit_length() + 1) // 2)
+    return ExtractorParams(s=s, t=t, beta=beta, m=m)
 
 
 def extract_int(params, x: int, y: int) -> int:
     """Apply the planned extractor to ints x (params.s bits) and y (seed_len bits)."""
+    if x < 0 or x >> params.s:
+        raise ValueError(f"input x must fit in {params.s} bits")
+    if y < 0 or y >> params.seed_len:
+        raise ValueError(f"seed y must fit in {params.seed_len} bits")
     if isinstance(params, FreshExtractorParams):
         return y
-    half = (params.s + 1) // 2
-    g = expander.GabberGalilGraph(1 << half)
-    start = expander.seed_start(x, half)
-    a, b = expander.walk(g, start, expander.seed_labels(y, params.walk_len))
-    return (a | b << half) & ((1 << params.s) - 1)
+    return x ^ _small_bias(params.s, params.m, y & ((1 << params.m) - 1), y >> params.m)
 
+
+def _small_bias(s: int, m: int, u: int, v: int) -> int:
+    """S(u, v) from the powers u^r, r < b, each the last times u.
+
+    Up to 64 bits, b = s and bit r is parity(u^r & v).  Past that a jump costs
+    less than the chain, and S comes b = isqrt(s) bits at a time: bit jb + r
+    is <u^r, v_j>, v_j = (M^T)^j v for M the product by w = u^b, and one map
+    of v_j gives v_(j+1) in its low m bits and those b bits above them (its
+    rows are w * x^i for i < m, then u^r)."""
+    b = s if s <= 64 else math.isqrt(s)
+    times_u = _linear_map(gf2.powers(u, m))
+    us = [1]
+    for _ in range(b - 1):
+        us.append(_apply(times_u, us[-1]))
+    if b == s:
+        return sum(((power & v).bit_count() & 1) << r for r, power in enumerate(us))
+    step = _linear_map(_columns(gf2.powers(_apply(times_u, us[-1]), m) + us, m))
+    out = 0
+    for j in range(0, s, b):
+        state = _apply(step, v)
+        out |= state >> m << j
+        v = state & ((1 << m) - 1)
+    return out & ((1 << s) - 1)
+
+
+def _linear_map(columns: list[int]) -> list[tuple[int, list[int]]]:
+    """g -> xor of columns[k] over the set bits k of g: a 16-entry table per nibble."""
+    columns = columns + [0] * (-len(columns) % 4)
+    tables = []
+    for shift in range(0, len(columns), 4):
+        a, b, c, d = columns[shift : shift + 4]
+        ab, cd = a ^ b, c ^ d
+        tables.append((shift, [0, a, b, ab, c, c ^ a, c ^ b, c ^ ab,
+                               d, d ^ a, d ^ b, d ^ ab, cd, cd ^ a, cd ^ b, cd ^ ab]))
+    return tables
+
+
+def _apply(tables: list[tuple[int, list[int]]], g: int) -> int:
+    out = 0
+    for shift, table in tables:
+        out ^= table[g >> shift & 15]
+    return out
+
+
+def _columns(rows: list[int], width: int) -> list[int]:
+    """The columns of a bit matrix: bit r of column k is bit k of rows[r], k < width."""
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << width | row
+    text = format(packed, f"0{width * len(rows)}b")  # rows[-1] first, high bit first
+    return [int(text[width - 1 - k :: width], 2) for k in range(width)]

@@ -1,10 +1,13 @@
 """Binary-field arithmetic on Python ints (bit i = coefficient of x^i).
 
-field_poly(m) is the GF(2^m) modulus behind the sampler's map g -> a*g + b,
-which sampler._powers multiplies by shift and reduce: the smallest
-irreducible polynomial of degree m, found by scanning upward from x^m with
-Rabin's test: f is irreducible iff x^(2^m) = x (mod f) and
-gcd(x^(2^(m/p)) - x, f) = 1 for every prime p | m.
+field_poly(m) is the GF(2^m) modulus: the smallest irreducible polynomial
+of degree m, found by scanning upward from x^m with Rabin's test: f is
+irreducible iff x^(2^m) = x (mod f) and gcd(x^(2^d) - x, f) = 1 for every
+proper divisor d of m (the quotients m/p by the primes p | m would do).
+
+powers(a, m) is the one GF(2^m) multiplier, which the sampler's g -> a*g + b
+and the extractor's powers of u share: the images a * x^i of the unit
+vectors, by shift and reduce, so that a*g is their xor over the bits of g.
 """
 
 from __future__ import annotations
@@ -36,38 +39,16 @@ def pgcd(a: int, b: int) -> int:
     return a
 
 
-def _x_to_power_of_two(e: int, f: int) -> int:
-    """x^(2^e) mod f."""
-    r = pmod(0b10, f)
-    for _ in range(e):
-        r = pmod(pmul(r, r), f)
-    return r
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def is_irreducible(f: int) -> bool:
     m = f.bit_length() - 1
     if m < 1:
         return False
-    if _x_to_power_of_two(m, f) != pmod(0b10, f):
+    squares = [pmod(0b10, f)]  # x^(2^d) mod f
+    for _ in range(m):
+        squares.append(pmod(pmul(squares[-1], squares[-1]), f))
+    if squares[m] != squares[0]:
         return False
-    for p in _prime_factors(m):
-        if pgcd(_x_to_power_of_two(m // p, f) ^ 0b10, f) != 1:
-            return False
-    return True
+    return all(pgcd(squares[d] ^ 0b10, f) == 1 for d in range(1, m) if m % d == 0)
 
 
 @lru_cache(maxsize=None)
@@ -80,3 +61,16 @@ def field_poly(m: int) -> int:
             return f
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
+
+def powers(a: int, m: int) -> list[int]:
+    """a * x^i in GF(2^m) for i < m: g -> a*g on the unit vectors."""
+    poly = field_poly(m)
+    top = 1 << m
+    out = []
+    cur = a
+    for _ in range(m):
+        out.append(cur)
+        cur <<= 1
+        if cur & top:
+            cur ^= poly
+    return out

@@ -11,7 +11,8 @@ extractor seed.  Ext_i is an average-case extractor whose entropy deficit
 t_i = ceil(2^i * log2(sigma)) matches the number of symbols a depth-2^i tree
 can have learned about x, and whose error beta = gamma / 2^levels makes the
 per-level losses sum to the target gamma.  The final output is truncated to
-n*k bits.
+n*k bits.  The "small-bias" backend plans Ext_i with extract.plan_extractor;
+the "fresh" one takes Ext_i(x, y) = y.
 
 `build_schedule` fixes every length up front, so expansion is deterministic
 and the bit budget is auditable before any seed is drawn.
@@ -26,14 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .extract import ExtractorParams, FreshExtractorParams, extract_int, plan_extractor
 from .randomness import rat_to_str
 
-LevelParams = Union[ExtractorParams, FreshExtractorParams]
-
-BACKENDS = ("expander", "fresh")
+BACKENDS = ("small-bias", "fresh")
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class PrgSchedule:
     backend: str
     levels: int
     beta: Fraction
-    extractors: tuple[LevelParams, ...]
+    extractors: tuple[ExtractorParams | FreshExtractorParams, ...]
     s: tuple[int, ...]  # s[i] = seed length entering level i; s[levels] = total
 
     @property
@@ -67,7 +65,7 @@ class PrgSchedule:
                 "s_out": self.s[i + 1],
             }
             if isinstance(params, ExtractorParams):
-                entry["walk_len"] = params.walk_len
+                entry["field_bits"] = params.m
             levels.append(entry)
         return {
             "n": self.n,
@@ -88,7 +86,7 @@ def build_schedule(
     k: int,
     sigma: int,
     gamma: Fraction,
-    backend: str = "expander",
+    backend: str = "small-bias",
 ) -> PrgSchedule:
     """Plan generator lengths for k blocks of n bits against sigma-ary trees."""
     if n < 1 or k < 1:
@@ -103,13 +101,13 @@ def build_schedule(
 
     levels = (k - 1).bit_length()  # ceil(log2 k)
     beta = gamma / (1 << levels)
-    extractors: list[LevelParams] = []
+    extractors: list[ExtractorParams | FreshExtractorParams] = []
     s = [n]
     for i in range(levels):
         # t_i = ceil(2^i * log2 sigma) = ceil(log2 sigma^(2^i)), exactly.
         t_i = (sigma ** (1 << i) - 1).bit_length()
         if backend == "fresh":
-            params: LevelParams = FreshExtractorParams(s=s[i])
+            params: ExtractorParams | FreshExtractorParams = FreshExtractorParams(s=s[i])
         else:
             params = plan_extractor(s=s[i], t=t_i, beta=beta)
         extractors.append(params)

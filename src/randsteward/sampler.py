@@ -48,8 +48,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import gf2
 from .expander import seed_start, seed_walk
-from .gf2 import field_poly
 from .randomness import rat_to_str
 
 MODES = ("walk", "independent")
@@ -186,20 +186,6 @@ class FnOracle(Oracle):
         return np.array([self.fn(int(x)) for x in xs], dtype=object)
 
 
-def _powers(a: int, field_bits: int) -> list[int]:
-    """a * x^i in GF(2^field_bits) for i < field_bits: g -> a*g on the unit vectors."""
-    poly = field_poly(field_bits)
-    top = 1 << field_bits
-    powers = []
-    cur = a
-    for _ in range(field_bits):
-        powers.append(cur)
-        cur <<= 1
-        if cur & top:
-            cur ^= poly
-    return powers
-
-
 def batch_cosets(
     a: int, b: int, t0: int, field_bits: int, n: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -222,7 +208,7 @@ def batch_cosets(
     """
     if t0 > 1 << field_bits:
         raise ValueError("field too small for t0 distinct points")
-    powers = _powers(a, field_bits)
+    powers = gf2.powers(a, field_bits)
     mask = (1 << n) - 1
     blocks = []  # (j, c), top down
     c = b

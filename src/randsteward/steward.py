@@ -30,7 +30,7 @@ main, coarse or certified, comes from one integer floor division
 Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
 comes from, how it rounds), and Session switches on those two members only.
-A sample is one block of the expander generator's output ("blocks", the main
+A sample is one block of the small-bias generator's output ("blocks", the main
 steward), n fresh bits drawn in the round ("fresh") or one n-bit sample reused
 every round ("reused"); the generator's seed or the reused sample is drawn
 once, at the first round.  Either way a sample is an n-bit int whose bit i is
@@ -111,7 +111,7 @@ class StewardConfig:
 
     @property
     def schedule(self) -> PrgSchedule:
-        """The expander-generator plan for k blocks of n bits against sigma-ary trees."""
+        """The small-bias generator plan for k blocks of n bits against sigma-ary trees."""
         return _planned_schedule(self.n, self.k, self.sigma, self.gamma)
 
     def to_dict(self) -> dict:

@@ -143,53 +143,6 @@ def ref_batch_seeds(plan, source) -> list[tuple[int, int]]:
     return ref_torus_walk(2 * nf, plan.r, source)
 
 
-def ref_extract(params, x: str, y: str) -> str:
-    """Walk extractor on strings: x splits into two torus coordinates (odd
-    lengths padded with a zero), y into 3-bit labels; a params object without
-    walk_len is the fresh extractor Ext(x, y) = y."""
-    walk_len = getattr(params, "walk_len", None)
-    if walk_len is None:
-        return y
-    assert len(x) == params.s and len(y) == 3 * walk_len
-    half = (len(x) + 1) // 2
-    v = ref_vertex_from_bits(x)
-    for i in range(0, len(y), 3):
-        v = ref_gg_neighbor(1 << half, v, ref_bits_to_int(y[i : i + 3]))
-    return (ref_int_to_bits(v[0], half) + ref_int_to_bits(v[1], half))[: params.s]
-
-
-def ref_expand(schedule, seed: str) -> str:
-    """The generator on strings, G_i(x, y) = G_{i-1}(x) || G_{i-1}(Ext(x, y)),
-    read from a schedule's lengths (n, levels, s, extractors) and truncated
-    to n*k bits."""
-    assert len(seed) == schedule.s[schedule.levels]
-
-    def level(i: int, bits: str) -> str:
-        if i == 0:
-            return bits
-        x, y = bits[: schedule.s[i - 1]], bits[schedule.s[i - 1] :]
-        return level(i - 1, x) + level(i - 1, ref_extract(schedule.extractors[i - 1], x, y))
-
-    return level(schedule.levels, seed)[: schedule.n * schedule.k]
-
-
-def ref_walk_distribution(m: int, start_dist: dict, steps: int) -> dict:
-    """Exact distribution after `steps` uniform-label steps.
-
-    start_dist and the result map vertex -> integer weight; the implicit
-    denominator picks up a factor 8 per step.
-    """
-    dist = dict(start_dist)
-    for _ in range(steps):
-        nxt: dict = {}
-        for v, w in dist.items():
-            for label in range(8):
-                u = ref_gg_neighbor(m, v, label)
-                nxt[u] = nxt.get(u, 0) + w
-        dist = nxt
-    return dist
-
-
 def ref_tv(p: dict, q: dict) -> Fraction:
     keys = set(p) | set(q)
     return sum((abs(Fraction(p.get(k, 0)) - Fraction(q.get(k, 0))) for k in keys),
@@ -236,6 +189,60 @@ def ref_affine_points(a: int, b: int, t0: int, poly: int, m: int, n: int) -> lis
 def ref_field_poly(m: int) -> int:
     """The smallest irreducible polynomial of degree m, by brute force."""
     return next(f for f in range(1 << m, 1 << (m + 1)) if ref_is_irreducible(f, m))
+
+
+# ---------------------------------------------------------------- extractor, generator
+
+def ref_extract(params, x: str, y: str) -> str:
+    """The extractor on strings: x XOR S(u, v), u the first m bits of y and v
+    the next m, both little-endian, and bit i of S the parity of u^i & v,
+    each power u^(i+1) = u^i * u a peasant product; a params object without
+    m is the fresh extractor Ext(x, y) = y."""
+    m = getattr(params, "m", None)
+    if m is None:
+        return y
+    assert len(x) == params.s and len(y) == 2 * m
+    u, v = ref_bits_to_int(y[:m]), ref_bits_to_int(y[m:])
+    out, power = [], 1
+    for bit in x:
+        out.append("1" if (bin(power & v).count("1") + (bit == "1")) % 2 else "0")
+        power = ref_gf2_mul(power, u, ref_field_poly(m), m)
+    return "".join(out)
+
+
+def ref_field_bits(s: int, t: int, beta: Fraction) -> int:
+    """The smallest m >= 1 with ((s - 1)/2^m)^2 * 2^t <= beta^2, in Fractions:
+    bias (s - 1)/2^m small enough for deficit t and error beta."""
+    return next(m for m in itertools.count(1) if Fraction(s - 1, 1 << m) ** 2 * 2**t <= beta**2)
+
+
+def ref_schedule(n: int, k: int, sigma: int, gamma: Fraction) -> list[int]:
+    """The seed lengths s_0 = n, ..., s_levels of the small-bias generator for
+    k blocks of n bits: levels = ceil(log2 k), beta = gamma / 2^levels, and
+    level i adds 2m bits for deficit t_i, the smallest t with
+    2^t >= sigma^(2^i)."""
+    levels = next(L for L in itertools.count() if 1 << L >= k)
+    beta = Fraction(gamma) / (1 << levels)
+    s = [n]
+    for i in range(levels):
+        t = next(t for t in itertools.count() if 2**t >= sigma ** (2**i))
+        s.append(s[-1] + 2 * ref_field_bits(s[-1], t, beta))
+    return s
+
+
+def ref_expand(schedule, seed: str) -> str:
+    """The generator on strings, G_i(x, y) = G_{i-1}(x) || G_{i-1}(Ext(x, y)),
+    read from a schedule's lengths (n, levels, s, extractors) and truncated
+    to n*k bits."""
+    assert len(seed) == schedule.s[schedule.levels]
+
+    def level(i: int, bits: str) -> str:
+        if i == 0:
+            return bits
+        x, y = bits[: schedule.s[i - 1]], bits[schedule.s[i - 1] :]
+        return level(i - 1, x) + level(i - 1, ref_extract(schedule.extractors[i - 1], x, y))
+
+    return level(schedule.levels, seed)[: schedule.n * schedule.k]
 
 
 def batch_points(a: int, b: int, t0: int, field_bits: int, n: int):
@@ -460,3 +467,11 @@ if __name__ == "__main__":
     print("chi{1} n=2 walsh sums      =", brute_wht(chi1))
     print("W_'10'(chi1)               =", brute_subcube_weight(chi1, "10"))
     print("W_'01'(chi1)               =", brute_subcube_weight(chi1, "01"))
+
+    # small-bias seeds for (n, k, sigma, 1/gamma) of criterion 6, session-wide,
+    # accept-circuits, gl n=2, audit n=12, test_steward, test_circuits, the
+    # accept CLI, demo adversary and the APP runner
+    for n, k, sigma, q in [(8, 8, 4, 16), (8, 4, 34, 16), (234, 16, 3, 20), (187, 2, 11, 4),
+                           (363, 12, 34, 20), (4, 2, 3, 4), (117, 2, 3, 8), (93, 2, 3, 4),
+                           (8, 2, 3, 16), (44, 2, 3, 4)]:
+        print(f"seed_len{(n, k, sigma, q)} =", ref_schedule(n, k, sigma, Fraction(1, q))[-1])

@@ -19,18 +19,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (
-    bits_from_vertex,
-    ref_contained,
-    ref_walk_distribution,
-    three_sigma_bound,
-)
+from oracles import ref_contained, ref_extract, ref_schedule, three_sigma_bound
 from harness import ExplicitConcentrated, make_owner, session_failures
 
 from randsteward import adversary, prg
 from randsteward.bdt import (
     BlockDecisionTree,
-    NodeDistribution,
     exact_node_distribution,
     tv_distance,
 )
@@ -169,125 +163,62 @@ def test_criterion_03():
 # ---------------------------------------------------------------- 4
 
 
-LIMB = 30
-LIMB_MASK = np.int64((1 << LIMB) - 1)
-
-
-def _limb_step(state, perms):
-    """One exactly-averaged walk step: state holds 8^steps * probabilities."""
-    state = sum(np.take(state, p, axis=1) for p in perms)
-    carry = state[..., :-1] >> LIMB
-    state[..., :-1] &= LIMB_MASK
-    state[..., 1:] += carry
-    return state
-
-
-def _limb_value(state, row, x):
-    return sum(int(state[row, x, j]) << (LIMB * j) for j in range(state.shape[2]))
-
-
-def _exact_abs_sum(state, rows, signs, offset=0):
-    total = 0
-    for x in range(state.shape[1]):
-        acc = -offset
-        for row, sign in zip(rows, signs):
-            acc += sign * _limb_value(state, row, x)
-        total += abs(acc)
-    return total
+def _bias_counts(params) -> np.ndarray:
+    """How many of the 2^seed_len seeds give each S(u, v) = Ext(0, (u, v))."""
+    counts = np.zeros(1 << params.s, dtype=np.int64)
+    for y in range(1 << params.seed_len):
+        counts[extract_int(params, 0, y)] += 1
+    return counts
 
 
 def test_criterion_04():
-    """Exact statistical distance of the walk extractor on deficit-t sources.
+    """Exact statistical distance of the small-bias extractor on deficit-t sources.
 
     All fixed-coordinate sources and 100 random-subset sources at s = 12,
-    beta = 1/4.  One signed-integer propagation (30-bit limbs) carries the
-    2^t - 1 parity deviations of every source; per-source totals are combined
-    in float64 with a certified error bound and re-checked in exact integers
-    whenever a total comes within 2^-40 of the threshold.
+    beta = 1/4.  The output X XOR S has Walsh sums P_out^ = P_X^ * P_S^, with
+    P_S^ taken over every seed; the inverse transform of the product is the
+    exact output count of each string (times 2^s), and TV <= beta is checked
+    on those counts in integers.
     """
     s, beta = 12, Fraction(1, 4)
-    m = 1 << (s // 2)
-    size = m * m
-    g = GabberGalilGraph(m)
-    perms = [permutation_array(g, label) for label in range(8)]
-
-    # cross-check the propagation against the reference walk oracle
-    probe = np.zeros((1, size, 5), dtype=np.int64)
-    probe[0, 5 + m * 9, 0] = 1
-    for _ in range(3):
-        probe = _limb_step(probe, perms)
-    ref = ref_walk_distribution(m, {(5, 9): 1}, 3)
-    got = {
-        (x % m, x // m): _limb_value(probe, 0, x)
-        for x in range(size)
-        if _limb_value(probe, 0, x)
-    }
-    assert got == ref
-
-    walk_len = {t: plan_extractor(s, t, beta).walk_len for t in (1, 2, 3, 4)}
-    masks = [mask for mask in range(1, 1 << s) if bin(mask).count("1") <= 4]
-    row_of = {mask: i for i, mask in enumerate(masks)}
-    ids = np.arange(size)
-
+    ids = np.arange(1 << s)
     rng = np.random.default_rng(40_004)
-    subset_rows = []  # (row, t, size)
-    state = np.zeros((len(masks) + 100, size, 5), dtype=np.int64)
-    for mask, row in row_of.items():
-        state[row, :, 0] = 1 - 2 * (np.bitwise_count(ids & mask) & 1).astype(np.int64)
+    subsets = {1: [], 2: [], 3: [], 4: []}  # deficit -> member lists
     for j in range(100):
         t = 1 + j % 4
-        members = rng.choice(size, size=1 << (s - t), replace=False)
-        state[len(masks) + j, members, 0] = 1
-        subset_rows.append((len(masks) + j, t, 1 << (s - t)))
+        subsets[t].append(rng.choice(1 << s, size=1 << (s - t), replace=False))
 
-    scale = np.float64(2.0) ** (LIMB * np.arange(5))
-    margin = 1 - 2.0**-40
-    steps = 0
+    def check(rows, s_hat, total):
+        """Assert TV(X XOR S, U) <= beta for each source's indicator row."""
+        out = wht_ints(wht_ints(rows) * s_hat)  # 2^s * (seeds, x) pairs per output
+        diff = np.abs(out - total).sum(axis=-1)  # = 2^(s+1) * total * TV
+        assert (diff * beta.denominator <= 2 * beta.numerator * total << s).all()
+
     for t in (1, 2, 3, 4):
-        while steps < walk_len[t]:
-            state = _limb_step(state, perms)
-            steps += 1
-        floats = state @ scale
-        # fixed-coordinate sources: deviation is a signed sum of parity rows
-        threshold = 2.0 ** (3 * steps + 11)  # = 8^steps * 2^12 * 2 * beta
+        params = plan_extractor(s, t, beta)
+        counts = _bias_counts(params)
+        for y in (1, 0b1011_0110_1101, (1 << params.seed_len) - 1):  # package-free reference
+            want = ref_extract(params, "0" * s, int_to_bits(y, params.seed_len))
+            assert int_to_bits(extract_int(params, 0, y), s) == want
+        s_hat = wht_ints(counts)
+        total = (1 << (s - t)) << params.seed_len  # |X| * 2^(2m)
+        # the Walsh product against direct convolution on one source
+        members = subsets[t][0]
+        direct = sum(counts[ids ^ int(x)] for x in members)
+        row = np.zeros(1 << s, dtype=np.int64)
+        row[members] = 1
+        assert (wht_ints(wht_ints(row) * s_hat) == direct << s).all()
+        # fixed-coordinate sources, 2^t per coordinate set
         for positions in itertools.combinations(range(s), t):
-            local = list(range(1, 1 << t))
-            rows = [
-                row_of[sum(1 << positions[i] for i in range(t) if sub >> i & 1)]
-                for sub in local
-            ]
-            block = floats[rows]
-            signs = np.array(
-                [[1 - 2 * (bin(a & sub).count("1") & 1) for sub in local]
-                 for a in range(1 << t)],
-                dtype=np.float64,
-            )
-            sums = np.abs(signs @ block).sum(axis=1)
-            if not (sums <= threshold * margin).all():
-                # float64 verdict too close to call: settle it in exact integers
-                for a in np.nonzero(sums > threshold * margin)[0]:
-                    exact = _exact_abs_sum(state, rows, signs[a].astype(int))
-                    assert exact <= 1 << (3 * steps + 11)
+            mask = sum(1 << p for p in positions)
+            fixed = [sum(1 << p for i, p in enumerate(positions) if a >> i & 1)
+                     for a in range(1 << t)]
+            check(((ids & mask) == np.array(fixed)[:, None]).astype(np.int64), s_hat, total)
         # random-subset sources of matching deficit
-        for row, row_t, count in subset_rows:
-            if row_t != t:
-                continue
-            uniform = 2.0 ** (3 * steps - t)
-            total = np.abs(floats[row] - uniform).sum()
-            bound = count * 8.0**steps / 2  # 2 * beta * |S| * 8^steps
-            if not total <= bound * margin:
-                exact = _exact_abs_sum(state, [row], [1], offset=1 << (3 * steps - t))
-                assert exact <= count << (3 * steps - 1)
-        # spot-check the float shortcut against exact integers
-        spot = itertools.islice(itertools.combinations(range(s), t), 2)
-        for positions in spot:
-            local = list(range(1, 1 << t))
-            rows = [
-                row_of[sum(1 << positions[i] for i in range(t) if sub >> i & 1)]
-                for sub in local
-            ]
-            exact = _exact_abs_sum(state, rows, [1] * len(rows))
-            assert exact <= 1 << (3 * steps + 11)
+        rows = np.zeros((len(subsets[t]), 1 << s), dtype=np.int64)
+        for row, members in zip(rows, subsets[t]):
+            row[members] = 1
+        check(rows, s_hat, total)
 
 
 # ---------------------------------------------------------------- 5
@@ -298,9 +229,8 @@ def test_criterion_05():
 
     21 explicit trees (nk <= 20, schedule seed <= 22 bits) are fed every seed
     of the identity-extractor schedule; the induced leaf distribution must be
-    within gamma of uniform, and for that backend exactly equal.  A walk-
-    extractor supplement checks one exact two-level joint distribution where
-    seed enumeration is out of reach.
+    within gamma of uniform, and for that backend exactly equal.  One more
+    tree runs every seed of the small-bias schedule at n = 6, k = 2.
     """
     rng = random.Random(50_005)
     gamma = Fraction(1, 4)
@@ -326,35 +256,22 @@ def test_criterion_05():
         assert tv <= gamma
         assert tv == 0  # the identity extractor recycles nothing
 
-    # walk-extractor supplement: n = 6, k = 2, exact by per-start propagation
+    # the small-bias backend at n = 6, k = 2: a 16-bit seed, every one enumerated
     n, k, sigma = 6, 2, 2
-    schedule = prg.build_schedule(n, k, sigma, Fraction(1, 2), backend="expander")
+    schedule = prg.build_schedule(n, k, sigma, Fraction(1, 2), backend="small-bias")
     params = plan_extractor(n, 1, Fraction(1, 4))
-    assert schedule.seed_len == n + params.seed_len
+    assert schedule.seed_len == n + params.seed_len == 16
     for i in range(5):  # the expansion really is x || Ext(x, y)
         seed = bits_to_int(CounterSource(master=b"crit5-shape", index=i).draw(schedule.seed_len))
         x = seed & ((1 << n) - 1)
         assert prg.expand(schedule, seed) == x | extract_int(params, x, seed >> n) << n
-    side = 1 << (n // 2)
-    denom = 8**params.walk_len
     tree = _random_table_tree(rng, k, n, sigma)
-    joint: dict = {}
-    for x in range(1 << n):
-        start = {(x % side, x // side): 1}
-        walked = ref_walk_distribution(side, start, params.walk_len)
-        for vertex, weight in walked.items():
-            z = bits_from_vertex(vertex, n)
-            z_int = sum(1 << i for i, b in enumerate(z) if b == "1")
-            sym1 = tree.tables[()][x]
-            path = (sym1, tree.tables[(sym1,)][z_int])
-            joint[path] = joint.get(path, 0) + weight
-    generated = NodeDistribution(
-        k=k, sigma=sigma,
-        probs={p: Fraction(w, denom * (1 << n)) for p, w in joint.items()},
+    generated = exact_node_distribution(
+        tree, generator=lambda seed: prg.expand(schedule, seed), seed_len=schedule.seed_len
     )
-    assert generated.total() == 1
     uniform = exact_node_distribution(tree)
-    assert tv_distance(generated, uniform) <= Fraction(1, 2)
+    # one level, so the average-case extractor's error bounds the whole tree
+    assert tv_distance(generated, uniform) <= schedule.beta
 
 
 # ---------------------------------------------------------------- 6-7
@@ -394,17 +311,20 @@ def test_criterion_06():
     assert fails / total <= three_sigma_bound(rate_bound, total)
 
     schedule = config.schedule
-    assert schedule.seed_len == 806  # n + 3 * sum(walk_len) = 8 + 3 * (79 + 88 + 99)
+    assert schedule.seed_len == ref_schedule(config.n, config.k, config.sigma, config.gamma)[-1]
+    assert schedule.seed_len == 92
     half_nk = config.n * config.k // 2
     if schedule.seed_len >= half_nk:
-        big = prg.build_schedule(4096, 8, 4, Fraction(1, 16)).seed_len
+        big = prg.build_schedule(4096, 8, config.sigma, config.gamma).seed_len
+        fields = [p.m for p in schedule.extractors]
         pytest.fail(
             f"seed budget is not below nk/2 at this size: the schedule draws "
             f"{schedule.seed_len} bits but nk/2 = {half_nk}.  The budget is "
-            f"n + 3*sum(walk_len) = 8 + 3*(79+88+99) = 806, so the walk "
-            f"overhead dominates until n does: at n=4096, k=8 the same "
-            f"schedule draws {big} < {4096 * 8 // 2} bits.  Failure rate and "
-            f"exact-budget sub-checks above passed ({fails}/{total} failures)."
+            f"n + 2*sum(m) = {config.n} + 2*({'+'.join(map(str, fields))}) = "
+            f"{schedule.seed_len}, so the extractor seeds dominate until n does: "
+            f"at n=4096, k=8 the same schedule draws {big} < {4096 * 8 // 2} bits.  "
+            f"Failure rate and exact-budget sub-checks above passed "
+            f"({fails}/{total} failures)."
         )
 
 
@@ -565,10 +485,13 @@ def test_criterion_11():
         for theta in (Fraction(1, 2), Fraction(1, 4))
     }
     assert bits == {
-        (8, Fraction(1, 2)): 1371, (8, Fraction(1, 4)): 1073,
-        (12, Fraction(1, 2)): 2070, (12, Fraction(1, 4)): 1655,
-        (16, Fraction(1, 2)): 2068, (16, Fraction(1, 4)): 1649,
+        (8, Fraction(1, 2)): 484, (8, Fraction(1, 4)): 528,
+        (12, Fraction(1, 2)): 581, (12, Fraction(1, 4)): 613,
+        (16, Fraction(1, 2)): 600, (16, Fraction(1, 4)): 622,
     }
+    for n, theta in bits:  # each from the package-free planner
+        cfg = gl_params(n, theta, delta).steward_config()
+        assert bits[(n, theta)] == ref_schedule(cfg.n, cfg.k, cfg.sigma, cfg.gamma)[-1]
     for n in (8, 12, 16):
         hi, lo = bits[(n, Fraction(1, 2))], bits[(n, Fraction(1, 4))]
         assert max(hi, lo) <= 2 * min(hi, lo)

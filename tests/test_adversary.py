@@ -9,6 +9,8 @@ from randsteward.adversary import boundary_owner, constant_owner, extracting_own
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
 from randsteward.steward import Session, StewardConfig, run_steward
 
+from oracles import ref_expand
+
 
 def test_constant_owner_cycles_point_masses():
     owner = constant_owner([Fraction(1, 3), Fraction(2, 3)])
@@ -135,28 +137,28 @@ def test_extracting_owner_goes_quiet_after_round_two():
 
 
 # One main session per owner at a fixed key, pinned to the answers and the
-# byte-exact transcript JSON that the string-sample implementation produced:
-# an oracle now gets an n-bit int, and the transcript still writes x as the
-# bit string drawn.
+# byte-exact transcript JSON: an oracle gets an n-bit int, and the transcript
+# writes x as the bit string drawn.  The samples are the blocks of the
+# package-free generator on the same seed.
 PIN_CFG = StewardConfig(
     n=8, k=3, d=2, epsilon=Fraction(1, 128), delta=Fraction(1, 128), gamma=Fraction(1, 16)
 )
-PIN_X = [0b10101011, 0b01010101, 0b10101110]  # drawn as "11010101", "10101010", "01110101"
+PIN_X = [0b10101011, 0b00010111, 0b11001001]  # drawn as "11010101", "11101000", "10010011"
 PINS = {
     "constant": (
         lambda: constant_owner([(Fraction(1, 3), Fraction(-5, 16))], d=2),
         [("45/128", "-39/128")] * 3,
-        "ddc2eaad8fa0c5f620e01b1dd28bc5e6e3d423e0a3d6eb2225c4f3981bf59b69",
+        "6da8052cbf0f164ca56478e8d3e33945f4131004fdf504ea5af81cef5894f431",
     ),
     "boundary": (
         lambda: boundary_owner(PIN_CFG.epsilon, d=2),
         [("9/128", "15/128"), ("15/128", "21/128"), ("21/128", "27/128")],
-        "5b49c445cd816d1680d4141a4fa0ff831a5803cd3919ee35641d6cc68ce66b02",
+        "017b85f41df9874026a8a27a5a16b0bc8b4f9e606bc3f91bfac420003c44d628",
     ),
     "extracting": (
         lambda: extracting_owner(PIN_CFG.n, PIN_CFG.epsilon, d=2),
         [("3/128", "3/128")] * 3,
-        "d7781383d2e270fb7d6e0a44c5fc39502c79906782fec0eed944b75a2883edb8",
+        "25e5d3458546bccf2593bcabf6b2d91e85ed4dcde088c2335f0837b64b1e1dde",
     ),
 }
 
@@ -169,5 +171,9 @@ def test_main_session_pins_the_owner_contract(name):
     assert [r.x for r in t.rounds] == PIN_X
     text = t.to_json()
     xs = [r["x"] for r in json.loads(text)["rounds"]]
-    assert xs == ["11010101", "10101010", "01110101"]
+    assert xs == ["11010101", "11101000", "10010011"]
+    schedule = PIN_CFG.schedule
+    seed = CounterSource(master=b"owner-contract", index=0).draw(schedule.seed_len)
+    out = ref_expand(schedule, seed)
+    assert xs == [out[i : i + 8] for i in (0, 8, 16)]
     assert hashlib.sha256(text.encode()).hexdigest() == digest

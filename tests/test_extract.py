@@ -2,61 +2,63 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from randsteward.expander import SECOND_EIGENVALUE_BOUND, seed_start
 from randsteward.extract import (
     ExtractorParams,
     FreshExtractorParams,
     extract_int,
     plan_extractor,
 )
+from randsteward.fourier import wht_ints
 from randsteward.randomness import int_to_bits
 
-from oracles import bits_from_vertex, ref_extract, ref_walk_distribution
+from oracles import ref_extract, ref_field_bits
 
 
 def test_plan_goldens():
-    assert plan_extractor(8, 0, Fraction(1)).walk_len == 15
-    assert plan_extractor(8, 0, Fraction(1)).seed_len == 45
-    assert plan_extractor(4, 1, Fraction(1, 8)).walk_len == 43
-    assert plan_extractor(6, 0, Fraction(1, 4)).walk_len == 31
-    assert plan_extractor(6, 1, Fraction(1, 4)).walk_len == 34
-    assert plan_extractor(6, 2, Fraction(1, 4)).walk_len == 37
-    assert plan_extractor(12, 4, Fraction(1, 4)).walk_len == 43
+    assert plan_extractor(8, 0, Fraction(1)).m == 3
+    assert plan_extractor(8, 0, Fraction(1)).seed_len == 6
+    assert plan_extractor(4, 1, Fraction(1, 8)).m == 6
+    assert plan_extractor(6, 0, Fraction(1, 4)).m == 5
+    assert plan_extractor(6, 1, Fraction(1, 4)).m == 5
+    assert plan_extractor(6, 2, Fraction(1, 4)).m == 6
+    assert plan_extractor(12, 4, Fraction(1, 4)).m == 8
+    assert plan_extractor(1, 0, Fraction(1)).m == 1  # S is one unbiased bit
 
 
 def test_plan_matches_fraction_recomputation():
-    # the integer comparison in the planner must agree with naive Fraction
-    # powering of lam^(2L) * 32 * 2^(t+pad) <= beta^3
-    lam = SECOND_EIGENVALUE_BOUND
+    # the integer comparison in the planner must agree with the package-free
+    # Fraction rule ((s - 1)/2^m)^2 * 2^t <= beta^2
     for s, t, beta in itertools.product(
-        (3, 4, 5, 8, 12), (0, 1, 2, 4), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16))
+        (1, 2, 3, 4, 5, 8, 12, 58, 350), (0, 1, 2, 4, 13),
+        (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 16), Fraction(1, 128)),
     ):
-        pad = s % 2
-        want = 1
-        while lam ** (2 * want) * 32 * 2 ** (t + pad) > beta**3:
-            want += 1
-        assert plan_extractor(s, t, beta).walk_len == want
+        assert plan_extractor(s, t, beta).m == ref_field_bits(s, t, beta)
 
 
 def test_plan_depends_only_on_deficit_pad_and_error():
-    assert plan_extractor(6, 1, Fraction(1, 4)) != plan_extractor(12, 1, Fraction(1, 4))
+    # m depends on (s - 1)^2 * 2^t / beta^2 alone: two more bits of deficit
+    # cost what doubling s - 1 or halving beta costs, and an odd s pays no pad
+    beta = Fraction(1, 8)
     assert (
-        plan_extractor(6, 1, Fraction(1, 4)).walk_len
-        == plan_extractor(12, 1, Fraction(1, 4)).walk_len
-        == 34
+        plan_extractor(5, 2, beta).m
+        == plan_extractor(9, 0, beta).m
+        == plan_extractor(5, 0, beta / 2).m
+        == 6
     )
-    # odd s pays one extra padding bit of deficit
-    assert plan_extractor(5, 0, Fraction(1, 4)).walk_len == 34
+    assert plan_extractor(5, 0, beta).m == plan_extractor(5, 1, beta).m - 1 == 5
 
 
 def test_plan_monotonicity():
     beta = Fraction(1, 4)
-    lens = [plan_extractor(8, t, beta).walk_len for t in range(6)]
+    lens = [plan_extractor(8, t, beta).m for t in range(6)]
+    assert lens == sorted(lens)
+    lens = [plan_extractor(s, 2, beta).m for s in range(1, 40)]
     assert lens == sorted(lens)
     for loose, tight in [(Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 64))]:
-        assert plan_extractor(8, 2, loose).walk_len <= plan_extractor(8, 2, tight).walk_len
+        assert plan_extractor(8, 2, loose).m <= plan_extractor(8, 2, tight).m
 
 
 def test_plan_validation():
@@ -73,7 +75,7 @@ def test_plan_validation():
 
 
 def test_seed_lengths():
-    assert ExtractorParams(s=6, t=1, beta=Fraction(1, 4), walk_len=34).seed_len == 102
+    assert ExtractorParams(s=6, t=1, beta=Fraction(1, 4), m=5).seed_len == 10
     assert FreshExtractorParams(s=9).seed_len == 9
 
 
@@ -82,16 +84,33 @@ def test_fresh_extract_returns_seed():
     assert extract_int(params, 0b1101, 0b0010) == 0b0010
 
 
-def test_walk_extract_golden():
+def test_extract_rejects_inputs_out_of_range():
+    # an input wider than s bits, a negative one, or a seed wider than
+    # seed_len is refused, not masked
     params = plan_extractor(4, 0, Fraction(1, 2))
-    assert params.walk_len == 23
-    labels = sum(6 << 3 * i for i in range(23))  # the bits "011" repeated
-    assert extract_int(params, 0b1101, labels) == 0b0101
+    assert params.seed_len == 6
+    for p in (params, FreshExtractorParams(4)):
+        extract_int(p, 0b1111, (1 << p.seed_len) - 1)
+        for x, y in [(0b1101 | 1 << 40, 0), (1 << 4, 0), (-1, 0),
+                     (0, 1 << p.seed_len), (0, 1 << 60), (0, -1)]:
+            with pytest.raises(ValueError):
+                extract_int(p, x, y)
+
+
+def test_walk_extract_golden():
+    # the small-bias extractor at m = 3 (field x^3 + x + 1): u = x + 1 has
+    # powers 1, x + 1, x^2 + 1, x^2, so v = 1 reads their constant terms
+    params = plan_extractor(4, 0, Fraction(1, 2))
+    assert params.m == 3
+    u, v = 0b011, 0b001
+    assert ref_extract(params, "0000", "110100") == "1110"
+    assert extract_int(params, 0b1101, u | v << 3) == 0b1101 ^ 0b0111 == 0b1010
+    assert extract_int(params, 0b1101, 0) == 0b1101  # v = 0: S = 0
 
 
 def test_walk_extract_matches_string_reference():
-    # extract_int against the walk over '0'/'1' strings, at random inputs;
-    # the strings exist only here
+    # extract_int against x XOR S(u, v) over '0'/'1' strings and peasant
+    # GF(2^m) products, at random inputs; the strings exist only here
     rng = random.Random(80_021)
     for s in range(1, 14):
         for t in (0, 1, 3):
@@ -101,60 +120,67 @@ def test_walk_extract_matches_string_reference():
                     x, y = rng.getrandbits(s), rng.getrandbits(p.seed_len)
                     want = ref_extract(p, int_to_bits(x, s), int_to_bits(y, p.seed_len))
                     assert int_to_bits(extract_int(p, x, y), s) == want
+    # one chain up to 64 bits, jumps beyond; the benchmark sessions' widths
+    for s, t in [(58, 8), (64, 1), (65, 1), (66, 0), (100, 4), (234, 2), (350, 13)]:
+        params = plan_extractor(s, t, Fraction(1, 128))
+        for _ in range(3):
+            x, y = rng.getrandbits(s), rng.getrandbits(params.seed_len)
+            want = ref_extract(params, int_to_bits(x, s), int_to_bits(y, params.seed_len))
+            assert int_to_bits(extract_int(params, x, y), s) == want
 
 
 def test_walk_extract_bijective_in_input():
     params = plan_extractor(4, 0, Fraction(1, 2))
-    seed = sum(5 << 3 * i for i in range(params.walk_len))  # the bits "101" repeated
+    seed = int("101101", 2)
     outputs = {extract_int(params, v, seed) for v in range(16)}
     assert len(outputs) == 16
 
 
-def _subcube_start(s: int, positions: tuple[int, ...], vals: tuple[str, ...]) -> dict:
-    """Integer start weights (one per input) for the subcube fixing the
-    given bit positions, mapped onto torus vertices."""
-    start: dict = {}
-    free = [i for i in range(s) if i not in positions]
-    fixed = sum(1 << i for i, b in zip(positions, vals) if b == "1")
-    for u in range(1 << len(free)):
-        x = fixed | sum(1 << i for j, i in enumerate(free) if u >> j & 1)
-        v = seed_start(x, (s + 1) // 2)
-        start[v] = start.get(v, 0) + 1
-    return start
+def _small_bias_counts(params) -> np.ndarray:
+    """How many of the 2^(2m) seeds give each S(u, v) = Ext(0, (u, v))."""
+    counts = np.zeros(1 << params.s, dtype=np.int64)
+    for y in range(1 << params.seed_len):
+        counts[extract_int(params, 0, y)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("s,m,worst", [(8, 4, 112), (10, 5, 224), (12, 5, 352), (12, 6, 704)])
+def test_small_bias_set_meets_its_bias_bound(s, m, worst):
+    # every nonzero Walsh sum of S over all 2^(2m) seeds is at most
+    # (s - 1)/2^m * 4^m = (s - 1) * 2^m, exactly; the bound is met at three
+    # of these points and not at (10, 5)
+    params = ExtractorParams(s=s, t=0, beta=Fraction(1), m=m)
+    sums = wht_ints(_small_bias_counts(params))
+    assert sums[0] == 1 << 2 * m
+    assert int(np.abs(sums[1:]).max()) == worst <= (s - 1) << m
 
 
 def _exact_subcube_tv(s: int, t: int, beta: Fraction) -> Fraction:
     """Worst-case exact TV(extracted output, uniform) over all 2^t * C(s, t)
-    subcube sources of deficit t, by integer distribution propagation."""
+    subcube sources of deficit t, over every seed, by integer counting."""
     params = plan_extractor(s, t, beta)
-    side = 1 << ((s + 1) // 2)
+    counts = _small_bias_counts(params)
+    ids = np.arange(1 << s)
     worst = Fraction(0)
     for positions in itertools.combinations(range(s), t):
-        for vals in itertools.product("01", repeat=t):
-            start = _subcube_start(s, positions, vals)
-            dist = ref_walk_distribution(side, start, params.walk_len)
-            total = (1 << (s - t)) * 8**params.walk_len
-            proj: dict = {}
-            for v, w in dist.items():
-                key = bits_from_vertex(v, s)
-                proj[key] = proj.get(key, 0) + w
-            diff = sum(
-                abs((1 << s) * proj.get(format(i, f"0{s}b")[::-1], 0) - total)
-                for i in range(1 << s)
-            )
-            worst = max(worst, Fraction(diff, 2 * (1 << s) * total))
+        for vals in itertools.product((0, 1), repeat=t):
+            mask = sum(1 << p for p in positions)
+            fixed = sum(v << p for p, v in zip(positions, vals))
+            source = ids[(ids & mask) == fixed]
+            out = sum(counts[ids ^ int(x)] for x in source)  # seeds per output
+            total = len(source) << params.seed_len
+            diff = int(np.abs((out << s) - total).sum())
+            worst = max(worst, Fraction(diff, 2 * total << s))
     return worst
 
 
 def test_uniform_source_extracts_exactly_uniform():
-    # permutation maps leave the uniform distribution invariant, so TV is 0
+    # x XOR S with x uniform is uniform whatever S is, so TV is 0
     assert _exact_subcube_tv(6, 0, Fraction(1, 4)) == 0
 
 
 def test_padded_uniform_source_extracts_exactly_uniform():
-    # odd s: the padded embedding picks one representative per coset of the
-    # shift (0, side/2), which commutes with every label map, so the
-    # projected output is exactly uniform
+    # an odd s needs no padding: the output is still exactly uniform
     assert _exact_subcube_tv(5, 0, Fraction(1, 4)) == 0
 
 
@@ -163,5 +189,5 @@ def test_exact_tv_within_planned_error(t):
     beta = Fraction(1, 4)
     worst = _exact_subcube_tv(6, t, beta)
     assert worst <= beta
-    # the plan overshoots on purpose; actual mixing is far below target
-    assert worst <= Fraction(1, 100_000)
+    # the plan keeps a factor-two margin, and the bias bound is not always met
+    assert worst == {1: Fraction(1, 64), 2: Fraction(1, 32)}[t]

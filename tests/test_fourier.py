@@ -378,7 +378,7 @@ def test_goldreich_levin_finds_a_parity():
     assert res.strings == ["10"]
     assert res.masks == [1]
     assert res.levels_run == res.params.k == 2
-    assert res.bits_used == 349
+    assert res.bits_used == 213
 
 
 def test_goldreich_levin_constant_function():
@@ -395,8 +395,8 @@ def test_gl_randomness_audit():
     params = gl_params(2, Fraction(9, 10), Fraction(1, 2))
     doc = gl_audit_dict(params)
     assert params.tape_bits == 187
-    assert doc["per_phase"] == {"tape": 187, "ladder": 349 - 187}
-    assert doc["steward_bits"] == 349
+    assert doc["per_phase"] == {"tape": 187, "ladder": 213 - 187}
+    assert doc["steward_bits"] == 213
     assert doc["fresh_bits"] == 374
     assert doc["levels"] == 2
     assert [p["queries"] for p in doc["sampler"]] == [p.queries for p in params.plans]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from randsteward.bdt import BlockDecisionTree, exact_node_distribution, tv_dista
 from randsteward.extract import ExtractorParams, FreshExtractorParams
 from randsteward.prg import BACKENDS, build_schedule, expand
 from randsteward.randomness import int_to_bits
+from randsteward.steward import StewardConfig
 
-from oracles import ref_expand
+from oracles import ref_expand, ref_schedule
 
 
 def test_schedule_golden_two_blocks():
@@ -17,9 +19,10 @@ def test_schedule_golden_two_blocks():
     assert s.beta == Fraction(1, 8)
     (ext,) = s.extractors
     assert isinstance(ext, ExtractorParams)
-    assert (ext.t, ext.walk_len, ext.seed_len) == (1, 43, 129)
-    assert s.s == (4, 133)
-    assert s.seed_len == 133
+    assert (ext.t, ext.m, ext.seed_len) == (1, 6, 12)
+    assert s.s == (4, 16)
+    assert list(s.s) == ref_schedule(4, 2, 2, Fraction(1, 4))
+    assert s.seed_len == 16
     assert s.output_len == 8
 
 
@@ -27,8 +30,9 @@ def test_schedule_golden_five_blocks_ternary():
     s = build_schedule(3, 5, 3, Fraction(1, 2))
     assert s.levels == 3
     assert s.beta == Fraction(1, 16)
-    assert [(p.t, p.walk_len) for p in s.extractors] == [(2, 57), (4, 60), (7, 68)]
-    assert s.s == (3, 174, 354, 558)
+    assert [(p.t, p.m) for p in s.extractors] == [(2, 6), (4, 10), (7, 13)]
+    assert s.s == (3, 15, 35, 61)
+    assert list(s.s) == ref_schedule(3, 5, 3, Fraction(1, 2))
 
 
 def test_single_block_schedule_is_trivial():
@@ -68,7 +72,7 @@ def test_build_schedule_validation():
         build_schedule(4, 2, 2, Fraction(1))
     with pytest.raises(ValueError):
         build_schedule(4, 2, 2, Fraction(1, 4), backend="quantum")
-    assert BACKENDS == ("expander", "fresh")
+    assert BACKENDS == ("small-bias", "fresh")
 
 
 def test_fresh_backend_is_the_identity():
@@ -91,11 +95,13 @@ def test_fresh_backend_output_is_exactly_uniform():
 
 
 def test_expander_expand_golden():
+    # the small-bias backend at m = 3: the input 0b01 meets u = 0b101 and
+    # v = 0b010, so S = (<1, v>, <u, v>) = (0, 0) and the output is the input twice
     s = build_schedule(2, 2, 2, Fraction(1, 2))
-    assert s.seed_len == 104
-    assert s.extractors[0].walk_len == 34
-    seed = int("5" * 26, 16)  # bits 0, 2, 4, ... of 104
-    assert expand(s, seed) == 0b0001
+    assert s.seed_len == 8
+    assert s.extractors[0].m == 3
+    seed = 0x55  # bits 0, 2, 4, 6 of 8
+    assert expand(s, seed) == 0b0101
 
 
 def test_expand_deterministic_and_sized():
@@ -121,8 +127,8 @@ def test_expand_starts_with_left_recursion():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_expand_matches_string_reference_bit_for_bit(backend):
-    # the int generator against the walk over '0'/'1' strings, at random
-    # seeds; the strings exist only here
+    # the int generator against x XOR S(u, v) over '0'/'1' strings, at
+    # random seeds; the strings exist only here
     rng = random.Random(70_011)
     seen_parity = set()
     for k in range(1, 10):
@@ -149,11 +155,27 @@ def test_expand_rejects_wrong_seed_length():
 def test_schedule_json_report():
     s = build_schedule(4, 2, 2, Fraction(1, 4))
     doc = s.to_dict()
-    assert doc["seed_len"] == 133
+    assert doc["seed_len"] == 16
     assert doc["gamma"] == "1/4"
     assert doc["beta"] == "1/8"
-    assert doc["schedule"][0]["walk_len"] == 43
+    assert doc["schedule"][0]["field_bits"] == 6
+    assert doc["schedule"][0]["seed_bits"] == 12
     assert doc["schedule"][0]["s_in"] == 4
-    assert doc["schedule"][0]["s_out"] == 133
+    assert doc["schedule"][0]["s_out"] == 16
     fresh = build_schedule(4, 2, 2, Fraction(1, 4), backend="fresh").to_dict()
-    assert "walk_len" not in fresh["schedule"][0]
+    assert "field_bits" not in fresh["schedule"][0]
+
+
+def test_seed_meets_the_papers_bound():
+    # seed = n + O(k log(d + 1)) with constant 2: seed - n < 2k * log2(d + 2)
+    # for the steward's sigma = d + 2, checked exactly as 2^(seed - n) <
+    # (d + 2)^(2k); planning draws nothing, so the grid is cheap
+    for n, d, k, gamma in itertools.product(
+        (1, 8, 64, 1024), (1, 2, 8, 32, 256), (512, 1024, 4096),
+        (Fraction(1, 2), Fraction(1, 16), Fraction(1, 1024)),
+    ):
+        config = StewardConfig(n=n, k=k, d=d, epsilon=Fraction(1, 8), delta=0, gamma=gamma)
+        assert config.sigma == d + 2
+        assert 2 ** (config.schedule.seed_len - n) < (d + 2) ** (2 * k), (n, d, k, gamma)
+    assert build_schedule(8, 4096, 4, Fraction(1, 16)).seed_len == 8794
+    assert ref_schedule(8, 512, 4, Fraction(1, 16))[-1] == 1404

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
-from randsteward.gf2 import field_poly, is_irreducible
+from randsteward.gf2 import field_poly, is_irreducible, powers
 from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.sampler import (
     MODES,
@@ -15,7 +15,6 @@ from randsteward.sampler import (
     SamplerPlan,
     TruthTableOracle,
     _batch_seeds,
-    _powers,
     batch_cosets,
     lower_median,
     median_reps,
@@ -60,10 +59,10 @@ def test_field_polys_are_minimal_irreducibles():
 
 
 def _mul(a: int, b: int, m: int) -> int:
-    """a * b in GF(2^m), as the sampler forms it: the xor of a * x^i over the
-    set bits i of b."""
+    """a * b in GF(2^m), as the sampler and the extractor form it: the xor of
+    a * x^i over the set bits i of b."""
     out = 0
-    for i, power in enumerate(_powers(a, m)):
+    for i, power in enumerate(powers(a, m)):
         if b >> i & 1:
             out ^= power
     return out

@@ -25,7 +25,7 @@ from randsteward.steward import (
     shift_round,
 )
 
-from oracles import ref_choose_shift, ref_shift_round
+from oracles import ref_choose_shift, ref_schedule, ref_shift_round
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=48
@@ -193,16 +193,16 @@ MAIN_CFG = StewardConfig(
 def test_main_session_golden():
     src = CounterSource(master=b"steward-golden", index=0)
     sess = Session(MAIN_CFG, src)
-    assert sess.schedule.seed_len == 139
+    assert sess.schedule.seed_len == 16 == ref_schedule(4, 2, MAIN_CFG.sigma, Fraction(1, 4))[-1]
     assert sess.bits_used == 0  # nothing is drawn at open
     y1 = sess.answer(const_query(Fraction(1, 2)))
-    assert sess.bits_used == 139  # the whole seed, at the first round
+    assert sess.bits_used == 16  # the whole seed, at the first round
     y2 = sess.answer(const_query(Fraction(-3, 16)))
     assert y1 == (Fraction(3, 4),)
     assert y2 == (Fraction(1, 4),)
-    assert sess.bits_used == 139
+    assert sess.bits_used == 16
     assert [r.deltas for r in sess.transcript.rounds] == [(1,), (2,)]
-    assert [r.x for r in sess.transcript.rounds] == [0b0100, 0b1111]  # "0010", "1111"
+    assert [r.x for r in sess.transcript.rounds] == [0b0100, 0b1110]  # "0010", "0111"
     cert = certification_check(sess.transcript, [[Fraction(1, 2)], [Fraction(-3, 16)]])
     # certification scans from 1, so it may find a smaller consistent shift
     assert cert == [(1,), (1,)]
@@ -220,7 +220,7 @@ def test_main_blocks_come_from_the_generator():
 
 
 BITS_BY_PHASE = {
-    "main": {"seed": 139},
+    "main": {"seed": 16},
     "s0": {"sample": 8},
     "union": {"seed": 4},
     "saks-zhou": {"seed": 4, "shift": 8},
@@ -232,7 +232,7 @@ BITS_BY_PHASE = {
 @pytest.mark.parametrize(
     "kind,total,reuses",
     [
-        ("main", 139, False),
+        ("main", 16, False),
         ("s0", 8, False),
         ("union", 4, True),
         ("saks-zhou", 12, True),
@@ -294,7 +294,7 @@ def test_session_rejects_wrong_dimension():
 
 
 def test_main_session_needs_full_seed():
-    sess = Session(MAIN_CFG, TapeSource("01" * 30))
+    sess = Session(MAIN_CFG, TapeSource("01" * 7))
     with pytest.raises(TapeExhausted):
         sess.answer(const_query(0))
 
@@ -305,8 +305,8 @@ def test_a_failed_first_round_does_not_redraw_the_seed():
     with pytest.raises(StewardProtocolError):
         sess.answer(const_query(0, 0))  # wrong dimension, after the seed is drawn
     sess.answer(const_query(0))
-    assert sess.bits_used == src.bits_drawn == 139
-    assert sess.transcript.bits_by_phase == {"seed": 139}
+    assert sess.bits_used == src.bits_drawn == 16
+    assert sess.transcript.bits_by_phase == {"seed": 16}
 
 
 def test_interleaved_sessions_on_one_source_count_their_own_bits():
@@ -329,9 +329,9 @@ def test_main_sessions_opened_on_one_source_count_their_own_seeds():
     first, second = Session(MAIN_CFG, src), Session(MAIN_CFG, src)
     for sess in (first, second):
         sess.answer(const_query(0))
-    assert first.bits_used == second.bits_used == 139
-    assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 139}
-    assert src.bits_drawn == 278
+    assert first.bits_used == second.bits_used == 16
+    assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 16}
+    assert src.bits_drawn == 32
 
 
 def test_concentrated_fn_wrap():
@@ -455,8 +455,8 @@ def test_transcript_json():
     assert set(doc["config"]) == {"n", "k", "d", "d0", "epsilon", "delta", "gamma", "kind"}
     assert doc["config"]["kind"] == "main"
     assert doc["config"]["epsilon"] == "1/8"
-    assert doc["bits_used"] == 139
-    assert doc["bits_by_phase"] == {"seed": 139}
+    assert doc["bits_used"] == 16
+    assert doc["bits_by_phase"] == {"seed": 16}
     (entry,) = doc["rounds"]
     assert set(entry) == {"round", "x", "w", "deltas", "y"}
     assert entry["w"] == ["1/2"]
