@@ -17,9 +17,7 @@ E_z 2^-H_inf(X_z) = 2^-H~(X | Z):
 `plan_extractor` keeps a factor two, 1/2 * eps * 2^(t/2) <= beta/2: the
 smallest m >= 1 with (s - 1)^2 * 2^t * den(beta)^2 <= num(beta)^2 * 4^m, in
 integers.  The seed is 2m bits for any s: u its low m bits, v the next m.
-`FreshExtractorParams(s)` is the `fresh` backend's Ext(x, y) = y.  Ints
-carry bit i as the i-th bit; `extract_int` refuses an x outside [0, 2^s) or
-a y outside [0, 2^seed_len).
+Ints carry bit i as the i-th bit.
 """
 
 from __future__ import annotations
@@ -29,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
+
+_CHAIN_BITS = 36  # where the chain and the jump of _small_bias cost the same at m = 17
 
 
 @dataclass(frozen=True)
@@ -89,17 +89,17 @@ def extract_int(params, x: int, y: int) -> int:
 def _small_bias(s: int, m: int, u: int, v: int) -> int:
     """S(u, v) from the powers u^r, r < b, each the last times u.
 
-    Up to 64 bits, b = s and bit r is parity(u^r & v).  Past that a jump costs
-    less than the chain, and S comes b = isqrt(s) bits at a time: bit jb + r
-    is <u^r, v_j>, v_j = (M^T)^j v for M the product by w = u^b, and one map
-    of v_j gives v_(j+1) in its low m bits and those b bits above them (its
-    rows are w * x^i for i < m, then u^r)."""
-    b = s if s <= 64 else math.isqrt(s)
+    Up to _CHAIN_BITS, b = s and bit r is parity(u^r & v).  A longer S jumps
+    b = isqrt(s) bits at a time: bit jb + r is <u^r, v_j>, v_j = (M^T)^j v for
+    M the product by w = u^b, and one map of v_j gives v_(j+1) in its low m
+    bits and those b bits above them (its rows are w * x^i for i < m, then
+    u^r)."""
+    b = s if s <= _CHAIN_BITS else math.isqrt(s)
     times_u = _linear_map(gf2.powers(u, m))
     us = [1]
     for _ in range(b - 1):
         us.append(_apply(times_u, us[-1]))
-    if b == s:
+    if s <= _CHAIN_BITS:
         return sum(((power & v).bit_count() & 1) << r for r, power in enumerate(us))
     step = _linear_map(_columns(gf2.powers(_apply(times_u, us[-1]), m) + us, m))
     out = 0

@@ -3,7 +3,7 @@
 field_poly(m) is the GF(2^m) modulus: the smallest irreducible polynomial
 of degree m, found by scanning upward from x^m with Rabin's test: f is
 irreducible iff x^(2^m) = x (mod f) and gcd(x^(2^d) - x, f) = 1 for every
-proper divisor d of m (the quotients m/p by the primes p | m would do).
+proper divisor d of m.
 
 powers(a, m) is the one GF(2^m) multiplier, which the sampler's g -> a*g + b
 and the extractor's powers of u share: the images a * x^i of the unit

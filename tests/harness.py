@@ -13,6 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from randsteward.extract import extract_int
 from randsteward.steward import ConcentratedFn
 
 
@@ -84,3 +87,9 @@ def session_failures(transcript, mus, bound) -> int:
         if err > bound:
             count += 1
     return count
+
+
+def small_bias_counts(params) -> np.ndarray:
+    """How many of the 2^seed_len seeds give each S(u, v) = Ext(0, (u, v))."""
+    seeds = range(1 << params.seed_len)
+    return np.bincount([extract_int(params, 0, y) for y in seeds], minlength=1 << params.s)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from oracles import ref_contained, ref_extract, ref_schedule, three_sigma_bound
-from harness import ExplicitConcentrated, make_owner, session_failures
+from harness import ExplicitConcentrated, make_owner, session_failures, small_bias_counts
 
 from randsteward import adversary, prg
 from randsteward.bdt import (
@@ -163,14 +163,6 @@ def test_criterion_03():
 # ---------------------------------------------------------------- 4
 
 
-def _bias_counts(params) -> np.ndarray:
-    """How many of the 2^seed_len seeds give each S(u, v) = Ext(0, (u, v))."""
-    counts = np.zeros(1 << params.s, dtype=np.int64)
-    for y in range(1 << params.seed_len):
-        counts[extract_int(params, 0, y)] += 1
-    return counts
-
-
 def test_criterion_04():
     """Exact statistical distance of the small-bias extractor on deficit-t sources.
 
@@ -196,7 +188,7 @@ def test_criterion_04():
 
     for t in (1, 2, 3, 4):
         params = plan_extractor(s, t, beta)
-        counts = _bias_counts(params)
+        counts = small_bias_counts(params)
         for y in (1, 0b1011_0110_1101, (1 << params.seed_len) - 1):  # package-free reference
             want = ref_extract(params, "0" * s, int_to_bits(y, params.seed_len))
             assert int_to_bits(extract_int(params, 0, y), s) == want

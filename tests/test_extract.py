@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from randsteward import extract
 from randsteward.extract import (
     ExtractorParams,
     FreshExtractorParams,
@@ -14,6 +15,7 @@ from randsteward.extract import (
 from randsteward.fourier import wht_ints
 from randsteward.randomness import int_to_bits
 
+from harness import small_bias_counts
 from oracles import ref_extract, ref_field_bits
 
 
@@ -120,10 +122,22 @@ def test_walk_extract_matches_string_reference():
                     x, y = rng.getrandbits(s), rng.getrandbits(p.seed_len)
                     want = ref_extract(p, int_to_bits(x, s), int_to_bits(y, p.seed_len))
                     assert int_to_bits(extract_int(p, x, y), s) == want
-    # one chain up to 64 bits, jumps beyond; the benchmark sessions' widths
-    for s, t in [(58, 8), (64, 1), (65, 1), (66, 0), (100, 4), (234, 2), (350, 13)]:
+    # the chain up to 36 bits, jumps beyond; the benchmark sessions' widths
+    for s, t in [(30, 3), (36, 1), (37, 1), (58, 8), (66, 0), (100, 4), (234, 2), (350, 13)]:
         params = plan_extractor(s, t, Fraction(1, 128))
         for _ in range(3):
+            x, y = rng.getrandbits(s), rng.getrandbits(params.seed_len)
+            want = ref_extract(params, int_to_bits(x, s), int_to_bits(y, params.seed_len))
+            assert int_to_bits(extract_int(params, x, y), s) == want
+
+
+def test_jump_matches_the_reference_at_every_width(monkeypatch):
+    # the jump alone, forced also where extract_int takes the chain
+    monkeypatch.setattr(extract, "_CHAIN_BITS", 0)
+    rng = random.Random(80_022)
+    for s in range(1, 40):
+        params = plan_extractor(s, s % 5, Fraction(1, 16))
+        for _ in range(4):
             x, y = rng.getrandbits(s), rng.getrandbits(params.seed_len)
             want = ref_extract(params, int_to_bits(x, s), int_to_bits(y, params.seed_len))
             assert int_to_bits(extract_int(params, x, y), s) == want
@@ -136,21 +150,13 @@ def test_walk_extract_bijective_in_input():
     assert len(outputs) == 16
 
 
-def _small_bias_counts(params) -> np.ndarray:
-    """How many of the 2^(2m) seeds give each S(u, v) = Ext(0, (u, v))."""
-    counts = np.zeros(1 << params.s, dtype=np.int64)
-    for y in range(1 << params.seed_len):
-        counts[extract_int(params, 0, y)] += 1
-    return counts
-
-
 @pytest.mark.parametrize("s,m,worst", [(8, 4, 112), (10, 5, 224), (12, 5, 352), (12, 6, 704)])
 def test_small_bias_set_meets_its_bias_bound(s, m, worst):
     # every nonzero Walsh sum of S over all 2^(2m) seeds is at most
     # (s - 1)/2^m * 4^m = (s - 1) * 2^m, exactly; the bound is met at three
     # of these points and not at (10, 5)
     params = ExtractorParams(s=s, t=0, beta=Fraction(1), m=m)
-    sums = wht_ints(_small_bias_counts(params))
+    sums = wht_ints(small_bias_counts(params))
     assert sums[0] == 1 << 2 * m
     assert int(np.abs(sums[1:]).max()) == worst <= (s - 1) << m
 
@@ -159,7 +165,7 @@ def _exact_subcube_tv(s: int, t: int, beta: Fraction) -> Fraction:
     """Worst-case exact TV(extracted output, uniform) over all 2^t * C(s, t)
     subcube sources of deficit t, over every seed, by integer counting."""
     params = plan_extractor(s, t, beta)
-    counts = _small_bias_counts(params)
+    counts = small_bias_counts(params)
     ids = np.arange(1 << s)
     worst = Fraction(0)
     for positions in itertools.combinations(range(s), t):
