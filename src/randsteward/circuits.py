@@ -211,7 +211,9 @@ def exact_mean(expr: CircuitExpr, n: int) -> Fraction:
 
 
 class _CircuitOracle(Oracle):
-    """A circuit as a sampler oracle.  cube_total builds the truth table and
+    """A circuit as a sampler oracle.  The base Oracle's coset_sums feeds
+    eval_ints all of a run's partial cosets, stacked by rank, in passes of
+    at most 2^TEMP_BITS points.  cube_total builds the truth table and
     keeps it, and eval_ints then reads points from it; before that, or past
     the table cap, eval_ints evaluates the circuit on the points.  No table
     is built for eval_ints alone."""

@@ -30,11 +30,13 @@ n_tape * k for freshly seeded levels.
 
 A batch holds t0 points (10^8 at n=12, theta=1/2), but its sums are never
 taken point by point: the candidates' h_p form one vector-valued oracle,
-and sampler.batch_sums, the sampler's one batch loop, sums it over the
-affine cosets of each batch.  The oracle sums a small coset through a
-histogram over y xor y', a large one through its Walsh dual, and the whole
-cube through a closed form (see _WeightOracle).  All of it is integer
-arithmetic, and the sums equal the pointwise ones exactly.
+and sampler.batch_sums, the sampler's one batch loop, splits every batch
+of a run into affine cosets and hands all of them that are not the whole
+cube to one coset_sums call.  The oracle groups them by rank and sums each
+group in one stacked pass: a small rank through one histogram over
+(coset, y xor y'), a large one through the stacked spans of their Walsh
+duals; the whole cube is a closed form (see _WeightOracle).  All of it is
+integer arithmetic, and the sums equal the pointwise ones exactly.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sampler
 from .randomness import BitSource, bits_to_int, int_to_bits
-from .sampler import SamplerPlan, _span_chunks, batch_sums, lower_median, plan_sampler
+from .sampler import (
+    SamplerPlan, _by_rank, _stacked_chunks, batch_sums, lower_median, plan_sampler,
+)
 from .steward import Session, StewardConfig
-
-TEMP_BITS = 16  # batch sums touch at most ~2^16 points or dual terms per numpy pass
 
 
 def _sign_table(f) -> np.ndarray:
@@ -200,56 +203,74 @@ def _parity_signs(x: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int64)
 
 
-def _add_coset_histogram(hist, signs, ell, c, basis) -> None:
-    """Add F(yz)F(y'z) over the points of c + V to hist[y xor y']."""
-    mask_l = np.uint64((1 << ell) - 1)
-    for v in _span_chunks(basis, c, TEMP_BITS):
+def _coset_histograms(signs, ell, cosets) -> np.ndarray:
+    """hist[k, y xor y'] = sum of F(yz)F(y'z) over the points (y, y', z) of
+    cosets[k], as a (K, 2^ell) int64 array.
+
+    Each stacked pass of points is one bincount over the bins 2 * (k *
+    2^ell + (y xor y')) + [F(yz) != F(y'z)] of the cosets it touches."""
+    size = 1 << ell
+    hist = np.zeros((len(cosets), size), dtype=np.int64)
+    mask_l = np.uint64(size - 1)
+    for ks, v in _stacked_chunks(cosets, sampler.TEMP_BITS):
         y = v & mask_l
         yp = (v >> np.uint64(ell)) & mask_l
         zl = (v >> np.uint64(2 * ell)) << np.uint64(ell)
-        prod = signs[(y | zl).astype(np.intp)] * signs[(yp | zl).astype(np.intp)]
-        diff = (y ^ yp).astype(np.intp)
-        hist += np.bincount(diff[prod > 0], minlength=hist.size)
-        hist -= np.bincount(diff[prod < 0], minlength=hist.size)
+        neg = signs[(y | zl).astype(np.intp)] != signs[(yp | zl).astype(np.intp)]
+        lo, hi = ks[0], ks[-1] + 1  # ks ascends
+        bins = ((ks[:, None] - lo) << ell | (y ^ yp).astype(np.intp)) << 1 | neg
+        counts = np.bincount(bins.ravel(), minlength=(hi - lo) * size * 2)
+        counts = counts.reshape(hi - lo, size, 2)
+        hist[lo:hi] += counts[..., 0] - counts[..., 1]
+    return hist
 
 
-def _dual_coset_sums(rows, cands, ell, c, basis, width) -> list[int]:
-    """Sum of h_p over c + V for each candidate p, through the Walsh dual.
+def _dual_coset_sums(rows, cands, ell, cosets, width) -> np.ndarray:
+    """Sum of h_p over each coset c + V for each candidate p, through the
+    Walsh dual, as a (K, len(cands)) int64 array.
 
     sum over c + V of h_p = |V|/2^width * sum over s in V-perp of
     h_hat_p(s) (-1)^<s, c>, with h_hat_p(s_y, s_y', s_z) = sum_z
-    (-1)^<s_z, z> A[z, s_y xor p] A[z, s_y' xor p] and A = rows.  The basis
+    (-1)^<s_z, z> A[z, s_y xor p] A[z, s_y' xor p] and A = rows.  Each basis
     of V is in reduced row echelon form, so each non-leading bit f gives
     the V-perp vector e_f + sum of e_lead(w) over the w with bit f set.
-    Each |h_hat_p(s)| is at most 2^width, so a pass over 2^TEMP_BITS terms
-    stays in int64; the totals are Python ints.
+    The V-perp spans of all the cosets are enumerated stacked.  Each
+    |h_hat_p(s)| is at most 2^width, so a pass over 2^TEMP_BITS terms stays
+    in int64; the totals are Python ints, and the division by |V-perp| is
+    asserted exact.
     """
-    lead = {w.bit_length() - 1: w for w in basis}
-    perp = [
-        (1 << f) | sum(1 << i for i, w in lead.items() if w >> f & 1)
-        for f in range(width)
-        if f not in lead
-    ]
+    perps = []
+    for _, basis in cosets:
+        lead = {w.bit_length() - 1: w for w in basis}
+        perps.append((0, tuple(
+            (1 << f) | sum(1 << i for i, w in lead.items() if w >> f & 1)
+            for f in range(width)
+            if f not in lead
+        )))
+    temp_bits = sampler.TEMP_BITS
     z_bits = rows.shape[0].bit_length() - 1
-    group = max(1, min(len(cands), 1 << max(0, TEMP_BITS - z_bits)))
-    chunk_bits = max(0, TEMP_BITS - z_bits - (group - 1).bit_length())
+    group = max(1, min(len(cands), 1 << max(0, temp_bits - z_bits)))
+    chunk_bits = max(0, temp_bits - z_bits - (group - 1).bit_length())
     mask_l = np.uint64((1 << ell) - 1)
     zs = np.arange(rows.shape[0], dtype=np.uint64)[:, None]
-    totals = [0] * len(cands)
-    for s in _span_chunks(perp, 0, chunk_bits):
+    offsets = np.array([c for c, _ in cosets], dtype=np.uint64)
+    totals = np.zeros((len(cosets), len(cands)), dtype=object)
+    for ks, s in _stacked_chunks(perps, chunk_bits):
+        span = s.shape[1]
+        s = s.ravel()
         sy = s & mask_l
         syp = (s >> np.uint64(ell)) & mask_l
         zsign = _parity_signs(zs & (s >> np.uint64(2 * ell)))[:, None, :]
-        csign = _parity_signs(s & np.uint64(c))
+        csign = _parity_signs(s & np.repeat(offsets[ks], span))
         for g0 in range(0, len(cands), group):
             p = cands[g0 : g0 + group, None]
             terms = rows[:, (sy ^ p).astype(np.intp)] * rows[:, (syp ^ p).astype(np.intp)]
             h_hat = (terms * zsign).sum(axis=0)
-            for i, part in enumerate((h_hat * csign).sum(axis=1).tolist()):
-                totals[g0 + i] += part
-    size = 1 << len(perp)
-    assert all(t % size == 0 for t in totals), "Walsh dual sum not divisible by |V-perp|"
-    return [t // size for t in totals]
+            part = (h_hat * csign).reshape(len(p), -1, span).sum(axis=2)
+            np.add.at(totals[:, g0 : g0 + group], ks, part.T.astype(object))
+    sizes = np.array([1 << len(perp) for _, perp in perps], dtype=object)[:, None]
+    assert not (totals % sizes).any(), "Walsh dual sum not divisible by |V-perp|"
+    return (totals // sizes).astype(np.int64)
 
 
 class _WeightOracle:
@@ -257,12 +278,14 @@ class _WeightOracle:
     at once, as a sampler oracle on the n + ell bits (y, y', z), packed
     little-endian; each sum is an int64 array with one entry per candidate.
 
-    A coset c + V is summed the cheaper way.  Enumerating it costs |V|
-    points: their products F(yz)F(y'z) go into a histogram over y xor y',
-    whose Walsh sums give every candidate at once.  The Walsh dual costs
-    |V-perp| * 2^(n - ell) terms per candidate, on the row-wise Walsh sums
-    rows[z, q] = sum_y F(yz)(-1)^<q, y>.  Over the whole cube the sum over
-    y and y' factors, so the cube total is sum_z rows[z, p]^2.
+    coset_sums groups the cosets by rank and sums each group the way that
+    is cheaper at that rank, in one stacked pass.  Enumerating a coset c + V
+    costs |V| points: their products F(yz)F(y'z) go into a histogram over
+    (coset, y xor y'), whose row-wise Walsh sums give every candidate at
+    once.  The Walsh dual costs |V-perp| * 2^(n - ell) terms per candidate,
+    on the row-wise Walsh sums rows[z, q] = sum_y F(yz)(-1)^<q, y>.  Over
+    the whole cube the sum over y and y' factors, so the cube total is
+    sum_z rows[z, p]^2.
     """
 
     def __init__(self, table: np.ndarray, cand_ints: list[int], ell: int, n: int):
@@ -272,13 +295,17 @@ class _WeightOracle:
         self.n = n + ell
         self.rows = wht_ints(self.signs.reshape(-1, 1 << ell))
 
-    def coset_sum(self, c: int, basis: tuple[int, ...]) -> np.ndarray:
-        rank = len(basis)
-        if 1 << rank <= len(self.cands) * self.rows.shape[0] << (self.n - rank):
-            hist = np.zeros(1 << self.ell, dtype=np.int64)
-            _add_coset_histogram(hist, self.signs, self.ell, c, basis)
-            return wht_ints(hist)[self.cands]
-        return np.array(_dual_coset_sums(self.rows, self.cands, self.ell, c, basis, self.n))
+    def coset_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list[np.ndarray]:
+        sums = [None] * len(cosets)
+        for rank, group in _by_rank(cosets).items():
+            stack = [cosets[k] for k in group]
+            if 1 << rank <= len(self.cands) * self.rows.shape[0] << (self.n - rank):
+                part = wht_ints(_coset_histograms(self.signs, self.ell, stack))[:, self.cands]
+            else:
+                part = _dual_coset_sums(self.rows, self.cands, self.ell, stack, self.n)
+            for k, row in zip(group, part):
+                sums[k] = row
+        return sums
 
     def cube_total(self) -> np.ndarray:
         return (self.rows[:, self.cands] ** 2).sum(axis=0)

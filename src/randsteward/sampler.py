@@ -18,17 +18,21 @@ of independent values:
   n-bit ints, and so is each argument of an oracle.  Points travel as
   uint64 arrays, so a run needs n <= 64; planning does not.
 
-  An oracle has n, coset_sum(c, basis), the exact sum of f over the affine
-  coset c + span(basis), and cube_total(), the exact sum over all 2^n
-  points or None.  The base Oracle sums a coset point by point through
-  eval_ints and has no cube total.  batch_sums is the one batch loop: it
-  splits a batch into the cosets of batch_cosets and adds mult *
-  cube_total() (taken once per run) for a coset that is the whole cube,
-  mult * coset_sum for any other; a part may be an int, a Fraction or an
-  int64 array of one sum per coordinate.  Values are summed exactly: an
-  integer or bool array by numpy, any other array value by value, each as
-  its exact Fraction.  batch_cosets builds a reduced basis only for a block
-  below full rank; every full-rank block shares the unit basis of the cube.
+  An oracle has n, coset_sums(cosets), the exact sum of f over each affine
+  coset c + span(basis) of a list of (c, basis) pairs, in order, and
+  cube_total(), the exact sum over all 2^n points or None.  batch_sums is
+  the one batch loop: it splits all r batches of a run into the cosets of
+  batch_cosets, books a batch's whole-cube blocks as one multiplicity
+  times cube_total() (taken once per run), and passes every other coset of
+  the run to one coset_sums call; a sum may be an int, a Fraction or an
+  int64 array of one sum per coordinate.  The base Oracle stacks the
+  cosets of one rank into one point array (_stacked_chunks), evaluates it
+  through eval_ints in passes of at most 2^TEMP_BITS points and has no
+  cube total.  Values are summed exactly (_exact_sums): an integer or bool
+  array by numpy where no partial sum can leave int64, any other array
+  value by value, each as its exact Fraction.  batch_cosets builds a
+  reduced basis only for a block below full rank; every full-rank block
+  shares the unit basis of the cube.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability
@@ -57,6 +61,7 @@ MODES = ("walk", "independent")
 BATCH_POINTS_FACTOR = 10  # t0 = ceil(10 / eps^2): batch failure <= 1/40
 MEDIAN_REPS_FACTOR = 8  # r = ceil(8 * log2(1/delta))
 VALUE_MISS = Fraction(1, 3)  # median_reps: each value is off with at most this probability
+TEMP_BITS = 16  # a coset pass builds at most 2^TEMP_BITS points or terms at once
 
 
 def lower_median(values: Sequence):
@@ -89,14 +94,21 @@ def _ceil_log2(q: Fraction) -> int:
     return L
 
 
-def _exact_sum(values: np.ndarray) -> int | Fraction:
-    """The exact sum of oracle values: one numpy sum for an integer or bool
-    array, else value by value, numpy scalars as Python ones (so np.bool_
-    adds as 0/1) and a non-int as its exact Fraction."""
-    if values.dtype.kind in "biu":
-        return int(values.sum())
-    items = (v.item() if isinstance(v, np.generic) else v for v in values.tolist())
-    return sum(v if isinstance(v, int) else Fraction(v) for v in items)
+def _exact_sums(rows: np.ndarray) -> list:
+    """The exact sum of each row of oracle values.  An integer or bool array
+    is summed by numpy where no partial sum can leave int64 (row length
+    times the largest |value| below 2^63); anything else value by value,
+    numpy scalars as Python ones (so np.bool_ adds as 0/1) and a non-int as
+    its exact Fraction."""
+    if rows.dtype.kind in "biu" and rows.size:
+        top = max(int(rows.max()), -int(rows.min()))
+        if top * rows.shape[-1] < 1 << 63:
+            return rows.sum(axis=-1, dtype=np.int64).tolist()
+    return [
+        sum(v if isinstance(v, int) else Fraction(v)
+            for v in (x.item() if isinstance(x, np.generic) else x for x in row))
+        for row in rows.tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -146,11 +158,17 @@ def plan_sampler(n: int, epsilon: Fraction, delta: Fraction, mode: str = "walk")
 
 
 class Oracle:
-    """The point-by-point base of the oracle protocol: coset_sum evaluates
-    eval_ints on every point of the coset, and there is no cube total."""
+    """The pointwise base of the oracle protocol: coset_sums evaluates
+    eval_ints on every point of every coset, stacked by rank, and there is
+    no cube total."""
 
-    def coset_sum(self, c: int, basis: tuple[int, ...]):
-        return _exact_sum(self.eval_ints(next(_span_chunks(basis, c, len(basis)))))
+    def coset_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
+        sums = [0] * len(cosets)
+        for ks, points in _stacked_chunks(cosets, TEMP_BITS):
+            values = self.eval_ints(points.ravel()).reshape(points.shape)
+            for k, part in zip(ks.tolist(), _exact_sums(values)):
+                sums[k] += part
+        return sums
 
     def cube_total(self):
         return None
@@ -171,7 +189,7 @@ class TruthTableOracle(Oracle):
 
     def cube_total(self):
         """The exact sum of f over the whole cube."""
-        return _exact_sum(self.table)
+        return _exact_sums(self.table[None])[0]
 
 
 class FnOracle(Oracle):
@@ -252,16 +270,39 @@ def _reduced(pivots: dict[int, int]) -> tuple[int, ...]:
     return tuple(basis)
 
 
-def _span_chunks(vectors, c: int, chunk_bits: int):
-    """The points of c + span(vectors) as uint64 arrays of <= 2^chunk_bits each."""
-    block = np.zeros(1, dtype=np.uint64)
-    for v in vectors[:chunk_bits]:
-        block = np.concatenate([block, block ^ np.uint64(v)])
-    offsets = [c]
-    for v in vectors[chunk_bits:]:
-        offsets += [o ^ v for o in offsets]
-    for o in offsets:
-        yield block ^ np.uint64(o)
+def _by_rank(cosets: list[tuple[int, tuple[int, ...]]]) -> dict[int, list[int]]:
+    """The positions of the cosets, grouped by the rank of their bases."""
+    groups: dict[int, list[int]] = {}
+    for k, (_, basis) in enumerate(cosets):
+        groups.setdefault(len(basis), []).append(k)
+    return groups
+
+
+def _stacked_chunks(cosets: list[tuple[int, tuple[int, ...]]], chunk_bits: int):
+    """The points of the affine cosets c + span(basis), stacked by rank.
+
+    Yields (ks, points): points is a (R, 2^b) uint64 array, b = min(rank,
+    chunk_bits), whose row i holds 2^b points of cosets[ks[i]], and R * 2^b
+    <= 2^chunk_bits.  The cosets of one rank become one row each by b
+    XOR-doublings with their low basis vectors; a coset of rank above
+    chunk_bits is first split into 2^(rank - b) rows by its top ones.
+    """
+    for rank, group in _by_rank(cosets).items():
+        b = min(rank, chunk_bits)
+        bases = np.array([cosets[k][1] for k in group], dtype=np.uint64).reshape(len(group), rank)
+        starts = np.array([cosets[k][0] for k in group], dtype=np.uint64)[:, None]
+        for j in range(b, rank):
+            starts = np.concatenate([starts, starts ^ bases[:, j, None]], axis=1)
+        split = starts.shape[1]
+        ks = np.repeat(np.array(group), split)
+        starts = starts.reshape(-1, 1)
+        low = np.repeat(bases[:, :b], split, axis=0)
+        step = 1 << (chunk_bits - b)
+        for i in range(0, ks.size, step):
+            points = starts[i : i + step]
+            for j in range(b):
+                points = np.concatenate([points, points ^ low[i : i + step, j, None]], axis=1)
+            yield ks[i : i + step], points
 
 
 @dataclass
@@ -284,13 +325,19 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     # only a block of >= 2^n points can map onto the whole cube
     total = oracle.cube_total() if plan.t0 >> plan.n else None
-    sums = []
-    for a, b in _batch_seeds(plan, seed):
-        batch = 0
+    whole = [0] * plan.r  # per batch, the summed multiplicity of its whole-cube blocks
+    parts = []  # (batch, multiplicity) of every other coset
+    cosets = []
+    for i, (a, b) in enumerate(_batch_seeds(plan, seed)):
         for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
-            full = len(basis) == plan.n and total is not None
-            batch += mult * (total if full else oracle.coset_sum(c, basis))
-        sums.append(batch)
+            if len(basis) == plan.n and total is not None:
+                whole[i] += mult
+            else:
+                parts.append((i, mult))
+                cosets.append((c, basis))
+    sums = [mult * total if mult else 0 for mult in whole]
+    for (i, mult), part in zip(parts, oracle.coset_sums(cosets)):
+        sums[i] += mult * part
     return sums
 
 

@@ -93,3 +93,16 @@ def small_bias_counts(params) -> np.ndarray:
     """How many of the 2^seed_len seeds give each S(u, v) = Ext(0, (u, v))."""
     seeds = range(1 << params.seed_len)
     return np.bincount([extract_int(params, 0, y) for y in seeds], minlength=1 << params.s)
+
+
+def random_coset(rng: random.Random, width: int, rank: int) -> tuple[int, tuple[int, ...]]:
+    """A random affine coset (c, basis) on width bits whose basis has the given
+    rank, in reduced row echelon form, ascending: distinct leading bits, none
+    of which is set in any other basis vector."""
+    leads = sorted(rng.sample(range(width), rank))
+    free = [f for f in range(width) if f not in leads]
+    basis = tuple(
+        1 << lead | sum(1 << f for f in free if f < lead and rng.getrandbits(1))
+        for lead in leads
+    )
+    return rng.randrange(1 << width), basis

@@ -299,6 +299,40 @@ def ref_batch_cosets(a: int, b: int, t0: int, field_bits: int, n: int):
     return cosets
 
 
+def ref_coset_sum(oracle, c: int, basis) -> int | Fraction:
+    """The exact sum of an oracle over the affine coset c + span(basis), point
+    by point: one eval_ints call on every point, each value added as a Python
+    int (a numpy bool as 0/1) or, if not an int, as its exact Fraction.  The
+    single-coset summing method that the stacked coset_sums replaced."""
+    import numpy as np
+
+    points = [c]
+    for v in basis:
+        points += [p ^ v for p in points]
+    values = oracle.eval_ints(np.array(points, dtype=np.uint64)).tolist()
+    total = 0
+    for v in values:
+        v = v.item() if isinstance(v, np.generic) else v
+        total += v if isinstance(v, int) else Fraction(v)
+    return total
+
+
+def ref_batch_sums(plan, oracle, seeds) -> list:
+    """The exact sum of each batch (a, b) in seeds, coset by coset: the
+    per-batch loop that summed mult * cube_total() for a whole-cube coset
+    and mult * ref_coset_sum for any other, before a run's cosets went to
+    the oracle in one call."""
+    total = oracle.cube_total() if plan.t0 >> plan.n else None
+    sums = []
+    for a, b in seeds:
+        batch = 0
+        for mult, c, basis in ref_batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
+            full = len(basis) == plan.n and total is not None
+            batch += mult * (total if full else ref_coset_sum(oracle, c, basis))
+        sums.append(batch)
+    return sums
+
+
 # ---------------------------------------------------------------- Fourier
 
 def brute_wht(table) -> list[int]:

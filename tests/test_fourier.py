@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randsteward import fourier
+from randsteward import fourier, sampler
 from randsteward.fourier import (
     dump_truth_table,
     estimate_W,
@@ -27,7 +27,10 @@ from randsteward.sampler import (
     plan_sampler,
 )
 
-from oracles import batch_points, brute_subcube_weight, brute_wht, ref_weights_pointwise
+from harness import random_coset
+from oracles import (
+    batch_points, brute_subcube_weight, brute_wht, ref_coset_sum, ref_weights_pointwise,
+)
 
 MAJ3 = [1 if bin(x).count("1") < 2 else -1 for x in range(8)]
 CHI1 = [1, -1, 1, -1]  # parity of the first input bit, n = 2
@@ -224,22 +227,26 @@ def _pointwise_weights(table, cand_ints, ell, n, plan, tape):
 
 
 def _count_branches(monkeypatch) -> Counter:
+    """Calls of each stacked weight-oracle path, and under "stacked" the calls
+    that sum two or more cosets at once."""
     calls = Counter()
-    for owner, name in [(fourier, "_add_coset_histogram"), (fourier, "_dual_coset_sums"),
-                        (fourier._WeightOracle, "cube_total")]:
+    for owner, name, at in [(fourier, "_coset_histograms", 2), (fourier, "_dual_coset_sums", 3),
+                            (fourier._WeightOracle, "cube_total", None)]:
 
-        def spy(*args, _real=getattr(owner, name), _name=name):
+        def spy(*args, _real=getattr(owner, name), _name=name, _at=at):
             calls[_name] += 1
+            if _at is not None and len(args[_at]) > 1:
+                calls["stacked"] += 1
             return _real(*args)
 
         monkeypatch.setattr(owner, name, spy)
     return calls
 
 
-@pytest.mark.parametrize("temp_bits", [fourier.TEMP_BITS, 1])
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
 def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
     # temp_bits = 1 splits every coset and every dual sum into tiny passes
-    monkeypatch.setattr(fourier, "TEMP_BITS", temp_bits)
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
     calls = _count_branches(monkeypatch)
     rng = random.Random(4242)
     for n, ell in [(1, 0), (1, 1), (3, 0), (3, 3), (4, 2), (5, 1), (5, 5), (6, 3)]:
@@ -256,35 +263,35 @@ def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
                 for tape in [0, rng.getrandbits(plan.seed_bits)]:
                     got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
                     assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
-    assert all(calls[name] > 0 for name in ("_add_coset_histogram", "_dual_coset_sums",
-                                            "cube_total"))
+    assert all(calls[name] > 0 for name in ("_coset_histograms", "_dual_coset_sums",
+                                            "cube_total", "stacked"))
 
 
 def test_dual_coset_sums_match_enumeration():
-    # the Walsh dual and the histogram agree on every coset, at every ell
+    # the Walsh dual and the histogram agree on every coset, at every ell,
+    # one coset at a time and all of one batch's cosets stacked at once
     rng = random.Random(99)
     for n, ell in [(1, 0), (2, 0), (2, 2), (3, 1), (4, 4), (5, 2)]:
         width = n + ell
         table = np.array([rng.choice([-1, 1]) for _ in range(1 << n)], dtype=np.int64)
         rows = wht_ints(table.reshape(-1, 1 << ell))
-        cand_ints = list(range(1 << ell))
+        cands = np.arange(1 << ell, dtype=np.uint64)
         for _ in range(20):
             field_bits = width + rng.randint(0, 2)
             a, b = rng.randrange(1 << field_bits), rng.randrange(1 << field_bits)
             t0 = rng.randint(1, 1 << field_bits)
-            for mult, c, basis in batch_cosets(a, b, t0, field_bits, width):
-                hist = np.zeros(1 << ell, dtype=np.int64)
-                fourier._add_coset_histogram(hist, table, ell, c, basis)
-                direct = wht_ints(hist)[cand_ints].tolist()
-                dual = fourier._dual_coset_sums(
-                    rows, np.array(cand_ints, dtype=np.uint64), ell, c, basis, width
-                )
-                assert dual == direct
+            cosets = [(c, basis) for _, c, basis in batch_cosets(a, b, t0, field_bits, width)]
+            stacks = [[coset] for coset in cosets] + [cosets]
+            for stack in stacks:
+                hist = fourier._coset_histograms(table, ell, stack)
+                dual = fourier._dual_coset_sums(rows, cands, ell, stack, width)
+                assert hist.shape == (len(stack), 1 << ell)
+                assert dual.tolist() == wht_ints(hist).tolist()
 
 
 def test_cube_total_matches_dual_and_histogram():
     # the closed form sum_z rows[z, p]^2 against both coset paths on the
-    # whole cube, entered at random offsets c
+    # whole cube, entered at random offsets c, one at a time and stacked
     rng = random.Random(2718)
     for n, ell in [(1, 0), (1, 1), (2, 0), (3, 3), (4, 2), (5, 1), (6, 6)]:
         width = n + ell
@@ -293,14 +300,58 @@ def test_cube_total_matches_dual_and_histogram():
         oracle = fourier._WeightOracle(table, cands, ell, n)
         total = oracle.cube_total().tolist()
         units = tuple(1 << i for i in range(width))
-        for _ in range(5):
-            c = rng.randrange(1 << width)
-            dual = fourier._dual_coset_sums(
-                oracle.rows, oracle.cands, ell, c, units, width
-            )
-            hist = np.zeros(1 << ell, dtype=np.int64)
-            fourier._add_coset_histogram(hist, table, ell, c, units)
-            assert total == dual == wht_ints(hist)[cands].tolist()
+        cosets = [(rng.randrange(1 << width), units) for _ in range(5)]
+        for stack in [[coset] for coset in cosets] + [cosets]:
+            dual = fourier._dual_coset_sums(oracle.rows, oracle.cands, ell, stack, width)
+            hist = fourier._coset_histograms(table, ell, stack)
+            want = [total] * len(stack)
+            assert dual.tolist() == want == wht_ints(hist)[:, cands].tolist()
+
+
+class _PointwiseWeight:
+    """h_p(y, y', z) = F(yz)F(y'z)(-1)^<p, y xor y'> for one candidate p at
+    each point, for ref_coset_sum."""
+
+    def __init__(self, table, p, ell):
+        self.table, self.p, self.ell = table, p, ell
+
+    def eval_ints(self, xs):
+        low = (1 << self.ell) - 1
+        xs = xs.astype(np.int64)
+        y, yp, zl = xs & low, xs >> self.ell & low, xs >> 2 * self.ell << self.ell
+        prod = self.table[y | zl] * self.table[yp | zl]
+        return prod * (1 - 2 * (np.bitwise_count((y ^ yp) & self.p) & 1).astype(np.int64))
+
+
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
+def test_weight_oracle_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
+    # random coset lists mixing every rank 0..n + ell, full rank included,
+    # against each candidate's point-by-point sum; both paths run, and each
+    # path's last list needs more than one pass of 2^TEMP_BITS points or terms
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
+    calls = _count_branches(monkeypatch)
+    rng = random.Random(5151)
+    for n, ell in [(1, 0), (2, 1), (3, 2), (4, 4), (6, 2), (5, 5)]:
+        width = n + ell
+        table = np.array([rng.choice([-1, 1]) for _ in range(1 << n)], dtype=np.int64)
+        cands = rng.sample(range(1 << ell), rng.randint(1, 1 << ell))
+        if (n, ell) == (5, 5):
+            cands = cands[:1]  # ranks <= 5 take the histogram, ranks >= 6 the dual
+        oracle = fourier._WeightOracle(table, cands, ell, n)
+        refs = [_PointwiseWeight(table, p, ell) for p in cands]
+        for count in (1, 3, 40):
+            cosets = [random_coset(rng, width, rng.randint(0, width)) for _ in range(count)]
+            cosets.append(random_coset(rng, width, width))
+            if (n, ell, count) == (5, 5, 40):
+                # rank 5 (32 points each) and rank 6 (a V-perp of 16 each)
+                # past one pass of 2^TEMP_BITS points or terms
+                cosets += [random_coset(rng, width, 5) for _ in range((1 << max(0, temp_bits - 5)) + 1)]
+                cosets += [random_coset(rng, width, 6) for _ in range((1 << max(0, temp_bits - 4)) + 1)]
+            got = oracle.coset_sums(cosets)
+            assert len(got) == len(cosets)
+            for (c, basis), sums in zip(cosets, got):
+                assert sums.tolist() == [ref_coset_sum(ref, c, basis) for ref in refs]
+    assert all(calls[name] > 0 for name in ("_coset_histograms", "_dual_coset_sums", "stacked"))
 
 
 def test_search_and_estimates_match_pointwise_reference(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from randsteward import sampler
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
 from randsteward.gf2 import field_poly, is_irreducible, powers
 from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
@@ -15,20 +16,24 @@ from randsteward.sampler import (
     SamplerPlan,
     TruthTableOracle,
     _batch_seeds,
+    _exact_sums,
     batch_cosets,
+    batch_sums,
     lower_median,
     median_reps,
     plan_sampler,
     run_sampler,
 )
 
-from harness import random_circuit
+from harness import random_circuit, random_coset
 from oracles import (
     batch_points,
     lower_median_ref,
     ref_affine_points,
     ref_batch_cosets,
     ref_batch_seeds,
+    ref_batch_sums,
+    ref_coset_sum,
     ref_gf2_mul,
     ref_is_irreducible,
     ref_median_miss,
@@ -408,9 +413,105 @@ def test_run_sampler_matches_pointwise_reference():
             oracle = FnOracle(n, raw.__getitem__)
         seed = _seed(plan, b"diff", i)
         assert run_sampler(plan, oracle, seed).batch_means == _pointwise_run(plan, values, seed)
+        want = ref_batch_sums(plan, oracle, _batch_seeds(plan, seed))
+        assert batch_sums(plan, oracle, seed) == want
         kinds[kind, plan.t0 >> n > 0] += 1
     # every kind meets both plans with a whole-cube block and plans without
     assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
+
+
+def _base_oracle_kinds(rng, n):
+    """Every kind of base oracle on n bits: int, float and object tables, a
+    callable returning np.bool_, int or Fraction, a circuit before and after
+    its table is built, and a circuit without a cube total."""
+    values = [rng.randrange(4) for _ in range(1 << n)]
+    expr = parse_circuit(random_circuit(rng, n, depth=4), n)
+    tabled = _CircuitOracle(expr, n)
+    assert tabled.cube_total() is not None  # builds the table eval_ints reads
+    mixed = [rng.choice([np.bool_(v & 1), v, Fraction(v, 3), v / 4]) for v in values]
+    return [
+        TruthTableOracle(np.array(values, dtype=np.int64)),
+        TruthTableOracle(np.array(values, dtype=np.float64) / 8),
+        TruthTableOracle(np.array(mixed, dtype=object)),
+        FnOracle(n, lambda x: np.bool_(values[x] & 1)),
+        FnOracle(n, values.__getitem__),
+        FnOracle(n, lambda x: Fraction(values[x], 7)),
+        _CircuitOracle(expr, n),
+        tabled,
+        _NoCubeCircuit(expr, n),
+    ]
+
+
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
+def test_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
+    # random coset lists mixing every rank 0..n, full rank included, one
+    # coset up to more than one pass of 2^TEMP_BITS points in one rank
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
+    rng = random.Random(1901)
+    n = 12 if temp_bits > 4 else 5
+    full = (1 << max(0, temp_bits - n)) + 1  # full-rank cosets past one pass
+    for oracle in _base_oracle_kinds(rng, n):
+        for count in (1, 4, 40):
+            cosets = [random_coset(rng, n, rng.randint(0, n)) for _ in range(count)]
+            if count == 40:
+                cosets += [random_coset(rng, n, n) for _ in range(full)]
+            rng.shuffle(cosets)
+            got = oracle.coset_sums(cosets)
+            assert got == [ref_coset_sum(oracle, c, basis) for c, basis in cosets]
+
+
+def test_coset_passes_honour_temp_bits(monkeypatch):
+    # at TEMP_BITS = 1 no eval_ints call sees more than 2 points, however
+    # large the coset
+    monkeypatch.setattr(sampler, "TEMP_BITS", 1)
+    sizes = []
+
+    class Spy(TruthTableOracle):
+        def eval_ints(self, xs):
+            sizes.append(xs.size)
+            return super().eval_ints(xs)
+
+    rng = random.Random(27)
+    oracle = Spy(np.array([rng.randrange(9) for _ in range(1 << 8)]))
+    cosets = [random_coset(rng, 8, rank) for rank in range(9) for _ in range(2)]
+    assert oracle.coset_sums(cosets) == [ref_coset_sum(oracle, c, basis) for c, basis in cosets]
+    sizes = sizes[: -len(cosets)]  # the reference's own calls
+    assert sizes and max(sizes) == 2
+
+
+def test_exact_sums_do_not_wrap():
+    # numpy sums an integer array only where no partial sum can leave int64
+    assert TruthTableOracle(np.array([2**62, 2**62])).cube_total() == 2**63
+    assert _exact_sums(np.array([[2**63, 2**63]], dtype=np.uint64)) == [2**64]
+    assert _exact_sums(np.array([[-(2**63), -(2**63)], [3, -5]])) == [-(2**64), -2]
+    oracle = TruthTableOracle(np.full(4, 2**62, dtype=np.int64))
+    assert oracle.coset_sums([(0, (1, 2)), (3, ())]) == [2**64, 2**62]
+    plan = plan_sampler(2, Fraction(1), Fraction(15, 16), mode="independent")
+    run = run_sampler(plan, oracle, _seed(plan, b"wrap"))
+    assert run.batch_means == [2**62]
+
+
+def test_batch_sums_call_the_oracle_once_per_run():
+    # every partial coset of all r batches goes to one coset_sums call
+    class Counting(TruthTableOracle):
+        calls = cosets = 0
+
+        def coset_sums(self, cosets):
+            self.calls += 1
+            self.cosets += len(cosets)
+            return super().coset_sums(cosets)
+
+    rng = random.Random(19)
+    seen = 0
+    for i, n in enumerate([3, 5, 8, 10]):
+        plan = plan_sampler(n, Fraction(1, 7), Fraction(1, 8), mode=MODES[i % 2])
+        oracle = Counting(np.array([rng.randrange(2) for _ in range(1 << n)]))
+        for index in range(3):
+            oracle.calls = oracle.cosets = 0
+            run_sampler(plan, oracle, _seed(plan, b"once", index))
+            assert oracle.calls <= 1
+            seen += oracle.cosets > plan.r
+    assert seen  # some run had more partial cosets than batches
 
 
 def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
