@@ -4,14 +4,15 @@ An estimator of E[f] for f: {0,1}^n -> [0, 1], and the planner of a median
 of independent values:
 
 * median-of-batches: r batches of t0 = ceil(10/eps^2) pairwise-independent
-  points each; a batch mean is eps-accurate with probability >= 3/4 by
-  Chebyshev, and the (lower) median of r = ceil(8*log2(1/delta)) batches
-  drives the failure below delta.  Points of one batch are g -> a*g + b over
-  GF(2^n'), truncated to the low n bits; n' = max(n, ceil(log2 t0)) so the
-  field has room for t0 distinct g's.  The batch seeds (a, b) are either the
-  r successive 2*n'-bit fields of the sampler's seed (independent, 2*n'*r
-  bits) or the vertices of the expander walk it encodes on the 2^n' x 2^n'
-  torus (walk, 2*n' + 3*(r-1) bits); with r = 1 both are the same.
+  points each; f has variance <= 1/4, so by Chebyshev a batch mean is off
+  by eps or more with probability <= 1/40, and the (lower) median of r =
+  ceil(8*log2(1/delta)) batches drives the failure below delta.  Points of
+  one batch are g -> a*g + b over GF(2^n'), truncated to the low n bits;
+  n' = max(n, ceil(log2 t0)) so the field has room for t0 distinct g's.
+  The batch seeds (a, b) are either the r successive 2*n'-bit fields of the
+  sampler's seed (independent, 2*n'*r bits) or the vertices of the
+  expander walk it encodes on the 2^n' x 2^n' torus (walk, 2*n' + 3*(r-1)
+  bits); with r = 1 both are the same.
 
   Every entry point takes its seed as an int of at most seed_bits bits, bit
   i being the i-th bit drawn; the caller draws and decodes it.  Points are
@@ -21,18 +22,18 @@ of independent values:
   An oracle has n, coset_sums(cosets), the exact sum of f over each affine
   coset c + span(basis) of a list of (c, basis) pairs, in order, and
   cube_total(), the exact sum over all 2^n points or None.  batch_sums is
-  the one batch loop: it splits all r batches of a run into the cosets of
-  batch_cosets, books a batch's whole-cube blocks as one multiplicity
-  times cube_total() (taken once per run), and passes every other coset of
-  the run to one coset_sums call; a sum may be an int, a Fraction or an
-  int64 array of one sum per coordinate.  The base Oracle stacks the
-  cosets of one rank into one point array (_stacked_chunks), evaluates it
-  through eval_ints in passes of at most 2^TEMP_BITS points and has no
-  cube total.  Values are summed exactly (_exact_sums): an integer or bool
-  array by numpy where no partial sum can leave int64, any other array
-  value by value, each as its exact Fraction.  batch_cosets builds a
-  reduced basis only for a block below full rank; every full-rank block
-  shares the unit basis of the cube.
+  the one batch loop.  batch_cosets splits a batch into a multiplicity of
+  the whole cube and its cosets below full rank, so the cube is summed
+  once per run: cube_total(), or where that is None one more coset of the
+  run's one coset_sums call, which gets every partial coset of the run.  A
+  sum may be an int, a Fraction or an int64 array of one sum per
+  coordinate.  The base Oracle stacks the cosets of one rank into one
+  point array (_stacked_chunks), evaluates it through eval_ints in passes
+  of at most 2^TEMP_BITS points and has no cube total.  Values are summed
+  exactly (_exact_sums): an integer or bool array by numpy where no
+  partial sum can leave int64, any other array value by value, each as
+  its exact Fraction.  run_sampler divides the lower median of the exact
+  sums once by t0.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability
@@ -179,7 +180,7 @@ class TruthTableOracle(Oracle):
 
     def __init__(self, table):
         table = np.asarray(table)
-        if table.ndim != 1 or table.size & (table.size - 1):
+        if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
             raise ValueError("table length must be a power of two")
         self.table = table
         self.n = table.size.bit_length() - 1
@@ -206,67 +207,66 @@ class FnOracle(Oracle):
 
 def batch_cosets(
     a: int, b: int, t0: int, field_bits: int, n: int
-) -> list[tuple[int, int, tuple[int, ...]]]:
+) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
     """The batch a*g + b (g < t0, in GF(2^field_bits)), truncated to n bits,
-    as a multiset of affine cosets.
+    as a multiset of affine cosets: the pair (whole, partial).
 
     {g < t0} is one dyadic block per set bit j of t0: g = base + x with
     x < 2^j and base the bits of t0 above j.  g -> (a*g + b) mod 2^n is
     GF(2)-affine, so a block maps onto the coset c + V, c = (a*base + b)
-    mod 2^n and V spanned by (a * x^i) mod 2^n for i < j, and hits each
-    point of it 2^(j - dim V) times.  Returns (multiplicity, c, basis)
-    triples; each basis is in reduced row echelon form, ascending: distinct
-    leading bits, none of which is set in any other basis vector.
-
-    The columns are eliminated into a dict from leading bit to vector, and
-    the reduced basis is built only for a block below full rank; a
-    full-rank block gets the unit vectors (1, 2, 4, ...), the reduced basis
-    of the whole cube.  The offsets c come from one top-down pass that xors
-    in a * x^i for each set bit i of t0.
+    mod 2^n and V spanned by the columns (a * x^i) mod 2^n for i < j, and
+    hits each point of it 2^(j - dim V) times.  V grows with j.  From the
+    first set bit j* at which V has rank n on, each block is the whole cube
+    2^(j - n) times, whatever its offset c: whole = (t0 >> j*) << (j* - n),
+    their sum, or 0 if there is no j*.  partial is the (multiplicity, c,
+    basis) triples of the blocks below j*, ascending, each basis in reduced
+    row echelon form, ascending: distinct leading bits, none of which is
+    set in any other basis vector.  Elimination stops at rank n, and the
+    offsets are taken, top down, only when partial is not empty.
     """
     if t0 > 1 << field_bits:
         raise ValueError("field too small for t0 distinct points")
     powers = gf2.powers(a, field_bits)
     mask = (1 << n) - 1
-    blocks = []  # (j, c), top down
+    pivots = [0] * (n + 1)  # pivots[k]: the eliminated column of bit length k, or 0
+    rank = whole = 0
+    blocks = []  # (multiplicity, basis) of each block below full rank, ascending
+    for j in range(t0.bit_length()):
+        if t0 >> j & 1:
+            if rank == n:
+                whole = (t0 >> j) << (j - n)
+                break
+            blocks.append((1 << (j - rank), _reduced(pivots)))
+        v = powers[j] & mask if rank < n and j < field_bits else 0  # column j
+        while v:
+            k = v.bit_length()
+            if not pivots[k]:
+                pivots[k] = v
+                rank += 1
+                break
+            v ^= pivots[k]
+    if not blocks:
+        return whole, []
+    offsets = []  # one per set bit of t0, top down
     c = b
     for j in reversed(range(t0.bit_length())):
         if t0 >> j & 1:
-            blocks.append((j, c & mask))
+            offsets.append(c & mask)
             if j < field_bits:  # j = field_bits only when t0 = 2^field_bits
                 c ^= powers[j]
-    units = tuple(1 << i for i in range(n))
-    pivots: dict[int, int] = {}  # bit length of a vector -> the vector
-    done = 0  # columns eliminated so far
-    cosets = []
-    for j, c in reversed(blocks):
-        for v in powers[done:j]:
-            if len(pivots) == n:  # a full-rank V stays the same
-                break
-            v &= mask
-            while v:
-                w = pivots.get(v.bit_length())
-                if w is None:
-                    pivots[v.bit_length()] = v
-                    break
-                v ^= w
-        done = j
-        rank = len(pivots)
-        basis = units if rank == n else _reduced(pivots)
-        cosets.append((1 << (j - rank), c, basis))
-    return cosets
+    return whole, [(mult, c, basis) for (mult, basis), c in zip(blocks, reversed(offsets))]
 
 
-def _reduced(pivots: dict[int, int]) -> tuple[int, ...]:
-    """The reduced row echelon form, ascending, of echelon vectors keyed by
-    their bit lengths."""
+def _reduced(pivots: list[int]) -> tuple[int, ...]:
+    """The reduced row echelon form, ascending, of echelon vectors indexed
+    by their bit lengths (0 where there is none)."""
     basis: list[int] = []
-    for length in sorted(pivots):  # each lead is above those already reduced
-        v = pivots[length]
-        for w in basis:
-            if v >> (w.bit_length() - 1) & 1:
-                v ^= w
-        basis.append(v)
+    for v in pivots:  # each lead is above those already reduced
+        if v:
+            for w in basis:
+                if v >> (w.bit_length() - 1) & 1:
+                    v ^= w
+            basis.append(v)
     return tuple(basis)
 
 
@@ -308,8 +308,12 @@ def _stacked_chunks(cosets: list[tuple[int, tuple[int, ...]]], chunk_bits: int):
 @dataclass
 class SampleRun:
     plan: SamplerPlan
-    batch_means: list[Fraction]
+    batch_sums: list
     estimate: Fraction
+
+    @property
+    def batch_means(self) -> list[Fraction]:
+        return [Fraction(s, self.plan.t0) for s in self.batch_sums]
 
 
 def check_runnable(n: int) -> None:
@@ -323,27 +327,26 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     check_runnable(plan.n)
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
-    # only a block of >= 2^n points can map onto the whole cube
-    total = oracle.cube_total() if plan.t0 >> plan.n else None
-    whole = [0] * plan.r  # per batch, the summed multiplicity of its whole-cube blocks
-    parts = []  # (batch, multiplicity) of every other coset
-    cosets = []
-    for i, (a, b) in enumerate(_batch_seeds(plan, seed)):
-        for mult, c, basis in batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
-            if len(basis) == plan.n and total is not None:
-                whole[i] += mult
-            else:
-                parts.append((i, mult))
-                cosets.append((c, basis))
-    sums = [mult * total if mult else 0 for mult in whole]
-    for (i, mult), part in zip(parts, oracle.coset_sums(cosets)):
+    splits = [batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+              for a, b in _batch_seeds(plan, seed)]  # (whole, partial) per batch
+    parts = [(i, mult, c, basis) for i, (_, partial) in enumerate(splits)
+             for mult, c, basis in partial]
+    cosets = [(c, basis) for _, _, c, basis in parts]
+    total = oracle.cube_total() if any(whole for whole, _ in splits) else 0
+    if total is None:  # the cube, at any offset, as the call's last coset
+        cosets.append((0, tuple(1 << i for i in range(plan.n))))
+    part_sums = oracle.coset_sums(cosets)
+    if total is None:
+        total = part_sums.pop()
+    sums = [whole * total if whole else 0 for whole, _ in splits]
+    for (i, mult, _, _), part in zip(parts, part_sums):
         sums[i] += mult * part
     return sums
 
 
 def run_sampler(plan: SamplerPlan, oracle, seed: int) -> SampleRun:
-    means = [Fraction(s) / plan.t0 for s in batch_sums(plan, oracle, seed)]
-    return SampleRun(plan=plan, batch_means=means, estimate=lower_median(means))
+    sums = batch_sums(plan, oracle, seed)
+    return SampleRun(plan=plan, batch_sums=sums, estimate=Fraction(lower_median(sums), plan.t0))
 
 
 def _batch_seeds(plan: SamplerPlan, seed: int) -> list[tuple[int, int]]:

@@ -269,7 +269,9 @@ def batch_points(a: int, b: int, t0: int, field_bits: int, n: int):
 def ref_batch_cosets(a: int, b: int, t0: int, field_bits: int, n: int):
     """The batch a*g + b (g < t0), truncated to n bits, as (multiplicity, c,
     basis) triples, one per set bit j of t0: the column-by-column split that
-    sampler.batch_cosets replaced, kept as its triple-for-triple reference.
+    sampler.batch_cosets replaced, kept as its reference.  batch_cosets
+    folds the full-rank triples into one multiplicity and returns the
+    others, in this order, as they are here.
 
     A reduced row echelon basis of span{(a * x^i) mod 2^n : i < j} is kept
     after every column, reducing each new vector against it with min and

@@ -40,7 +40,7 @@ def test_plan_matches_fraction_recomputation():
         assert plan_extractor(s, t, beta).m == ref_field_bits(s, t, beta)
 
 
-def test_plan_depends_only_on_deficit_pad_and_error():
+def test_plan_depends_only_on_bias_deficit_and_error():
     # m depends on (s - 1)^2 * 2^t / beta^2 alone: two more bits of deficit
     # cost what doubling s - 1 or halving beta costs, and an odd s pays no pad
     beta = Fraction(1, 8)
@@ -99,7 +99,7 @@ def test_extract_rejects_inputs_out_of_range():
                 extract_int(p, x, y)
 
 
-def test_walk_extract_golden():
+def test_small_bias_extract_golden():
     # the small-bias extractor at m = 3 (field x^3 + x + 1): u = x + 1 has
     # powers 1, x + 1, x^2 + 1, x^2, so v = 1 reads their constant terms
     params = plan_extractor(4, 0, Fraction(1, 2))
@@ -110,7 +110,7 @@ def test_walk_extract_golden():
     assert extract_int(params, 0b1101, 0) == 0b1101  # v = 0: S = 0
 
 
-def test_walk_extract_matches_string_reference():
+def test_small_bias_extract_matches_string_reference():
     # extract_int against x XOR S(u, v) over '0'/'1' strings and peasant
     # GF(2^m) products, at random inputs; the strings exist only here
     rng = random.Random(80_021)
@@ -143,7 +143,7 @@ def test_jump_matches_the_reference_at_every_width(monkeypatch):
             assert int_to_bits(extract_int(params, x, y), s) == want
 
 
-def test_walk_extract_bijective_in_input():
+def test_small_bias_extract_bijective_in_input():
     params = plan_extractor(4, 0, Fraction(1, 2))
     seed = int("101101", 2)
     outputs = {extract_int(params, v, seed) for v in range(16)}
@@ -185,7 +185,7 @@ def test_uniform_source_extracts_exactly_uniform():
     assert _exact_subcube_tv(6, 0, Fraction(1, 4)) == 0
 
 
-def test_padded_uniform_source_extracts_exactly_uniform():
+def test_odd_width_uniform_source_extracts_exactly_uniform():
     # an odd s needs no padding: the output is still exactly uniform
     assert _exact_subcube_tv(5, 0, Fraction(1, 4)) == 0
 

@@ -23,13 +23,13 @@ from randsteward.sampler import (
     MODES,
     SamplerPlan,
     _batch_seeds,
-    batch_cosets,
     plan_sampler,
 )
 
 from harness import random_coset
 from oracles import (
-    batch_points, brute_subcube_weight, brute_wht, ref_coset_sum, ref_weights_pointwise,
+    batch_points, brute_subcube_weight, brute_wht, ref_batch_cosets, ref_coset_sum,
+    ref_weights_pointwise,
 )
 
 MAJ3 = [1 if bin(x).count("1") < 2 else -1 for x in range(8)]
@@ -280,7 +280,7 @@ def test_dual_coset_sums_match_enumeration():
             field_bits = width + rng.randint(0, 2)
             a, b = rng.randrange(1 << field_bits), rng.randrange(1 << field_bits)
             t0 = rng.randint(1, 1 << field_bits)
-            cosets = [(c, basis) for _, c, basis in batch_cosets(a, b, t0, field_bits, width)]
+            cosets = [(c, basis) for _, c, basis in ref_batch_cosets(a, b, t0, field_bits, width)]
             stacks = [[coset] for coset in cosets] + [cosets]
             for stack in stacks:
                 hist = fourier._coset_histograms(table, ell, stack)

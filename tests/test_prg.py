@@ -94,7 +94,7 @@ def test_fresh_backend_output_is_exactly_uniform():
     assert tv_distance(uniform, seeded) == 0
 
 
-def test_expander_expand_golden():
+def test_small_bias_expand_golden():
     # the small-bias backend at m = 3: the input 0b01 meets u = 0b101 and
     # v = 0b010, so S = (<1, v>, <u, v>) = (0, 0) and the output is the input twice
     s = build_schedule(2, 2, 2, Fraction(1, 2))

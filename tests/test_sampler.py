@@ -175,6 +175,14 @@ def _is_reduced_echelon(basis) -> bool:
     )
 
 
+def _ref_split(a, b, t0, field_bits, n):
+    """ref_batch_cosets as (whole, partial): the summed multiplicity of its
+    full-rank triples, and its other triples in order."""
+    triples = ref_batch_cosets(a, b, t0, field_bits, n)
+    whole = sum(mult for mult, _, basis in triples if len(basis) == n)
+    return whole, [triple for triple in triples if len(triple[2]) < n]
+
+
 def test_batch_cosets_match_batch_points():
     rng = random.Random(2024)
     cases = [
@@ -192,33 +200,38 @@ def test_batch_cosets_match_batch_points():
         cases.append(
             (a, b, rng.randint(1, 1 << field_bits), field_bits, rng.randint(1, field_bits))
         )
+    kinds = Counter()
     for a, b, t0, field_bits, n in cases:
-        cosets = batch_cosets(a, b, t0, field_bits, n)
-        assert cosets == ref_batch_cosets(a, b, t0, field_bits, n)
-        assert len(cosets) == bin(t0).count("1")
-        for mult, c, basis in cosets:
+        whole, partial = batch_cosets(a, b, t0, field_bits, n)
+        assert (whole, partial) == _ref_split(a, b, t0, field_bits, n)
+        assert (whole > 0) == (len(partial) < bin(t0).count("1"))
+        for mult, c, basis in partial:
             assert mult & (mult - 1) == 0 and 0 <= c < 1 << n
-            assert all(0 < v < 1 << n for v in basis)
+            assert all(0 < v < 1 << n for v in basis) and len(basis) < n
             assert _is_reduced_echelon(basis)
             if a == 0:
                 assert basis == ()
         want = Counter(batch_points(a, b, t0, field_bits, n).tolist())
-        assert _expand_cosets(cosets) == want
+        got = _expand_cosets(partial + [(whole, 0, tuple(1 << i for i in range(n)))])
+        assert +got == want
+        kinds[whole > 0, len(partial) > 0] += 1
+    assert len(kinds) == 3  # whole cube only, partial cosets only, and both
 
 
 def test_batch_cosets_match_reference_at_the_acceptance_plan():
     # criterion 12's sampler (n = 10, t0 = 256000, field 2^18): mostly
-    # full-rank blocks, and the others must get the same reduced bases
+    # the whole cube, and the blocks below full rank must get the same
+    # offsets and reduced bases
     plan = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
     assert (plan.t0, plan.r, plan.field_bits) == (256000, 67, 18)
     rng = random.Random(12)
-    ranks = Counter()
+    kinds = Counter()
     for _ in range(200):
         a, b = rng.randrange(1 << 18), rng.randrange(1 << 18)
-        cosets = batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
-        assert cosets == ref_batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
-        ranks.update(len(basis) == plan.n for _, _, basis in cosets)
-    assert ranks[True] > 0 and ranks[False] > 0
+        whole, partial = batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+        assert (whole, partial) == _ref_split(a, b, plan.t0, plan.field_bits, plan.n)
+        kinds[whole > 0, len(partial) > 0] += 1
+    assert kinds[True, False] > kinds[True, True] > 0
 
 
 def test_batch_cosets_rejects_small_field():
@@ -248,6 +261,8 @@ def test_run_sampler_exact_and_budgeted():
     assert plan.seed_bits == 29
     assert len(run.batch_means) == plan.r
     assert all(m.denominator <= plan.t0 for m in run.batch_means)
+    assert run.batch_means == [Fraction(s, plan.t0) for s in run.batch_sums]
+    assert run.estimate == lower_median(run.batch_means)
 
 
 def test_run_sampler_independent_mode():
@@ -514,6 +529,31 @@ def test_batch_sums_call_the_oracle_once_per_run():
     assert seen  # some run had more partial cosets than batches
 
 
+def test_a_callable_oracle_sums_the_cube_once_per_run():
+    # criterion 12's plan: 67 batches of 256000 points over n = 10 bits, each
+    # mostly the whole cube.  A callable has no cube total, so the cube is
+    # one more coset of the run's coset_sums call, evaluated once per run
+    plan = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    assert (plan.t0, plan.r, plan.field_bits) == (256000, 67, 18)
+    calls = Counter()
+
+    def parity(x):
+        calls["points"] += 1
+        return x.bit_count() & 1
+
+    oracle = FnOracle(plan.n, parity)
+    for i in (0, 2):
+        seed = _seed(plan, b"count", i)
+        splits = [batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+                  for a, b in _batch_seeds(plan, seed)]
+        partial_points = sum(1 << len(basis) for _, partial in splits for _, _, basis in partial)
+        assert partial_points and any(whole for whole, _ in splits)
+        calls.clear()
+        sums = batch_sums(plan, oracle, seed)
+        assert calls["points"] <= (1 << plan.n) + partial_points
+        assert sums == ref_batch_sums(plan, oracle, _batch_seeds(plan, seed))
+
+
 def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     # one batch of t0 = 256000 points over n = 10 bits, criterion 12's batch
     # size, on every oracle kind; seeds 32 and 47 have blocks below full
@@ -537,8 +577,8 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     for i in (0, 32, 47):
         seed = _seed(plan, b"c12", i)
         (a, b), = _batch_seeds(plan, seed)
-        cosets = batch_cosets(a, b, plan.t0, plan.field_bits, n)
-        ranks.update(len(basis) for _, _, basis in cosets)
+        whole, partial = batch_cosets(a, b, plan.t0, plan.field_bits, n)
+        ranks.update([n] * (whole > 0) + [len(basis) for _, _, basis in partial])
         for oracle, want_values in oracles:
             run = run_sampler(plan, oracle, seed)
             assert run.batch_means == _pointwise_run(plan, want_values, seed)
@@ -558,6 +598,9 @@ def test_lower_median():
 def test_truth_table_oracle_validation():
     with pytest.raises(ValueError):
         TruthTableOracle([0, 1, 1])
+    for empty in ([], np.array([], dtype=np.int64)):  # 0 is no power of two
+        with pytest.raises(ValueError):
+            TruthTableOracle(empty)
     oracle = TruthTableOracle([5, 7, 1, 3])
     assert oracle.eval_ints(np.array([1])).tolist() == [7]  # little-endian: "10" is 1
     assert oracle.eval_ints(np.array([2, 0])).tolist() == [1, 5]
