@@ -6,7 +6,8 @@ given --seed-hex (audit only plans, so it takes none): single-run commands
 read their tape straight from the hex string, and Monte-Carlo commands
 derive trial i's tape from a SHA-256 counter stream keyed by (seed bytes, i).
 Usage errors exit 2; runtime failures and a Goldreich-Levin abort exit 1.
-gl, accept and audit run the main steward on the small-bias generator; only
+gl, accept and audit run the main steward on the generator's default plan
+(each level the cheaper of fresh bits and the small-bias extractor); only
 prg expand picks a generator backend, and only demo adversary a steward
 kind.
 """
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--sigma", type=int, required=True)
     q.add_argument("--gamma", type=_rat, required=True)
-    q.add_argument("--backend", default="small-bias", choices=prg.BACKENDS)
+    q.add_argument("--backend", default="auto", choices=prg.BACKENDS)
     common(q)
     q.set_defaults(fn=_cmd_prg_expand)
 

@@ -47,7 +47,11 @@ class ExtractorParams:
 
 @dataclass(frozen=True)
 class FreshExtractorParams:
-    """Ext(x, y) = y: recycles nothing, the exact baseline for differential tests."""
+    """Ext(x, y) = y: s fresh bits, error 0.
+
+    A generator level takes it whenever its small-bias seed would cost at
+    least s bits (see prg), and the "fresh" backend at every level, which
+    makes it the exact baseline for differential tests."""
 
     s: int
 

@@ -402,8 +402,9 @@ def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> G
 
 def gl_audit_dict(params: GlParams) -> dict:
     """Coin budget of one run, the steward seed split tape vs ladder, plus
-    each level's sampler plan."""
-    seed_len = params.steward_config().schedule.seed_len
+    the steward's generator plan and each level's sampler plan."""
+    schedule = params.steward_config().schedule
+    seed_len = schedule.seed_len
     return {
         "n": params.n,
         "levels": params.k,
@@ -412,5 +413,6 @@ def gl_audit_dict(params: GlParams) -> dict:
         "steward_bits": seed_len,
         "fresh_bits": params.tape_bits * params.k,
         "per_phase": {"tape": params.tape_bits, "ladder": seed_len - params.tape_bits},
+        "schedule": schedule.to_dict(),
         "sampler": [plan.to_dict() for plan in params.plans],
     }

@@ -6,16 +6,35 @@ and outputs
 
     G_{i+1}(x, y) = G_i(x) || G_i(Ext_i(x, y))
 
-so each level doubles the number of n-bit blocks while only paying for an
-extractor seed.  Ext_i is an average-case extractor whose entropy deficit
-t_i = ceil(2^i * log2(sigma)) matches the number of symbols a depth-2^i tree
-can have learned about x, and whose error beta = gamma / 2^levels makes the
-per-level losses sum to the target gamma.  The final output is truncated to
-n*k bits.  The "small-bias" backend plans Ext_i with extract.plan_extractor;
-the "fresh" one takes Ext_i(x, y) = y.
+so each level doubles the number of n-bit blocks.  The final output is
+truncated to n*k bits.
 
-`build_schedule` fixes every length up front, so expansion is deterministic
-and the bit budget is auditable before any seed is drawn.
+Error.  Ext_i is an average-case extractor with entropy deficit
+t_i = ceil(2^i * log2(sigma)), the number of bits that a depth-2^i tree over
+sigma symbols can learn about x, and error beta_i.  Against such a tree the
+left half G_i(x) loses err_i, swapping Ext_i(x, y) for uniform bits given
+what the left half showed loses beta_i, and G_i on those uniform bits loses
+err_i again, so err_{i+1} <= 2*err_i + beta_i with err_0 = 0, and the
+generator's error is at most sum_i 2^(levels-1-i) * beta_i.
+
+Planning.  `build_schedule` fixes every length up front, so expansion is
+deterministic and the bit budget is auditable before any seed is drawn.
+Every backend splits gamma by weight, beta_i = gamma / (levels *
+2^(levels-1-i)): each level's term of the sum above is gamma/levels, and the
+terms add up to exactly gamma.  The default "auto" backend then keeps a
+level's seed as small as it can:
+
+- A level is the cheaper of two extractors.  Ext_i(x, y) = y
+  (FreshExtractorParams) costs s_i bits and adds error 0; the small-bias
+  extractor that extract.plan_extractor plans for (s_i, t_i, beta_i) costs
+  2m_i bits.  Level i takes fresh bits whenever s_i <= 2m_i.
+- Fresh levels cost n bits per block, n*2^levels in all, which exceeds n*k
+  when k is not a power of two.  A plan that still draws more than n*k bits
+  becomes the identity on n*k uniform bits (levels = 0, error 0), so the
+  seed never exceeds the naive n*k.
+
+The "small-bias" backend takes the extractor at every level and "fresh"
+takes y at every level; neither is capped.
 
 `expand` maps an int seed to an int output, bit i being the i-th bit
 drawn: x is the low s_i bits of a level-(i+1) seed, y the rest, and G_i(x)
@@ -31,7 +50,7 @@ from fractions import Fraction
 from .extract import ExtractorParams, FreshExtractorParams, extract_int, plan_extractor
 from .randomness import rat_to_str
 
-BACKENDS = ("small-bias", "fresh")
+BACKENDS = ("auto", "small-bias", "fresh")
 
 
 @dataclass(frozen=True)
@@ -42,9 +61,9 @@ class PrgSchedule:
     gamma: Fraction
     backend: str
     levels: int
-    beta: Fraction
+    betas: tuple[Fraction, ...]  # betas[i] = level i's share of gamma
     extractors: tuple[ExtractorParams | FreshExtractorParams, ...]
-    s: tuple[int, ...]  # s[i] = seed length entering level i; s[levels] = total
+    s: tuple[int, ...]  # s[i] = seed length entering level i; s[levels] = total (n*k if capped)
 
     @property
     def seed_len(self) -> int:
@@ -59,6 +78,8 @@ class PrgSchedule:
         for i, params in enumerate(self.extractors):
             entry = {
                 "level": i,
+                "extractor": "fresh" if isinstance(params, FreshExtractorParams) else "small-bias",
+                "beta": rat_to_str(self.betas[i]),
                 "s_in": self.s[i],
                 "deficit": getattr(params, "t", None),
                 "seed_bits": params.seed_len,
@@ -74,7 +95,6 @@ class PrgSchedule:
             "gamma": rat_to_str(self.gamma),
             "backend": self.backend,
             "levels": self.levels,
-            "beta": rat_to_str(self.beta),
             "seed_len": self.seed_len,
             "output_len": self.output_len,
             "schedule": levels,
@@ -86,7 +106,7 @@ def build_schedule(
     k: int,
     sigma: int,
     gamma: Fraction,
-    backend: str = "small-bias",
+    backend: str = "auto",
 ) -> PrgSchedule:
     """Plan generator lengths for k blocks of n bits against sigma-ary trees."""
     if n < 1 or k < 1:
@@ -100,21 +120,24 @@ def build_schedule(
         raise ValueError(f"backend must be one of {BACKENDS}")
 
     levels = (k - 1).bit_length()  # ceil(log2 k)
-    beta = gamma / (1 << levels)
+    betas = tuple(gamma / (levels << (levels - 1 - i)) for i in range(levels))
     extractors: list[ExtractorParams | FreshExtractorParams] = []
     s = [n]
-    for i in range(levels):
+    for i, beta in enumerate(betas):
         # t_i = ceil(2^i * log2 sigma) = ceil(log2 sigma^(2^i)), exactly.
         t_i = (sigma ** (1 << i) - 1).bit_length()
-        if backend == "fresh":
-            params: ExtractorParams | FreshExtractorParams = FreshExtractorParams(s=s[i])
-        else:
-            params = plan_extractor(s=s[i], t=t_i, beta=beta)
+        params: ExtractorParams | FreshExtractorParams = FreshExtractorParams(s=s[i])
+        if backend != "fresh":
+            small_bias = plan_extractor(s=s[i], t=t_i, beta=beta)
+            if backend == "small-bias" or small_bias.seed_len < s[i]:
+                params = small_bias
         extractors.append(params)
         s.append(s[i] + params.seed_len)
+    if backend == "auto" and s[-1] > n * k:
+        levels, betas, extractors, s = 0, (), [], [n * k]
     return PrgSchedule(
         n=n, k=k, sigma=sigma, gamma=gamma, backend=backend,
-        levels=levels, beta=beta,
+        levels=levels, betas=betas,
         extractors=tuple(extractors), s=tuple(s),
     )
 

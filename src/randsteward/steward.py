@@ -30,17 +30,17 @@ main, coarse or certified, comes from one integer floor division
 Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
 comes from, how it rounds), and Session switches on those two members only.
-A sample is one block of the small-bias generator's output ("blocks", the main
-steward), n fresh bits drawn in the round ("fresh") or one n-bit sample reused
-every round ("reused"); the generator's seed or the reused sample is drawn
-once, at the first round.  Either way a sample is an n-bit int whose bit i is
-its i-th bit, and that int is what the oracle gets; only the transcript's
-JSON writes it back as a bit string.  Which generator makes the blocks is
-chosen in prg only: its identity generator would give the main steward the
-s0 kind's uniform blocks, drawn all at once.  An answer is shift-and-rounded
-as above ("shift"), snapped to a coarse grid u*epsilon after a fresh random
-shift of log2(u) bits ("coarse", the Saks-Zhou baseline), or returned as is
-("raw").
+A sample is one block of the generator's output ("blocks", the main
+steward), n fresh bits drawn in the round ("fresh") or one n-bit sample
+reused every round ("reused"); the generator's seed or the reused sample is
+drawn once, at the first round.  Either way a sample is an n-bit int whose
+bit i is its i-th bit, and that int is what the oracle gets; only the
+transcript's JSON writes it back as a bit string.  Which generator makes the
+blocks is planned in prg only: where fresh bits are the cheapest plan (at
+most n*k of them), the blocks are the s0 kind's uniform blocks, drawn all at
+once.  An answer is shift-and-rounded as above ("shift"), snapped to a
+coarse grid u*epsilon after a fresh random shift of log2(u) bits ("coarse",
+the Saks-Zhou baseline), or returned as is ("raw").
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ class StewardConfig:
 
     @property
     def schedule(self) -> PrgSchedule:
-        """The small-bias generator plan for k blocks of n bits against sigma-ary trees."""
+        """The generator's default plan for k blocks of n bits against sigma-ary trees:
+        each level the cheaper of fresh bits and the small-bias extractor, and
+        never more than n*k bits."""
         return _planned_schedule(self.n, self.k, self.sigma, self.gamma)
 
     def to_dict(self) -> dict:

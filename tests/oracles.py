@@ -210,24 +210,41 @@ def ref_extract(params, x: str, y: str) -> str:
     return "".join(out)
 
 
+@functools.cache
 def ref_field_bits(s: int, t: int, beta: Fraction) -> int:
     """The smallest m >= 1 with ((s - 1)/2^m)^2 * 2^t <= beta^2, in Fractions:
     bias (s - 1)/2^m small enough for deficit t and error beta."""
     return next(m for m in itertools.count(1) if Fraction(s - 1, 1 << m) ** 2 * 2**t <= beta**2)
 
 
-def ref_schedule(n: int, k: int, sigma: int, gamma: Fraction) -> list[int]:
-    """The seed lengths s_0 = n, ..., s_levels of the small-bias generator for
-    k blocks of n bits: levels = ceil(log2 k), beta = gamma / 2^levels, and
-    level i adds 2m bits for deficit t_i, the smallest t with
-    2^t >= sigma^(2^i)."""
+def ref_plan(n: int, k: int, sigma: int, gamma: Fraction, backend: str = "auto"):
+    """The generator plan for k blocks of n bits, as (s, levels): the seed
+    lengths s_0 = n, ..., s_levels and one (extractor, seed bits, beta) per
+    level.  levels = ceil(log2 k); level i has error share beta_i =
+    gamma / (levels * 2^(levels-1-i)) and deficit t_i, the smallest t with
+    2^t >= sigma^(2^i), and costs either s_i fresh bits or the 2m bits of the
+    small-bias extractor.  "auto" takes the fresh bits when s_i <= 2m, and
+    turns a plan of more than n*k bits into ([n*k], []), the identity on n*k
+    uniform bits; "small-bias" and "fresh" take one kind at every level."""
     levels = next(L for L in itertools.count() if 1 << L >= k)
-    beta = Fraction(gamma) / (1 << levels)
-    s = [n]
+    s, plan = [n], []
     for i in range(levels):
+        beta = Fraction(gamma) / (levels * 2 ** (levels - 1 - i))
         t = next(t for t in itertools.count() if 2**t >= sigma ** (2**i))
-        s.append(s[-1] + 2 * ref_field_bits(s[-1], t, beta))
-    return s
+        small_bias = 2 * ref_field_bits(s[-1], t, beta) if backend != "fresh" else None
+        if backend == "small-bias" or (backend == "auto" and small_bias < s[-1]):
+            plan.append(("small-bias", small_bias, beta))
+        else:
+            plan.append(("fresh", s[-1], beta))
+        s.append(s[-1] + plan[-1][1])
+    if backend == "auto" and s[-1] > n * k:
+        return [n * k], []
+    return s, plan
+
+
+def ref_schedule(n: int, k: int, sigma: int, gamma: Fraction, backend: str = "auto") -> list[int]:
+    """The seed lengths of ref_plan."""
+    return ref_plan(n, k, sigma, gamma, backend)[0]
 
 
 def ref_expand(schedule, seed: str) -> str:
@@ -504,10 +521,31 @@ if __name__ == "__main__":
     print("W_'10'(chi1)               =", brute_subcube_weight(chi1, "10"))
     print("W_'01'(chi1)               =", brute_subcube_weight(chi1, "01"))
 
-    # small-bias seeds for (n, k, sigma, 1/gamma) of criterion 6, session-wide,
-    # accept-circuits, gl n=2, audit n=12, test_steward, test_circuits, the
-    # accept CLI, demo adversary and the APP runner
-    for n, k, sigma, q in [(8, 8, 4, 16), (8, 4, 34, 16), (234, 16, 3, 20), (187, 2, 11, 4),
-                           (363, 12, 34, 20), (4, 2, 3, 4), (117, 2, 3, 8), (93, 2, 3, 4),
-                           (8, 2, 3, 16), (44, 2, 3, 4)]:
-        print(f"seed_len{(n, k, sigma, q)} =", ref_schedule(n, k, sigma, Fraction(1, q))[-1])
+    # generator seeds from (n, k, sigma, 1/gamma) of each config, with the
+    # test or README line that freezes them
+    seeds = {
+        "criterion 6; session-small": (8, 8, 4, 16),
+        "session-wide": (8, 4, 34, 16),
+        "accept-circuits": (234, 16, 3, 20),
+        "gl-search; gl n=2 (test_fourier, test_cli, README gl)": (187, 2, 11, 4),
+        "test_prg k=4096": (8, 4096, 4, 16),
+        "test_prg k=512": (8, 512, 4, 16),
+        "test_steward MAIN_CFG": (4, 2, 3, 4),
+        "test_adversary PIN_CFG": (8, 3, 4, 16),
+        "test_circuits acceptance session": (117, 2, 3, 8),
+        "accept CLI (README accept)": (93, 2, 3, 4),
+        "demo adversary main (README)": (8, 2, 3, 16),
+        "APP runner": (44, 2, 3, 4),
+        # gl_params(n, theta, 1/10), criterion 11's table
+        "criterion 11 n=8 theta=1/2": (348, 8, 34, 20),
+        "criterion 11 n=8 theta=1/4": (440, 4, 258, 20),
+        "criterion 11 n=12 theta=1/2 (README audit)": (363, 12, 34, 20),
+        "criterion 11 n=12 theta=1/4": (455, 6, 258, 20),
+        "criterion 11 n=16 theta=1/2": (382, 16, 34, 20),
+        "criterion 11 n=16 theta=1/4": (464, 8, 258, 20),
+    }
+    for name, (n, k, sigma, q) in seeds.items():
+        s, plan = ref_plan(n, k, sigma, Fraction(1, q))
+        kinds = "+".join(str(bits) if kind == "fresh" else f"2*{bits // 2}" for kind, bits, _ in plan)
+        print(f"seed_len{(n, k, sigma, q)} = {s[-1]:5d}  {name}:",
+              f"n + {kinds}" if plan else "n*k, capped")

@@ -139,26 +139,27 @@ def test_extracting_owner_goes_quiet_after_round_two():
 # One main session per owner at a fixed key, pinned to the answers and the
 # byte-exact transcript JSON: an oracle gets an n-bit int, and the transcript
 # writes x as the bit string drawn.  The samples are the blocks of the
-# package-free generator on the same seed.
+# package-free generator on the same seed; at n = 8, k = 3 the plan is capped
+# at nk = 24 bits, so they are the seed's three bytes as drawn.
 PIN_CFG = StewardConfig(
     n=8, k=3, d=2, epsilon=Fraction(1, 128), delta=Fraction(1, 128), gamma=Fraction(1, 16)
 )
-PIN_X = [0b10101011, 0b00010111, 0b11001001]  # drawn as "11010101", "11101000", "10010011"
+PIN_X = [0b10101011, 0b01100111, 0b10100011]  # drawn as "11010101", "11100110", "11000101"
 PINS = {
     "constant": (
         lambda: constant_owner([(Fraction(1, 3), Fraction(-5, 16))], d=2),
         [("45/128", "-39/128")] * 3,
-        "6da8052cbf0f164ca56478e8d3e33945f4131004fdf504ea5af81cef5894f431",
+        "153c8a563ecd466fb327ee6cdf88a0bc17d198684da9b03c7b20a2ca4025c967",
     ),
     "boundary": (
         lambda: boundary_owner(PIN_CFG.epsilon, d=2),
         [("9/128", "15/128"), ("15/128", "21/128"), ("21/128", "27/128")],
-        "017b85f41df9874026a8a27a5a16b0bc8b4f9e606bc3f91bfac420003c44d628",
+        "d3c193725d55e6023e0669a94ac81094037e63a0acffda6c398d039385c44667",
     ),
     "extracting": (
         lambda: extracting_owner(PIN_CFG.n, PIN_CFG.epsilon, d=2),
         [("3/128", "3/128")] * 3,
-        "25e5d3458546bccf2593bcabf6b2d91e85ed4dcde088c2335f0837b64b1e1dde",
+        "6c674848941e60857aaf2ecdb268689778d3bdf84e2bc2c2eae4d647c8e5ce50",
     ),
 }
 
@@ -171,7 +172,7 @@ def test_main_session_pins_the_owner_contract(name):
     assert [r.x for r in t.rounds] == PIN_X
     text = t.to_json()
     xs = [r["x"] for r in json.loads(text)["rounds"]]
-    assert xs == ["11010101", "11101000", "10010011"]
+    assert xs == ["11010101", "11100110", "11000101"]
     schedule = PIN_CFG.schedule
     seed = CounterSource(master=b"owner-contract", index=0).draw(schedule.seed_len)
     out = ref_expand(schedule, seed)

@@ -179,12 +179,12 @@ def test_acceptance_session_constants():
     assert sess.plan.queries == 81920
     assert sess.bits_used == 0  # nothing is drawn at open
     assert sess.estimate("1") == 1  # mu = 1 survives rounding exactly
-    assert sess.bits_used == 141  # the whole steward seed, at the first estimate
+    assert sess.bits_used == 139  # the whole steward seed, at the first estimate
     # mu = 0 keeps a positive shift: the estimate is small but not zero
     y = sess.estimate("x0 & ~x0")
     assert y == Fraction(1, 8)
     assert 0 <= y <= sess.epsilon
-    assert sess.bits_used == 141
+    assert sess.bits_used == 139
 
 
 def test_acceptance_session_accuracy_and_rounds():
@@ -304,8 +304,8 @@ def test_app_runner_estimates_with_bad_tapes():
     for got, want in zip(out, targets):
         assert abs(got - want) <= Fraction(1, 4)
     # r = median_reps(1/8) = 11 coin strings, so the steward plans k=2 blocks
-    # of 44 bits and one 20-bit extractor seed
-    assert source.bits_drawn == 64
+    # of 44 bits and one 18-bit extractor seed
+    assert source.bits_drawn == 62
 
 
 def test_app_runner_misses_exactly_on_the_binomial_tail():

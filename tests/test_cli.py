@@ -32,10 +32,12 @@ def test_prg_expand_golden(capsys):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schedule"]["seed_len"] == 8
-    assert doc["output_bits"] == "0101"
-    assert doc["blocks"] == ["01", "01"]
-    assert "seed 8 bits -> output 4 bits" in err
+    # 2 fresh bits beat a 4-bit extractor seed, so the output is the seed drawn
+    assert doc["schedule"]["seed_len"] == 4
+    assert doc["schedule"]["schedule"][0]["extractor"] == "fresh"
+    assert doc["seed_bits"] == doc["output_bits"] == "0111"  # 0xde, low bit first
+    assert doc["blocks"] == ["01", "11"]
+    assert "seed 4 bits -> output 4 bits" in err
     # bit-for-bit reproducible
     rc2, out2, _ = run_cli(argv, capsys)
     assert json.loads(out2) == doc
@@ -50,7 +52,7 @@ def test_prg_expand_writes_output_file(capsys, tmp_path):
         capsys,
     )
     assert rc == 0 and out == ""
-    assert json.loads(target.read_text())["output_bits"] == "0101"
+    assert json.loads(target.read_text())["output_bits"] == "0111"
 
 
 def test_accept_streams_estimates(capsys, tmp_path):
@@ -70,10 +72,10 @@ def test_accept_streams_estimates(capsys, tmp_path):
          "estimate_float": 0.125},
     ]
     doc = json.loads(target.read_text())
-    assert doc["bits_used"] == 115
+    assert doc["bits_used"] == 113
     assert doc["sampler"]["queries"] == 61440
     assert doc["rounds"] == lines
-    assert "2 rounds, 115 bits" in err
+    assert "2 rounds, 113 bits" in err
 
 
 def test_run_trials_clamps_jobs_to_cpu_count(monkeypatch):
@@ -125,10 +127,10 @@ def test_gl_cli_recovers_a_parity(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["masks"] == [1]
     assert doc["strings"] == ["10"]
-    assert doc["bits_used"] == 213
+    assert doc["bits_used"] == 211
     assert not doc["aborted"]
     assert doc["audit"]["fresh_bits"] == 374
-    assert "1 heavy prefixes, 213 bits" in err
+    assert "1 heavy prefixes, 211 bits" in err
 
 
 def test_gl_rejects_a_malformed_truth_table(capsys, tmp_path):
@@ -161,7 +163,7 @@ def test_gl_plans_the_steward_schedule_once(capsys, tmp_path, monkeypatch):
         capsys,
     )
     assert rc == 0
-    assert json.loads(out)["bits_used"] == 213
+    assert json.loads(out)["bits_used"] == 211
     assert len(calls) == 1
 
 
@@ -171,11 +173,11 @@ def test_audit_reports_budget(capsys):
     )
     assert rc == 0
     doc = json.loads(out)
-    assert doc["steward_bits"] == 213
+    assert doc["steward_bits"] == 211
     assert doc["fresh_bits"] == 374
-    assert doc["per_phase"] == {"tape": 187, "ladder": 26}
+    assert doc["per_phase"] == {"tape": 187, "ladder": 24}
     assert doc["levels"] == 2 and doc["d"] == 9
-    assert "213 bits vs fresh 374" in err
+    assert "211 bits vs fresh 374" in err
 
 
 def test_sampler_bench_golden(capsys):
@@ -220,7 +222,7 @@ def test_demo_adversary_main_survives(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["failures"] == 0
-    assert doc["bits_per_session"] == 26
+    assert doc["bits_per_session"] == 16
 
 
 def test_usage_errors_exit_two(capsys):
@@ -371,12 +373,12 @@ def test_short_seed_is_a_runtime_error(capsys, tmp_path):
     # a tape is every bit of --seed-hex; a short one fails at the draw that
     # runs past its end, which the error names
     rc, _, err = run_cli(
-        ["prg", "expand", "--n", "4", "--k", "2", "--sigma", "4",
+        ["prg", "expand", "--n", "8", "--k", "2", "--sigma", "4",
          "--gamma", "1/2", "--seed-hex", "ab"],
         capsys,
     )
     assert rc == 1
-    assert "error:" in err and "phase 'seed': requested 14, only 8 left" in err
+    assert "error:" in err and "phase 'seed': requested 16, only 8 left" in err
     table = tmp_path / "chi1.tt"
     table.write_text("n=2\n0a\n")
     rc, _, err = run_cli(
@@ -385,7 +387,7 @@ def test_short_seed_is_a_runtime_error(capsys, tmp_path):
         capsys,
     )
     assert rc == 1
-    assert "error:" in err and "phase 'seed': requested 213, only 8 left" in err
+    assert "error:" in err and "phase 'seed': requested 211, only 8 left" in err
 
 
 def test_accept_with_no_circuits_draws_nothing(capsys):

@@ -429,7 +429,7 @@ def test_goldreich_levin_finds_a_parity():
     assert res.strings == ["10"]
     assert res.masks == [1]
     assert res.levels_run == res.params.k == 2
-    assert res.bits_used == 213
+    assert res.bits_used == 211
 
 
 def test_goldreich_levin_constant_function():
@@ -446,10 +446,14 @@ def test_gl_randomness_audit():
     params = gl_params(2, Fraction(9, 10), Fraction(1, 2))
     doc = gl_audit_dict(params)
     assert params.tape_bits == 187
-    assert doc["per_phase"] == {"tape": 187, "ladder": 213 - 187}
-    assert doc["steward_bits"] == 213
+    assert doc["per_phase"] == {"tape": 187, "ladder": 211 - 187}
+    assert doc["steward_bits"] == 211
     assert doc["fresh_bits"] == 374
     assert doc["levels"] == 2
+    assert doc["schedule"] == params.steward_config().schedule.to_dict()
+    # one generator level: 187 fresh bits would cost more than a 24-bit extractor seed
+    assert [(level["extractor"], level["seed_bits"]) for level in doc["schedule"]["schedule"]] == [
+        ("small-bias", 24)]
     assert [p["queries"] for p in doc["sampler"]] == [p.queries for p in params.plans]
     # the saving must be genuine: one seed beats fresh tapes per level
     assert doc["steward_bits"] < doc["fresh_bits"]

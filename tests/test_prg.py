@@ -10,29 +10,36 @@ from randsteward.prg import BACKENDS, build_schedule, expand
 from randsteward.randomness import int_to_bits
 from randsteward.steward import StewardConfig
 
-from oracles import ref_expand, ref_schedule
+from oracles import ref_expand, ref_field_bits, ref_plan, ref_schedule
 
 
 def test_schedule_golden_two_blocks():
-    s = build_schedule(4, 2, 2, Fraction(1, 4))
+    s = build_schedule(4, 2, 2, Fraction(1, 4), backend="small-bias")
     assert s.levels == 1
-    assert s.beta == Fraction(1, 8)
+    assert s.betas == (Fraction(1, 4),)  # one level takes all of gamma
     (ext,) = s.extractors
     assert isinstance(ext, ExtractorParams)
-    assert (ext.t, ext.m, ext.seed_len) == (1, 6, 12)
-    assert s.s == (4, 16)
-    assert list(s.s) == ref_schedule(4, 2, 2, Fraction(1, 4))
-    assert s.seed_len == 16
+    assert (ext.t, ext.m, ext.seed_len) == (1, 5, 10)
+    assert s.s == (4, 14)
+    assert list(s.s) == ref_schedule(4, 2, 2, Fraction(1, 4), "small-bias")
+    assert s.seed_len == 14
     assert s.output_len == 8
+    # 4 fresh bits cost less than that 10-bit seed, so the default takes them
+    auto = build_schedule(4, 2, 2, Fraction(1, 4))
+    assert auto.extractors == (FreshExtractorParams(s=4),)
+    assert auto.s == (4, 8)
 
 
 def test_schedule_golden_five_blocks_ternary():
-    s = build_schedule(3, 5, 3, Fraction(1, 2))
+    s = build_schedule(3, 5, 3, Fraction(1, 2), backend="small-bias")
     assert s.levels == 3
-    assert s.beta == Fraction(1, 16)
-    assert [(p.t, p.m) for p in s.extractors] == [(2, 6), (4, 10), (7, 13)]
-    assert s.s == (3, 15, 35, 61)
-    assert list(s.s) == ref_schedule(3, 5, 3, Fraction(1, 2))
+    assert s.betas == (Fraction(1, 24), Fraction(1, 12), Fraction(1, 6))
+    assert [(p.t, p.m) for p in s.extractors] == [(2, 7), (4, 10), (7, 12)]
+    assert s.s == (3, 17, 37, 61)
+    assert list(s.s) == ref_schedule(3, 5, 3, Fraction(1, 2), "small-bias")
+    # fresh bits at every level would cost 3 * 8 = 24 > nk = 15: the default caps
+    auto = build_schedule(3, 5, 3, Fraction(1, 2))
+    assert (auto.levels, auto.extractors, auto.s) == (0, (), (15,))
 
 
 def test_single_block_schedule_is_trivial():
@@ -46,7 +53,7 @@ def test_single_block_schedule_is_trivial():
 def test_deficits_are_exact_log_ceilings():
     # t_i must be ceil(2^i * log2 sigma), computed without floating point
     for sigma in range(2, 11):
-        s = build_schedule(2, 16, sigma, Fraction(1, 2))
+        s = build_schedule(2, 16, sigma, Fraction(1, 2), backend="small-bias")
         for i, params in enumerate(s.extractors):
             t = params.t
             assert 2**t >= sigma ** (1 << i)
@@ -72,7 +79,7 @@ def test_build_schedule_validation():
         build_schedule(4, 2, 2, Fraction(1))
     with pytest.raises(ValueError):
         build_schedule(4, 2, 2, Fraction(1, 4), backend="quantum")
-    assert BACKENDS == ("small-bias", "fresh")
+    assert BACKENDS == ("auto", "small-bias", "fresh")
 
 
 def test_fresh_backend_is_the_identity():
@@ -97,7 +104,7 @@ def test_fresh_backend_output_is_exactly_uniform():
 def test_small_bias_expand_golden():
     # the small-bias backend at m = 3: the input 0b01 meets u = 0b101 and
     # v = 0b010, so S = (<1, v>, <u, v>) = (0, 0) and the output is the input twice
-    s = build_schedule(2, 2, 2, Fraction(1, 2))
+    s = build_schedule(2, 2, 2, Fraction(1, 4), backend="small-bias")
     assert s.seed_len == 8
     assert s.extractors[0].m == 3
     seed = 0x55  # bits 0, 2, 4, 6 of 8
@@ -130,17 +137,21 @@ def test_expand_matches_string_reference_bit_for_bit(backend):
     # the int generator against x XOR S(u, v) over '0'/'1' strings, at
     # random seeds; the strings exist only here
     rng = random.Random(70_011)
-    seen_parity = set()
+    seen_parity, seen_kinds = set(), set()
     for k in range(1, 10):
         for n in (1, 2, 3, 4, 5, 8):
             sigma = rng.randrange(2, 7)
             schedule = build_schedule(n, k, sigma, Fraction(1, rng.randrange(2, 17)), backend)
             seen_parity.update(s % 2 for s in schedule.s)
+            kinds = frozenset(type(p) for p in schedule.extractors)
+            seen_kinds.add("capped" if k > 1 and not kinds else len(kinds))
             for i in range(3):
                 seed = rng.getrandbits(schedule.seed_len)
                 got = int_to_bits(expand(schedule, seed), schedule.output_len)
                 assert got == ref_expand(schedule, int_to_bits(seed, schedule.seed_len)), (k, n)
     assert seen_parity == {0, 1}
+    if backend == "auto":  # fresh and small-bias levels in one schedule, and the cap
+        assert {2, "capped"} <= seen_kinds
 
 
 def test_expand_rejects_wrong_seed_length():
@@ -155,15 +166,15 @@ def test_expand_rejects_wrong_seed_length():
 def test_schedule_json_report():
     s = build_schedule(4, 2, 2, Fraction(1, 4))
     doc = s.to_dict()
-    assert doc["seed_len"] == 16
+    assert doc["seed_len"] == 8
     assert doc["gamma"] == "1/4"
-    assert doc["beta"] == "1/8"
-    assert doc["schedule"][0]["field_bits"] == 6
-    assert doc["schedule"][0]["seed_bits"] == 12
-    assert doc["schedule"][0]["s_in"] == 4
-    assert doc["schedule"][0]["s_out"] == 16
-    fresh = build_schedule(4, 2, 2, Fraction(1, 4), backend="fresh").to_dict()
-    assert "field_bits" not in fresh["schedule"][0]
+    assert doc["backend"] == "auto"
+    assert "beta" not in doc
+    assert doc["schedule"] == [{"level": 0, "extractor": "fresh", "beta": "1/4", "s_in": 4,
+                                "deficit": None, "seed_bits": 4, "s_out": 8}]
+    level = build_schedule(4, 2, 2, Fraction(1, 4), backend="small-bias").to_dict()["schedule"][0]
+    assert (level["extractor"], level["beta"]) == ("small-bias", "1/4")
+    assert (level["field_bits"], level["seed_bits"], level["s_out"]) == (5, 10, 14)
 
 
 def test_seed_meets_the_papers_bound():
@@ -177,5 +188,51 @@ def test_seed_meets_the_papers_bound():
         config = StewardConfig(n=n, k=k, d=d, epsilon=Fraction(1, 8), delta=0, gamma=gamma)
         assert config.sigma == d + 2
         assert 2 ** (config.schedule.seed_len - n) < (d + 2) ** (2 * k), (n, d, k, gamma)
-    assert build_schedule(8, 4096, 4, Fraction(1, 16)).seed_len == 8794
-    assert ref_schedule(8, 512, 4, Fraction(1, 16))[-1] == 1404
+    assert build_schedule(8, 4096, 4, Fraction(1, 16)).seed_len == 8618
+    assert ref_schedule(8, 512, 4, Fraction(1, 16))[-1] == 1288
+
+
+# The planning grid: n < 20, k < 40, sigma 2 and the steward's d + 2 at
+# d = 1, 2, 8, 32 (the workloads' d), at gamma = 1/16.
+PLAN_GRID = list(itertools.product(range(1, 20), range(1, 40), (2, 3, 4, 10, 34)))
+
+
+def test_schedule_matches_the_reference_planner():
+    # lengths, each level's extractor kind and its beta, on the whole grid;
+    # each level is the cheaper one, fresh bits exactly when s_i <= 2m_i
+    gamma, ties = Fraction(1, 16), 0
+    for n, k, sigma in PLAN_GRID:
+        schedule = build_schedule(n, k, sigma, gamma)
+        s, plan = ref_plan(n, k, sigma, gamma)
+        assert list(schedule.s) == s, (n, k, sigma)
+        kinds = ["fresh" if isinstance(p, FreshExtractorParams) else "small-bias"
+                 for p in schedule.extractors]
+        assert list(zip(kinds, schedule.betas)) == [(kind, beta) for kind, _, beta in plan]
+        for i, params in enumerate(schedule.extractors):
+            t = next(t for t in itertools.count() if 2**t >= sigma ** 2**i)
+            small_bias = 2 * ref_field_bits(schedule.s[i], t, schedule.betas[i])
+            assert params.seed_len == min(schedule.s[i], small_bias), (n, k, sigma, i)
+            ties += schedule.s[i] == small_bias
+    assert ties > 0  # a tie goes to fresh bits, and the grid has some
+
+
+def test_seed_never_exceeds_nk():
+    for n, k, sigma in PLAN_GRID:
+        for gamma in (Fraction(1, 2), Fraction(1, 16), Fraction(1, 1024)):
+            assert build_schedule(n, k, sigma, gamma).seed_len <= n * k, (n, k, sigma, gamma)
+    # the cap fires at n = 8, k = 3: 8 + 8 + 16 fresh bits > 24
+    capped = build_schedule(8, 3, 4, Fraction(1, 16))
+    assert ref_plan(8, 3, 4, Fraction(1, 16), "fresh")[0] == [8, 16, 32]
+    assert (capped.levels, capped.extractors, capped.s, capped.betas) == (0, (), (24,), ())
+    seed = 0xA5F00F
+    assert expand(capped, seed) == seed  # the identity on nk uniform bits
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_betas_split_gamma_by_level_weight(backend):
+    # level i's error counts 2^(levels-1-i) times; the weighted sum is gamma exactly
+    for k in range(2, 40):
+        for gamma in (Fraction(1, 2), Fraction(1, 16), Fraction(3, 1000)):
+            s = build_schedule(64, k, 3, gamma, backend)
+            assert s.levels == (k - 1).bit_length()  # 64 bits: the cap never fires here
+            assert sum(beta * 2 ** (s.levels - 1 - i) for i, beta in enumerate(s.betas)) == gamma

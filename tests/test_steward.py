@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randsteward.extract import ExtractorParams
 from randsteward.prg import build_schedule, expand
 from randsteward.randomness import (
     CounterSource,
@@ -25,7 +26,7 @@ from randsteward.steward import (
     shift_round,
 )
 
-from oracles import ref_choose_shift, ref_schedule, ref_shift_round
+from oracles import ref_choose_shift, ref_expand, ref_schedule, ref_shift_round
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=48
@@ -193,34 +194,46 @@ MAIN_CFG = StewardConfig(
 def test_main_session_golden():
     src = CounterSource(master=b"steward-golden", index=0)
     sess = Session(MAIN_CFG, src)
-    assert sess.schedule.seed_len == 16 == ref_schedule(4, 2, MAIN_CFG.sigma, Fraction(1, 4))[-1]
+    # 4 fresh bits are cheaper than an extractor seed, so the seed is nk = 8 bits
+    assert sess.schedule.seed_len == 8 == ref_schedule(4, 2, MAIN_CFG.sigma, Fraction(1, 4))[-1]
     assert sess.bits_used == 0  # nothing is drawn at open
     y1 = sess.answer(const_query(Fraction(1, 2)))
-    assert sess.bits_used == 16  # the whole seed, at the first round
+    assert sess.bits_used == 8  # the whole seed, at the first round
     y2 = sess.answer(const_query(Fraction(-3, 16)))
     assert y1 == (Fraction(3, 4),)
     assert y2 == (Fraction(1, 4),)
-    assert sess.bits_used == 16
+    assert sess.bits_used == 8
     assert [r.deltas for r in sess.transcript.rounds] == [(1,), (2,)]
-    assert [r.x for r in sess.transcript.rounds] == [0b0100, 0b1110]  # "0010", "0111"
+    # the two halves of the seed drawn, "00100110"
+    assert [r.x for r in sess.transcript.rounds] == [0b0100, 0b0110]  # "0010", "0110"
     cert = certification_check(sess.transcript, [[Fraction(1, 2)], [Fraction(-3, 16)]])
     # certification scans from 1, so it may find a smaller consistent shift
     assert cert == [(1,), (1,)]
 
 
+# n = 16, k = 2: one small-bias level (16 + 14 = 30 < 32 bits), so the
+# second block is Ext(x, y) and not bits of the seed as drawn
+GEN_CFG = replace(MAIN_CFG, n=16)
+
+
 def test_main_blocks_come_from_the_generator():
-    src = CounterSource(master=b"replay", index=7)
-    sess = Session(MAIN_CFG, src)
+    schedule = build_schedule(GEN_CFG.n, GEN_CFG.k, GEN_CFG.sigma, GEN_CFG.gamma)
+    assert schedule == GEN_CFG.schedule
+    assert [type(p) for p in schedule.extractors] == [ExtractorParams]
+    assert schedule.seed_len == 30 == ref_schedule(16, 2, GEN_CFG.sigma, GEN_CFG.gamma)[-1]
+    sess = Session(GEN_CFG, CounterSource(master=b"replay", index=7))
     sess.answer(const_query(0))
     sess.answer(const_query(0))
-    schedule = build_schedule(MAIN_CFG.n, MAIN_CFG.k, MAIN_CFG.sigma, MAIN_CFG.gamma)
-    seed = bits_to_int(CounterSource(master=b"replay", index=7).draw(schedule.seed_len))
-    out = expand(schedule, seed)
-    assert [r.x for r in sess.transcript.rounds] == [out & 15, out >> 4]
+    assert sess.bits_used == 30
+    seed = CounterSource(master=b"replay", index=7).draw(30)
+    out = ref_expand(schedule, seed)
+    xs = [r.x for r in sess.transcript.rounds]
+    assert xs == [bits_to_int(out[:16]), bits_to_int(out[16:])]
+    assert xs[0] | xs[1] << 16 == expand(schedule, bits_to_int(seed))
 
 
 BITS_BY_PHASE = {
-    "main": {"seed": 16},
+    "main": {"seed": 8},
     "s0": {"sample": 8},
     "union": {"seed": 4},
     "saks-zhou": {"seed": 4, "shift": 8},
@@ -232,7 +245,7 @@ BITS_BY_PHASE = {
 @pytest.mark.parametrize(
     "kind,total,reuses",
     [
-        ("main", 16, False),
+        ("main", 8, False),
         ("s0", 8, False),
         ("union", 4, True),
         ("saks-zhou", 12, True),
@@ -294,7 +307,7 @@ def test_session_rejects_wrong_dimension():
 
 
 def test_main_session_needs_full_seed():
-    sess = Session(MAIN_CFG, TapeSource("01" * 7))
+    sess = Session(MAIN_CFG, TapeSource("01" * 3))
     with pytest.raises(TapeExhausted):
         sess.answer(const_query(0))
 
@@ -305,8 +318,8 @@ def test_a_failed_first_round_does_not_redraw_the_seed():
     with pytest.raises(StewardProtocolError):
         sess.answer(const_query(0, 0))  # wrong dimension, after the seed is drawn
     sess.answer(const_query(0))
-    assert sess.bits_used == src.bits_drawn == 16
-    assert sess.transcript.bits_by_phase == {"seed": 16}
+    assert sess.bits_used == src.bits_drawn == 8
+    assert sess.transcript.bits_by_phase == {"seed": 8}
 
 
 def test_interleaved_sessions_on_one_source_count_their_own_bits():
@@ -329,9 +342,9 @@ def test_main_sessions_opened_on_one_source_count_their_own_seeds():
     first, second = Session(MAIN_CFG, src), Session(MAIN_CFG, src)
     for sess in (first, second):
         sess.answer(const_query(0))
-    assert first.bits_used == second.bits_used == 16
-    assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 16}
-    assert src.bits_drawn == 32
+    assert first.bits_used == second.bits_used == 8
+    assert first.transcript.bits_by_phase == second.transcript.bits_by_phase == {"seed": 8}
+    assert src.bits_drawn == 16
 
 
 def test_concentrated_fn_wrap():
@@ -455,8 +468,8 @@ def test_transcript_json():
     assert set(doc["config"]) == {"n", "k", "d", "d0", "epsilon", "delta", "gamma", "kind"}
     assert doc["config"]["kind"] == "main"
     assert doc["config"]["epsilon"] == "1/8"
-    assert doc["bits_used"] == 16
-    assert doc["bits_by_phase"] == {"seed": 16}
+    assert doc["bits_used"] == 8
+    assert doc["bits_by_phase"] == {"seed": 8}
     (entry,) = doc["rounds"]
     assert set(entry) == {"round", "x", "w", "deltas", "y"}
     assert entry["w"] == ["1/2"]
