@@ -40,7 +40,7 @@ def _as_vector(mu, d: int) -> tuple[Fraction, ...]:
     if isinstance(mu, (int, Fraction, float)):
         vec = (Fraction(mu),) + (Fraction(0),) * (d - 1)
     else:
-        vec = tuple(Fraction(v) for v in mu)
+        vec = tuple(v if type(v) is Fraction else Fraction(v) for v in mu)
     if len(vec) != d:
         raise ValueError(f"mu has {len(vec)} coordinates, expected {d}")
     return vec
@@ -64,10 +64,15 @@ def constant_owner(mus: Sequence, d: int = 1) -> Owner:
     return choose
 
 
+def _unit_parts(x: int) -> tuple[int, int]:
+    """(v, width) with v / 2^width = sum_j bit_j(x) * 2^-(j+1): x's bits reversed."""
+    width = x.bit_length()
+    return sum(1 << (width - 1 - j) for j in range(width) if x >> j & 1), width
+
+
 def _unit_fraction(x: int) -> Fraction:
     """The sample read as the dyadic fraction sum_j bit_j(x) * 2^-(j+1) in [0, 1)."""
-    width = x.bit_length()
-    value = sum(1 << (width - 1 - j) for j in range(width) if x >> j & 1)
+    value, width = _unit_parts(x)
     return Fraction(value, 1 << width)
 
 
@@ -83,14 +88,18 @@ def boundary_owner(epsilon, d: int = 1) -> Owner:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cell = 2 * (d + 1) * epsilon
+    p, q = epsilon.numerator, epsilon.denominator
 
     def choose(round_index: int, history: list) -> ConcentratedFn:
-        mu = tuple((round_index + j + 1) * cell - epsilon for j in range(d))
+        # in units of epsilon, mu_j = (i+j+1)*2(d+1) - 1 and W_j = mu_j + 2*frac(X) - 1
+        units = [(round_index + j + 1) * 2 * (d + 1) - 1 for j in range(d)]
+        mu = tuple(Fraction(u * p, q) for u in units)
 
-        def oracle(x: int, _mu=mu):
-            jitter = epsilon * (2 * _unit_fraction(x) - 1)
-            return tuple(m + jitter for m in _mu)
+        def oracle(x: int):
+            value, width = _unit_parts(x)
+            one = 1 << width  # W_j = (u_j + 2*value/one - 1)*e, over the denominator q*one
+            jitter, den = 2 * value - one, q * one
+            return tuple(Fraction((u * one + jitter) * p, den) for u in units)
 
         return ConcentratedFn(oracle=oracle, epsilon=epsilon, delta=Fraction(0), mu=mu)
 

@@ -62,6 +62,7 @@ class PrgSchedule:
     backend: str
     levels: int
     betas: tuple[Fraction, ...]  # betas[i] = level i's share of gamma
+    deficits: tuple[int, ...]  # deficits[i] = t_i, whichever extractor level i takes
     extractors: tuple[ExtractorParams | FreshExtractorParams, ...]
     s: tuple[int, ...]  # s[i] = seed length entering level i; s[levels] = total (n*k if capped)
 
@@ -81,7 +82,7 @@ class PrgSchedule:
                 "extractor": "fresh" if isinstance(params, FreshExtractorParams) else "small-bias",
                 "beta": rat_to_str(self.betas[i]),
                 "s_in": self.s[i],
-                "deficit": getattr(params, "t", None),
+                "deficit": self.deficits[i],
                 "seed_bits": params.seed_len,
                 "s_out": self.s[i + 1],
             }
@@ -121,11 +122,11 @@ def build_schedule(
 
     levels = (k - 1).bit_length()  # ceil(log2 k)
     betas = tuple(gamma / (levels << (levels - 1 - i)) for i in range(levels))
+    # t_i = ceil(2^i * log2 sigma) = ceil(log2 sigma^(2^i)), exactly.
+    deficits = tuple((sigma ** (1 << i) - 1).bit_length() for i in range(levels))
     extractors: list[ExtractorParams | FreshExtractorParams] = []
     s = [n]
-    for i, beta in enumerate(betas):
-        # t_i = ceil(2^i * log2 sigma) = ceil(log2 sigma^(2^i)), exactly.
-        t_i = (sigma ** (1 << i) - 1).bit_length()
+    for i, (beta, t_i) in enumerate(zip(betas, deficits)):
         params: ExtractorParams | FreshExtractorParams = FreshExtractorParams(s=s[i])
         if backend != "fresh":
             small_bias = plan_extractor(s=s[i], t=t_i, beta=beta)
@@ -134,10 +135,10 @@ def build_schedule(
         extractors.append(params)
         s.append(s[i] + params.seed_len)
     if backend == "auto" and s[-1] > n * k:
-        levels, betas, extractors, s = 0, (), [], [n * k]
+        levels, betas, deficits, extractors, s = 0, (), (), [], [n * k]
     return PrgSchedule(
         n=n, k=k, sigma=sigma, gamma=gamma, backend=backend,
-        levels=levels, betas=betas,
+        levels=levels, betas=betas, deficits=deficits,
         extractors=tuple(extractors), s=tuple(s),
     )
 

@@ -22,10 +22,12 @@ n + O(k log d) bits total, failure <= k*delta + gamma.
 The code makes that argument the algorithm.  In units of 2e, coordinate j
 rules out the one shift whose window holds the first cell boundary above
 z_j = (W_j + e)/(2e); D is the smallest shift no coordinate rules out, and
-each answer is a single exact rational.  One pass over a group in integer
-arithmetic does it (see shift_round), and every cell midpoint in this module,
-main, coarse or certified, comes from one integer floor division
-(_midpoints).
+each answer is a single exact rational.  One integer floor division per
+coordinate gives both the shift it rules out and, once D is chosen, its
+cell (see shift_round); the coarse and certified roundings take one floor
+division per value (_midpoints).  Every cell midpoint in this module, main,
+coarse or certified, is then built from its integer cell index by one helper
+(_cell_midpoints), once per distinct cell in a call.
 
 Every kind runs the same round: take a sample, evaluate the query on it
 once, round the answer.  KINDS maps each kind to the pair (where its sample
@@ -152,6 +154,22 @@ class ConcentratedFn:
     mu: tuple[Fraction, ...] | None = None
 
 
+def _cell_midpoints(cells: Sequence[int], length_num: int, q: int) -> list[Fraction]:
+    """Per cell index m, the midpoint (m + 1/2)*L of the cell [m*L, (m+1)*L), L = length_num/q.
+
+    Every rounding in this module ends here.  Each distinct m builds its
+    Fraction once per call: rounded coordinates often share a cell.
+    """
+    memo: dict[int, Fraction] = {}
+    out = []
+    for m in cells:
+        mid = memo.get(m)
+        if mid is None:
+            mid = memo[m] = Fraction((2 * m + 1) * length_num, 2 * q)
+        out.append(mid)
+    return out
+
+
 def _midpoints(
     ws: Sequence[Fraction], shift: int, epsilon: Fraction, units: int
 ) -> list[Fraction]:
@@ -159,16 +177,13 @@ def _midpoints(
 
     m = floor((w + shift*e) / L) is one integer floor division on the
     numerators and denominators, so a value on a cell line belongs to the
-    cell to its right.  Every rounding in this module goes through here.
+    cell to its right.
     """
     p, q = epsilon.numerator, epsilon.denominator
     length_num, sp = units * p, shift * p  # L = length_num/q, shift*e = sp/q
-    out = []
-    for w in ws:
-        b = w.denominator
-        m = (w.numerator * q + sp * b) // (length_num * b)
-        out.append(Fraction((2 * m + 1) * length_num, 2 * q))
-    return out
+    ratios = [w.as_integer_ratio() for w in ws]
+    cells = [(a * q + sp * b) // (length_num * b) for a, b in ratios]
+    return _cell_midpoints(cells, length_num, q)
 
 
 def shift_round(
@@ -176,32 +191,35 @@ def shift_round(
 ) -> tuple[list[Fraction], list[int]]:
     """Grouped shift-and-round -> (len(w) answers, one shift per group of d0).
 
-    A short last group is padded with zeros, whose answers are dropped.  In
-    units of 2e a cell is d0+1 long, and coordinate j's window for shift D is
-    [z_j + D - 1, z_j + D] with z_j = (w_j + e)/(2e).  It escapes its cell
-    exactly when a cell line lies in (z_j + D - 1, z_j + D], and only the
-    first line above z_j can, which rules out the single shift
-    (d0+1) - (floor(z_j) mod (d0+1)).  The d0 coordinates rule out at most d0
-    of the d0+1 shifts; D is the smallest one left, and y_j is the midpoint
-    of the cell of length 2*(d0+1)*e that holds w_j + 2*D*e.
+    In units of 2e a cell is d0+1 long, and coordinate j's window for shift
+    D is [z_j + D - 1, z_j + D] with z_j = (w_j + e)/(2e).  It escapes its
+    cell exactly when a cell line lies in (z_j + D - 1, z_j + D], and only
+    the first line above z_j can, which rules out the single shift
+    (d0+1) - (f_j mod (d0+1)), f_j = floor(z_j).  The d0 coordinates rule
+    out at most d0 of the d0+1 shifts; D is the smallest one left, and y_j
+    is the midpoint of the cell of length 2*(d0+1)*e that holds w_j + 2*D*e.
+    In units of 2e, w_j + 2*D*e is z_j + D - 1/2, inside a window that lies
+    in one cell, so that cell's index is floor((z_j + D - 1)/(d0+1)) =
+    (f_j + D - 1) // (d0+1): the one floor f_j per coordinate serves both
+    steps.  A short last group of g < d0 coordinates is rounded as if padded
+    with zeros: a zero (f = 0) rules out only d0+1, and the g coordinates
+    leave a shift D <= g+1 <= d0 free, so the padding never moves D.
     """
-    padded = list(w) + [Fraction(0)] * (-len(w) % d0)
     cell = d0 + 1
     p, q = epsilon.numerator, epsilon.denominator
-    y: list[Fraction] = []
+    ratios = [v.as_integer_ratio() for v in w]
+    floors = [(a * q + p * b) // (2 * p * b) for a, b in ratios]
+    cells: list[int] = []
     deltas: list[int] = []
-    for start in range(0, len(padded), d0):
-        group = padded[start : start + d0]
-        ruled_out = set()
-        for v in group:
-            b = v.denominator
-            ruled_out.add(cell - (v.numerator * q + p * b) // (2 * p * b) % cell)
+    for start in range(0, len(floors), d0):
+        group = floors[start : start + d0]
+        ruled_out = {cell - f % cell for f in group}
         delta = 1
         while delta in ruled_out:
             delta += 1
         deltas.append(delta)
-        y.extend(_midpoints(group, 2 * delta, epsilon, 2 * cell))
-    return y[: len(w)], deltas
+        cells.extend([(f + delta - 1) // cell for f in group])
+    return _cell_midpoints(cells, 2 * cell * p, q), deltas
 
 
 @dataclass
@@ -359,6 +377,7 @@ def certification_check(
         raise ValueError("need one mu vector per round")
     out: list[tuple[int, ...] | None] = []
     for record, mu in zip(transcript.rounds, mus):
-        groups = certify_round(record.y, [Fraction(v) for v in mu], transcript.config)
+        mu = [v if type(v) is Fraction else Fraction(v) for v in mu]
+        groups = certify_round(record.y, mu, transcript.config)
         out.append(None if any(g is None for g in groups) else tuple(groups))
     return out

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from randsteward.adversary import boundary_owner, constant_owner, extracting_owner
+from randsteward.adversary import (
+    _unit_fraction,
+    boundary_owner,
+    constant_owner,
+    extracting_owner,
+)
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
 from randsteward.steward import Session, StewardConfig, run_steward
 
@@ -23,14 +28,41 @@ def test_constant_owner_cycles_point_masses():
 
 
 def test_constant_owner_vectors_and_validation():
-    owner = constant_owner([(1, 2), (3, 4)], d=2)
-    assert owner(1, []).mu == (Fraction(3), Fraction(4))
+    mus = [(1, 2), (3, 4), (Fraction(1, 3), Fraction(-7, 5))]
+    owner = constant_owner(mus, d=2)
+    for i, given in enumerate(mus):
+        fn = owner(i, [])
+        assert fn.mu == given and fn.oracle(0b101) == fn.mu
+        assert all(type(v) is Fraction for v in fn.mu)
     scalar = constant_owner([5], d=3)
     assert scalar(0, []).mu == (Fraction(5), Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
         constant_owner([])
     with pytest.raises(ValueError):
         constant_owner([(1, 2, 3)], d=2)
+
+
+def test_boundary_owner_values_are_the_plain_formula():
+    # every 12-bit sample, against mu_j + e*(2*frac(x) - 1) in plain Fraction
+    # arithmetic; those values depend on mu_j and x only, so each is made once
+    xs = range(1 << 12)
+    fracs = [_unit_fraction(x) for x in xs]
+    assert fracs == [Fraction(int(format(x, "b")[::-1], 2), 1 << x.bit_length()) for x in xs]
+    for epsilon in (Fraction(1, 16), Fraction(3, 128), Fraction(1, 10)):
+        jitters = [epsilon * (2 * f - 1) for f in fracs]
+        plain: dict[Fraction, list[Fraction]] = {}  # mu_j -> its value at every x
+        for d in (1, 2, 32):
+            owner = boundary_owner(epsilon, d=d)
+            for i in range(4):
+                fn = owner(i, [])
+                assert fn.mu == tuple(
+                    (i + j + 1) * 2 * (d + 1) * epsilon - epsilon for j in range(d)
+                )
+                for m in fn.mu:
+                    if m not in plain:
+                        plain[m] = [m + jitter for jitter in jitters]
+                want = list(zip(*(plain[m] for m in fn.mu)))
+                assert [fn.oracle(x) for x in xs] == want, (epsilon, d, i)
 
 
 def test_boundary_owner_is_concentrated_with_zero_delta():

@@ -54,10 +54,12 @@ def test_deficits_are_exact_log_ceilings():
     # t_i must be ceil(2^i * log2 sigma), computed without floating point
     for sigma in range(2, 11):
         s = build_schedule(2, 16, sigma, Fraction(1, 2), backend="small-bias")
-        for i, params in enumerate(s.extractors):
-            t = params.t
+        assert s.deficits == tuple(params.t for params in s.extractors)
+        for i, t in enumerate(s.deficits):
             assert 2**t >= sigma ** (1 << i)
             assert 2 ** (t - 1) < sigma ** (1 << i)
+        # a fresh level keeps the deficit its small-bias rival was planned for
+        assert build_schedule(2, 16, sigma, Fraction(1, 2), backend="fresh").deficits == s.deficits
 
 
 def test_seed_lengths_accumulate():
@@ -171,7 +173,7 @@ def test_schedule_json_report():
     assert doc["backend"] == "auto"
     assert "beta" not in doc
     assert doc["schedule"] == [{"level": 0, "extractor": "fresh", "beta": "1/4", "s_in": 4,
-                                "deficit": None, "seed_bits": 4, "s_out": 8}]
+                                "deficit": 1, "seed_bits": 4, "s_out": 8}]
     level = build_schedule(4, 2, 2, Fraction(1, 4), backend="small-bias").to_dict()["schedule"][0]
     assert (level["extractor"], level["beta"]) == ("small-bias", "1/4")
     assert (level["field_bits"], level["seed_bits"], level["s_out"]) == (5, 10, 14)

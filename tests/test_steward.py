@@ -134,8 +134,38 @@ def test_shift_round_matches_fraction_reference_bit_for_bit():
     assert seen_d0 == set(range(1, 34))
 
 
+def test_shift_round_wide_groups_on_grid_values():
+    # d0 = 32 on the e/2 grid over six cells: many coordinates share a cell or
+    # sit on a line or a window's edge, and most last groups are short (the
+    # reference pads them with zeros)
+    rng = random.Random(32_032)
+    d0 = 32
+    per_cell = 4 * (d0 + 1)  # e/2 steps in a cell of length 2*(d0+1)*e
+    seen_short = seen_shared = 0
+    seen_deltas = set()
+    for _ in range(150):
+        epsilon = rng.choice(EPSILONS)
+        w = []
+        for _ in range(rng.randrange(1, 3 * d0 + 1)):
+            if rng.random() < 0.5:
+                steps = rng.randrange(-3, 3) * per_cell + rng.randrange(-8, 9)
+            else:
+                steps = rng.randrange(-3 * per_cell, 3 * per_cell)
+            w.append(steps * epsilon / 2)
+        pad = -len(w) % d0
+        y, deltas = shift_round(w, epsilon, d0)
+        want_y, want_deltas = ref_shift_round(w + [Fraction(0)] * pad, epsilon, d0)
+        assert (y, deltas) == (want_y[: len(w)], want_deltas), (w, epsilon)
+        assert all(type(v) is Fraction for v in y)
+        seen_short += pad > 0
+        seen_shared += len(set(y)) < len(y)
+        seen_deltas.update(deltas)
+    assert seen_short > 100 and seen_shared > 100
+    assert len(seen_deltas) > 3
+
+
 def test_pad_vector():
-    # shift_round pads a short last group with zeros itself
+    # shift_round rounds a short last group as if padded with zeros
     epsilon = Fraction(1, 8)
     y, deltas = shift_round([Fraction(1)], epsilon, 3)
     padded_y, padded_deltas = shift_round([Fraction(1), Fraction(0), Fraction(0)], epsilon, 3)
