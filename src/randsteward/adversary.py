@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .steward import ConcentratedFn
+from .steward import ConcentratedFn, error_factor
 
 Owner = Callable[[int, list], ConcentratedFn]
 
@@ -120,7 +120,7 @@ def extracting_owner(n: int, epsilon, d: int = 1) -> Owner:
     if n < 1:
         raise ValueError("n must be >= 1")
     e = epsilon.denominator.bit_length() - 1  # epsilon = 2^-e
-    spike = 2 * (3 * d + 5) * epsilon  # twice the error bound of a d0 = d steward
+    spike = 2 * error_factor(d) * epsilon  # twice the error bound of a d0 = d steward
     zero_vec = (Fraction(0),) * d
 
     def embed(x: int) -> Fraction:

@@ -9,23 +9,24 @@ protocol while keeping the parser small.
 `AcceptanceSession` answers up to k adaptively chosen circuits with
 estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  Round i
 wraps a median-of-batches sampler run for C_i into a scalar function of the
-steward's block, an int that is the sampler's seed as it stands: the sampler
-is planned for accuracy epsilon/8 and failure delta/(2k), the steward
-(d = 1, gamma = delta/2) adds a factor 3*1 + 5 = 8, and the reported
-estimate is clamped to [0,1] -- so every Y_i is within epsilon of mu(C_i)
-except with probability delta, at a coin cost of one steward seed, drawn at
-the session's first estimate.
+steward's block, an int that is the sampler's seed as it stands.
+steward.round_budget turns (k, epsilon, delta) into the round's accuracy and
+failure share, which plan the sampler, and into the d = 1 steward whose
+rounding brings each answer back to within epsilon; the reported estimate is
+clamped to [0,1].  So every Y_i is within epsilon of mu(C_i) except with
+probability delta, at a coin cost of one steward seed, drawn at the
+session's first estimate.
 
-Two oracle runners use the same steward config: `run_promise_bpp_oracle_algorithm`
-answers decision queries by thresholding an acceptance estimate at 1/2
-(fixed epsilon = 1/10, so promise margins of 1/3 survive), and
-`run_app_oracle_algorithm` serves approximate-probability queries from an
-estimator that is within epsilon/8 on >= 2/3 of its n-bit coin strings.  A
-round of the APP runner cuts the steward's r*n-bit block into r coin strings
-and answers the lower median of the estimator over them; r =
-sampler.median_reps(delta/(2k)), the fewest with
-P[Bin(r, 1/3) >= floor((r+1)/2)] <= delta/(2k), since the lower median is
-off only if that many of the r independent values are.
+Two oracle runners plan their stewards the same way:
+`run_promise_bpp_oracle_algorithm` answers decision queries by thresholding
+an acceptance estimate at 1/2 (fixed epsilon = 1/10, so promise margins of
+1/3 survive), and `run_app_oracle_algorithm` serves approximate-probability
+queries from an estimator that is within the round's accuracy on >= 2/3 of
+its n-bit coin strings.  A round of the APP runner cuts the steward's
+r*n-bit block into r coin strings and answers the lower median of the
+estimator over them; r = sampler.median_reps(round failure share), the
+fewest with P[Bin(r, 1/3) >= floor((r+1)/2)] at most that share, since the
+lower median is off only if that many of the r independent values are.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from .sampler import (
     median_reps,
     plan_sampler,
 )
-from .steward import Session, StewardConfig
-
-PROOF_CONSTANT = 8  # c = 3*d0 + 5 at d0 = d = 1, the error factor of one round
+from .steward import Session, StewardConfig, round_budget
 
 TRUTH_TABLE_CAP = 26  # refuse dense tables beyond 2^26 entries
 
@@ -241,32 +240,6 @@ def _clamp_unit(y: Fraction) -> Fraction:
     return min(max(y, Fraction(0)), Fraction(1))
 
 
-def _round_delta(k: int, delta: Fraction) -> Fraction:
-    """delta/(2k), each of the k rounds' share of the failure budget."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return delta / (2 * k)
-
-
-def _steward_config(
-    tape_bits: int, k: int, epsilon: Fraction, delta: Fraction
-) -> StewardConfig:
-    """The d = 1 main steward behind every estimate here.
-
-    Each round is planned for accuracy epsilon/8 and failure delta/(2k), and
-    gamma = delta/2, so all k answers land within epsilon except with
-    probability delta.
-    """
-    return StewardConfig(
-        n=tape_bits,
-        k=k,
-        d=1,
-        epsilon=epsilon / PROOF_CONSTANT,
-        delta=_round_delta(k, delta),
-        gamma=delta / 2,
-    )
-
-
 class AcceptanceSession:
     """Up to k rounds of: give a circuit, get Y = mu(C) +- epsilon in [0,1]."""
 
@@ -276,22 +249,21 @@ class AcceptanceSession:
         self.k = k
         self.epsilon = Fraction(epsilon)
         self.delta = Fraction(delta)
-        self.plan: SamplerPlan = plan_sampler(
-            n, self.epsilon / PROOF_CONSTANT, _round_delta(k, self.delta)
-        )
-        self.config = _steward_config(self.plan.seed_bits, k, self.epsilon, self.delta)
+        eps, round_delta, gamma = round_budget(k, 1, self.epsilon, self.delta)
+        self.plan: SamplerPlan = plan_sampler(n, eps, round_delta)
+        self.config = StewardConfig(self.plan.seed_bits, k, 1, eps, round_delta, gamma)
         self.session = Session(self.config, source)
 
     @property
     def bits_used(self) -> int:
         return self.session.bits_used
 
-    def estimate(self, circuit) -> Fraction:
-        expr = parse_circuit(circuit, self.n) if isinstance(circuit, str) else circuit
-        return self._estimate_oracle(_CircuitOracle(expr, self.n))
-
-    def _estimate_oracle(self, oracle) -> Fraction:
-        """Y = E[oracle] +- epsilon in [0,1], for any 0/1 oracle on n bits."""
+    def estimate(self, query) -> Fraction:
+        """Y = E[query] +- epsilon in [0,1]; the query is a circuit, as text or
+        parsed, or any 0/1 sampler oracle on n bits."""
+        if isinstance(query, str):
+            query = parse_circuit(query, self.n)
+        oracle = query if isinstance(query, Oracle) else _CircuitOracle(query, self.n)
 
         def f(tape: int):  # through the module, so a patched run_sampler is seen
             return [sampler.run_sampler(self.plan, oracle, tape).estimate]
@@ -327,7 +299,7 @@ def run_promise_bpp_oracle_algorithm(
 
     def ask(query) -> int:
         oracle = FnOracle(n, lambda coins: decision_oracle(query, coins))
-        return 1 if session._estimate_oracle(oracle) >= Fraction(1, 2) else 0
+        return 1 if session.estimate(oracle) >= Fraction(1, 2) else 0
 
     return outer(ask)
 
@@ -345,16 +317,17 @@ def run_app_oracle_algorithm(
     good except with probability delta.
 
     phi_estimator(w, coins) uses n coin bits, given as an n-bit int, and
-    lands within epsilon/8 of phi(w) on >= 2/3 of coin strings.  The lower
-    median over r = median_reps(delta/(2k)) independent coin strings, one
-    r*n-bit block of the steward, pushes its failure to delta/(2k); the
-    steward (gamma = delta/2) multiplies the accuracy by the round constant
-    8.  Estimates are not clamped -- phi need not be a probability.  The seed
-    is drawn at the first ask.
+    lands within the round's accuracy, the epsilon of
+    steward.round_budget(k, 1, epsilon, delta), of phi(w) on >= 2/3 of coin
+    strings.  The lower median over r = median_reps(round failure share)
+    independent coin strings, one r*n-bit block of the steward, pushes its
+    failure to that share; the steward's rounding brings the answer to
+    within epsilon.  Estimates are not clamped -- phi need not be a
+    probability.  The seed is drawn at the first ask.
     """
-    epsilon, delta = Fraction(epsilon), Fraction(delta)
-    r = median_reps(_round_delta(k, delta))
-    session = Session(_steward_config(r * n, k, epsilon, delta), source)
+    eps, round_delta, gamma = round_budget(k, 1, epsilon, delta)
+    r = median_reps(round_delta)
+    session = Session(StewardConfig(r * n, k, 1, eps, round_delta, gamma), source)
 
     def ask(w) -> Fraction:
         def f(tape: int):

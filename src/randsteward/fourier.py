@@ -18,8 +18,11 @@ search grows prefixes u bits at a time (u = floor(log2(1/theta)), at least
 appears to be at least theta^2 / 2.  Parseval caps the number of survivors,
 so each of the k = ceil(n/u) levels asks for at most d = floor(2^u * 4 /
 theta^2) weights at once -- one adaptive d-dimensional query per level,
-answered by a steward whose accuracy (3d+5)*eps_est = theta^2/4 separates
-weights above theta^2 from weights below theta^2/4.
+answered by the steward that steward.round_budget plans for accuracy
+theta^2/4, which separates weights above theta^2 from weights below
+theta^2/4.  Each level's sampler is planned for half the steward's epsilon
+and a 1/d share of its per-level failure, so all d estimates of a level are
+good together.
 
 Each level's query is deterministic in the steward's tape block, an int
 whose low bits seed a walk-mode median sampler over (y, y', z) points, and
@@ -52,7 +55,7 @@ from .randomness import BitSource, bits_to_int, int_to_bits
 from .sampler import (
     SamplerPlan, _by_rank, _stacked_chunks, batch_sums, lower_median, plan_sampler,
 )
-from .steward import Session, StewardConfig
+from .steward import Session, StewardConfig, round_budget
 
 
 def _sign_table(f) -> np.ndarray:
@@ -145,29 +148,14 @@ class GlParams:
     u: int
     k: int
     d: int
-    eps_est: Fraction
-    est_delta: Fraction
     block_lens: tuple[int, ...]
     prefix_lens: tuple[int, ...]
     plans: tuple[SamplerPlan, ...]
-
-    @property
-    def tape_bits(self) -> int:
-        return max(plan.seed_bits for plan in self.plans)
+    config: StewardConfig  # the steward whose blocks are the levels' sampler tapes
 
     @property
     def keep_threshold(self) -> Fraction:
         return self.theta**2 / 2
-
-    def steward_config(self) -> StewardConfig:
-        return StewardConfig(
-            n=self.tape_bits,
-            k=self.k,
-            d=self.d,
-            epsilon=self.eps_est,
-            delta=self.delta / (2 * self.n),
-            gamma=self.delta / 2,
-        )
 
 
 def gl_params(n: int, theta: Fraction, delta: Fraction) -> GlParams:
@@ -186,15 +174,15 @@ def gl_params(n: int, theta: Fraction, delta: Fraction) -> GlParams:
     u = max(1, u)
     k = math.ceil(n / u)
     d = ((1 << u) * 4 * theta.denominator**2) // theta.numerator**2
-    eps_est = theta**2 / (4 * (3 * d + 5))
-    est_delta = delta / (2 * d * n)
+    eps, round_delta, gamma = round_budget(k, d, theta**2 / 4, delta)
     block_lens = tuple(min(u, n - i * u) for i in range(k))
     prefix_lens = tuple(sum(block_lens[: i + 1]) for i in range(k))
-    plans = tuple(plan_sampler(n + ell, eps_est / 2, est_delta) for ell in prefix_lens)
+    plans = tuple(plan_sampler(n + ell, eps / 2, round_delta / d) for ell in prefix_lens)
+    tape_bits = max(plan.seed_bits for plan in plans)  # one block feeds any level's sampler
     return GlParams(
         n=n, theta=theta, delta=delta, u=u, k=k, d=d,
-        eps_est=eps_est, est_delta=est_delta,
         block_lens=block_lens, prefix_lens=prefix_lens, plans=plans,
+        config=StewardConfig(tape_bits, k, d, eps, round_delta, gamma),
     )
 
 
@@ -373,7 +361,7 @@ def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> G
     table = _sign_table(f)
     n = table.size.bit_length() - 1
     params = gl_params(n, theta, delta)
-    session = Session(params.steward_config(), source)
+    session = Session(params.config, source)
     survivors = [0]  # prefixes as ints: bit i is prefix bit i
     cap = Fraction(params.d, 1 << params.u)
     for level in range(params.k):
@@ -403,16 +391,16 @@ def goldreich_levin(f, theta: Fraction, delta: Fraction, source: BitSource) -> G
 def gl_audit_dict(params: GlParams) -> dict:
     """Coin budget of one run, the steward seed split tape vs ladder, plus
     the steward's generator plan and each level's sampler plan."""
-    schedule = params.steward_config().schedule
-    seed_len = schedule.seed_len
+    schedule = params.config.schedule
+    seed_len, tape_bits = schedule.seed_len, params.config.n
     return {
         "n": params.n,
         "levels": params.k,
         "d": params.d,
-        "tape_bits": params.tape_bits,
+        "tape_bits": tape_bits,
         "steward_bits": seed_len,
-        "fresh_bits": params.tape_bits * params.k,
-        "per_phase": {"tape": params.tape_bits, "ladder": seed_len - params.tape_bits},
+        "fresh_bits": tape_bits * params.k,
+        "per_phase": {"tape": tape_bits, "ladder": seed_len - tape_bits},
         "schedule": schedule.to_dict(),
         "sampler": [plan.to_dict() for plan in params.plans],
     }

@@ -128,7 +128,26 @@ class StewardConfig:
     @property
     def error_bound(self) -> Fraction:
         """Guaranteed accuracy epsilon' of every answer against mu."""
-        return (3 * self.d0 + 5) * self.epsilon
+        return error_factor(self.d0) * self.epsilon
+
+
+def error_factor(d0: int) -> int:
+    """epsilon'/epsilon: a shift-rounded answer (groups of d0) lies within
+    (3*d0 + 5)*epsilon of mu whenever its raw value was epsilon-close."""
+    return 3 * d0 + 5
+
+
+def round_budget(k: int, d: int, accuracy, delta) -> tuple[Fraction, Fraction, Fraction]:
+    """(epsilon, per-round delta, gamma) of a k-round main steward with d0 = d
+    whose answers must all lie within accuracy of their mu, except with
+    probability delta: epsilon = accuracy/(3d+5), each round's estimate may
+    fail with delta/(2k), and the generator gets gamma = delta/2, so the k
+    rounds and the generator fail together with at most k*delta/(2k) +
+    delta/2 = delta."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    delta = Fraction(delta)
+    return Fraction(accuracy) / error_factor(d), delta / (2 * k), delta / 2
 
 
 # Planning is pure, so configs built more than once, or that differ only in

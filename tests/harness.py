@@ -19,6 +19,20 @@ from randsteward.extract import extract_int
 from randsteward.steward import ConcentratedFn
 
 
+class KeepAllSession:
+    """A stand-in for steward.Session that answers 1 in each of the config's
+    d coordinates and draws no bits.  Patched into fourier, it keeps every
+    Goldreich-Levin candidate alive, as a failed estimate could."""
+
+    bits_used = 0
+
+    def __init__(self, config, source):
+        self.config = config
+
+    def answer(self, query):
+        return (Fraction(1),) * self.config.d
+
+
 class ExplicitConcentrated:
     """A d-dimensional query with known mu and an explicit bad set."""
 

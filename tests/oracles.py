@@ -463,6 +463,28 @@ def ref_tree_distribution(evaluate, k: int, n: int) -> dict:
     return counts
 
 
+# ---------------------------------------------------------------- steward budgets
+
+def ref_round_budget(k: int, d: int, accuracy, delta) -> tuple[Fraction, Fraction, Fraction]:
+    """(epsilon, per-round delta, gamma) of a k-round steward with d0 = d whose
+    answers must lie within accuracy: accuracy/(3d+5), delta/(2k), delta/2."""
+    accuracy, delta = Fraction(accuracy), Fraction(delta)
+    return accuracy / (3 * d + 5), delta / (2 * k), delta / 2
+
+
+def ref_gl_recipe(n: int, d: int, theta, delta) -> dict:
+    """The recipe Goldreich-Levin was first written with: eps_est = theta^2 /
+    (4(3d+5)), each level's sampler at (eps_est/2, delta/(2dn)), the steward
+    at eps_est and delta/(2n) per level, gamma = delta/2.  It splits the
+    failure over n, which is the number of levels k only when u = 1."""
+    theta, delta = Fraction(theta), Fraction(delta)
+    eps_est = theta**2 / (4 * (3 * d + 5))
+    return {
+        "epsilon": eps_est, "delta": delta / (2 * n), "gamma": delta / 2,
+        "sampler_epsilon": eps_est / 2, "sampler_delta": delta / (2 * d * n),
+    }
+
+
 # ---------------------------------------------------------------- misc
 
 def lower_median_ref(values):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randsteward import circuits, sampler
+from randsteward import circuits, sampler, steward
 from randsteward.circuits import (
-    PROOF_CONSTANT,
     TRUTH_TABLE_CAP,
     AcceptanceSession,
     BinOp,
@@ -24,10 +23,22 @@ from randsteward.circuits import (
     to_truth_table,
 )
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
-from randsteward.steward import StewardProtocolError
+from randsteward.sampler import FnOracle, median_reps, plan_sampler
+from randsteward.steward import StewardConfig, StewardProtocolError
 
 from harness import random_circuit
-from oracles import ref_eval_circuit, ref_median_miss, ref_print_circuit
+from oracles import ref_eval_circuit, ref_median_miss, ref_print_circuit, ref_round_budget
+
+# (n, k, epsilon, delta) of the sessions whose plans are checked against
+# the reference split: the sampler and the d = 1 steward at epsilon/8 and
+# delta/(2k) per round, gamma = delta/2
+BUDGET_GRID = [
+    (n, k, epsilon, delta)
+    for n in (2, 5, 10)
+    for k in (1, 2, 16)
+    for epsilon in (Fraction(1, 20), Fraction(1, 2))
+    for delta in (Fraction(1, 10), Fraction(3, 4))
+]
 
 N = 3
 
@@ -86,6 +97,13 @@ def test_syntax_errors_carry_positions():
         parse_circuit("", 2)
     with pytest.raises(CircuitSyntaxError) as e:
         parse_circuit("x7", 2)
+    assert e.value.position == 0
+
+
+def test_whitespace_around_tokens():
+    assert parse_circuit("  x0 &\tx1  ", 2) == BinOp("&", Var(0), Var(1))
+    with pytest.raises(CircuitSyntaxError, match="empty expression") as e:
+        parse_circuit("   ", 2)
     assert e.value.position == 0
 
 
@@ -206,11 +224,33 @@ def test_acceptance_session_error_factor():
     sess = AcceptanceSession(
         2, 1, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"factors", index=0)
     )
-    assert PROOF_CONSTANT == 8
     assert sess.config.epsilon == Fraction(1, 16)  # epsilon / 8
     assert sess.config.error_bound == Fraction(1, 2)  # 8 * (epsilon / 8)
     assert sess.config.gamma == Fraction(1, 8)
     assert sess.config.d == 1
+
+
+def test_acceptance_session_plans_the_reference_recipe():
+    for n, k, epsilon, delta in BUDGET_GRID:
+        sess = AcceptanceSession(n, k, epsilon, delta, CounterSource(master=b"plan", index=0))
+        eps, round_delta, gamma = ref_round_budget(k, 1, epsilon, delta)
+        assert eps == epsilon / 8
+        assert sess.plan == plan_sampler(n, eps, round_delta)
+        assert sess.config == StewardConfig(sess.plan.seed_bits, k, 1, eps, round_delta, gamma)
+        assert sess.bits_used == 0
+
+
+def test_acceptance_session_estimates_a_sampler_oracle():
+    # the same 0/1 function as a circuit and as a pointwise oracle: same tape, same estimate
+    def open_session(index):
+        return AcceptanceSession(
+            3, 1, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"oracle", index=index)
+        )
+
+    for index in range(4):
+        from_text = open_session(index).estimate("x0 & ~x2")
+        oracle = FnOracle(3, lambda x: (x & 1) & (~x >> 2 & 1))
+        assert open_session(index).estimate(oracle) == from_text
 
 
 def test_acceptance_session_runs_the_sampler_through_its_module(monkeypatch):
@@ -281,6 +321,26 @@ def test_promise_bpp_runner_tolerates_promise_violations():
 
 
 # ---------------------------------------------------------------- app runner
+
+
+def test_app_runner_plans_the_reference_recipe(monkeypatch):
+    opened = []
+
+    class Recording(steward.Session):
+        def __init__(self, config, source):
+            opened.append(config)
+            super().__init__(config, source)
+
+    monkeypatch.setattr(circuits, "Session", Recording)
+    for n, k, epsilon, delta in BUDGET_GRID:
+        source = CounterSource(master=b"app-plan", index=0)
+        run_app_oracle_algorithm(lambda ask: None, lambda w, c: w, n, k, epsilon, delta, source)
+        eps, round_delta, gamma = ref_round_budget(k, 1, epsilon, delta)
+        r = median_reps(round_delta)
+        assert opened.pop() == StewardConfig(r * n, k, 1, eps, round_delta, gamma)
+        assert source.bits_drawn == 0
+    with pytest.raises(ValueError, match="need k >= 1"):
+        run_app_oracle_algorithm(lambda ask: None, lambda w, c: w, 2, 0, 1, Fraction(1, 2), source)
 
 
 def test_app_runner_estimates_with_bad_tapes():

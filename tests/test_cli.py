@@ -9,6 +9,8 @@ import pytest
 from randsteward import cli, fourier, prg, sampler, steward
 from randsteward.cli import main
 
+from harness import KeepAllSession
+
 MASTER = "00112233445566778899aabbccddeeff"
 
 
@@ -131,6 +133,23 @@ def test_gl_cli_recovers_a_parity(capsys, tmp_path):
     assert not doc["aborted"]
     assert doc["audit"]["fresh_bits"] == 374
     assert "1 heavy prefixes, 211 bits" in err
+
+
+def test_gl_cli_reports_an_abort(capsys, tmp_path, monkeypatch):
+    # a session that keeps every candidate overflows the survivor cap at theta = 1/2
+    monkeypatch.setattr(fourier, "Session", KeepAllSession)
+    table = tmp_path / "one.tt"
+    table.write_text(fourier.dump_truth_table([1] * 64))
+    rc, out, err = run_cli(
+        ["gl", "--truth-table", str(table), "--theta", "1/2", "--delta", "1/10",
+         "--seed-hex", "00"],
+        capsys,
+    )
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["aborted"] is True
+    assert doc["strings"] == [] and doc["bits_used"] == 0
+    assert "gl: aborted (survivor list overflow)" in err
 
 
 def test_gl_rejects_a_malformed_truth_table(capsys, tmp_path):

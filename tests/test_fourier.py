@@ -25,11 +25,12 @@ from randsteward.sampler import (
     _batch_seeds,
     plan_sampler,
 )
+from randsteward.steward import StewardConfig
 
-from harness import random_coset
+from harness import KeepAllSession, random_coset
 from oracles import (
     batch_points, brute_subcube_weight, brute_wht, ref_batch_cosets, ref_coset_sum,
-    ref_weights_pointwise,
+    ref_gl_recipe, ref_weights_pointwise,
 )
 
 MAJ3 = [1 if bin(x).count("1") < 2 else -1 for x in range(8)]
@@ -391,8 +392,10 @@ def test_estimate_w_rejects_long_prefix():
 def test_gl_params_goldens():
     p = gl_params(12, Fraction(1, 2), Fraction(1, 10))
     assert (p.u, p.k, p.d) == (1, 12, 32)
-    assert p.eps_est == Fraction(1, 1616)
-    assert p.est_delta == Fraction(1, 7680)
+    assert p.config.epsilon == Fraction(1, 1616)
+    assert p.config.delta == Fraction(1, 240)  # delta / (2k)
+    assert {(plan.epsilon, plan.delta) for plan in p.plans} == {
+        (Fraction(1, 3232), Fraction(1, 7680))}  # (epsilon / 2, delta / (2dk))
     assert p.block_lens == (1,) * 12
     assert p.prefix_lens == tuple(range(1, 13))
     assert p.keep_threshold == Fraction(1, 8)
@@ -412,13 +415,61 @@ def test_gl_params_validation():
 
 def test_gl_steward_config():
     p = gl_params(2, Fraction(9, 10), Fraction(1, 2))
-    cfg = p.steward_config()
-    assert cfg.n == p.tape_bits
+    cfg = p.config
+    assert cfg.n == max(plan.seed_bits for plan in p.plans)
     assert cfg.k == p.k
-    assert cfg.d == p.d
-    assert cfg.epsilon == p.eps_est
-    assert cfg.delta == Fraction(1, 8)  # delta / (2n)
+    assert cfg.d == cfg.d0 == p.d
+    assert cfg.kind == "main"
+    assert cfg.error_bound == p.theta**2 / 4
+    assert cfg.delta == Fraction(1, 8)  # delta / (2k)
     assert cfg.gamma == Fraction(1, 4)  # delta / 2
+
+
+def _gl_grid():
+    for n in (2, 3, 5, 8, 12, 16):
+        for theta in (Fraction(1), Fraction(9, 10), Fraction(1, 2), Fraction(2, 5),
+                      Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)):
+            if theta * (1 << (n - 1)) >= 1:
+                for delta in (Fraction(1, 10), Fraction(1, 2)):
+                    yield gl_params(n, theta, delta)
+
+
+def test_gl_plans_match_the_reference_recipe():
+    # the recipe split the failure over n, the levels over k: they agree where
+    # u = 1, and elsewhere each level gets a larger share, so the seed never grows
+    checked = {1: 0, 2: 0, 3: 0}
+    for p in _gl_grid():
+        want = ref_gl_recipe(p.n, p.d, p.theta, p.delta)
+        ref_plans = tuple(
+            plan_sampler(p.n + ell, want["sampler_epsilon"], want["sampler_delta"])
+            for ell in p.prefix_lens
+        )
+        ref_config = StewardConfig(
+            n=max(plan.seed_bits for plan in ref_plans), k=p.k, d=p.d,
+            epsilon=want["epsilon"], delta=want["delta"], gamma=want["gamma"],
+        )
+        if p.u == 1:
+            assert p.k == p.n
+            assert p.plans == ref_plans
+            assert p.config == ref_config
+        else:
+            assert p.k < p.n
+            assert p.config.delta == p.delta / (2 * p.k) > ref_config.delta
+            assert p.config.schedule.seed_len <= ref_config.schedule.seed_len
+        checked[p.u] += 1
+    assert checked == {1: 56, 2: 10, 3: 8}
+
+
+def test_goldreich_levin_aborts_past_the_survivor_cap(monkeypatch):
+    # answers that keep every candidate double the survivors per level; at
+    # theta = 1/2 (u = 1, d = 32) the cap of d / 2^u = 16 is passed at level 5
+    monkeypatch.setattr(fourier, "Session", KeepAllSession)
+    table = [1] * 64
+    res = goldreich_levin(table, Fraction(1, 2), Fraction(1, 10), TapeSource(""))
+    assert res.aborted
+    assert res.strings == [] and res.masks == []
+    assert res.levels_run == 5 < res.params.k == 6
+    assert res.bits_used == 0
 
 
 def test_goldreich_levin_finds_a_parity():
@@ -439,18 +490,18 @@ def test_goldreich_levin_constant_function():
     assert res.strings == ["0"]
     assert res.masks == [0]
     # single level: the steward schedule is just the tape, no ladder
-    assert res.bits_used == res.params.tape_bits == 157
+    assert res.bits_used == res.params.config.n == 157
 
 
 def test_gl_randomness_audit():
     params = gl_params(2, Fraction(9, 10), Fraction(1, 2))
     doc = gl_audit_dict(params)
-    assert params.tape_bits == 187
+    assert params.config.n == doc["tape_bits"] == 187
     assert doc["per_phase"] == {"tape": 187, "ladder": 211 - 187}
     assert doc["steward_bits"] == 211
     assert doc["fresh_bits"] == 374
     assert doc["levels"] == 2
-    assert doc["schedule"] == params.steward_config().schedule.to_dict()
+    assert doc["schedule"] == params.config.schedule.to_dict()
     # one generator level: 187 fresh bits would cost more than a 24-bit extractor seed
     assert [(level["extractor"], level["seed_bits"]) for level in doc["schedule"]["schedule"]] == [
         ("small-bias", 24)]

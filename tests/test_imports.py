@@ -1,4 +1,5 @@
-"""Every name a module imports is used, and every name the library defines is read.
+"""Every name a module imports is used, every name the library defines is
+read, and every file parses as the oldest Python the project declares.
 
 No linter ships with the project, so these are the unused-import and
 dead-name checks.  The first reads each module of the library and of the
@@ -8,7 +9,9 @@ top-level function, class or constant of the library or of tests/oracles.py
 whose name occurs nowhere in src/, tests/ or perfbench/ but at its own
 definition.  Occurrences are counted as identifier tokens of the whole text,
 so a name that perfbench hooks by a string such as "bdt.split_blocks" counts
-as read.
+as read.  The third parses every file of src/, tests/ and perfbench/ with
+the grammar of pyproject.toml's requires-python floor; it checks syntax
+only, not the library APIs a file calls.
 """
 
 import ast
@@ -22,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 DEFINING = sorted((ROOT / "src" / "randsteward").glob("*.py")) + [ROOT / "tests" / "oracles.py"]
 SCANNED = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
+PYTHON_FLOOR = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,3 +82,20 @@ def test_the_check_finds_a_dead_name():
 def test_no_dead_names():
     defining = [path.read_text() for path in DEFINING]
     assert dead_names(defining, [path.read_text() for path in SCANNED]) == []
+
+
+def test_python_floor_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = ".".join(map(str, PYTHON_FLOOR))
+    assert re.search(rf'^requires-python = ">={re.escape(floor)}"$', text, re.M)
+
+
+def test_the_floor_check_finds_newer_syntax():
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=PYTHON_FLOOR)
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)

@@ -22,11 +22,19 @@ from randsteward.steward import (
     StewardProtocolError,
     certification_check,
     certify_round,
+    error_factor,
+    round_budget,
     run_steward,
     shift_round,
 )
 
-from oracles import ref_choose_shift, ref_expand, ref_schedule, ref_shift_round
+from oracles import (
+    ref_choose_shift,
+    ref_expand,
+    ref_round_budget,
+    ref_schedule,
+    ref_shift_round,
+)
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=48
@@ -212,6 +220,26 @@ def test_config_derived_quantities():
     assert flat.d0 == 5
     assert flat.sigma == 7  # d + 2 when d0 = d
     assert tuple(KINDS) == ("main", "s0", "union", "saks-zhou", "naive-fresh", "naive-reuse")
+
+
+def test_round_budget_matches_the_reference_recipe():
+    accuracies = (Fraction(1, 20), Fraction(1, 2), Fraction(3, 7), Fraction(1), Fraction(5, 4))
+    deltas = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    for k in (1, 2, 3, 8, 16):
+        for d in (1, 2, 5, 32):
+            assert error_factor(d) == 3 * d + 5
+            for accuracy in accuracies:
+                for delta in deltas:
+                    budget = round_budget(k, d, accuracy, delta)
+                    assert budget == ref_round_budget(k, d, accuracy, delta)
+                    assert all(type(v) is Fraction for v in budget)
+    # the budget is a d0 = d main steward whose answers land within accuracy
+    cfg = StewardConfig(4, 3, 2, *round_budget(3, 2, Fraction(1, 2), Fraction(1, 10)))
+    assert cfg.d0 == 2 and cfg.kind == "main"
+    assert cfg.error_bound == Fraction(1, 2)
+    assert (cfg.delta, cfg.gamma) == (Fraction(1, 60), Fraction(1, 20))
+    with pytest.raises(ValueError, match="need k >= 1"):
+        round_budget(0, 1, Fraction(1, 2), Fraction(1, 10))
 
 
 # ---------------------------------------------------------------- sessions
