@@ -22,11 +22,13 @@ of independent values:
   An oracle has n, coset_sums(cosets), the exact sum of f over each affine
   coset c + span(basis) of a list of (c, basis) pairs, in order, and
   cube_total(), the exact sum over all 2^n points or None.  batch_sums is
-  the one batch loop.  batch_cosets splits a batch into a multiplicity of
-  the whole cube and its cosets below full rank, so the cube is summed
-  once per run: cube_total(), or where that is None one more coset of the
-  run's one coset_sums call, which gets every partial coset of the run.  A
-  sum may be an int, a Fraction or an int64 array of one sum per
+  the one batch loop.  batch_cosets splits the map g -> a*g into a
+  multiplicity of the whole cube and its cosets below full rank; the split
+  depends on a alone, and the batch a*g + b is the same cosets with every
+  offset moved by b, so a run splits each distinct a once.  The cube is
+  summed once per run: cube_total(), or where that is None one more coset
+  of the run's one coset_sums call, which gets every partial coset of the
+  run.  A sum may be an int, a Fraction or an int64 array of one sum per
   coordinate.  The base Oracle stacks the cosets of one rank into one
   point array (_stacked_chunks), evaluates it through eval_ints in passes
   of at most 2^TEMP_BITS points and has no cube total.  Values are summed
@@ -86,13 +88,11 @@ def median_reps(delta: Fraction) -> int:
 
 
 def _ceil_log2(q: Fraction) -> int:
-    """Smallest integer L with 2^L >= q (q > 0)."""
+    """The smallest L >= 0 with 2^L >= q (q > 0), so 0 for q <= 1:
+    the bit length of ceil(q) - 1."""
     if q <= 0:
         raise ValueError("argument must be positive")
-    L = 0
-    while (1 << L) * q.denominator < q.numerator:
-        L += 1
-    return L
+    return (-(-q.numerator // q.denominator) - 1).bit_length()
 
 
 def _exact_sums(rows: np.ndarray) -> list:
@@ -137,6 +137,7 @@ class SamplerPlan:
             "n": self.n, "epsilon": rat_to_str(self.epsilon), "delta": rat_to_str(self.delta),
             "mode": self.mode, "t0": self.t0, "r": self.r, "field_bits": self.field_bits,
             "seed_bits": self.seed_bits, "queries": self.queries,
+            "cube_points": 1 << self.n,
         }
 
 
@@ -206,15 +207,16 @@ class FnOracle(Oracle):
 
 
 def batch_cosets(
-    a: int, b: int, t0: int, field_bits: int, n: int
+    a: int, t0: int, field_bits: int, n: int
 ) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
-    """The batch a*g + b (g < t0, in GF(2^field_bits)), truncated to n bits,
-    as a multiset of affine cosets: the pair (whole, partial).
+    """The map a*g (g < t0, in GF(2^field_bits)), truncated to n bits, as a
+    multiset of affine cosets: the pair (whole, partial).  The batch
+    a*g + b is the same multiset with every offset c xored by b mod 2^n.
 
     {g < t0} is one dyadic block per set bit j of t0: g = base + x with
-    x < 2^j and base the bits of t0 above j.  g -> (a*g + b) mod 2^n is
-    GF(2)-affine, so a block maps onto the coset c + V, c = (a*base + b)
-    mod 2^n and V spanned by the columns (a * x^i) mod 2^n for i < j, and
+    x < 2^j and base the bits of t0 above j.  g -> (a*g) mod 2^n is
+    GF(2)-linear, so a block maps onto the coset c + V, c = (a*base) mod
+    2^n and V spanned by the columns (a * x^i) mod 2^n for i < j, and
     hits each point of it 2^(j - dim V) times.  V grows with j.  From the
     first set bit j* at which V has rank n on, each block is the whole cube
     2^(j - n) times, whatever its offset c: whole = (t0 >> j*) << (j* - n),
@@ -248,7 +250,7 @@ def batch_cosets(
     if not blocks:
         return whole, []
     offsets = []  # one per set bit of t0, top down
-    c = b
+    c = 0
     for j in reversed(range(t0.bit_length())):
         if t0 >> j & 1:
             offsets.append(c & mask)
@@ -327,18 +329,23 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     check_runnable(plan.n)
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
-    splits = [batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
-              for a, b in _batch_seeds(plan, seed)]  # (whole, partial) per batch
-    parts = [(i, mult, c, basis) for i, (_, partial) in enumerate(splits)
-             for mult, c, basis in partial]
+    mask = (1 << plan.n) - 1
+    splits = {}  # the (whole, partial) of a*g for each distinct a of the run
+    wholes, parts = [], []  # per batch; (batch, multiplicity, c, basis) per partial coset
+    for i, (a, b) in enumerate(_batch_seeds(plan, seed)):
+        if a not in splits:
+            splits[a] = batch_cosets(a, plan.t0, plan.field_bits, plan.n)
+        whole, partial = splits[a]
+        wholes.append(whole)
+        parts += [(i, mult, c ^ (b & mask), basis) for mult, c, basis in partial]
     cosets = [(c, basis) for _, _, c, basis in parts]
-    total = oracle.cube_total() if any(whole for whole, _ in splits) else 0
+    total = oracle.cube_total() if any(wholes) else 0
     if total is None:  # the cube, at any offset, as the call's last coset
         cosets.append((0, tuple(1 << i for i in range(plan.n))))
     part_sums = oracle.coset_sums(cosets)
     if total is None:
         total = part_sums.pop()
-    sums = [whole * total if whole else 0 for whole, _ in splits]
+    sums = [whole * total if whole else 0 for whole in wholes]
     for (i, mult, _, _), part in zip(parts, part_sums):
         sums[i] += mult * part
     return sums

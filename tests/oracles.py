@@ -492,6 +492,15 @@ def lower_median_ref(values):
     return ordered[(len(ordered) - 1) // 2]
 
 
+def ref_ceil_log2(q) -> int:
+    """The smallest L >= 0 with 2^L >= q, by doubling from 1."""
+    q = Fraction(q)
+    L = 0
+    while 2**L < q:
+        L += 1
+    return L
+
+
 def ref_median_miss(r: int, p: Fraction) -> Fraction:
     """The chance that the lower median of r independent values is off, each
     value off with probability p and free to fall on either side: the law of

@@ -76,6 +76,7 @@ def test_accept_streams_estimates(capsys, tmp_path):
     doc = json.loads(target.read_text())
     assert doc["bits_used"] == 113
     assert doc["sampler"]["queries"] == 61440
+    assert doc["sampler"]["cube_points"] == 16  # 61440 queries fold into whole cubes
     assert doc["rounds"] == lines
     assert "2 rounds, 113 bits" in err
 
@@ -211,6 +212,7 @@ def test_sampler_bench_golden(capsys):
     assert doc["plan"] == {
         "n": 3, "epsilon": "1/4", "delta": "1/2", "mode": "walk",
         "t0": 160, "r": 8, "field_bits": 8, "seed_bits": 37, "queries": 1280,
+        "cube_points": 8,
     }
     assert doc["master_hex"] == MASTER
     assert doc["failures_beyond_epsilon"] == 0
@@ -431,6 +433,7 @@ def test_sampler_bench_matches_the_table_oracle(capsys):
         "plan": {
             "n": 8, "epsilon": "1/4", "delta": "1/4", "mode": "walk",
             "t0": 160, "r": 16, "field_bits": 8, "seed_bits": 61, "queries": 2560,
+            "cube_points": 256,
         },
         "oracle_mean": "85/256",
         "trials": 6,

@@ -506,5 +506,6 @@ def test_gl_randomness_audit():
     assert [(level["extractor"], level["seed_bits"]) for level in doc["schedule"]["schedule"]] == [
         ("small-bias", 24)]
     assert [p["queries"] for p in doc["sampler"]] == [p.queries for p in params.plans]
+    assert [p["cube_points"] for p in doc["sampler"]] == [8, 16]  # levels n + 1, n + 2
     # the saving must be genuine: one seed beats fresh tapes per level
     assert doc["steward_bits"] < doc["fresh_bits"]

@@ -8,6 +8,7 @@ import pytest
 
 from randsteward import sampler
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
+from randsteward.fourier import gl_params
 from randsteward.gf2 import field_poly, is_irreducible, powers
 from randsteward.randomness import CounterSource, TapeSource, bits_to_int, int_to_bits
 from randsteward.sampler import (
@@ -16,6 +17,7 @@ from randsteward.sampler import (
     SamplerPlan,
     TruthTableOracle,
     _batch_seeds,
+    _ceil_log2,
     _exact_sums,
     batch_cosets,
     batch_sums,
@@ -33,6 +35,7 @@ from oracles import (
     ref_batch_cosets,
     ref_batch_seeds,
     ref_batch_sums,
+    ref_ceil_log2,
     ref_coset_sum,
     ref_gf2_mul,
     ref_is_irreducible,
@@ -40,6 +43,7 @@ from oracles import (
 )
 
 PARITY3 = TruthTableOracle([0, 1, 1, 0, 1, 0, 0, 1])
+GL_PLANS = gl_params(2, Fraction(9, 10), Fraction(1, 2)).plans  # gl-search's two levels
 
 
 def _seed(plan, master: bytes, index: int = 0) -> int:
@@ -109,6 +113,17 @@ def test_plan_reps_floor_at_one():
     p = plan_sampler(1, Fraction(1), Fraction(15, 16), mode="independent")
     assert p.r == 1
     assert p.seed_bits == 8
+
+
+def test_ceil_log2_matches_the_reference_loop():
+    grid = [Fraction(p, q) for p in range(1, 130) for q in range(1, 40)]
+    grid += [Fraction(1 << e) + d for e in (10, 63, 64, 200) for d in (-1, Fraction(-1, 7), 0, 1)]
+    grid += [(1 / Fraction(1, q)) ** 8 for q in (2, 3, 72, 320, 3600)]
+    for q in grid:
+        assert _ceil_log2(q) == ref_ceil_log2(q), q
+    for bad in (Fraction(0), Fraction(-3, 2)):
+        with pytest.raises(ValueError):
+            _ceil_log2(bad)
 
 
 def test_plan_field_grows_with_batch_size():
@@ -183,6 +198,13 @@ def _ref_split(a, b, t0, field_bits, n):
     return whole, [triple for triple in triples if len(triple[2]) < n]
 
 
+def _shifted_split(a, b, t0, field_bits, n):
+    """batch_cosets's split of a*g, moved to the batch a*g + b: every
+    offset xored by b mod 2^n."""
+    whole, partial = batch_cosets(a, t0, field_bits, n)
+    return whole, [(mult, c ^ (b & ((1 << n) - 1)), basis) for mult, c, basis in partial]
+
+
 def test_batch_cosets_match_batch_points():
     rng = random.Random(2024)
     cases = [
@@ -192,6 +214,8 @@ def test_batch_cosets_match_batch_points():
         (7, 3, 1 << 5, 5, 2),  # t0 = 2^field_bits
         (13, 6, 1 << 6, 6, 6),  # t0 = 2^field_bits and n = field_bits
         (21, 40, 45, 6, 6),  # n = field_bits
+        (0x9E3A7, 0x51C2D, 998873, 20, 3),  # gl-search's two plans
+        (0x2B0F1, 0xC4E96, 998873, 20, 4),
     ]
     for _ in range(300):
         field_bits = rng.randint(1, 12)
@@ -202,7 +226,7 @@ def test_batch_cosets_match_batch_points():
         )
     kinds = Counter()
     for a, b, t0, field_bits, n in cases:
-        whole, partial = batch_cosets(a, b, t0, field_bits, n)
+        whole, partial = _shifted_split(a, b, t0, field_bits, n)
         assert (whole, partial) == _ref_split(a, b, t0, field_bits, n)
         assert (whole > 0) == (len(partial) < bin(t0).count("1"))
         for mult, c, basis in partial:
@@ -221,22 +245,26 @@ def test_batch_cosets_match_batch_points():
 def test_batch_cosets_match_reference_at_the_acceptance_plan():
     # criterion 12's sampler (n = 10, t0 = 256000, field 2^18): mostly
     # the whole cube, and the blocks below full rank must get the same
-    # offsets and reduced bases
-    plan = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
-    assert (plan.t0, plan.r, plan.field_bits) == (256000, 67, 18)
+    # offsets and reduced bases; gl-search's levels (n = 3, 4, t0 =
+    # 998873, field 2^20): t0 is odd, so every batch has a partial coset
+    c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    assert (c12.t0, c12.r, c12.field_bits) == (256000, 67, 18)
+    assert [(p.n, p.t0, p.field_bits) for p in GL_PLANS] == [(3, 998873, 20), (4, 998873, 20)]
     rng = random.Random(12)
     kinds = Counter()
-    for _ in range(200):
-        a, b = rng.randrange(1 << 18), rng.randrange(1 << 18)
-        whole, partial = batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
-        assert (whole, partial) == _ref_split(a, b, plan.t0, plan.field_bits, plan.n)
-        kinds[whole > 0, len(partial) > 0] += 1
-    assert kinds[True, False] > kinds[True, True] > 0
+    for plan in [c12, *GL_PLANS]:
+        for _ in range(200):
+            a, b = rng.randrange(1 << plan.field_bits), rng.randrange(1 << plan.field_bits)
+            whole, partial = _shifted_split(a, b, plan.t0, plan.field_bits, plan.n)
+            assert (whole, partial) == _ref_split(a, b, plan.t0, plan.field_bits, plan.n)
+            kinds[plan.n, whole > 0, len(partial) > 0] += 1
+    assert kinds[10, True, False] > kinds[10, True, True] > 0
+    assert kinds[3, True, True] == kinds[4, True, True] == 200
 
 
 def test_batch_cosets_rejects_small_field():
     with pytest.raises(ValueError):
-        batch_cosets(1, 0, 5, 2, 2)
+        batch_cosets(1, 5, 2, 2)
 
 
 def test_points_are_pairwise_uniform():
@@ -544,14 +572,62 @@ def test_a_callable_oracle_sums_the_cube_once_per_run():
     oracle = FnOracle(plan.n, parity)
     for i in (0, 2):
         seed = _seed(plan, b"count", i)
-        splits = [batch_cosets(a, b, plan.t0, plan.field_bits, plan.n)
+        splits = [_shifted_split(a, b, plan.t0, plan.field_bits, plan.n)
                   for a, b in _batch_seeds(plan, seed)]
+        assert splits == [_ref_split(a, b, plan.t0, plan.field_bits, plan.n)
+                          for a, b in _batch_seeds(plan, seed)]
         partial_points = sum(1 << len(basis) for _, partial in splits for _, _, basis in partial)
         assert partial_points and any(whole for whole, _ in splits)
         calls.clear()
         sums = batch_sums(plan, oracle, seed)
         assert calls["points"] <= (1 << plan.n) + partial_points
         assert sums == ref_batch_sums(plan, oracle, _batch_seeds(plan, seed))
+
+
+def test_batch_sums_split_each_multiplier_once_per_call(monkeypatch):
+    # a walk keeps a on about half of its steps, so a run repeats a with
+    # other b's.  batch_sums splits each distinct a once per call, moves
+    # the offsets by each batch's b and keeps nothing between calls:
+    # gl-search's two plans share t0, field and seed, but not n
+    c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    plans = [c12, *GL_PLANS, replace(GL_PLANS[0], mode="independent")]
+    real, calls, points = sampler.batch_cosets, Counter(), Counter()
+
+    def counting(a, *args):
+        calls[a] += 1
+        return real(a, *args)
+
+    monkeypatch.setattr(sampler, "batch_cosets", counting)
+    rng = random.Random(24)
+    for plan in plans:
+        seed = _seed(plan, b"memo", 0)
+        seeds = _batch_seeds(plan, seed)
+        distinct = {a for a, _ in seeds}
+        splits = [_ref_split(a, b, plan.t0, plan.field_bits, plan.n) for a, b in seeds]
+        if plan.mode == "walk":  # some a recurs with another b and a partial coset
+            shifts = {}
+            for (a, b), (_, partial) in zip(seeds, splits):
+                if partial:
+                    shifts.setdefault(a, set()).add(b & ((1 << plan.n) - 1))
+            assert len(distinct) < plan.r and max(map(len, shifts.values())) > 1
+        table = np.array([rng.randrange(3) for _ in range(1 << plan.n)])
+        table_points = [Fraction(int(v), 2) for v in table]
+
+        def halves(x):
+            points["fn"] += 1
+            return table_points[x]
+
+        want_points = (1 << plan.n) * any(whole for whole, _ in splits) + sum(
+            1 << len(basis) for _, partial in splits for _, _, basis in partial
+        )
+        for oracle in (TruthTableOracle(table), FnOracle(plan.n, halves)):
+            want = ref_batch_sums(plan, oracle, seeds)
+            calls.clear()
+            points.clear()
+            assert batch_sums(plan, oracle, seed) == want
+            assert calls == Counter(distinct)
+            if isinstance(oracle, FnOracle):
+                assert points["fn"] == want_points
 
 
 def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
@@ -577,7 +653,8 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     for i in (0, 32, 47):
         seed = _seed(plan, b"c12", i)
         (a, b), = _batch_seeds(plan, seed)
-        whole, partial = batch_cosets(a, b, plan.t0, plan.field_bits, n)
+        whole, partial = _shifted_split(a, b, plan.t0, plan.field_bits, n)
+        assert (whole, partial) == _ref_split(a, b, plan.t0, plan.field_bits, n)
         ranks.update([n] * (whole > 0) + [len(basis) for _, _, basis in partial])
         for oracle, want_values in oracles:
             run = run_sampler(plan, oracle, seed)
