@@ -32,14 +32,19 @@ total coin cost is the steward seed, n_tape + O(k log d) bits, against
 n_tape * k for freshly seeded levels.
 
 A batch holds t0 points (10^8 at n=12, theta=1/2), but its sums are never
-taken point by point: the candidates' h_p form one vector-valued oracle,
-and sampler.batch_sums, the sampler's one batch loop, splits every batch
-of a run into affine cosets and hands all of them that are not the whole
-cube to one coset_sums call.  The oracle groups them by rank and sums each
-group in one stacked pass: a small rank through one histogram over
+taken point by point: sampler.batch_split splits every batch of a run into
+the whole cube and affine cosets.  On a small cube, where the r x 2^(n+ell)
+point multiplicities and the 2^(n+ell) x C value table each fit in one pass
+of 2^TEMP_BITS entries (both levels of n=2, theta=9/10), a level is one
+integer matrix product, multiplicities times values (_cube_matrix_sums).
+On a larger cube (criterion 10's levels) the candidates' h_p form one
+vector-valued oracle, and sampler.batch_sums hands all partial cosets of
+the run to one coset_sums call.  The oracle groups them by rank and sums
+each group in one stacked pass: a small rank through one histogram over
 (coset, y xor y'), a large one through the stacked spans of their Walsh
 duals; the whole cube is a closed form (see _WeightOracle).  All of it is
 integer arithmetic, and the sums equal the pointwise ones exactly.
+Circuit estimates keep the coset path (see _cube_matrix_sums).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,7 +164,10 @@ class GlParams:
         return self.theta**2 / 2
 
 
+@lru_cache(maxsize=64)
 def gl_params(n: int, theta: Fraction, delta: Fraction) -> GlParams:
+    """The search's plan, cached: it is pure planning, and every search
+    would otherwise redo it."""
     theta, delta = Fraction(theta), Fraction(delta)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -224,8 +233,8 @@ def _dual_coset_sums(rows, cands, ell, cosets, width) -> np.ndarray:
     the V-perp vector e_f + sum of e_lead(w) over the w with bit f set.
     The V-perp spans of all the cosets are enumerated stacked.  Each
     |h_hat_p(s)| is at most 2^width, so a pass over 2^TEMP_BITS terms stays
-    in int64; the totals are Python ints, and the division by |V-perp| is
-    asserted exact.
+    in int64; the totals are Python ints, and a total that |V-perp| does
+    not divide raises ArithmeticError rather than flooring.
     """
     perps = []
     for _, basis in cosets:
@@ -257,7 +266,8 @@ def _dual_coset_sums(rows, cands, ell, cosets, width) -> np.ndarray:
             part = (h_hat * csign).reshape(len(p), -1, span).sum(axis=2)
             np.add.at(totals[:, g0 : g0 + group], ks, part.T.astype(object))
     sizes = np.array([1 << len(perp) for _, perp in perps], dtype=object)[:, None]
-    assert not (totals % sizes).any(), "Walsh dual sum not divisible by |V-perp|"
+    if (totals % sizes).any():
+        raise ArithmeticError("Walsh dual sum not divisible by |V-perp|")
     return (totals // sizes).astype(np.int64)
 
 
@@ -274,6 +284,9 @@ class _WeightOracle:
     on the row-wise Walsh sums rows[z, q] = sum_y F(yz)(-1)^<q, y>.  Over
     the whole cube the sum over y and y' factors, so the cube total is
     sum_z rows[z, p]^2.
+
+    _weights_from_tape uses this oracle only on a level too large for one
+    matrix pass (see _cube_matrix_sums), such as criterion 10's.
     """
 
     def __init__(self, table: np.ndarray, cand_ints: list[int], ell: int, n: int):
@@ -313,9 +326,49 @@ def _weights_from_tape(
     Each batch's mean of the Boolean variable C = 1/2 + h_p/2 is exact, so
     W = 2*median(C-means) - 1 comes out as Fraction(median of batch h_p
     sums, t0), equal to the pointwise sum."""
-    oracle = _WeightOracle(table, cand_ints, ell, n)
-    sums = batch_sums(plan, oracle, tape & ((1 << plan.seed_bits) - 1))
-    return [Fraction(lower_median(col), plan.t0) for col in np.array(sums).T.tolist()]
+    seed = tape & ((1 << plan.seed_bits) - 1)
+    one_pass = 1 << sampler.TEMP_BITS
+    if plan.r << plan.n <= one_pass and len(cand_ints) << plan.n <= one_pass:
+        sums = _cube_matrix_sums(table, cand_ints, ell, plan, seed)
+    else:
+        sums = np.array(batch_sums(plan, _WeightOracle(table, cand_ints, ell, n), seed))
+    return [Fraction(lower_median(col), plan.t0) for col in sums.T.tolist()]
+
+
+def _cube_matrix_sums(table, cand_ints, ell: int, plan: SamplerPlan, seed: int) -> np.ndarray:
+    """The (r, C) batch sums of every candidate as one product M @ V over
+    the 2^N points (y, y', z) of a small cube, N = plan.n = n + ell.
+
+    M[i, v] is how often batch i hits point v: its whole-cube multiplicity
+    everywhere, plus the multiplicity of each of its partial cosets at that
+    coset's points (sampler.batch_split, one scatter-add per stacked pass).
+    V[v, p] = F(yz)F(y'z)(-1)^<p, y xor y'> is the cube's value table.  A
+    row of M sums to t0 and |V| = 1, so every product entry is at most t0
+    in absolute value and int64 is exact.  _weights_from_tape takes this
+    path when M and V each fit in one pass of 2^TEMP_BITS entries: there a
+    coset holds a handful of points, and per-coset passes cost more than
+    the points.  A larger level goes through batch_sums and _WeightOracle.
+    Circuit estimates keep the coset path: a circuit has one value per
+    point, its partial cosets are a few 512-point ones, and M @ table
+    measured slower.
+    """
+    if plan.t0 >> 63:
+        raise OverflowError(f"t0 = {plan.t0} does not fit in int64")
+    wholes, parts = sampler.batch_split(plan, seed)
+    counts = np.repeat(np.array(wholes, dtype=np.int64)[:, None], 1 << plan.n, axis=1)
+    batches = np.array([i for i, _, _, _ in parts], dtype=np.intp)
+    mults = np.array([mult for _, mult, _, _ in parts], dtype=np.int64)
+    cosets = [(c, basis) for _, _, c, basis in parts]
+    for ks, points in _stacked_chunks(cosets, sampler.TEMP_BITS):
+        np.add.at(counts, (batches[ks, None], points.astype(np.intp)), mults[ks, None])
+    v = np.arange(1 << plan.n, dtype=np.uint64)
+    mask_l = np.uint64((1 << ell) - 1)
+    y, yp = v & mask_l, (v >> np.uint64(ell)) & mask_l
+    zl = (v >> np.uint64(2 * ell)) << np.uint64(ell)
+    signs = np.asarray(table, dtype=np.int64)
+    prod = signs[(y | zl).astype(np.intp)] * signs[(yp | zl).astype(np.intp)]
+    parity = (y ^ yp)[:, None] & np.asarray(cand_ints, dtype=np.uint64)
+    return counts @ (prod[:, None] * _parity_signs(parity))
 
 
 def estimate_W(

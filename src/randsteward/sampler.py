@@ -21,15 +21,17 @@ of independent values:
 
   An oracle has n, coset_sums(cosets), the exact sum of f over each affine
   coset c + span(basis) of a list of (c, basis) pairs, in order, and
-  cube_total(), the exact sum over all 2^n points or None.  batch_sums is
-  the one batch loop.  batch_cosets splits the map g -> a*g into a
-  multiplicity of the whole cube and its cosets below full rank; the split
-  depends on a alone, and the batch a*g + b is the same cosets with every
-  offset moved by b, so a run splits each distinct a once.  The cube is
-  summed once per run: cube_total(), or where that is None one more coset
-  of the run's one coset_sums call, which gets every partial coset of the
-  run.  A sum may be an int, a Fraction or an int64 array of one sum per
-  coordinate.  The base Oracle stacks the cosets of one rank into one
+  cube_total(), the exact sum over all 2^n points or None.  batch_split is
+  the one split loop, under batch_sums here and under the GL matrix path
+  (fourier._cube_matrix_sums), which sums a small cube's multiplicities
+  times its value table instead of calling an oracle.  batch_cosets splits
+  the map g -> a*g into a multiplicity of the whole cube and its cosets
+  below full rank; the split depends on a alone, and the batch a*g + b is
+  the same cosets with every offset moved by b, so a run splits each
+  distinct a once.  The cube is summed once per run: cube_total(), or
+  where that is None one more coset of the run's one coset_sums call,
+  which gets every partial coset of the run.  A sum may be an int, a
+  Fraction or an int64 array of one sum per coordinate.  The base Oracle stacks the cosets of one rank into one
   point array (_stacked_chunks), evaluates it through eval_ints in passes
   of at most 2^TEMP_BITS points and has no cube total.  Values are summed
   exactly (_exact_sums): an integer or bool array by numpy where no
@@ -324,20 +326,28 @@ def check_runnable(n: int) -> None:
         raise ValueError(f"sampler points are uint64, so n={n} > 64 cannot be run")
 
 
-def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
-    """The r exact batch sums of an oracle on plan.n bits, from one seed."""
+def batch_split(plan: SamplerPlan, seed: int) -> tuple[list[int], list[tuple]]:
+    """The run's batches as cosets: the whole-cube multiplicity of each
+    batch, and a (batch, multiplicity, c, basis) for each partial coset of
+    each batch, in batch order.  Each distinct a is split once per call."""
     check_runnable(plan.n)
-    if oracle.n != plan.n:
-        raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     mask = (1 << plan.n) - 1
     splits = {}  # the (whole, partial) of a*g for each distinct a of the run
-    wholes, parts = [], []  # per batch; (batch, multiplicity, c, basis) per partial coset
+    wholes, parts = [], []
     for i, (a, b) in enumerate(_batch_seeds(plan, seed)):
         if a not in splits:
             splits[a] = batch_cosets(a, plan.t0, plan.field_bits, plan.n)
         whole, partial = splits[a]
         wholes.append(whole)
         parts += [(i, mult, c ^ (b & mask), basis) for mult, c, basis in partial]
+    return wholes, parts
+
+
+def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
+    """The r exact batch sums of an oracle on plan.n bits, from one seed."""
+    if oracle.n != plan.n:
+        raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
+    wholes, parts = batch_split(plan, seed)
     cosets = [(c, basis) for _, _, c, basis in parts]
     total = oracle.cube_total() if any(wholes) else 0
     if total is None:  # the cube, at any offset, as the call's last coset

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -228,11 +229,13 @@ def _pointwise_weights(table, cand_ints, ell, n, plan, tape):
 
 
 def _count_branches(monkeypatch) -> Counter:
-    """Calls of each stacked weight-oracle path, and under "stacked" the calls
-    that sum two or more cosets at once."""
+    """Calls of each stacked weight-oracle path, of the matrix path and of
+    batch_sums, and under "stacked" the calls that sum two or more cosets
+    at once."""
     calls = Counter()
     for owner, name, at in [(fourier, "_coset_histograms", 2), (fourier, "_dual_coset_sums", 3),
-                            (fourier._WeightOracle, "cube_total", None)]:
+                            (fourier._WeightOracle, "cube_total", None),
+                            (fourier, "_cube_matrix_sums", None), (fourier, "batch_sums", None)]:
 
         def spy(*args, _real=getattr(owner, name), _name=name, _at=at):
             calls[_name] += 1
@@ -246,7 +249,8 @@ def _count_branches(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
 def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
-    # temp_bits = 1 splits every coset and every dual sum into tiny passes
+    # at TEMP_BITS every level here fits one matrix pass; temp_bits = 1
+    # sends every level to the coset path, split into tiny passes
     monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
     calls = _count_branches(monkeypatch)
     rng = random.Random(4242)
@@ -264,8 +268,63 @@ def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
                 for tape in [0, rng.getrandbits(plan.seed_bits)]:
                     got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
                     assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
-    assert all(calls[name] > 0 for name in ("_coset_histograms", "_dual_coset_sums",
-                                            "cube_total", "stacked"))
+    if temp_bits == 1:
+        assert calls["_cube_matrix_sums"] == 0
+        assert all(calls[name] > 0 for name in ("_coset_histograms", "_dual_coset_sums",
+                                                "cube_total", "stacked"))
+    else:
+        assert calls["_cube_matrix_sums"] == 8 * len(MODES) * 4 * 2
+        assert calls["batch_sums"] == 0
+
+
+def test_matrix_path_matches_pointwise_reference(monkeypatch):
+    # every (n, ell) with n + ell <= 8; TEMP_BITS = n + ell + 2 puts the
+    # one-pass rule at r <= 4 batches and C <= 4 candidates, so r = 4, C = 4
+    # is just inside and r = 5 or C = 5 just outside
+    calls = _count_branches(monkeypatch)
+    rng = random.Random(2525)
+    for n in range(1, 9):
+        for ell in range(min(n, 8 - n) + 1):
+            width = n + ell
+            monkeypatch.setattr(sampler, "TEMP_BITS", width + 2)
+            table = [rng.choice([-1, 1]) for _ in range(1 << n)]
+            top = min(4, 1 << ell)
+            cases = [(4, top, "_cube_matrix_sums"), (5, top, "batch_sums")]
+            if 1 << ell >= 5:
+                cases.append((4, 5, "batch_sums"))
+            for r, count, path in cases:
+                cands = rng.sample(range(1 << ell), count)
+                for mode in MODES:
+                    for t0 in (1, 45, 300, 1 << width):
+                        plan = SamplerPlan(
+                            n=width, epsilon=Fraction(1, 2), delta=Fraction(1, 2), mode=mode,
+                            t0=t0, r=r, field_bits=max(width, (t0 - 1).bit_length()),
+                        )
+                        tape = rng.getrandbits(plan.seed_bits)
+                        calls.clear()
+                        got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
+                        assert calls["_cube_matrix_sums"] + calls["batch_sums"] == calls[path] == 1
+                        assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
+
+
+def test_matrix_path_refuses_t0_past_int64():
+    plan = SamplerPlan(n=2, epsilon=Fraction(1, 2), delta=Fraction(1, 2), mode="walk",
+                       t0=1 << 63, r=1, field_bits=64)
+    with pytest.raises(OverflowError):
+        fourier._cube_matrix_sums([1, -1], [0, 1], 1, plan, 0)
+
+
+def test_dual_coset_sums_refuse_an_inexact_division():
+    # rows = [[1, 0]] are no Walsh sums of a +-1 table (F would be (1/2,
+    # 1/2)); h_0 = 1/4 at every point, so a 2-point coset sums to 1/2 and
+    # its dual total is not divisible by |V-perp| = 2
+    rows = np.array([[1, 0]], dtype=np.int64)
+    cands = np.array([0], dtype=np.uint64)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        fourier._dual_coset_sums(rows, cands, 1, [(0, (1,))], 2)
+    table = np.array([1, -1], dtype=np.int64)  # F(0)F(0) + F(1)F(0) = 0
+    rows = wht_ints(table.reshape(1, 2))
+    assert fourier._dual_coset_sums(rows, cands, 1, [(0, (1,))], 2).tolist() == [[0]]
 
 
 def test_dual_coset_sums_match_enumeration():
@@ -401,6 +460,14 @@ def test_gl_params_goldens():
     assert p.keep_threshold == Fraction(1, 8)
     p2 = gl_params(3, Fraction(2, 5), Fraction(1, 10))
     assert (p2.u, p2.k, p2.d) == (1, 3, 50)
+
+
+def test_gl_params_are_planned_once():
+    p = gl_params(2, Fraction(9, 10), Fraction(1, 2))
+    assert gl_params(2, Fraction(9, 10), Fraction(1, 2)) is p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.d = 1
+    assert gl_params(3, Fraction(9, 10), Fraction(1, 2)) is not p
 
 
 def test_gl_params_validation():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randsteward import sampler
+from randsteward import fourier, sampler
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
 from randsteward.fourier import gl_params
 from randsteward.gf2 import field_poly, is_irreducible, powers
@@ -588,7 +588,8 @@ def test_batch_sums_split_each_multiplier_once_per_call(monkeypatch):
     # a walk keeps a on about half of its steps, so a run repeats a with
     # other b's.  batch_sums splits each distinct a once per call, moves
     # the offsets by each batch's b and keeps nothing between calls:
-    # gl-search's two plans share t0, field and seed, but not n
+    # gl-search's two plans share t0, field and seed, but not n, and the
+    # GL matrix path splits as batch_sums does
     c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
     plans = [c12, *GL_PLANS, replace(GL_PLANS[0], mode="independent")]
     real, calls, points = sampler.batch_cosets, Counter(), Counter()
@@ -598,6 +599,13 @@ def test_batch_sums_split_each_multiplier_once_per_call(monkeypatch):
         return real(a, *args)
 
     monkeypatch.setattr(sampler, "batch_cosets", counting)
+    real_matrix = fourier._cube_matrix_sums
+
+    def matrix(*args):
+        calls["matrix"] += 1
+        return real_matrix(*args)
+
+    monkeypatch.setattr(fourier, "_cube_matrix_sums", matrix)
     rng = random.Random(24)
     for plan in plans:
         seed = _seed(plan, b"memo", 0)
@@ -628,6 +636,16 @@ def test_batch_sums_split_each_multiplier_once_per_call(monkeypatch):
             assert calls == Counter(distinct)
             if isinstance(oracle, FnOracle):
                 assert points["fn"] == want_points
+        if plan in GL_PLANS:  # the GL matrix path splits through the same loop
+            ell = plan.n - 2
+            signs = [rng.choice([-1, 1]) for _ in range(4)]
+            cands = list(range(1 << ell))
+            calls.clear()
+            got = fourier._weights_from_tape(signs, cands, ell, 2, plan, seed)
+            assert calls == Counter(distinct, matrix=1)
+            oracle = fourier._WeightOracle(signs, cands, ell, 2)
+            sums = np.array(batch_sums(plan, oracle, seed)).T.tolist()
+            assert got == [Fraction(lower_median(col), plan.t0) for col in sums]
 
 
 def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
