@@ -36,7 +36,9 @@ taken point by point: sampler.batch_split splits every batch of a run into
 the whole cube and affine cosets.  On a small cube, where the r x 2^(n+ell)
 point multiplicities and the 2^(n+ell) x C value table each fit in one pass
 of 2^TEMP_BITS entries (both levels of n=2, theta=9/10), a level is one
-integer matrix product, multiplicities times values (_cube_matrix_sums).
+integer matrix product, multiplicities times values (_cube_matrix_sums):
+one multiplicity row per distinct multiplier a of the level, then one
+gather of each batch's row at v xor b.
 On a larger cube (criterion 10's levels) the candidates' h_p form one
 vector-valued oracle, and sampler.batch_sums hands all partial cosets of
 the run to one coset_sums call.  The oracle groups them by rank and sums
@@ -339,9 +341,15 @@ def _cube_matrix_sums(table, cand_ints, ell: int, plan: SamplerPlan, seed: int) 
     """The (r, C) batch sums of every candidate as one product M @ V over
     the 2^N points (y, y', z) of a small cube, N = plan.n = n + ell.
 
-    M[i, v] is how often batch i hits point v: its whole-cube multiplicity
+    M[i, v] is how often batch i hits point v.  sampler.batch_split gives
+    the split of each distinct multiplier a and each batch's (a, b), so M
+    starts as one row per distinct a: its whole-cube multiplicity
     everywhere, plus the multiplicity of each of its partial cosets at that
-    coset's points (sampler.batch_split, one scatter-add per stacked pass).
+    coset's points.  The level's partial cosets are added in one padded
+    pass: each basis is padded with zero vectors to the level's top rank R
+    < N, a coset's first 2^rank combinations weigh its multiplicity and the
+    rest 0, and one np.add.at per 2^TEMP_BITS entries adds them in.  Batch
+    i's row is then row a at v xor b, one gather for the whole level.
     V[v, p] = F(yz)F(y'z)(-1)^<p, y xor y'> is the cube's value table.  A
     row of M sums to t0 and |V| = 1, so every product entry is at most t0
     in absolute value and int64 is exact.  _weights_from_tape takes this
@@ -354,14 +362,31 @@ def _cube_matrix_sums(table, cand_ints, ell: int, plan: SamplerPlan, seed: int) 
     """
     if plan.t0 >> 63:
         raise OverflowError(f"t0 = {plan.t0} does not fit in int64")
-    wholes, parts = sampler.batch_split(plan, seed)
-    counts = np.repeat(np.array(wholes, dtype=np.int64)[:, None], 1 << plan.n, axis=1)
-    batches = np.array([i for i, _, _, _ in parts], dtype=np.intp)
-    mults = np.array([mult for _, mult, _, _ in parts], dtype=np.int64)
-    cosets = [(c, basis) for _, _, c, basis in parts]
-    for ks, points in _stacked_chunks(cosets, sampler.TEMP_BITS):
-        np.add.at(counts, (batches[ks, None], points.astype(np.intp)), mults[ks, None])
-    v = np.arange(1 << plan.n, dtype=np.uint64)
+    splits, batches = sampler.batch_split(plan, seed)
+    size = 1 << plan.n
+    wholes = np.array([whole for whole, _ in splits.values()], dtype=np.int64)
+    rows = np.repeat(wholes[:, None], size, axis=1)
+    parts = [(k, *part) for k, (_, partial) in enumerate(splits.values()) for part in partial]
+    if parts:
+        owners, mults, offsets, bases = zip(*parts)
+        ranks = list(map(len, bases))
+        top = max(ranks)
+        points = np.array(offsets, dtype=np.intp)[:, None]
+        padded = np.array([basis + (0,) * (top - len(basis)) for basis in bases], dtype=np.intp)
+        for i in range(top):
+            points = np.concatenate([points, points ^ padded[:, i, None]], axis=1)
+        weights = np.array(mults, dtype=np.int64)[:, None] * (
+            np.arange(1 << top) < np.left_shift(1, ranks)[:, None]
+        )
+        owners = np.array(owners, dtype=np.intp)[:, None]
+        step = 1 << (sampler.TEMP_BITS - top)
+        for i in range(0, len(parts), step):
+            np.add.at(rows, (owners[i : i + step], points[i : i + step]), weights[i : i + step])
+    multipliers, shifts = zip(*batches)
+    index = {a: k for k, a in enumerate(splits)}
+    owner = np.array([index[a] for a in multipliers], dtype=np.intp)[:, None]
+    counts = rows[owner, np.arange(size) ^ np.array(shifts, dtype=np.intp)[:, None]]
+    v = np.arange(size, dtype=np.uint64)
     mask_l = np.uint64((1 << ell) - 1)
     y, yp = v & mask_l, (v >> np.uint64(ell)) & mask_l
     zl = (v >> np.uint64(2 * ell)) << np.uint64(ell)

@@ -5,9 +5,11 @@ of degree m, found by scanning upward from x^m with Rabin's test: f is
 irreducible iff x^(2^m) = x (mod f) and gcd(x^(2^d) - x, f) = 1 for every
 proper divisor d of m.
 
-powers(a, m) is the one GF(2^m) multiplier, which the sampler's g -> a*g + b
-and the extractor's powers of u share: the images a * x^i of the unit
+powers(a, m) is the one GF(2^m) multiplier: the images a * x^i of the unit
 vectors, by shift and reduce, so that a*g is their xor over the bits of g.
+The extractor calls it on its powers of u.  The sampler's g -> a*g + b
+reads byte tables built once per plan for the unit multipliers x^k, from
+g * x^k = powers(g, m)[k], since its columns a * x^i are linear in a too.
 """
 
 from __future__ import annotations

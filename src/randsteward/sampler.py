@@ -27,11 +27,17 @@ of independent values:
   times its value table instead of calling an oracle.  batch_cosets splits
   the map g -> a*g into a multiplicity of the whole cube and its cosets
   below full rank; the split depends on a alone, and the batch a*g + b is
-  the same cosets with every offset moved by b, so a run splits each
-  distinct a once.  The cube is summed once per run: cube_total(), or
-  where that is None one more coset of the run's one coset_sums call,
-  which gets every partial coset of the run.  A sum may be an int, a
-  Fraction or an int64 array of one sum per coordinate.  The base Oracle stacks the cosets of one rank into one
+  the same cosets with every offset moved by b.  So batch_split returns
+  the split of each distinct a of the run, made once, and each batch's
+  (a, b mod 2^n); batch_sums expands them into every batch's cosets.  The
+  columns a * x^i and the block offsets that batch_cosets eliminates are
+  linear in a, so it reads both from byte tables, one entry per byte of
+  a, built once per plan (t0, field_bits, n) at the plan's first split
+  and kept in a bounded cache (_split_tables).  The cube is summed once
+  per run: cube_total(), or where that is None one more coset of the
+  run's one coset_sums call, which gets every partial coset of the run.
+  A sum may be an int, a Fraction or an int64 array of one sum per
+  coordinate.  The base Oracle stacks the cosets of one rank into one
   point array (_stacked_chunks), evaluates it through eval_ints in passes
   of at most 2^TEMP_BITS points and has no cube total.  Values are summed
   exactly (_exact_sums): an integer or bool array by numpy where no
@@ -53,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -208,6 +215,30 @@ class FnOracle(Oracle):
         return np.array([self.fn(int(x)) for x in xs], dtype=object)
 
 
+@lru_cache(maxsize=32)
+def _split_tables(t0: int, field_bits: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The plan's byte tables: entry v of table i packs, n bits each, the
+    products (a * g) mod 2^n for a = v * 2^(8i) and each g of the split:
+    the columns g = x^j for j < min(t0.bit_length(), field_bits), then one
+    block offset per set bit j of t0, ascending, g = the bits of t0 above
+    j.  A packing is linear in a, so the one of any a < 2^field_bits is the
+    xor of one entry per byte of a, and each entry is the xor of the
+    packings of the unit multipliers x^k, where g * x^k = powers(g)[k]."""
+    mask = (1 << n) - 1
+    gs = [1 << j for j in range(min(t0.bit_length(), field_bits))]
+    gs += [t0 >> j + 1 << j + 1 for j in range(t0.bit_length()) if t0 >> j & 1]
+    images = [gf2.powers(g, field_bits) for g in gs]
+    units = [sum((image[k] & mask) << i * n for i, image in enumerate(images))
+             for k in range(field_bits)]
+    tables = []
+    for low in range(0, field_bits, 8):
+        table = [0]
+        for unit in units[low : low + 8]:
+            table += [v ^ unit for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def batch_cosets(
     a: int, t0: int, field_bits: int, n: int
 ) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
@@ -225,13 +256,21 @@ def batch_cosets(
     their sum, or 0 if there is no j*.  partial is the (multiplicity, c,
     basis) triples of the blocks below j*, ascending, each basis in reduced
     row echelon form, ascending: distinct leading bits, none of which is
-    set in any other basis vector.  Elimination stops at rank n, and the
-    offsets are taken, top down, only when partial is not empty.
+    set in any other basis vector.  Elimination stops at rank n.
+
+    The columns and the offsets are linear in a, so both are read at once
+    from the plan's byte tables (_split_tables, built at the plan's first
+    split), one entry per byte of a; a must lie in the field.
     """
     if t0 > 1 << field_bits:
         raise ValueError("field too small for t0 distinct points")
-    powers = gf2.powers(a, field_bits)
+    if not 0 <= a < 1 << field_bits:
+        raise ValueError(f"multiplier {a} is not in GF(2^{field_bits})")
+    packed = 0
+    for i, table in enumerate(_split_tables(t0, field_bits, n)):
+        packed ^= table[a >> 8 * i & 255]
     mask = (1 << n) - 1
+    cols = min(t0.bit_length(), field_bits)
     pivots = [0] * (n + 1)  # pivots[k]: the eliminated column of bit length k, or 0
     rank = whole = 0
     blocks = []  # (multiplicity, basis) of each block below full rank, ascending
@@ -241,7 +280,7 @@ def batch_cosets(
                 whole = (t0 >> j) << (j - n)
                 break
             blocks.append((1 << (j - rank), _reduced(pivots)))
-        v = powers[j] & mask if rank < n and j < field_bits else 0  # column j
+        v = packed >> j * n & mask if rank < n and j < cols else 0  # column j
         while v:
             k = v.bit_length()
             if not pivots[k]:
@@ -249,16 +288,10 @@ def batch_cosets(
                 rank += 1
                 break
             v ^= pivots[k]
-    if not blocks:
-        return whole, []
-    offsets = []  # one per set bit of t0, top down
-    c = 0
-    for j in reversed(range(t0.bit_length())):
-        if t0 >> j & 1:
-            offsets.append(c & mask)
-            if j < field_bits:  # j = field_bits only when t0 = 2^field_bits
-                c ^= powers[j]
-    return whole, [(mult, c, basis) for (mult, basis), c in zip(blocks, reversed(offsets))]
+    offsets = packed >> cols * n
+    return whole, [
+        (mult, offsets >> i * n & mask, basis) for i, (mult, basis) in enumerate(blocks)
+    ]
 
 
 def _reduced(pivots: list[int]) -> tuple[int, ...]:
@@ -326,38 +359,44 @@ def check_runnable(n: int) -> None:
         raise ValueError(f"sampler points are uint64, so n={n} > 64 cannot be run")
 
 
-def batch_split(plan: SamplerPlan, seed: int) -> tuple[list[int], list[tuple]]:
-    """The run's batches as cosets: the whole-cube multiplicity of each
-    batch, and a (batch, multiplicity, c, basis) for each partial coset of
-    each batch, in batch order.  Each distinct a is split once per call."""
+def batch_split(
+    plan: SamplerPlan, seed: int
+) -> tuple[dict[int, tuple[int, list]], list[tuple[int, int]]]:
+    """The run's batches as cosets: the (whole, partial) split of a*g for
+    each distinct multiplier a of the run (batch_cosets, once per a), and
+    each batch's (a, b mod 2^n), in batch order.  Batch a*g + b is the
+    split of a with every partial offset xored by b mod 2^n."""
     check_runnable(plan.n)
     mask = (1 << plan.n) - 1
-    splits = {}  # the (whole, partial) of a*g for each distinct a of the run
-    wholes, parts = [], []
-    for i, (a, b) in enumerate(_batch_seeds(plan, seed)):
+    splits = {}
+    batches = []
+    for a, b in _batch_seeds(plan, seed):
         if a not in splits:
             splits[a] = batch_cosets(a, plan.t0, plan.field_bits, plan.n)
-        whole, partial = splits[a]
-        wholes.append(whole)
-        parts += [(i, mult, c ^ (b & mask), basis) for mult, c, basis in partial]
-    return wholes, parts
+        batches.append((a, b & mask))
+    return splits, batches
 
 
 def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     """The r exact batch sums of an oracle on plan.n bits, from one seed."""
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
-    wholes, parts = batch_split(plan, seed)
-    cosets = [(c, basis) for _, _, c, basis in parts]
-    total = oracle.cube_total() if any(wholes) else 0
+    splits, batches = batch_split(plan, seed)
+    cosets = [(c ^ b, basis) for a, b in batches for _, c, basis in splits[a][1]]
+    total = oracle.cube_total() if any(whole for whole, _ in splits.values()) else 0
     if total is None:  # the cube, at any offset, as the call's last coset
         cosets.append((0, tuple(1 << i for i in range(plan.n))))
     part_sums = oracle.coset_sums(cosets)
     if total is None:
         total = part_sums.pop()
-    sums = [whole * total if whole else 0 for whole in wholes]
-    for (i, mult, _, _), part in zip(parts, part_sums):
-        sums[i] += mult * part
+    parts = iter(part_sums)
+    sums = []
+    for a, _ in batches:
+        whole, partial = splits[a]
+        batch = whole * total if whole else 0
+        for mult, _, _ in partial:
+            batch += mult * next(parts)
+        sums.append(batch)
     return sums
 
 

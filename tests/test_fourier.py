@@ -307,6 +307,44 @@ def test_matrix_path_matches_pointwise_reference(monkeypatch):
                         assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
 
 
+def test_matrix_path_pads_low_ranks_and_shifts_rows(monkeypatch):
+    # batches (0, b), (1, b'), (1, b''), (0, b'''): a = 0 maps every block to
+    # one point, so its rank-0 cosets share the padded pass with a = 1's top
+    # rank 3, and each multiplier's one row is gathered at two shifts
+    calls = _count_branches(monkeypatch)
+    real, split_calls = sampler.batch_cosets, Counter()
+
+    def counting(a, *args):
+        split_calls[a] += 1
+        return real(a, *args)
+
+    monkeypatch.setattr(sampler, "batch_cosets", counting)
+    n, ell = 2, 2
+    width = n + ell
+    plan = SamplerPlan(n=width, epsilon=Fraction(1, 2), delta=Fraction(1, 2),
+                       mode="independent", t0=45, r=4, field_bits=6)
+    batches = [(0, 5), (1, 9), (1, 6), (0, 12)]
+    tape = sum((a | b << plan.field_bits) << 2 * plan.field_bits * i
+               for i, (a, b) in enumerate(batches))
+    assert _batch_seeds(plan, tape) == batches
+    ranks = {m: sorted(len(basis) for _, _, basis in real(m, 45, 6, width)[1]) for m in (0, 1)}
+    assert ranks == {0: [0, 0, 0, 0], 1: [0, 2, 3]}
+    rng = random.Random(2727)
+    cands = list(range(1 << ell))
+    for table in ([1, 1, 1, 1], CHI1, [rng.choice([-1, 1]) for _ in range(4)]):
+        calls.clear()
+        split_calls.clear()
+        got = fourier._weights_from_tape(table, cands, ell, n, plan, tape)
+        assert calls["_cube_matrix_sums"] == 1 and calls["batch_sums"] == 0
+        assert split_calls == Counter({0: 1, 1: 1})
+        assert got == _pointwise_weights(table, cands, ell, n, plan, tape)
+        sums = fourier._cube_matrix_sums(table, cands, ell, plan, tape)
+        points = [batch_points(a, b, plan.t0, plan.field_bits, width) for a, b in batches]
+        assert [[Fraction(s, plan.t0) for s in row] for row in sums.tolist()] == [
+            ref_weights_pointwise(table, cands, ell, n, [batch], plan.t0) for batch in points
+        ]
+
+
 def test_matrix_path_refuses_t0_past_int64():
     plan = SamplerPlan(n=2, epsilon=Fraction(1, 2), delta=Fraction(1, 2), mode="walk",
                        t0=1 << 63, r=1, field_bits=64)

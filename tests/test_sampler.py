@@ -267,6 +267,51 @@ def test_batch_cosets_rejects_small_field():
         batch_cosets(1, 5, 2, 2)
 
 
+def test_batch_cosets_rejects_a_multiplier_outside_the_field():
+    # a byte-table lookup would drop the high bits of a, so a must be reduced
+    for a in (-1, 1 << 3):
+        with pytest.raises(ValueError, match="not in GF"):
+            batch_cosets(a, 5, 3, 2)
+
+
+def test_split_tables_are_keyed_by_the_whole_plan():
+    # plans that share (field_bits, n) but not t0 get their own tables: a
+    # table keyed on (field_bits, n) alone would give the second plan the
+    # first one's offsets.  Interleaved, at a in {0, 1, 2^m - 1}, t0 = 2^m
+    # and n = field_bits
+    m = 6
+    pairs = [((1 << m, m, m), (45, m, m)), ((45, m, 3), (33, m, 3)), ((5, 3, 2), (8, 3, 2))]
+    rng = random.Random(27)
+    sampler._split_tables.cache_clear()
+    for first, second in pairs:
+        field_bits = first[1]
+        multipliers = [0, 1, (1 << field_bits) - 1, rng.randrange(1 << field_bits)]
+        for a in multipliers:
+            b = rng.randrange(1 << field_bits)
+            for t0, _, n in (first, second, first):
+                whole, partial = _shifted_split(a, b, t0, field_bits, n)
+                assert (whole, partial) == _ref_split(a, b, t0, field_bits, n)
+    assert sampler._split_tables.cache_info().misses == 2 * len(pairs)
+
+
+def test_split_tables_are_built_once_per_plan_at_the_first_split():
+    # planning builds no table; repeated runs of two interleaved plans
+    # build one table each
+    sampler._split_tables.cache_clear()
+    c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    assert sampler._split_tables.cache_info().currsize == 0
+    for i in range(3):
+        for plan in GL_PLANS:
+            seed = _seed(plan, b"tables", i)
+            oracle = TruthTableOracle([i & 1] * (1 << plan.n))
+            assert batch_sums(plan, oracle, seed) == ref_batch_sums(
+                plan, oracle, _batch_seeds(plan, seed)
+            )
+    assert sampler._split_tables.cache_info().misses == len(GL_PLANS)
+    batch_sums(c12, TruthTableOracle([1] * (1 << c12.n)), _seed(c12, b"tables"))
+    assert sampler._split_tables.cache_info().misses == len(GL_PLANS) + 1
+
+
 def test_points_are_pairwise_uniform():
     # over all (a, b), any fixed pair of distinct g's is uniform on pairs
     counts: dict = {}
