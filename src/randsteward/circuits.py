@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampler
-from .bdt import split_blocks
+from .prg import split_blocks
 from .randomness import BitSource
 from .sampler import (
     FnOracle,

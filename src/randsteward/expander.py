@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable
 
-import numpy as np
-
 Vertex = tuple[int, int]
 
 DEGREE = 8
@@ -64,23 +62,6 @@ def walk(g: GabberGalilGraph, start: Vertex, labels: Iterable[int]) -> Vertex:
         else:
             raise ValueError(f"label must be 0..7, got {label}")
     return x, y
-
-
-def permutation_array(g: GabberGalilGraph, label: int) -> np.ndarray:
-    """perm[x + m*y] = image vertex id under the label's map (from `walk`)."""
-    m = g.m
-    images = (walk(g, (x, y), (label,)) for y in range(m) for x in range(m))
-    return np.fromiter((nx + m * ny for nx, ny in images), dtype=np.int64, count=m * m)
-
-
-def adjacency_matrix(g: GabberGalilGraph) -> np.ndarray:
-    """Dense normalized walk matrix (column-stochastic, double since regular)."""
-    size = g.m * g.m
-    a = np.zeros((size, size))
-    ids = np.arange(size)
-    for label in range(DEGREE):
-        a[permutation_array(g, label), ids] += 1.0 / DEGREE
-    return a
 
 
 # octal digit characters -> label bytes 0..7

@@ -109,19 +109,6 @@ def heavy_set_exact(f, theta: Fraction) -> list[str]:
     )
 
 
-def subcube_weight_exact(f, prefix: str) -> Fraction:
-    """W_prefix = sum of F_hat(x)^2 over x whose first len(prefix) bits are prefix."""
-    table = _sign_table(f)
-    n = table.size.bit_length() - 1
-    ell = len(prefix)
-    if ell > n:
-        raise ValueError("prefix longer than n")
-    sums = wht_ints(table).tolist()
-    p = bits_to_int(prefix)
-    total = sum(sums[p + (s << ell)] ** 2 for s in range(1 << (n - ell)))
-    return Fraction(total, 1 << (2 * n))
-
-
 def load_truth_table(text: str) -> np.ndarray:
     """Parse 'n=<int>' then the 2^n bits packed into exactly ceil(2^n / 8)
     hex bytes, LSB first; bit 1 means F = -1, and the padding bits of the
@@ -136,16 +123,10 @@ def load_truth_table(text: str) -> np.ndarray:
     size = 1 << n
     if len(data) != -(-size // 8):
         raise ValueError(f"n={n} needs {-(-size // 8)} table bytes, got {len(data)}")
-    if size < 8 and data[0] >> size:  # dump_truth_table pads with zeros
+    if size < 8 and data[0] >> size:  # a written table pads with zeros
         raise ValueError(f"n={n} sets padding bits at or above bit {size}: {data.hex()}")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:size]
     return 1 - 2 * bits.astype(np.int8)
-
-
-def dump_truth_table(f) -> str:
-    table = _sign_table(f)
-    n = table.size.bit_length() - 1
-    return f"n={n}\n{np.packbits(table < 0, bitorder='little').tobytes().hex()}\n"
 
 
 @dataclass(frozen=True)

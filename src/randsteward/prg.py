@@ -1,5 +1,9 @@
 """Seed-doubling generator fooling block decision trees.
 
+A block decision tree reads its input in k blocks of n bits and takes one of
+sigma children per block; tests/trees.py holds the exact tree model that the
+generator is tested against.
+
 The construction is recursive.  G_0 is the identity on n bits.  Level i+1
 splits its seed into x (the level-i seed, s_i bits) and a short fresh part y,
 and outputs
@@ -39,7 +43,7 @@ takes y at every level; neither is capped.
 `expand` maps an int seed to an int output, bit i being the i-th bit
 drawn: x is the low s_i bits of a level-(i+1) seed, y the rest, and G_i(x)
 fills the low n*2^i output bits, so block j of the output is bits
-j*n .. (j+1)*n - 1.
+j*n .. (j+1)*n - 1; `split_blocks` cuts an output into its blocks.
 """
 
 from __future__ import annotations
@@ -161,3 +165,11 @@ def _expand_level(schedule: PrgSchedule, level: int, seed: int) -> int:
         left = _expand_level(schedule, level - 1, x)
         right = _expand_level(schedule, level - 1, right)
     return left | right << (schedule.n << (level - 1))
+
+
+def split_blocks(value: int, n: int, k: int) -> list[int]:
+    """The k n-bit blocks of an nk-bit int, block j in bits j*n .. (j+1)*n - 1."""
+    if value < 0 or value >> (n * k):
+        raise ValueError(f"{value} does not fit in {n * k} bits")
+    mask = (1 << n) - 1
+    return [value >> (i * n) & mask for i in range(k)]

@@ -75,10 +75,6 @@ class TapeSource(BitSource):
         self.position += count
         return out
 
-    @property
-    def remaining(self) -> int:
-        return len(self.bits) - self.position
-
 
 class SystemSource(BitSource):
     def __init__(self):

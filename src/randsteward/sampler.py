@@ -185,24 +185,6 @@ class Oracle:
         return None
 
 
-class TruthTableOracle(Oracle):
-    """f given as a dense table of 2^n values, indexed by little-endian ints."""
-
-    def __init__(self, table):
-        table = np.asarray(table)
-        if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
-            raise ValueError("table length must be a power of two")
-        self.table = table
-        self.n = table.size.bit_length() - 1
-
-    def eval_ints(self, xs: np.ndarray) -> np.ndarray:
-        return self.table[np.asarray(xs, dtype=np.int64)]
-
-    def cube_total(self):
-        """The exact sum of f over the whole cube."""
-        return _exact_sums(self.table[None])[0]
-
-
 class FnOracle(Oracle):
     """Adapter running a callable on n-bit ints pointwise."""
 
@@ -347,10 +329,6 @@ class SampleRun:
     plan: SamplerPlan
     batch_sums: list
     estimate: Fraction
-
-    @property
-    def batch_means(self) -> list[Fraction]:
-        return [Fraction(s, self.plan.t0) for s in self.batch_sums]
 
 
 def check_runnable(n: int) -> None:

@@ -54,8 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .bdt import split_blocks
-from .prg import PrgSchedule, build_schedule, expand
+from .prg import PrgSchedule, build_schedule, expand, split_blocks
 from .randomness import BitSource, bits_to_int, int_to_bits, rat_to_str
 
 KINDS = {  # kind -> (where a round's sample comes from, how its answer is rounded)
@@ -256,9 +255,6 @@ class Transcript:
     rounds: list[RoundRecord] = field(default_factory=list)
     bits_used: int = 0
     bits_by_phase: dict[str, int] = field(default_factory=dict)
-
-    def responses(self) -> list[tuple[Fraction, ...]]:
-        return [r.y for r in self.rounds]
 
     def to_json(self) -> str:
         doc = {

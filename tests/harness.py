@@ -1,11 +1,12 @@
 """Shared builders for randomized-but-exact test instances.
 
-`make_concentrated` manufactures a query function with a *provable*
-concentration certificate: a known mu, a jitter of at most epsilon on good
-inputs, and an explicit bad set of at most floor(delta * 2^n) inputs where
-the function strays.  Because the bad set is constructed, concentration is
-a counted fact, not a sampled estimate, which is what the zero-tolerance
-criteria need.
+`ExplicitConcentrated` is a query function with a *provable* concentration
+certificate: a known mu, a jitter of at most epsilon on good inputs, and an
+explicit bad set of at most floor(delta * 2^n) inputs where the function
+strays.  Because the bad set is constructed, concentration is a counted
+fact, not a sampled estimate, which is what the zero-tolerance criteria
+need.  `TruthTableOracle` and `dump_truth_table` give a function by its
+table: as a sampler oracle, and as the truth-table file the CLI reads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from randsteward.extract import extract_int
-from randsteward.steward import ConcentratedFn
+from randsteward.fourier import _sign_table
+from randsteward.sampler import Oracle, _exact_sums
+from randsteward.steward import ConcentratedFn, error_factor
 
 
 class KeepAllSession:
@@ -49,7 +52,7 @@ class ExplicitConcentrated:
         bad_count = int(self.delta * (1 << n))  # floor: tail provably <= delta
         self.bad = frozenset(rng.sample(range(1 << n), bad_count))
         # go far out on bad inputs; default well past any steward's bound
-        self.wild = Fraction(wild) if wild is not None else 100 * self.epsilon * (3 * d + 5)
+        self.wild = Fraction(wild) if wild is not None else 100 * self.epsilon * error_factor(d)
         self.salt = rng.randrange(1 << 30)
 
     def _jitter(self, index: int, j: int) -> Fraction:
@@ -68,9 +71,29 @@ class ExplicitConcentrated:
         )
 
 
-def make_concentrated(rng: random.Random, n: int, d: int,
-                      epsilon: Fraction, delta: Fraction) -> ExplicitConcentrated:
-    return ExplicitConcentrated(n, d, Fraction(epsilon), Fraction(delta), rng)
+class TruthTableOracle(Oracle):
+    """f given as a dense table of 2^n values, indexed by little-endian ints."""
+
+    def __init__(self, table):
+        table = np.asarray(table)
+        if table.ndim != 1 or table.size == 0 or table.size & (table.size - 1):
+            raise ValueError("table length must be a power of two")
+        self.table = table
+        self.n = table.size.bit_length() - 1
+
+    def eval_ints(self, xs: np.ndarray) -> np.ndarray:
+        return self.table[np.asarray(xs, dtype=np.int64)]
+
+    def cube_total(self):
+        """The exact sum of f over the whole cube."""
+        return _exact_sums(self.table[None])[0]
+
+
+def dump_truth_table(f) -> str:
+    """The file fourier.load_truth_table reads for a checked +-1 table f."""
+    table = _sign_table(f)
+    n = table.size.bit_length() - 1
+    return f"n={n}\n{np.packbits(table < 0, bitorder='little').tobytes().hex()}\n"
 
 
 def random_circuit(rng: random.Random, n: int, depth: int = 3) -> str:

@@ -91,6 +91,29 @@ def ref_gg_neighbor(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
     raise ValueError(label)
 
 
+def permutation_array(walk, g, label: int):
+    """perm[x + m*y] = the id of the vertex that walk(g, (x, y), (label,))
+    reaches, for the graph g on Z_m x Z_m and a walk such as expander.walk."""
+    import numpy as np
+
+    m = g.m
+    images = (walk(g, (x, y), (label,)) for y in range(m) for x in range(m))
+    return np.fromiter((nx + m * ny for nx, ny in images), dtype=np.int64, count=m * m)
+
+
+def adjacency_matrix(walk, g):
+    """The dense normalized walk matrix of g's eight labels under walk
+    (column-stochastic, and doubly stochastic since each label permutes)."""
+    import numpy as np
+
+    size = g.m * g.m
+    a = np.zeros((size, size))
+    ids = np.arange(size)
+    for label in range(8):
+        a[permutation_array(walk, g, label), ids] += 1.0 / 8
+    return a
+
+
 def ref_bits_to_int(bits: str) -> int:
     """Little-endian, one character at a time: bits[i] contributes 2**i."""
     value = 0

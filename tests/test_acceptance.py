@@ -19,21 +19,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ref_contained, ref_extract, ref_schedule, three_sigma_bound
+from oracles import (
+    adjacency_matrix, permutation_array, ref_contained, ref_extract, ref_schedule,
+    three_sigma_bound,
+)
 from harness import ExplicitConcentrated, make_owner, session_failures, small_bias_counts
+from trees import BlockDecisionTree, exact_node_distribution, tv_distance
 
 from randsteward import adversary, prg
-from randsteward.bdt import (
-    BlockDecisionTree,
-    exact_node_distribution,
-    tv_distance,
-)
 from randsteward.circuits import AcceptanceSession, exact_mean, parse_circuit
-from randsteward.expander import (
-    GabberGalilGraph,
-    adjacency_matrix,
-    permutation_array,
-)
+from randsteward.expander import GabberGalilGraph, walk
 from randsteward.extract import extract_int, plan_extractor
 from randsteward.fourier import (
     gl_audit_dict,
@@ -566,9 +561,9 @@ def test_criterion_14():
     for m in range(1, 65):
         g = GabberGalilGraph(m)
         for label in range(8):
-            perm = permutation_array(g, label)
+            perm = permutation_array(walk, g, label)
             assert (np.sort(perm) == np.arange(m * m)).all()
     for m in (4, 8, 16, 32):
-        eigs = np.linalg.eigvalsh(adjacency_matrix(GabberGalilGraph(m)))
+        eigs = np.linalg.eigvalsh(adjacency_matrix(walk, GabberGalilGraph(m)))
         second = sorted(abs(eigs))[-2]
         assert second <= 0.884

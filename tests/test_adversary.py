@@ -200,7 +200,7 @@ PINS = {
 def test_main_session_pins_the_owner_contract(name):
     make_owner, answers, digest = PINS[name]
     t = run_steward(PIN_CFG, make_owner(), CounterSource(master=b"owner-contract", index=0))
-    assert [tuple(str(v) for v in y) for y in t.responses()] == answers
+    assert [tuple(str(v) for v in r.y) for r in t.rounds] == answers
     assert [r.x for r in t.rounds] == PIN_X
     text = t.to_json()
     xs = [r["x"] for r in json.loads(text)["rounds"]]

@@ -6,19 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from randsteward.bdt import (
+from randsteward.randomness import int_to_bits
+
+from oracles import ref_bits_to_int, ref_tree_distribution, ref_tv
+from trees import (
     BlockDecisionTree,
     CapExceeded,
     NodeDistribution,
     evaluate,
     exact_node_distribution,
-    split_blocks,
     tv_distance,
 )
-
-from randsteward.randomness import int_to_bits
-
-from oracles import ref_bits_to_int, ref_tree_distribution, ref_tv
 
 DEMO = BlockDecisionTree(
     k=2,
@@ -78,15 +76,6 @@ def test_evaluate_validates_blocks():
         evaluate(DEMO, [2, 0])  # a two-bit block in a one-bit tree
     with pytest.raises(ValueError):
         evaluate(DEMO, [-1, 0])
-
-
-def test_split_blocks():
-    # the bits "01", "10", "11" in drawing order: block j is bits 2j, 2j + 1
-    assert split_blocks(0b110110, 2, 3) == [0b10, 0b01, 0b11]
-    with pytest.raises(ValueError):
-        split_blocks(1 << 6, 2, 3)
-    with pytest.raises(ValueError):
-        split_blocks(-1, 2, 3)
 
 
 def test_uniform_distribution_matches_reference():

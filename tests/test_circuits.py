@@ -384,7 +384,7 @@ def test_app_runner_misses_exactly_on_the_binomial_tail():
         (got,) = run_app_oracle_algorithm(
             lambda ask: [ask(mu)], phi, 2, 1, epsilon, Fraction(1, 2), tape
         )
-        assert tape.remaining == 0
+        assert tape.position == len(tape.bits)
         misses += abs(got - mu) > epsilon
     assert misses == 106 == 1024 * ref_median_miss(5, Fraction(1, 4))
     assert Fraction(misses, 1024) <= Fraction(1, 4)  # delta/2, the round's share

@@ -9,7 +9,7 @@ import pytest
 from randsteward import cli, fourier, prg, sampler, steward
 from randsteward.cli import main
 
-from harness import KeepAllSession
+from harness import KeepAllSession, dump_truth_table
 
 MASTER = "00112233445566778899aabbccddeeff"
 
@@ -140,7 +140,7 @@ def test_gl_cli_reports_an_abort(capsys, tmp_path, monkeypatch):
     # a session that keeps every candidate overflows the survivor cap at theta = 1/2
     monkeypatch.setattr(fourier, "Session", KeepAllSession)
     table = tmp_path / "one.tt"
-    table.write_text(fourier.dump_truth_table([1] * 64))
+    table.write_text(dump_truth_table([1] * 64))
     rc, out, err = run_cli(
         ["gl", "--truth-table", str(table), "--theta", "1/2", "--delta", "1/10",
          "--seed-hex", "00"],

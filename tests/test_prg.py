@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from randsteward.bdt import BlockDecisionTree, exact_node_distribution, tv_distance
 from randsteward.extract import ExtractorParams, FreshExtractorParams
-from randsteward.prg import BACKENDS, build_schedule, expand
+from randsteward.prg import BACKENDS, build_schedule, expand, split_blocks
 from randsteward.randomness import int_to_bits
 from randsteward.steward import StewardConfig
 
 from oracles import ref_expand, ref_field_bits, ref_plan, ref_schedule
+from trees import BlockDecisionTree, exact_node_distribution, tv_distance
 
 
 def test_schedule_golden_two_blocks():
@@ -101,6 +101,15 @@ def test_fresh_backend_output_is_exactly_uniform():
         tree, generator=lambda seed: expand(s, seed), seed_len=s.seed_len
     )
     assert tv_distance(uniform, seeded) == 0
+
+
+def test_split_blocks():
+    # the bits "01", "10", "11" in drawing order: block j is bits 2j, 2j + 1
+    assert split_blocks(0b110110, 2, 3) == [0b10, 0b01, 0b11]
+    with pytest.raises(ValueError):
+        split_blocks(1 << 6, 2, 3)
+    with pytest.raises(ValueError):
+        split_blocks(-1, 2, 3)
 
 
 def test_small_bias_expand_golden():

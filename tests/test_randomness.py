@@ -24,7 +24,7 @@ def test_tape_replays_exactly():
     tape = TapeSource("1011001")
     assert tape.draw(3) == "101"
     assert tape.draw(2) == "10"
-    assert tape.remaining == 2
+    assert len(tape.bits) - tape.position == 2
 
 
 def test_tape_exhaustion_names_the_phase():

@@ -1,5 +1,8 @@
 """Block decision trees: depth-k trees reading n fresh bits per step.
 
+The class of distinguishers that prg's generator must fool, kept as an
+exact model for the tests; no steward builds a tree.
+
 A (k, n, sigma) tree probes its input in k blocks of n bits.  Every internal
 node v computes a symbol v(X) in {0, .., sigma-1} from the current block, and
 the child taken is indexed by that symbol.  A node is named by the path of
@@ -9,10 +12,10 @@ is why generator quality is measured as statistical distance between leaf
 distributions.
 
 A block is an n-bit int whose bit i is the block's i-th bit, and k blocks
-are one nk-bit int, block j in bits j*n .. (j+1)*n - 1; split_blocks cuts it
-by shift and mask.  A tree is its tables: one row of 2^n symbols per node,
-indexed by the block.  Nodes omitted from the tables default to constant
-symbol 0, which keeps sparse fixtures small.
+are one nk-bit int, block j in bits j*n .. (j+1)*n - 1; prg.split_blocks
+cuts it by shift and mask.  A tree is its tables: one row of 2^n symbols per
+node, indexed by the block.  Nodes omitted from the tables default to
+constant symbol 0, which keeps sparse fixtures small.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from randsteward.prg import split_blocks
 
 ENUMERATION_CAP = 24
 
@@ -68,14 +73,6 @@ def evaluate(tree: BlockDecisionTree, blocks: list[int]) -> Path:
         row = tree._symbols.get(path)
         path = path + (0 if row is None else row[block],)
     return path
-
-
-def split_blocks(value: int, n: int, k: int) -> list[int]:
-    """The k n-bit blocks of an nk-bit int, block j in bits j*n .. (j+1)*n - 1."""
-    if value < 0 or value >> (n * k):
-        raise ValueError(f"{value} does not fit in {n * k} bits")
-    mask = (1 << n) - 1
-    return [value >> (i * n) & mask for i in range(k)]
 
 
 @dataclass
