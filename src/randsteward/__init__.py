@@ -4,11 +4,11 @@ The protocol stack, bottom to top: audited bit sources (`randomness`),
 GF(2^m) arithmetic (`gf2`), extractors that xor in a small-bias string
 (`extract`), the recursive generator fooling block decision trees, which
 owns the block layout of its output (`prg`), the steward protocol with its
-exact shift-and-round (`steward`), pairwise-independent samplers (`sampler`)
-with the expander walks that seed them (`expander`), and two applications:
-heavy Fourier coefficient search (`fourier`) and adaptive circuit acceptance
-estimation (`circuits`).  The block decision trees themselves are a test
-model (tests/trees.py): no steward builds one.
+exact shift-and-round (`steward`), pairwise-independent samplers seeded by
+expander walks that they decode themselves (`sampler`), and two
+applications: heavy Fourier coefficient search (`fourier`) and adaptive
+circuit acceptance estimation (`circuits`).  The block decision trees
+themselves are a test model (tests/trees.py): no steward builds one.
 `adversary` holds owners that break naive baselines.
 """
 

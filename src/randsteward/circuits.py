@@ -85,7 +85,7 @@ class BinOp:
 
 CircuitExpr = object
 
-_TOKEN = re.compile(r"\s*(x\d+|[01]|[&^|~()])")
+_TOKEN = re.compile(r"\s*(x[0-9]+|[01]|[&^|~()])")
 
 _PRECEDENCE = {"|": 1, "^": 2, "&": 3}
 

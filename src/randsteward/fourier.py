@@ -98,10 +98,14 @@ def wht_ints(values) -> np.ndarray:
 
 
 def heavy_set_exact(f, theta: Fraction) -> list[str]:
-    """All x (as bit strings, sorted) with |F_hat(x)| >= theta, exactly."""
+    """All x (as bit strings, sorted) with |F_hat(x)| >= theta, exactly;
+    theta must lie in (0, 1]."""
+    theta = Fraction(theta)
+    if not 0 < theta <= 1:
+        raise ValueError("theta must lie in (0, 1]")
     table = _sign_table(f)
     n = table.size.bit_length() - 1
-    bound = Fraction(theta) * table.size  # |F_hat(x)| >= theta iff |sums[x]| >= bound
+    bound = theta * table.size  # |F_hat(x)| >= theta iff |sums[x]| >= bound
     return sorted(
         int_to_bits(x, n)
         for x, total in enumerate(wht_ints(table).tolist())

@@ -18,8 +18,17 @@ import numpy as np
 
 from randsteward.extract import extract_int
 from randsteward.fourier import _sign_table
-from randsteward.sampler import Oracle, _exact_sums
+from randsteward.sampler import Oracle, _exact_sums, _walk_seeds
 from randsteward.steward import ConcentratedFn, error_factor
+
+
+def walk_step(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
+    """One step of the sampler's walk from v under label on the side-m torus,
+    m = 2^h: the second vertex of the walk seed label << 2h | y << h | x.
+    Its signature is oracles.ref_gg_neighbor's."""
+    h = m.bit_length() - 1
+    x, y = v
+    return _walk_seeds(label << 2 * h | y << h | x, h, 1)[1]
 
 
 class KeepAllSession:

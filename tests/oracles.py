@@ -67,7 +67,14 @@ def ref_shift_round(w, epsilon, d0: int) -> tuple[list[Fraction], list[int]]:
     return y, deltas
 
 
-# ---------------------------------------------------------------- expander
+# ---------------------------------------------------------------- Gabber-Galil walk
+
+# The normalized second eigenvalue of the eight maps below is at most
+# 5*sqrt(2)/8 ~= 0.8839 for every modulus m (Gabber-Galil); the tests check
+# this rational upper bound numerically for small m.  (The coefficient of 2
+# matters: the similar maps (x+y, y) / (x, y+x) pass 0.884 already at m = 16.)
+GG_SECOND_EIGENVALUE_BOUND = Fraction(221, 250)
+
 
 def ref_gg_neighbor(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
     """The four affine torus maps and their inverses, straight from the formulas."""
@@ -91,26 +98,24 @@ def ref_gg_neighbor(m: int, v: tuple[int, int], label: int) -> tuple[int, int]:
     raise ValueError(label)
 
 
-def permutation_array(walk, g, label: int):
-    """perm[x + m*y] = the id of the vertex that walk(g, (x, y), (label,))
-    reaches, for the graph g on Z_m x Z_m and a walk such as expander.walk."""
+def permutation_array(step, m: int, label: int):
+    """perm[x + m*y] = the id of the vertex step(m, (x, y), label) reaches on
+    Z_m x Z_m, for a step such as ref_gg_neighbor or the sampler's walk."""
     import numpy as np
 
-    m = g.m
-    images = (walk(g, (x, y), (label,)) for y in range(m) for x in range(m))
+    images = (step(m, (x, y), label) for y in range(m) for x in range(m))
     return np.fromiter((nx + m * ny for nx, ny in images), dtype=np.int64, count=m * m)
 
 
-def adjacency_matrix(walk, g):
-    """The dense normalized walk matrix of g's eight labels under walk
-    (column-stochastic, and doubly stochastic since each label permutes)."""
+def adjacency_matrix(step, m: int):
+    """The dense normalized walk matrix of the eight labels of step on
+    Z_m x Z_m (column-stochastic, and doubly stochastic if each permutes)."""
     import numpy as np
 
-    size = g.m * g.m
-    a = np.zeros((size, size))
-    ids = np.arange(size)
+    a = np.zeros((m * m, m * m))
+    ids = np.arange(m * m)
     for label in range(8):
-        a[permutation_array(walk, g, label), ids] += 1.0 / 8
+        a[permutation_array(step, m, label), ids] += 1.0 / 8
     return a
 
 

@@ -98,6 +98,9 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(CircuitSyntaxError) as e:
         parse_circuit("x7", 2)
     assert e.value.position == 0
+    with pytest.raises(CircuitSyntaxError) as e:
+        parse_circuit("x0 & x\u0661", 2)  # ARABIC-INDIC DIGIT ONE is no variable digit
+    assert e.value.position == 5
 
 
 def test_whitespace_around_tokens():

@@ -99,6 +99,14 @@ def test_heavy_set_exact_strings():
     assert heavy_set_exact(CHI1, Fraction(1, 2)) == ["10"]
 
 
+def test_heavy_set_exact_rejects_theta_outside_unit_interval():
+    # theta <= 0 would call every string heavy; theta = 1 is the inclusive top
+    assert heavy_set_exact(CHI1, 1) == ["10"]
+    for theta in (0, Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="theta"):
+            heavy_set_exact(CHI1, theta)
+
+
 def test_subcube_weights():
     assert brute_subcube_weight(MAJ3, "") == 1
     assert brute_subcube_weight(MAJ3, "1") == Fraction(1, 2)

@@ -48,10 +48,10 @@ DOCUMENTED_API = [
 
 # perfbench hooks on names the library no longer has (ROADMAP item 1)
 STALE_HOOKS = [
-    "prg.extract", "expander.neighbor", "sampler.neighbor", "steward.choose_shift",
-    "numeric.interval_index", "steward.round_to_midpoint", "fourier._batch_seeds",
-    "sampler._byte_tables", "sampler._point_indices", "sampler._points_from_indices",
-    "fourier.batch_points",
+    "prg.extract", "expander.walk", "expander.neighbor", "sampler.neighbor",
+    "steward.choose_shift", "numeric.interval_index", "steward.round_to_midpoint",
+    "fourier._batch_seeds", "sampler._byte_tables", "sampler._point_indices",
+    "sampler._points_from_indices", "fourier.batch_points",
 ]
 
 

@@ -453,7 +453,7 @@ def test_a_zero_batch_matches_pointwise():
 
 
 def test_batch_seeds_match_per_step_reference():
-    # one int seed, decoded by the expander, against the string path that
+    # one int seed, decoded by the sampler, against the string path that
     # drew once per batch or once per walk step, at random seeds; the
     # strings exist only here
     crit12 = plan_sampler(10, Fraction(1, 20) / 8, Fraction(1, 10) / 32)
