@@ -15,7 +15,11 @@ failure share, which plan the sampler, and into the d = 1 steward whose
 rounding brings each answer back to within epsilon; the reported estimate is
 clamped to [0,1].  So every Y_i is within epsilon of mu(C_i) except with
 probability delta, at a coin cost of one steward seed, drawn at the
-session's first estimate.
+session's first estimate.  The sampler sums a circuit over affine cosets,
+the whole cube among them, bit-sliced (Biham 1997): _CircuitOracle
+evaluates the expression tree once per pass on uint64 words of 64 points
+each, and one tree walker (_evaluate) serves it and the pointwise
+eval_on_ints, which to_truth_table and exact_mean use.
 
 Two oracle runners plan their stewards the same way:
 `run_promise_bpp_oracle_algorithm` answers decision queries by thresholding
@@ -34,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -177,24 +182,34 @@ def parse_circuit(text: str, n: int) -> CircuitExpr:
     return _Parser(text, n).parse()
 
 
-def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
-    """Evaluate on an array of little-endian point indices -> uint8 0/1."""
-    xs = np.asarray(xs, dtype=np.uint64)
+def _evaluate(expr: CircuitExpr, leaf: Callable[[int], np.ndarray], ones: np.ndarray):
+    """The circuit on bit-parallel values: leaf(i) is the value of x_i and
+    ones the all-ones value, whose shape and dtype every result takes."""
     if isinstance(expr, Var):
-        return ((xs >> np.uint64(expr.index)) & np.uint64(1)).astype(np.uint8)
+        return leaf(expr.index)
     if isinstance(expr, Const):
-        return np.full(xs.shape, expr.value, dtype=np.uint8)
+        return ones if expr.value else ones ^ ones
     if isinstance(expr, Not):
-        return eval_on_ints(expr.child, xs) ^ np.uint8(1)
+        return _evaluate(expr.child, leaf, ones) ^ ones
     if isinstance(expr, BinOp):
-        a = eval_on_ints(expr.left, xs)
-        b = eval_on_ints(expr.right, xs)
+        a = _evaluate(expr.left, leaf, ones)
+        b = _evaluate(expr.right, leaf, ones)
         if expr.op == "&":
             return a & b
         if expr.op == "^":
             return a ^ b
         return a | b
     raise TypeError(f"not a circuit node: {expr!r}")
+
+
+def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
+    """Evaluate on an array of little-endian point indices -> uint8 0/1."""
+    xs = np.asarray(xs, dtype=np.uint64)
+    return _evaluate(
+        expr,
+        lambda i: ((xs >> np.uint64(i)) & np.uint64(1)).astype(np.uint8),
+        np.ones(xs.shape, dtype=np.uint8),
+    )
 
 
 def to_truth_table(expr: CircuitExpr, n: int) -> np.ndarray:
@@ -209,31 +224,78 @@ def exact_mean(expr: CircuitExpr, n: int) -> Fraction:
     return Fraction(int(table.sum()), 1 << n)
 
 
+def _char_words() -> np.ndarray:
+    """CHAR[m], for each 6-bit mask m: the 64-bit word whose bit j is the
+    parity of j & m, the xor of the words of bit k of j for each set bit k
+    of m."""
+    words = [0]
+    for k in range(6):
+        column = sum(1 << j for j in range(64) if j >> k & 1)
+        words += [word ^ column for word in words]
+    return np.array(words, dtype=np.uint64)
+
+
+CHAR = _char_words()
+_ALL = np.uint64((1 << 64) - 1)
+_VALID = np.array([(1 << (1 << b)) - 1 for b in range(7)], dtype=np.uint64)  # by min(rank, 6)
+
+
 class _CircuitOracle(Oracle):
-    """A circuit as a sampler oracle.  The base Oracle's coset_sums feeds
-    eval_ints all of a run's partial cosets, stacked by rank, in passes of
-    at most 2^TEMP_BITS points.  cube_total builds the truth table and
-    keeps it, and eval_ints then reads points from it; before that, or past
-    the table cap, eval_ints evaluates the circuit on the points.  No table
-    is built for eval_ints alone."""
+    """A circuit as a sampler oracle, summed bit-sliced, 64 points to a word.
+
+    Point t of a coset c + span(B) of rank b, t < 2^b, is c xor the B[s]
+    of each set bit s of t, so its input bit i is c_i xor the parity of
+    t & m_i, where bit s of m_i is bit i of B[s]: a linear map from coset
+    coordinates to inputs.  Word w of the coset holds the points t = 64w +
+    j, j < 64, and there input i is the word CHAR[m_i & 63], xored with
+    all ones where c_i xor parity(w & (m_i >> 6)) is 1.  coset_sums lays
+    the words of every coset end to end, 2^max(b - 6, 0) each, and
+    evaluates the circuit once per pass of at most max(1, 2^TEMP_BITS / n)
+    words, so that the pass's n input rows hold at most 2^TEMP_BITS words;
+    ~ is xor with all ones.  A word counts its set bits under its coset's
+    valid mask, the low 2^b bits where b < 6 (j then repeats the 2^b
+    points), else all 64.  No point array is built.  cube_total is the
+    base's None, so batch_sums sums the cube as the last coset of the same
+    call, 2^max(n - 6, 0) words."""
 
     def __init__(self, expr: CircuitExpr, n: int):
         self.expr = expr
         self.n = n
-        self._table = None
 
-    def eval_ints(self, xs: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return self._table[xs]
-        return eval_on_ints(self.expr, xs)
-
-    def cube_total(self):
-        """mu(C) * 2^n, the sum over the whole cube; None past the table cap."""
-        if self.n > TRUTH_TABLE_CAP:
-            return None
-        if self._table is None:
-            self._table = to_truth_table(self.expr, self.n)
-        return int(self._table.sum())
+    def coset_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
+        if not cosets:
+            return []
+        offsets, bases = zip(*cosets)
+        ranks = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))
+        top = int(ranks.max())
+        padded = np.fromiter(
+            chain.from_iterable(basis + (0,) * (top - len(basis)) for basis in bases),
+            dtype=np.uint64, count=len(bases) * top,
+        ).reshape(len(bases), top, 1)
+        inputs = np.arange(self.n, dtype=np.uint64)
+        bits = (padded >> inputs) & np.uint64(1)  # [k, s, i]: bit i of B[s] of coset k
+        maps = (bits << np.arange(top, dtype=np.uint64)[:, None]).sum(axis=1, dtype=np.uint64).T
+        low = CHAR[maps & np.uint64(63)]
+        # c_i rides in bit 63 of high, above the at most 58 bits of m_i >> 6,
+        # and every word index carries bit 63, so one parity gives
+        # c_i xor parity(w & (m_i >> 6))
+        c = np.fromiter(offsets, dtype=np.uint64, count=len(offsets))
+        high = (maps >> np.uint64(6)) | ((c >> inputs[:, None]) & np.uint64(1)) << np.uint64(63)
+        valid = _VALID[np.minimum(ranks, 6)]
+        sizes = np.left_shift(1, np.maximum(ranks - 6, 0))
+        ends = np.cumsum(sizes)
+        total = int(ends[-1])
+        step = max(1, (1 << sampler.TEMP_BITS) // self.n)
+        sums = [0] * len(cosets)
+        for first in range(0, total, step):
+            words = np.arange(first, min(first + step, total))
+            ks = np.searchsorted(ends, words, side="right")
+            w = (words - ends[ks] + sizes[ks]).astype(np.uint64) | np.uint64(1 << 63)
+            x = low[:, ks] ^ (np.bitwise_count(high[:, ks] & w) & np.uint8(1)) * _ALL
+            value = _evaluate(self.expr, x.__getitem__, np.full(words.shape, _ALL))
+            counts = np.bincount(ks, weights=np.bitwise_count(value & valid[ks]), minlength=len(sums))
+            sums = [old + new for old, new in zip(sums, counts.astype(np.int64).tolist())]
+        return sums
 
 
 def _clamp_unit(y: Fraction) -> Fraction:

@@ -46,12 +46,13 @@ each group in one stacked pass: a small rank through one histogram over
 (coset, y xor y'), a large one through the stacked spans of their Walsh
 duals; the whole cube is a closed form (see _WeightOracle).  All of it is
 integer arithmetic, and the sums equal the pointwise ones exactly.
-Circuit estimates keep the coset path (see _cube_matrix_sums).
+Circuit estimates take the coset path (see _cube_matrix_sums).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,15 +115,17 @@ def heavy_set_exact(f, theta: Fraction) -> list[str]:
 
 
 def load_truth_table(text: str) -> np.ndarray:
-    """Parse 'n=<int>' then the 2^n bits packed into exactly ceil(2^n / 8)
-    hex bytes, LSB first; bit 1 means F = -1, and the padding bits of the
-    last byte (n <= 2) must be 0.  Returns +-1 int8."""
+    """Parse 'n=<digits>', ASCII decimal digits only, then the 2^n bits
+    packed into exactly ceil(2^n / 8) hex bytes, LSB first; bit 1 means
+    F = -1, and the padding bits of the last byte (n <= 2) must be 0.
+    Returns +-1 int8."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("first line must be n=<int>")
-    n = int(lines[0][2:])
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    header = re.fullmatch(r"n=(-?)([0-9]+)", lines[0]) if lines else None
+    if header is None:
+        raise ValueError("first line must be n=<digits>")
+    if header[1]:
+        raise ValueError(f"n must be >= 0, got {lines[0][2:]}")
+    n = int(header[2])
     data = bytes.fromhex("".join(lines[1:]))
     size = 1 << n
     if len(data) != -(-size // 8):
@@ -341,9 +344,9 @@ def _cube_matrix_sums(table, cand_ints, ell: int, plan: SamplerPlan, seed: int) 
     path when M and V each fit in one pass of 2^TEMP_BITS entries: there a
     coset holds a handful of points, and per-coset passes cost more than
     the points.  A larger level goes through batch_sums and _WeightOracle.
-    Circuit estimates keep the coset path: a circuit has one value per
-    point, its partial cosets are a few 512-point ones, and M @ table
-    measured slower.
+    Circuit estimates take the coset path instead: circuits._CircuitOracle
+    sums a circuit 64 points to a word, bit-sliced, which a value table of
+    one entry per point cannot.
     """
     if plan.t0 >> 63:
         raise OverflowError(f"t0 = {plan.t0} does not fit in int64")

@@ -49,8 +49,12 @@ of independent values:
   of at most 2^TEMP_BITS points and has no cube total.  Values are summed
   exactly (_exact_sums): an integer or bool array by numpy where no
   partial sum can leave int64, any other array value by value, each as
-  its exact Fraction.  run_sampler divides the lower median of the exact
-  sums once by t0.
+  its exact Fraction.  Two oracles sum cosets their own way:
+  fourier._WeightOracle, with a closed-form cube total, and
+  circuits._CircuitOracle, which has none and sums every coset of the
+  call, the cube last, bit-sliced at 64 points to a uint64 word, never
+  building a point array.  run_sampler divides the lower median of the
+  exact sums once by t0.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability

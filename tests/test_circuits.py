@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from randsteward import circuits, sampler, steward
 from randsteward.circuits import (
+    CHAR,
     TRUTH_TABLE_CAP,
     AcceptanceSession,
     BinOp,
@@ -26,8 +27,14 @@ from randsteward.randomness import CounterSource, TapeSource, int_to_bits
 from randsteward.sampler import FnOracle, median_reps, plan_sampler
 from randsteward.steward import StewardConfig, StewardProtocolError
 
-from harness import random_circuit
-from oracles import ref_eval_circuit, ref_median_miss, ref_print_circuit, ref_round_budget
+from harness import TruthTableOracle, random_circuit, random_coset
+from oracles import (
+    ref_coset_sum,
+    ref_eval_circuit,
+    ref_median_miss,
+    ref_print_circuit,
+    ref_round_budget,
+)
 
 # (n, k, epsilon, delta) of the sessions whose plans are checked against
 # the reference split: the sampler and the d = 1 steward at epsilon/8 and
@@ -164,16 +171,14 @@ def test_truth_tables_and_means():
 
 @settings(max_examples=100)
 @given(expr=circuit_asts, xs=st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=20))
-def test_circuit_oracle_table_matches_evaluation(expr, xs):
-    # eval_ints evaluates the circuit until cube_total builds the table,
-    # then reads the table: the same values and dtype either way
+def test_circuit_oracle_sums_match_evaluation(expr, xs):
+    # a rank-0 coset is one point, summed bit-sliced in a one-bit valid
+    # word; the cube is the coset with the unit basis
     xs = np.array(xs, dtype=np.uint64)
-    want = eval_on_ints(expr, xs)
     oracle = _CircuitOracle(expr, N)
-    for _ in range(2):
-        got = oracle.eval_ints(xs)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert oracle.cube_total() == int(to_truth_table(expr, N).sum())
+    assert oracle.coset_sums([(int(x), ()) for x in xs]) == eval_on_ints(expr, xs).tolist()
+    cube = [(0, tuple(1 << i for i in range(N)))]
+    assert oracle.coset_sums(cube) == [int(to_truth_table(expr, N).sum())]
 
 
 def test_circuit_oracle_builds_no_table_past_the_cap(monkeypatch):
@@ -186,7 +191,48 @@ def test_circuit_oracle_builds_no_table_past_the_cap(monkeypatch):
     oracle = _CircuitOracle(expr, n)
     assert oracle.cube_total() is None
     xs = np.array([0, 1, 1 << (n - 1), (1 << n) - 1, 8], dtype=np.uint64)
-    assert oracle.eval_ints(xs).tolist() == eval_on_ints(expr, xs).tolist() == [1, 1, 1, 0, 0]
+    sums = oracle.coset_sums([(int(x), ()) for x in xs])
+    assert sums == eval_on_ints(expr, xs).tolist() == [1, 1, 1, 0, 0]
+
+
+def test_char_words_are_parities():
+    for m in range(64):
+        word = int(CHAR[m])
+        assert all(word >> j & 1 == bin(j & m).count("1") % 2 for j in range(64))
+
+
+# constants and nested ~ on top of random circuits: a ~ of a partial word
+# sets bits outside its valid mask, which must not be counted
+EDGE_CIRCUITS = ["0", "1", "~1", "~~x0", "~(x0 & 0) ^ 1", "~(~x0 | ~~1)", "x0 & ~x{top}"]
+
+
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
+def test_circuit_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
+    # random cosets of every rank 0..n at random offsets, n = 1..12: ranks
+    # 0-5 fill part of one word, rank 6 exactly one; a pass of at most
+    # max(1, 2^TEMP_BITS / n) words keeps its n input rows to 2^TEMP_BITS
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
+    passes = []
+    real = circuits._evaluate
+
+    def spy(expr, leaf, ones):
+        passes.append(ones.size)
+        return real(expr, leaf, ones)
+
+    monkeypatch.setattr(circuits, "_evaluate", spy)
+    rng = random.Random(3001)
+    for n in range(1, 13):
+        texts = [random_circuit(rng, n, depth=4) for _ in range(3)]
+        texts += [text.format(top=n - 1) for text in EDGE_CIRCUITS]
+        for text in texts:
+            expr = parse_circuit(text, n)
+            pointwise = TruthTableOracle(to_truth_table(expr, n))
+            cosets = [random_coset(rng, n, rank) for rank in range(n + 1)]
+            rng.shuffle(cosets)
+            passes.clear()
+            got = _CircuitOracle(expr, n).coset_sums(cosets)
+            assert got == [ref_coset_sum(pointwise, c, basis) for c, basis in cosets]
+            assert passes and max(passes) <= max(1, (1 << temp_bits) // n)
 
 
 # ---------------------------------------------------------------- acceptance

@@ -163,6 +163,16 @@ def test_gl_rejects_a_malformed_truth_table(capsys, tmp_path):
     assert "error: n=1 needs 1 table bytes, got 2" in err
 
 
+def test_gl_rejects_a_truth_table_header_in_other_digits(capsys, tmp_path):
+    table = tmp_path / "maj3.tt"
+    table.write_text("n=0_3\ne8\n")  # int() reads 0_3 as 3
+    rc, out, err = run_cli(
+        ["gl", "--truth-table", str(table), "--theta", "1", "--delta", "1/2"], capsys
+    )
+    assert rc == 1 and out == ""
+    assert "error: first line must be n=<digits>" in err
+
+
 def test_gl_plans_the_steward_schedule_once(capsys, tmp_path, monkeypatch):
     # the search and the audit each build a config for the same plan;
     # planning it once serves both

@@ -166,6 +166,10 @@ def test_truth_table_files():
     ("n=-1\n00", "n must be >= 0"),
     ("n=1\nff", "padding bits"),
     ("n=2\nf5", "padding bits"),
+    # int() would read each of these headers as n=3, MAJ3's table
+    ("n=\u0663\ne8\n", "first line must be n=<digits>"),  # ARABIC-INDIC DIGIT THREE
+    ("n=0_3\ne8\n", "first line must be n=<digits>"),
+    ("n=+3\ne8\n", "first line must be n=<digits>"),
 ])
 def test_truth_table_files_reject_malformed_tables(text, message):
     with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randsteward import fourier, sampler
+from randsteward import circuits, fourier, sampler
 from randsteward.circuits import _CircuitOracle, parse_circuit, to_truth_table
 from randsteward.fourier import gl_params
 from randsteward.gf2 import field_poly, is_irreducible, powers
@@ -473,14 +473,17 @@ def test_batch_seeds_match_per_step_reference():
         assert tape.position == len(tape.bits)
 
 
-class _NoCubeCircuit(_CircuitOracle):
+class _NoCubeTable(TruthTableOracle):
+    """A table whose cube the base path sums as one more stacked coset."""
+
     def cube_total(self):
         return None
 
 
 def test_run_sampler_matches_pointwise_reference():
     # coset sums against every point listed, over random plans and four
-    # oracle kinds: with a cube total, with one that is None, and without
+    # oracle kinds: a table with a cube total, a circuit summed bit-sliced
+    # and a table without one (both sum the cube as a coset), and a callable
     rng = random.Random(31337)
     epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 7),
                 Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
@@ -492,45 +495,44 @@ def test_run_sampler_matches_pointwise_reference():
         kind = i // 2 % 4
         if kind == 0:
             values = [rng.randrange(4) for _ in range(1 << n)]
-            oracle = TruthTableOracle(np.array(values, dtype=np.int64))
+            oracle = pointwise = TruthTableOracle(np.array(values, dtype=np.int64))
         elif kind in (1, 2):
             expr = parse_circuit(random_circuit(rng, n), n)
             values = to_truth_table(expr, n).tolist()
-            oracle = (_CircuitOracle if kind == 1 else _NoCubeCircuit)(expr, n)
+            pointwise = _NoCubeTable(np.array(values))
+            oracle = _CircuitOracle(expr, n) if kind == 1 else pointwise
         else:
             raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)])
                    for v in (rng.randrange(2) for _ in range(1 << n))]
             values = [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]
-            oracle = FnOracle(n, raw.__getitem__)
+            oracle = pointwise = FnOracle(n, raw.__getitem__)
         seed = _seed(plan, b"diff", i)
         assert _means(run_sampler(plan, oracle, seed)) == _pointwise_run(plan, values, seed)
-        want = ref_batch_sums(plan, oracle, _batch_seeds(plan, seed))
+        want = ref_batch_sums(plan, pointwise, _batch_seeds(plan, seed))
         assert batch_sums(plan, oracle, seed) == want
         kinds[kind, plan.t0 >> n > 0] += 1
     # every kind meets both plans with a whole-cube block and plans without
     assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
 
 
-def _base_oracle_kinds(rng, n):
-    """Every kind of base oracle on n bits: int, float and object tables, a
-    callable returning np.bool_, int or Fraction, a circuit before and after
-    its table is built, and a circuit without a cube total."""
+def _oracle_kinds(rng, n):
+    """(oracle, pointwise oracle of the same values) for every kind of
+    oracle on n bits: int, float and object tables and a callable returning
+    np.bool_, int or Fraction, each its own pointwise oracle, and a circuit,
+    whose pointwise oracle is its truth table."""
     values = [rng.randrange(4) for _ in range(1 << n)]
     expr = parse_circuit(random_circuit(rng, n, depth=4), n)
-    tabled = _CircuitOracle(expr, n)
-    assert tabled.cube_total() is not None  # builds the table eval_ints reads
     mixed = [rng.choice([np.bool_(v & 1), v, Fraction(v, 3), v / 4]) for v in values]
-    return [
+    pointwise = [
         TruthTableOracle(np.array(values, dtype=np.int64)),
         TruthTableOracle(np.array(values, dtype=np.float64) / 8),
         TruthTableOracle(np.array(mixed, dtype=object)),
         FnOracle(n, lambda x: np.bool_(values[x] & 1)),
         FnOracle(n, values.__getitem__),
         FnOracle(n, lambda x: Fraction(values[x], 7)),
-        _CircuitOracle(expr, n),
-        tabled,
-        _NoCubeCircuit(expr, n),
     ]
+    circuit = (_CircuitOracle(expr, n), TruthTableOracle(to_truth_table(expr, n)))
+    return [(oracle, oracle) for oracle in pointwise] + [circuit]
 
 
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
@@ -541,14 +543,14 @@ def test_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
     rng = random.Random(1901)
     n = 12 if temp_bits > 4 else 5
     full = (1 << max(0, temp_bits - n)) + 1  # full-rank cosets past one pass
-    for oracle in _base_oracle_kinds(rng, n):
+    for oracle, pointwise in _oracle_kinds(rng, n):
         for count in (1, 4, 40):
             cosets = [random_coset(rng, n, rng.randint(0, n)) for _ in range(count)]
             if count == 40:
                 cosets += [random_coset(rng, n, n) for _ in range(full)]
             rng.shuffle(cosets)
             got = oracle.coset_sums(cosets)
-            assert got == [ref_coset_sum(oracle, c, basis) for c, basis in cosets]
+            assert got == [ref_coset_sum(pointwise, c, basis) for c, basis in cosets]
 
 
 def test_coset_passes_honour_temp_bits(monkeypatch):
@@ -699,7 +701,7 @@ def test_batch_sums_split_each_multiplier_once_per_call(monkeypatch):
 def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     # one batch of t0 = 256000 points over n = 10 bits, criterion 12's batch
     # size, on every oracle kind; seeds 32 and 47 have blocks below full
-    # rank, where a circuit's table is read point by point
+    # rank, which a circuit sums bit-sliced and a table point by point
     rng = random.Random(160)
     n = 10
     values = [rng.randrange(2) for _ in range(1 << n)]
@@ -709,7 +711,7 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     oracles = [
         (TruthTableOracle(np.array(values, dtype=np.int64)), values),
         (_CircuitOracle(expr, n), circuit_values),
-        (_NoCubeCircuit(expr, n), circuit_values),
+        (_NoCubeTable(np.array(circuit_values)), circuit_values),
         (FnOracle(n, raw.__getitem__),
          [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]),
     ]
@@ -726,6 +728,37 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
             run = run_sampler(plan, oracle, seed)
             assert _means(run) == _pointwise_run(plan, want_values, seed)
     assert {6, 7, 8, 9, 10} <= ranks
+
+
+def test_circuit_run_sums_its_cosets_and_cube_in_one_call(monkeypatch):
+    # criterion 12's plan on seeds with partial cosets: a circuit run makes
+    # one coset_sums call, the cube its last coset, and builds no truth table
+    rng = random.Random(1212)
+    n = 10
+    plan = plan_sampler(n, Fraction(1, 20) / 8, Fraction(1, 10) / 32)
+    expr = parse_circuit(random_circuit(rng, n, depth=5), n)
+    pointwise = TruthTableOracle(to_truth_table(expr, n))
+
+    def refuse(expr, n):
+        raise AssertionError("no table may be built here")
+
+    monkeypatch.setattr(circuits, "to_truth_table", refuse)
+    calls = []
+
+    class Spy(_CircuitOracle):
+        def coset_sums(self, cosets):
+            calls.append(cosets)
+            return super().coset_sums(cosets)
+
+    for i in range(3):
+        seed = _seed(plan, b"c12-run", i)
+        splits, _ = sampler.batch_split(plan, seed)
+        assert any(whole for whole, _ in splits.values())
+        assert any(partial for _, partial in splits.values())
+        calls.clear()
+        got = batch_sums(plan, Spy(expr, n), seed)
+        assert len(calls) == 1 and calls[0][-1] == (0, tuple(1 << j for j in range(n)))
+        assert got == ref_batch_sums(plan, pointwise, _batch_seeds(plan, seed))
 
 
 def test_lower_median():
