@@ -254,9 +254,9 @@ class _CircuitOracle(Oracle):
     words, so that the pass's n input rows hold at most 2^TEMP_BITS words;
     ~ is xor with all ones.  A word counts its set bits under its coset's
     valid mask, the low 2^b bits where b < 6 (j then repeats the 2^b
-    points), else all 64.  No point array is built.  cube_total is the
-    base's None, so batch_sums sums the cube as the last coset of the same
-    call, 2^max(n - 6, 0) words."""
+    points), else all 64.  No point array is built.  The cube, the last
+    coset of a run's call where some batch covers it, is 2^max(n - 6, 0)
+    words."""
 
     def __init__(self, expr: CircuitExpr, n: int):
         self.expr = expr
@@ -328,7 +328,7 @@ class AcceptanceSession:
         oracle = query if isinstance(query, Oracle) else _CircuitOracle(query, self.n)
 
         def f(tape: int):  # through the module, so a patched run_sampler is seen
-            return [sampler.run_sampler(self.plan, oracle, tape).estimate]
+            return [sampler.run_sampler(self.plan, oracle, tape)]
 
         return _clamp_unit(self.session.answer(f)[0])
 

@@ -196,7 +196,7 @@ def _cmd_prg_expand(args) -> int:
 
 @dataclass
 class _ThresholdOracle(sampler.Oracle):
-    """x < threshold on n-bit points, whose cube total is the threshold itself."""
+    """x < threshold on n-bit points, so its mean is threshold / 2^n."""
 
     n: int
     threshold: int
@@ -204,15 +204,12 @@ class _ThresholdOracle(sampler.Oracle):
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
         return (xs < self.threshold).astype(np.uint8)
 
-    def cube_total(self) -> int:
-        return self.threshold
-
 
 def _bench_trial(packed) -> str:
     master, index, n, epsilon, delta, threshold = packed
     plan = sampler.plan_sampler(n, epsilon, delta)
     seed = bits_to_int(CounterSource(master, index).draw(plan.seed_bits, phase="sampler"))
-    estimate = sampler.run_sampler(plan, _ThresholdOracle(n, threshold), seed).estimate
+    estimate = sampler.run_sampler(plan, _ThresholdOracle(n, threshold), seed)
     return str(estimate - Fraction(threshold, 1 << n))  # signed error
 
 

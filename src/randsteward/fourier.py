@@ -41,10 +41,10 @@ one multiplicity row per distinct multiplier a of the level, then one
 gather of each batch's row at v xor b.
 On a larger cube (criterion 10's levels) the candidates' h_p form one
 vector-valued oracle, and sampler.batch_sums hands all partial cosets of
-the run to one coset_sums call.  The oracle groups them by rank and sums
-each group in one stacked pass: a small rank through one histogram over
-(coset, y xor y'), a large one through the stacked spans of their Walsh
-duals; the whole cube is a closed form (see _WeightOracle).  All of it is
+the run, and the whole cube last, to one coset_sums call.  The oracle
+groups them by rank and sums each group in one stacked pass: a small rank
+through one histogram over (coset, y xor y'), a large one through the
+stacked spans of their Walsh duals (see _WeightOracle).  All of it is
 integer arithmetic, and the sums equal the pointwise ones exactly.
 Circuit estimates take the coset path (see _cube_matrix_sums).
 """
@@ -271,9 +271,9 @@ class _WeightOracle:
     costs |V| points: their products F(yz)F(y'z) go into a histogram over
     (coset, y xor y'), whose row-wise Walsh sums give every candidate at
     once.  The Walsh dual costs |V-perp| * 2^(n - ell) terms per candidate,
-    on the row-wise Walsh sums rows[z, q] = sum_y F(yz)(-1)^<q, y>.  Over
-    the whole cube the sum over y and y' factors, so the cube total is
-    sum_z rows[z, p]^2.
+    on the row-wise Walsh sums rows[z, q] = sum_y F(yz)(-1)^<q, y>.  The
+    whole cube has V-perp = {0}, so there the dual is the 2^(n - ell)
+    terms rows[z, p]^2 per candidate, unless the histogram is cheaper.
 
     _weights_from_tape uses this oracle only on a level too large for one
     matrix pass (see _cube_matrix_sums), such as criterion 10's.
@@ -297,9 +297,6 @@ class _WeightOracle:
             for k, row in zip(group, part):
                 sums[k] = row
         return sums
-
-    def cube_total(self) -> np.ndarray:
-        return (self.rows[:, self.cands] ** 2).sum(axis=0)
 
 
 def _weights_from_tape(

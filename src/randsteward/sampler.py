@@ -26,35 +26,34 @@ of independent values:
   n-bit ints, and so is each argument of an oracle.  Points travel as
   uint64 arrays, so a run needs n <= 64; planning does not.
 
-  An oracle has n, coset_sums(cosets), the exact sum of f over each affine
-  coset c + span(basis) of a list of (c, basis) pairs, in order, and
-  cube_total(), the exact sum over all 2^n points or None.  batch_split is
-  the one split loop, under batch_sums here and under the GL matrix path
-  (fourier._cube_matrix_sums), which sums a small cube's multiplicities
-  times its value table instead of calling an oracle.  batch_cosets splits
-  the map g -> a*g into a multiplicity of the whole cube and its cosets
-  below full rank; the split depends on a alone, and the batch a*g + b is
-  the same cosets with every offset moved by b.  So batch_split returns
-  the split of each distinct a of the run, made once, and each batch's
-  (a, b mod 2^n); batch_sums expands them into every batch's cosets.  The
-  columns a * x^i and the block offsets that batch_cosets eliminates are
-  linear in a, so it reads both from byte tables, one entry per byte of
-  a, built once per plan (t0, field_bits, n) at the plan's first split
-  and kept in a bounded cache (_split_tables).  The cube is summed once
-  per run: cube_total(), or where that is None one more coset of the
-  run's one coset_sums call, which gets every partial coset of the run.
-  A sum may be an int, a Fraction or an int64 array of one sum per
-  coordinate.  The base Oracle stacks the cosets of one rank into one
-  point array (_stacked_chunks), evaluates it through eval_ints in passes
-  of at most 2^TEMP_BITS points and has no cube total.  Values are summed
+  An oracle has n and coset_sums(cosets), the exact sum of f over each
+  affine coset c + span(basis) of a list of (c, basis) pairs, in order,
+  and nothing else.  batch_split is the one split loop, under batch_sums
+  here and under the GL matrix path (fourier._cube_matrix_sums), which
+  sums a small cube's multiplicities times its value table instead of
+  calling an oracle.  batch_cosets splits the map g -> a*g into a
+  multiplicity of the whole cube and its cosets below full rank; the
+  split depends on a alone, and the batch a*g + b is the same cosets with
+  every offset moved by b.  So batch_split returns the split of each
+  distinct a of the run, made once, and each batch's (a, b mod 2^n);
+  batch_sums expands them into every batch's cosets.  The columns a * x^i
+  and the block offsets that batch_cosets eliminates are linear in a, so
+  it reads both from byte tables, one entry per byte of a, built once per
+  plan (t0, field_bits, n) at the plan's first split and kept in a
+  bounded cache (_split_tables).  A run makes one coset_sums call, on
+  every partial coset of the run and, where some batch has a whole-cube
+  multiplicity, the cube (0, (1, 2, ..., 2^(n-1))) last, so the cube is
+  summed once per run.  A sum may be an int, a Fraction or an int64 array
+  of one sum per coordinate.  The base Oracle stacks the cosets of one
+  rank into one point array (_stacked_chunks) and evaluates it through
+  eval_ints in passes of at most 2^TEMP_BITS points.  Values are summed
   exactly (_exact_sums): an integer or bool array by numpy where no
   partial sum can leave int64, any other array value by value, each as
   its exact Fraction.  Two oracles sum cosets their own way:
-  fourier._WeightOracle, with a closed-form cube total, and
-  circuits._CircuitOracle, which has none and sums every coset of the
-  call, the cube last, bit-sliced at 64 points to a uint64 word, never
-  building a point array.  run_sampler divides the lower median of the
-  exact sums once by t0.
+  fourier._WeightOracle, by rank through a histogram or the Walsh dual,
+  and circuits._CircuitOracle, bit-sliced at 64 points to a uint64 word,
+  never building a point array.  run_sampler returns the lower median of
+  the exact sums divided once by t0.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability
@@ -180,8 +179,7 @@ def plan_sampler(n: int, epsilon: Fraction, delta: Fraction, mode: str = "walk")
 
 class Oracle:
     """The pointwise base of the oracle protocol: coset_sums evaluates
-    eval_ints on every point of every coset, stacked by rank, and there is
-    no cube total."""
+    eval_ints on every point of every coset, stacked by rank."""
 
     def coset_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
         sums = [0] * len(cosets)
@@ -190,9 +188,6 @@ class Oracle:
             for k, part in zip(ks.tolist(), _exact_sums(values)):
                 sums[k] += part
         return sums
-
-    def cube_total(self):
-        return None
 
 
 class FnOracle(Oracle):
@@ -334,13 +329,6 @@ def _stacked_chunks(cosets: list[tuple[int, tuple[int, ...]]], chunk_bits: int):
             yield ks[i : i + step], points
 
 
-@dataclass
-class SampleRun:
-    plan: SamplerPlan
-    batch_sums: list
-    estimate: Fraction
-
-
 def check_runnable(n: int) -> None:
     """Refuse a run on more than 64 bits: sampler points are uint64."""
     if n > 64:
@@ -371,12 +359,11 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     splits, batches = batch_split(plan, seed)
     cosets = [(c ^ b, basis) for a, b in batches for _, c, basis in splits[a][1]]
-    total = oracle.cube_total() if any(whole for whole, _ in splits.values()) else 0
-    if total is None:  # the cube, at any offset, as the call's last coset
+    cube = any(whole for whole, _ in splits.values())
+    if cube:  # the cube, at any offset, as the call's last coset
         cosets.append((0, tuple(1 << i for i in range(plan.n))))
     part_sums = oracle.coset_sums(cosets)
-    if total is None:
-        total = part_sums.pop()
+    total = part_sums.pop() if cube else 0
     parts = iter(part_sums)
     sums = []
     for a, _ in batches:
@@ -388,9 +375,9 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     return sums
 
 
-def run_sampler(plan: SamplerPlan, oracle, seed: int) -> SampleRun:
-    sums = batch_sums(plan, oracle, seed)
-    return SampleRun(plan=plan, batch_sums=sums, estimate=Fraction(lower_median(sums), plan.t0))
+def run_sampler(plan: SamplerPlan, oracle, seed: int) -> Fraction:
+    """The estimate of E[f]: the lower median of the batch sums over t0."""
+    return Fraction(lower_median(batch_sums(plan, oracle, seed)), plan.t0)
 
 
 def _batch_seeds(plan: SamplerPlan, seed: int) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from randsteward.extract import extract_int
 from randsteward.fourier import _sign_table
-from randsteward.sampler import Oracle, _exact_sums, _walk_seeds
+from randsteward.sampler import Oracle, _walk_seeds
 from randsteward.steward import ConcentratedFn, error_factor
 
 
@@ -93,9 +93,20 @@ class TruthTableOracle(Oracle):
     def eval_ints(self, xs: np.ndarray) -> np.ndarray:
         return self.table[np.asarray(xs, dtype=np.int64)]
 
-    def cube_total(self):
-        """The exact sum of f over the whole cube."""
-        return _exact_sums(self.table[None])[0]
+
+class PointwiseWeight:
+    """h_p(y, y', z) = F(yz)F(y'z)(-1)^<p, y xor y'> for one candidate p at
+    each point of n + ell bits, F a +-1 table on n bits, for ref_coset_sum."""
+
+    def __init__(self, table, p, ell):
+        self.table, self.p, self.ell = table, p, ell
+
+    def eval_ints(self, xs):
+        low = (1 << self.ell) - 1
+        xs = xs.astype(np.int64)
+        y, yp, zl = xs & low, xs >> self.ell & low, xs >> 2 * self.ell << self.ell
+        prod = self.table[y | zl] * self.table[yp | zl]
+        return prod * (1 - 2 * (np.bitwise_count((y ^ yp) & self.p) & 1).astype(np.int64))
 
 
 def dump_truth_table(f) -> str:

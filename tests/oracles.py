@@ -365,19 +365,14 @@ def ref_coset_sum(oracle, c: int, basis) -> int | Fraction:
 
 
 def ref_batch_sums(plan, oracle, seeds) -> list:
-    """The exact sum of each batch (a, b) in seeds, coset by coset: the
-    per-batch loop that summed mult * cube_total() for a whole-cube coset
-    and mult * ref_coset_sum for any other, before a run's cosets went to
-    the oracle in one call."""
-    total = oracle.cube_total() if plan.t0 >> plan.n else None
-    sums = []
-    for a, b in seeds:
-        batch = 0
-        for mult, c, basis in ref_batch_cosets(a, b, plan.t0, plan.field_bits, plan.n):
-            full = len(basis) == plan.n and total is not None
-            batch += mult * (total if full else ref_coset_sum(oracle, c, basis))
-        sums.append(batch)
-    return sums
+    """The exact sum of each batch (a, b) in seeds, coset by coset: mult *
+    ref_coset_sum for every coset of ref_batch_cosets, the whole cube
+    included, so every point is evaluated through the oracle's eval_ints."""
+    return [
+        sum(mult * ref_coset_sum(oracle, c, basis)
+            for mult, c, basis in ref_batch_cosets(a, b, plan.t0, plan.field_bits, plan.n))
+        for a, b in seeds
+    ]
 
 
 # ---------------------------------------------------------------- Fourier
@@ -393,6 +388,19 @@ def brute_wht(table) -> list[int]:
             acc += sign * int(table[y])
         out.append(acc)
     return out
+
+
+def ref_cube_weights(table, cand_ints, ell: int) -> list[int]:
+    """The sum of h_p(y, y', z) = F(yz)F(y'z)(-1)^<p, y xor y'> over all
+    (y, y', z) for each candidate p, in closed form: the sums over y and y'
+    factor, so it is sum_z R(z, p)^2 with R(z, p) = sum_y F(yz)(-1)^<p, y>,
+    y the low ell bits of F's index and z the rest."""
+    rows = [
+        [sum(int(table[y | z << ell]) * (-1) ** bin(p & y).count("1") for y in range(1 << ell))
+         for p in range(1 << ell)]
+        for z in range(len(table) >> ell)
+    ]
+    return [sum(row[p] ** 2 for row in rows) for p in cand_ints]
 
 
 def brute_subcube_weight(table, prefix: str) -> Fraction:

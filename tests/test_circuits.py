@@ -138,13 +138,19 @@ def test_print_parse_round_trip(expr):
 @settings(max_examples=150)
 @given(expr=circuit_asts, point=st.integers(0, (1 << N) - 1))
 def test_eval_matches_reference(expr, point):
+    # the pointwise evaluator and the bit-sliced kernel, on the point's
+    # rank-0 coset and on the cube, against the package-free evaluator
     want = ref_eval_circuit(expr, int_to_bits(point, N))
     assert eval_on_ints(expr, np.array([point])).tolist() == [want]
+    oracle = _CircuitOracle(expr, N)
+    assert oracle.coset_sums([(point, ())]) == [want]
+    cube = sum(ref_eval_circuit(expr, int_to_bits(x, N)) for x in range(1 << N))
+    assert oracle.coset_sums([(0, tuple(1 << i for i in range(N)))]) == [cube]
 
 
 def test_eval_matches_reference_at_random_widths():
-    # random circuits on up to 40 inputs at random points; the strings
-    # exist only here
+    # random circuits on up to 40 inputs at random points, through both
+    # evaluators, and the kernel's cube at n <= 10; the strings exist only here
     rng = random.Random(121)
     for _ in range(200):
         n = rng.randint(1, 40)
@@ -152,6 +158,11 @@ def test_eval_matches_reference_at_random_widths():
         xs = [rng.getrandbits(n) for _ in range(8)]
         want = [ref_eval_circuit(expr, int_to_bits(x, n)) for x in xs]
         assert eval_on_ints(expr, np.array(xs, dtype=np.uint64)).tolist() == want
+        oracle = _CircuitOracle(expr, n)
+        assert oracle.coset_sums([(x, ()) for x in xs]) == want
+        if n <= 10:
+            cube = sum(ref_eval_circuit(expr, int_to_bits(x, n)) for x in range(1 << n))
+            assert oracle.coset_sums([(0, tuple(1 << i for i in range(n)))]) == [cube]
 
 
 def test_eval_is_little_endian():
@@ -189,7 +200,6 @@ def test_circuit_oracle_builds_no_table_past_the_cap(monkeypatch):
     n = TRUTH_TABLE_CAP + 1
     expr = parse_circuit(f"x0 ^ x{n - 1} | ~x3", n)
     oracle = _CircuitOracle(expr, n)
-    assert oracle.cube_total() is None
     xs = np.array([0, 1, 1 << (n - 1), (1 << n) - 1, 8], dtype=np.uint64)
     sums = oracle.coset_sums([(int(x), ()) for x in xs])
     assert sums == eval_on_ints(expr, xs).tolist() == [1, 1, 1, 0, 0]

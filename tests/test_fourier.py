@@ -26,10 +26,10 @@ from randsteward.sampler import (
 )
 from randsteward.steward import StewardConfig
 
-from harness import KeepAllSession, dump_truth_table, random_coset
+from harness import KeepAllSession, PointwiseWeight, dump_truth_table, random_coset
 from oracles import (
     batch_points, brute_subcube_weight, brute_wht, ref_batch_cosets, ref_coset_sum,
-    ref_gl_recipe, ref_weights_pointwise,
+    ref_cube_weights, ref_gl_recipe, ref_weights_pointwise,
 )
 
 MAJ3 = [1 if bin(x).count("1") < 2 else -1 for x in range(8)]
@@ -239,7 +239,6 @@ def _count_branches(monkeypatch) -> Counter:
     at once."""
     calls = Counter()
     for owner, name, at in [(fourier, "_coset_histograms", 2), (fourier, "_dual_coset_sums", 3),
-                            (fourier._WeightOracle, "cube_total", None),
                             (fourier, "_cube_matrix_sums", None), (fourier, "batch_sums", None)]:
 
         def spy(*args, _real=getattr(owner, name), _name=name, _at=at):
@@ -276,7 +275,7 @@ def test_weights_match_pointwise_reference(monkeypatch, temp_bits):
     if temp_bits == 1:
         assert calls["_cube_matrix_sums"] == 0
         assert all(calls[name] > 0 for name in ("_coset_histograms", "_dual_coset_sums",
-                                                "cube_total", "stacked"))
+                                                "stacked"))
     else:
         assert calls["_cube_matrix_sums"] == 8 * len(MODES) * 4 * 2
         assert calls["batch_sums"] == 0
@@ -392,7 +391,7 @@ def test_dual_coset_sums_match_enumeration():
                 assert dual.tolist() == wht_ints(hist).tolist()
 
 
-def test_cube_total_matches_dual_and_histogram():
+def test_cube_weights_match_dual_and_histogram():
     # the closed form sum_z rows[z, p]^2 against both coset paths on the
     # whole cube, entered at random offsets c, one at a time and stacked
     rng = random.Random(2718)
@@ -401,7 +400,7 @@ def test_cube_total_matches_dual_and_histogram():
         table = np.array([rng.choice([-1, 1]) for _ in range(1 << n)], dtype=np.int64)
         cands = rng.sample(range(1 << ell), rng.randint(1, 1 << ell))
         oracle = fourier._WeightOracle(table, cands, ell, n)
-        total = oracle.cube_total().tolist()
+        total = ref_cube_weights(table, cands, ell)
         units = tuple(1 << i for i in range(width))
         cosets = [(rng.randrange(1 << width), units) for _ in range(5)]
         for stack in [[coset] for coset in cosets] + [cosets]:
@@ -409,21 +408,7 @@ def test_cube_total_matches_dual_and_histogram():
             hist = fourier._coset_histograms(table, ell, stack)
             want = [total] * len(stack)
             assert dual.tolist() == want == wht_ints(hist)[:, cands].tolist()
-
-
-class _PointwiseWeight:
-    """h_p(y, y', z) = F(yz)F(y'z)(-1)^<p, y xor y'> for one candidate p at
-    each point, for ref_coset_sum."""
-
-    def __init__(self, table, p, ell):
-        self.table, self.p, self.ell = table, p, ell
-
-    def eval_ints(self, xs):
-        low = (1 << self.ell) - 1
-        xs = xs.astype(np.int64)
-        y, yp, zl = xs & low, xs >> self.ell & low, xs >> 2 * self.ell << self.ell
-        prod = self.table[y | zl] * self.table[yp | zl]
-        return prod * (1 - 2 * (np.bitwise_count((y ^ yp) & self.p) & 1).astype(np.int64))
+            assert [sums.tolist() for sums in oracle.coset_sums(stack)] == want
 
 
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
@@ -441,7 +426,7 @@ def test_weight_oracle_coset_sums_match_pointwise_reference(monkeypatch, temp_bi
         if (n, ell) == (5, 5):
             cands = cands[:1]  # ranks <= 5 take the histogram, ranks >= 6 the dual
         oracle = fourier._WeightOracle(table, cands, ell, n)
-        refs = [_PointwiseWeight(table, p, ell) for p in cands]
+        refs = [PointwiseWeight(table, p, ell) for p in cands]
         for count in (1, 3, 40):
             cosets = [random_coset(rng, width, rng.randint(0, width)) for _ in range(count)]
             cosets.append(random_coset(rng, width, width))

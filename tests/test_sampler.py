@@ -26,7 +26,7 @@ from randsteward.sampler import (
     run_sampler,
 )
 
-from harness import TruthTableOracle, random_circuit, random_coset
+from harness import PointwiseWeight, TruthTableOracle, random_circuit, random_coset
 from oracles import (
     batch_points,
     lower_median_ref,
@@ -53,9 +53,9 @@ def _seed(plan, master: bytes, index: int = 0) -> int:
     return seed
 
 
-def _means(run) -> list[Fraction]:
+def _means(plan, sums) -> list[Fraction]:
     """A run's batch means: each batch sum over the plan's t0 points."""
-    return [Fraction(s, run.plan.t0) for s in run.batch_sums]
+    return [Fraction(s, plan.t0) for s in sums]
 
 
 # ---------------------------------------------------------------- gf2 backing
@@ -333,23 +333,24 @@ def test_points_are_pairwise_uniform():
 
 def test_run_sampler_exact_and_budgeted():
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2))
-    run = run_sampler(plan, PARITY3, _seed(plan, b"sampler"))
-    assert run.estimate == Fraction(1, 2)
+    seed = _seed(plan, b"sampler")
+    estimate = run_sampler(plan, PARITY3, seed)
+    assert estimate == Fraction(1, 2)
     assert plan.seed_bits == 29
-    assert len(run.batch_sums) == plan.r
-    assert all(m.denominator <= plan.t0 for m in _means(run))
-    assert run.estimate == lower_median(_means(run))
+    means = _means(plan, batch_sums(plan, PARITY3, seed))
+    assert len(means) == plan.r
+    assert all(m.denominator <= plan.t0 for m in means)
+    assert estimate == lower_median(means)
 
 
 def test_run_sampler_independent_mode():
     plan = plan_sampler(3, Fraction(1), Fraction(1, 2), mode="independent")
-    run = run_sampler(plan, PARITY3, _seed(plan, b"sampler"))
-    assert run.estimate == Fraction(1, 2)
+    assert run_sampler(plan, PARITY3, _seed(plan, b"sampler")) == Fraction(1, 2)
     assert plan.seed_bits == 64
 
 
 def test_oracle_size_must_match_the_plan():
-    # an 8-point cube total must not stand in for a 4-point coset
+    # an 8-point table must not be summed as a 4-point cube
     for n in (2, 5):
         with pytest.raises(ValueError):
             run_sampler(plan_sampler(n, Fraction(1, 2), Fraction(15, 16)),
@@ -373,23 +374,22 @@ def test_independent_single_batch_is_unbiased():
     oracle = TruthTableOracle([0, 1])
     total = Fraction(0)
     for seed in range(1 << plan.seed_bits):
-        total += run_sampler(plan, oracle, seed).estimate
+        total += run_sampler(plan, oracle, seed)
     assert total / (1 << plan.seed_bits) == Fraction(1, 2)
 
 
 def test_fn_oracle_and_fraction_values():
     plan = plan_sampler(2, Fraction(1), Fraction(1, 2))
     oracle = FnOracle(2, lambda x: Fraction(1, 3))
-    estimate = run_sampler(plan, oracle, _seed(plan, b"frac")).estimate
-    assert estimate == Fraction(1, 3)
+    assert run_sampler(plan, oracle, _seed(plan, b"frac")) == Fraction(1, 3)
 
 
 def test_large_integer_sums_stay_exact():
     # 2**53 + 1 has no float: a batch sum must not pass through one
     plan = plan_sampler(1, Fraction(1), Fraction(15, 16), mode="independent")
     oracle = TruthTableOracle([2**53 + 1, 0])
-    run = run_sampler(plan, oracle, _seed(plan, b"x"))
-    assert _means(run) == [Fraction(2**53 + 1, 2)]
+    sums = batch_sums(plan, oracle, _seed(plan, b"x"))
+    assert _means(plan, sums) == [Fraction(2**53 + 1, 2)]
 
 
 def test_fn_oracle_counts_numpy_bools():
@@ -400,9 +400,9 @@ def test_fn_oracle_counts_numpy_bools():
     as_int = FnOracle(5, parity)
     as_bool = FnOracle(5, lambda x: np.bool_(parity(x)))
     plan = plan_sampler(5, Fraction(1, 2), Fraction(1, 4))
-    runs = [run_sampler(plan, f, _seed(plan, b"bools")) for f in (as_int, as_bool)]
-    assert _means(runs[0]) == _means(runs[1])
-    assert 0 < runs[0].estimate < 1
+    runs = [batch_sums(plan, f, _seed(plan, b"bools")) for f in (as_int, as_bool)]
+    assert _means(plan, runs[0]) == _means(plan, runs[1])
+    assert 0 < run_sampler(plan, as_int, _seed(plan, b"bools")) < 1
 
 
 def test_float_and_mixed_values_sum_exactly():
@@ -410,17 +410,18 @@ def test_float_and_mixed_values_sum_exactly():
     # Fractions: a float sum would round the means (to 2^-53 denominators)
     floats = [0.1, 0.2, 0.3, 0.7, 0.9, 0.1, 0.6, 0.3]
     mixed = [Fraction(1, 3) if x & 1 else 0.5 for x in range(4)]
-    assert TruthTableOracle(floats).cube_total() == sum(map(Fraction, floats))
+    assert _exact_sums(np.array([floats])) == [sum(map(Fraction, floats))]
+    assert TruthTableOracle(floats).coset_sums([(0, (1, 2, 4))]) == [sum(map(Fraction, floats))]
     bools = TruthTableOracle(np.array([np.True_] * 3 + [np.False_], dtype=object))
-    assert bools.cube_total() == 3
+    assert bools.coset_sums([(0, (1, 2))]) == [3]
     for values, oracle, plan in [
         (floats, TruthTableOracle(floats), plan_sampler(3, Fraction(1, 2), Fraction(15, 16))),
         (mixed, FnOracle(2, mixed.__getitem__),
          plan_sampler(2, Fraction(1, 2), Fraction(1, 2))),
     ]:
         seed = _seed(plan, b"floats")
-        run = run_sampler(plan, oracle, seed)
-        assert _means(run) == _pointwise_run(plan, list(map(Fraction, values)), seed)
+        sums = batch_sums(plan, oracle, seed)
+        assert _means(plan, sums) == _pointwise_run(plan, list(map(Fraction, values)), seed)
 
 
 def _pointwise_run(plan, values, seed):
@@ -441,7 +442,7 @@ def test_a_zero_batch_matches_pointwise():
     assert (plan.t0, nf) == (10, 4) and 2 * plan.t0 > 1 << nf
     rng = random.Random(7)
     seed = 1 << nf | rng.getrandbits(plan.seed_bits - 2 * nf) << 2 * nf  # a = 0, b = 1
-    run = run_sampler(plan, PARITY3, seed)
+    sums = batch_sums(plan, PARITY3, seed)
     want = []
     for i in range(plan.r):
         field = seed >> 2 * nf * i
@@ -449,7 +450,7 @@ def test_a_zero_batch_matches_pointwise():
         pts = ref_affine_points(a, b, plan.t0, field_poly(nf), nf, plan.n)
         want.append(Fraction(sum(int(PARITY3.table[p]) for p in pts), plan.t0))
     assert want[0] == 1  # a = 0, b = 1: ten copies of the point 1
-    assert _means(run) == want
+    assert _means(plan, sums) == want
 
 
 def test_batch_seeds_match_per_step_reference():
@@ -473,17 +474,10 @@ def test_batch_seeds_match_per_step_reference():
         assert tape.position == len(tape.bits)
 
 
-class _NoCubeTable(TruthTableOracle):
-    """A table whose cube the base path sums as one more stacked coset."""
-
-    def cube_total(self):
-        return None
-
-
 def test_run_sampler_matches_pointwise_reference():
     # coset sums against every point listed, over random plans and four
-    # oracle kinds: a table with a cube total, a circuit summed bit-sliced
-    # and a table without one (both sum the cube as a coset), and a callable
+    # oracle kinds: a table, a circuit summed bit-sliced and a table of its
+    # values, and a callable; each sums the cube as the run's last coset
     rng = random.Random(31337)
     epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 7),
                 Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)]
@@ -499,7 +493,7 @@ def test_run_sampler_matches_pointwise_reference():
         elif kind in (1, 2):
             expr = parse_circuit(random_circuit(rng, n), n)
             values = to_truth_table(expr, n).tolist()
-            pointwise = _NoCubeTable(np.array(values))
+            pointwise = TruthTableOracle(np.array(values))
             oracle = _CircuitOracle(expr, n) if kind == 1 else pointwise
         else:
             raw = [rng.choice([np.bool_(v), v, Fraction(v, 3)])
@@ -507,9 +501,9 @@ def test_run_sampler_matches_pointwise_reference():
             values = [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]
             oracle = pointwise = FnOracle(n, raw.__getitem__)
         seed = _seed(plan, b"diff", i)
-        assert _means(run_sampler(plan, oracle, seed)) == _pointwise_run(plan, values, seed)
-        want = ref_batch_sums(plan, pointwise, _batch_seeds(plan, seed))
-        assert batch_sums(plan, oracle, seed) == want
+        got = batch_sums(plan, oracle, seed)
+        assert _means(plan, got) == _pointwise_run(plan, values, seed)
+        assert got == ref_batch_sums(plan, pointwise, _batch_seeds(plan, seed))
         kinds[kind, plan.t0 >> n > 0] += 1
     # every kind meets both plans with a whole-cube block and plans without
     assert all(kinds[k, full] > 0 for k in range(4) for full in (False, True))
@@ -574,43 +568,73 @@ def test_coset_passes_honour_temp_bits(monkeypatch):
 
 def test_exact_sums_do_not_wrap():
     # numpy sums an integer array only where no partial sum can leave int64
-    assert TruthTableOracle(np.array([2**62, 2**62])).cube_total() == 2**63
+    assert TruthTableOracle(np.array([2**62, 2**62])).coset_sums([(0, (1,))]) == [2**63]
     assert _exact_sums(np.array([[2**63, 2**63]], dtype=np.uint64)) == [2**64]
     assert _exact_sums(np.array([[-(2**63), -(2**63)], [3, -5]])) == [-(2**64), -2]
     oracle = TruthTableOracle(np.full(4, 2**62, dtype=np.int64))
     assert oracle.coset_sums([(0, (1, 2)), (3, ())]) == [2**64, 2**62]
     plan = plan_sampler(2, Fraction(1), Fraction(15, 16), mode="independent")
-    run = run_sampler(plan, oracle, _seed(plan, b"wrap"))
-    assert _means(run) == [2**62]
+    assert _means(plan, batch_sums(plan, oracle, _seed(plan, b"wrap"))) == [2**62]
+
+
+class _Spy:
+    """An oracle that records each coset_sums call of the oracle it wraps:
+    n and coset_sums are the whole oracle contract."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n, self.calls = oracle, oracle.n, []
+
+    def coset_sums(self, cosets):
+        self.calls.append(list(cosets))
+        return self.oracle.coset_sums(cosets)
 
 
 def test_batch_sums_call_the_oracle_once_per_run():
-    # every partial coset of all r batches goes to one coset_sums call
-    class Counting(TruthTableOracle):
-        calls = cosets = 0
-
-        def coset_sums(self, cosets):
-            self.calls += 1
-            self.cosets += len(cosets)
-            return super().coset_sums(cosets)
-
+    # a table, a callable, a circuit and a GL weight oracle: every partial
+    # coset of all r batches goes to one coset_sums call, whose last coset
+    # is the cube exactly when some batch has a whole-cube multiplicity
     rng = random.Random(19)
-    seen = 0
+    seen = Counter()
     for i, n in enumerate([3, 5, 8, 10]):
         plan = plan_sampler(n, Fraction(1, 7), Fraction(1, 8), mode=MODES[i % 2])
-        oracle = Counting(np.array([rng.randrange(2) for _ in range(1 << n)]))
+        values = [rng.randrange(2) for _ in range(1 << n)]
+        table = TruthTableOracle(np.array(values))
+        expr = parse_circuit(random_circuit(rng, n), n)
+        ell = n // 3
+        signs = np.array([rng.choice([-1, 1]) for _ in range(1 << (n - ell))])
+        cands = rng.sample(range(1 << ell), rng.randint(1, 1 << ell))
+        weights = [PointwiseWeight(signs, p, ell) for p in cands]
+        kinds = [
+            (table, [table]),
+            (FnOracle(n, values.__getitem__), [table]),
+            (_CircuitOracle(expr, n), [TruthTableOracle(to_truth_table(expr, n))]),
+            (fourier._WeightOracle(signs, cands, ell, n - ell), weights),
+        ]
+        cube = (0, tuple(1 << j for j in range(n)))
         for index in range(3):
-            oracle.calls = oracle.cosets = 0
-            run_sampler(plan, oracle, _seed(plan, b"once", index))
-            assert oracle.calls <= 1
-            seen += oracle.cosets > plan.r
-    assert seen  # some run had more partial cosets than batches
+            seed = _seed(plan, b"once", index)
+            seeds = _batch_seeds(plan, seed)
+            splits = [_ref_split(a, b, plan.t0, plan.field_bits, n) for a, b in seeds]
+            whole = any(w for w, _ in splits)
+            partial = [coset for _, part in splits for coset in part]
+            for k, (oracle, pointwise) in enumerate(kinds):
+                spy = _Spy(oracle)
+                got = np.array(batch_sums(plan, spy, seed)).reshape(plan.r, -1).T.tolist()
+                assert len(spy.calls) == 1
+                assert len(spy.calls[0]) == len(partial) + whole
+                assert spy.calls[0][: len(partial)] == [(c, basis) for _, c, basis in partial]
+                assert (spy.calls[0][-1] == cube) == whole
+                assert got == [ref_batch_sums(plan, ref, seeds) for ref in pointwise]
+                seen[k, whole] += 1
+            seen["more cosets than batches"] += len(partial) > plan.r
+    assert all(seen[k, whole] for k in range(4) for whole in (False, True))
+    assert seen["more cosets than batches"]
 
 
 def test_a_callable_oracle_sums_the_cube_once_per_run():
     # criterion 12's plan: 67 batches of 256000 points over n = 10 bits, each
-    # mostly the whole cube.  A callable has no cube total, so the cube is
-    # one more coset of the run's coset_sums call, evaluated once per run
+    # mostly the whole cube.  The cube is the last coset of the run's
+    # coset_sums call, so a callable is evaluated on it once per run
     plan = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
     assert (plan.t0, plan.r, plan.field_bits) == (256000, 67, 18)
     calls = Counter()
@@ -711,7 +735,7 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
     oracles = [
         (TruthTableOracle(np.array(values, dtype=np.int64)), values),
         (_CircuitOracle(expr, n), circuit_values),
-        (_NoCubeTable(np.array(circuit_values)), circuit_values),
+        (TruthTableOracle(np.array(circuit_values)), circuit_values),
         (FnOracle(n, raw.__getitem__),
          [Fraction(v) if isinstance(v, Fraction) else int(v) for v in raw]),
     ]
@@ -725,8 +749,8 @@ def test_run_sampler_matches_pointwise_at_the_acceptance_batch_size():
         assert (whole, partial) == _ref_split(a, b, plan.t0, plan.field_bits, n)
         ranks.update([n] * (whole > 0) + [len(basis) for _, _, basis in partial])
         for oracle, want_values in oracles:
-            run = run_sampler(plan, oracle, seed)
-            assert _means(run) == _pointwise_run(plan, want_values, seed)
+            sums = batch_sums(plan, oracle, seed)
+            assert _means(plan, sums) == _pointwise_run(plan, want_values, seed)
     assert {6, 7, 8, 9, 10} <= ranks
 
 
@@ -810,5 +834,5 @@ def test_runs_wider_than_64_bits_are_refused():
     with pytest.raises(ValueError, match="64"):
         run_sampler(plan, FnOracle(65, lambda x: 0), (1 << plan.seed_bits) - 1)
     plan = plan_sampler(64, Fraction(1, 2), Fraction(1, 2))
-    run = run_sampler(plan, FnOracle(64, lambda x: x >> 63), (1 << plan.seed_bits) - 1)
-    assert 0 <= run.estimate <= 1
+    estimate = run_sampler(plan, FnOracle(64, lambda x: x >> 63), (1 << plan.seed_bits) - 1)
+    assert 0 <= estimate <= 1

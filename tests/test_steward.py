@@ -1,7 +1,9 @@
 import inspect
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,6 +497,15 @@ def test_runner_kind_overrides():
     assert t.config.kind == "naive-reuse"
     with pytest.raises(ValueError):
         replace(MAIN_CFG, kind="naive-sideways")
+
+
+def test_readme_python_blocks_run():
+    # every python block of README.md runs as written, each on its own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------- certification
