@@ -1,13 +1,19 @@
 """Boolean circuit expressions and steward-backed acceptance estimation.
 
 The expression DSL covers variables x0..x{n-1}, constants 0/1, and ~ & ^ |
-with precedence NOT > AND > XOR > OR (binary operators left-associative),
-read from one table by one precedence-climbing loop.  Circuits here are
-expression trees, not gate lists: enough structure to exercise the adaptive
-protocol while keeping the parser small.
+with precedence NOT > AND > XOR > OR (binary operators left-associative).
+parse_circuit reads its tokens in one regular-expression scan, where any
+other non-space character is an error at its own position, and builds the
+tree by precedence climbing over one table.  Circuits here are expression
+trees, not gate lists: enough structure to exercise the adaptive protocol
+while keeping the parser small.
 
 `AcceptanceSession` answers up to k adaptively chosen circuits with
-estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  Round i
+estimates of their acceptance probability mu(C) = Pr_x[C(x) = 1].  A query
+is a circuit, as text or as a parsed tree, or any object with the sampler's
+oracle contract, n and coset_sums; estimate tells them apart by that
+contract and refuses a tree that reads a variable past x{n-1}, or an oracle
+on other than n bits, before the session draws a bit.  Round i
 wraps a median-of-batches sampler run for C_i into a scalar function of the
 steward's block, an int that is the sampler's seed as it stands.
 steward.round_budget turns (k, epsilon, delta) into the round's accuracy and
@@ -48,7 +54,6 @@ from .prg import split_blocks
 from .randomness import BitSource
 from .sampler import (
     FnOracle,
-    Oracle,
     SamplerPlan,
     check_runnable,
     lower_median,
@@ -90,96 +95,66 @@ class BinOp:
 
 CircuitExpr = object
 
-_TOKEN = re.compile(r"\s*(x[0-9]+|[01]|[&^|~()])")
+_TOKEN = re.compile(r"(x[0-9]+|[01&^|~()])|\S")
 
 _PRECEDENCE = {"|": 1, "^": 2, "&": 3}
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
+def parse_circuit(text: str, n: int) -> CircuitExpr:
+    """The tree of text over x0..x{n-1}; a CircuitSyntaxError carries the
+    position of the character or token at fault, len(text) at its end."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = len(text) - len(text[pos:].lstrip())
-            if stripped == len(text):
-                break
-            raise CircuitSyntaxError(f"unexpected character {text[stripped]!r}", stripped)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+    for m in _TOKEN.finditer(text):
+        if m.group(1) is None:
+            raise CircuitSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(1), m.start()))
+    if not tokens:
+        raise CircuitSyntaxError("empty expression", 0)
+    tokens.append((None, len(text)))
+    i = 0
 
-
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.n = n
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> CircuitExpr:
-        if not self.tokens:
-            raise CircuitSyntaxError("empty expression", 0)
-        expr = self.binary()
-        if self.i < len(self.tokens):
-            raise CircuitSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
-        return expr
-
-    def binary(self, min_prec: int = 1):
+    def binary(min_prec: int = 1):
         """Precedence climbing: a left-associative chain of the operators
         binding at least as tightly as min_prec, each right operand one
         level tighter."""
-        expr = self.unary()
-        while _PRECEDENCE.get(self.peek(), 0) >= min_prec:
-            op, _ = self.take()
-            expr = BinOp(op, expr, self.binary(_PRECEDENCE[op] + 1))
+        nonlocal i
+        expr = unary()
+        while _PRECEDENCE.get(tokens[i][0], 0) >= min_prec:
+            op = tokens[i][0]
+            i += 1
+            expr = BinOp(op, expr, binary(_PRECEDENCE[op] + 1))
         return expr
 
-    def unary(self):
-        tok = self.peek()
+    def unary():
+        nonlocal i
+        tok, pos = tokens[i]
         if tok is None:
-            raise CircuitSyntaxError("expression ends early", self.pos())
+            raise CircuitSyntaxError("expression ends early", pos)
+        i += 1
         if tok == "~":
-            self.take()
-            return Not(self.unary())
+            return Not(unary())
         if tok == "(":
-            _, open_pos = self.take()
-            expr = self.binary()
-            if self.peek() != ")":
-                raise CircuitSyntaxError("unclosed parenthesis", open_pos)
-            self.take()
+            expr = binary()
+            if tokens[i][0] != ")":
+                raise CircuitSyntaxError("unclosed parenthesis", pos)
+            i += 1
             return expr
         if tok in ("0", "1"):
-            self.take()
             return Const(int(tok))
         if tok.startswith("x"):
-            _, pos = self.take()
             index = int(tok[1:])
-            if index >= self.n:
-                raise CircuitSyntaxError(
-                    f"variable {tok} out of range for n={self.n}", pos
-                )
+            if index >= n:
+                raise CircuitSyntaxError(f"variable {tok} out of range for n={n}", pos)
             return Var(index)
-        raise CircuitSyntaxError(f"unexpected token {tok!r}", self.pos())
+        raise CircuitSyntaxError(f"unexpected token {tok!r}", pos)
 
-
-def parse_circuit(text: str, n: int) -> CircuitExpr:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _Parser(text, n).parse()
+    expr = binary()
+    del binary, unary  # each holds the other's cell: free the cycle here, not in the collector
+    if tokens[i][0] is not None:
+        raise CircuitSyntaxError(f"unexpected token {tokens[i][0]!r}", tokens[i][1])
+    return expr
 
 
 def _evaluate(expr: CircuitExpr, leaf: Callable[[int], np.ndarray], ones: np.ndarray):
@@ -212,9 +187,23 @@ def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_width(expr: CircuitExpr, n: int) -> None:
+    """Refuse a tree that reads some x_i with i >= n, which n-bit points
+    would read as 0, or that is no circuit: one walk on no points."""
+    none = np.zeros(0, dtype=np.uint8)
+
+    def leaf(i: int) -> np.ndarray:
+        if not 0 <= i < n:
+            raise ValueError(f"variable x{i} out of range for n={n}")
+        return none
+
+    _evaluate(expr, leaf, none)
+
+
 def to_truth_table(expr: CircuitExpr, n: int) -> np.ndarray:
     if n > TRUTH_TABLE_CAP:
         raise ValueError(f"dense table at n={n} > {TRUTH_TABLE_CAP} refused")
+    _check_width(expr, n)
     return eval_on_ints(expr, np.arange(1 << n, dtype=np.uint64))
 
 
@@ -240,7 +229,7 @@ _ALL = np.uint64((1 << 64) - 1)
 _VALID = np.array([(1 << (1 << b)) - 1 for b in range(7)], dtype=np.uint64)  # by min(rank, 6)
 
 
-class _CircuitOracle(Oracle):
+class _CircuitOracle:
     """A circuit as a sampler oracle, summed bit-sliced, 64 points to a word.
 
     Point t of a coset c + span(B) of rank b, t < 2^b, is c xor the B[s]
@@ -321,11 +310,18 @@ class AcceptanceSession:
         return self.session.bits_used
 
     def estimate(self, query) -> Fraction:
-        """Y = E[query] +- epsilon in [0,1]; the query is a circuit, as text or
-        parsed, or any 0/1 sampler oracle on n bits."""
+        """Y = E[query] +- epsilon in [0,1]; the query is a circuit on x0..x{n-1},
+        as text or parsed, or any object with n and coset_sums whose values
+        are 0/1.  A query that does not fit n is refused before any draw."""
         if isinstance(query, str):
-            query = parse_circuit(query, self.n)
-        oracle = query if isinstance(query, Oracle) else _CircuitOracle(query, self.n)
+            oracle = _CircuitOracle(parse_circuit(query, self.n), self.n)
+        elif hasattr(query, "n") and hasattr(query, "coset_sums"):
+            if query.n != self.n:
+                raise ValueError(f"oracle has n={query.n}, the session n={self.n}")
+            oracle = query
+        else:
+            _check_width(query, self.n)
+            oracle = _CircuitOracle(query, self.n)
 
         def f(tape: int):  # through the module, so a patched run_sampler is seen
             return [sampler.run_sampler(self.plan, oracle, tape)]

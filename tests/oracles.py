@@ -8,8 +8,11 @@ values that the test files freeze as literals.
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
+import re
+import warnings
 from fractions import Fraction
 
 
@@ -480,6 +483,53 @@ def ref_print_circuit(expr) -> str:
     if kind == "Not":
         return f"~{ref_print_circuit(expr.child)}"
     return f"({ref_print_circuit(expr.left)} {expr.op} {ref_print_circuit(expr.right)})"
+
+
+_REF_OPS = {ast.BitAnd: "&", ast.BitXor: "^", ast.BitOr: "|"}
+
+
+def ref_parse_circuit(text: str, n: int):
+    """The tree of a circuit expression as nested tuples, ("Var", i),
+    ("Const", v), ("Not", child) and ("BinOp", op, left, right), or None
+    where the language rejects text.
+
+    Python's own grammar parses it: its precedence ~ > & > ^ > | and its
+    left-associative binary operators are the language's.  The text goes
+    in with its whitespace runs cut to single spaces, so that no newline or
+    indent reaches Python.  Every node must be one the language has: a
+    BitAnd, BitXor or BitOr BinOp, an Invert UnaryOp, a Name written
+    x[0-9]+ with index below n, or a constant written 0 or 1.  So a tuple,
+    a call, a hex or float literal and an NFKC-folded name are rejected,
+    and so is a text with a character no node accounts for, such as a
+    comment."""
+    source = " ".join(text.split())
+    read = 0  # characters of the leaves and operators
+
+    def convert(node):
+        nonlocal read
+        if isinstance(node, ast.BinOp) and type(node.op) in _REF_OPS:
+            read += 1
+            return ("BinOp", _REF_OPS[type(node.op)], convert(node.left), convert(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+            read += 1
+            return ("Not", convert(node.operand))
+        written = ast.get_source_segment(source, node)
+        if isinstance(node, ast.Name) and re.fullmatch("x[0-9]+", written):
+            if int(written[1:]) < n:
+                read += len(written)
+                return ("Var", int(written[1:]))
+        if isinstance(node, ast.Constant) and written in ("0", "1"):
+            read += 1
+            return ("Const", int(written))
+        raise SyntaxError(f"{written!r} is not in the circuit language")
+
+    try:
+        with warnings.catch_warnings():  # "1not" parses with a SyntaxWarning
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = convert(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError):  # a NUL is a ValueError before Python 3.12
+        return None
+    return tree if read == sum(c not in " ()" for c in source) else None
 
 
 def ref_eval_circuit(expr, bits: str) -> int:

@@ -32,6 +32,7 @@ from oracles import (
     ref_coset_sum,
     ref_eval_circuit,
     ref_median_miss,
+    ref_parse_circuit,
     ref_print_circuit,
     ref_round_budget,
 )
@@ -121,6 +122,59 @@ def test_variable_range_depends_on_n():
     parse_circuit("x7", 8)
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("x8", 8)
+
+
+# tokens of the language, characters outside it (a comment, a hex or float
+# literal, an Arabic-Indic digit, a fullwidth x0 that Python folds to x0,
+# Python-only syntax) and whitespace of several kinds
+GRAMMAR_PIECES = [
+    "x0", "x1", "x2", "x7", "x12", "x01", "x", "0", "1", "10", "~", "&", "^", "|", "(", ")",
+    "$", "#", ",", ".", "-", "0x1", "1.0", "x\u0661", "\uff58\uff10", "not", " ", "\t", "\n",
+    "\u3000", "\x1c",
+]
+
+
+def unparenthesized_circuit(rng: random.Random, n: int, depth: int) -> str:
+    """A random expression whose binary operators mostly lean on precedence
+    and associativity, with a variable now and then past x{n-1}."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([f"x{rng.randrange(n + 2)}", f"x{rng.randrange(n + 2)}", "0", "1"])
+    roll = rng.random()
+    if roll < 0.15:
+        return "~" + unparenthesized_circuit(rng, n, depth - 1)
+    if roll < 0.25:
+        return "(" + unparenthesized_circuit(rng, n, depth - 1) + ")"
+    gap = rng.choice(["", " ", "\t"])
+    left, right = (unparenthesized_circuit(rng, n, depth - 1) for _ in range(2))
+    return f"{left}{gap}{rng.choice('&^|')}{gap}{right}"
+
+
+def tree_from_ref(node):
+    kind, *fields = node
+    return getattr(circuits, kind)(*(tree_from_ref(f) if isinstance(f, tuple) else f for f in fields))
+
+
+def test_parser_matches_the_python_grammar_reference():
+    # Python reads ~ & ^ | with the language's precedence and associativity:
+    # the same tree wherever the reference accepts, a syntax error wherever
+    # it rejects; error positions are pinned by the tests above
+    rng = random.Random(32)
+    accepted = rejected = 0
+    for trial in range(3000):
+        n = rng.randint(0, 12)
+        if trial % 2:
+            text = "".join(rng.choice(GRAMMAR_PIECES) for _ in range(rng.randint(0, 10)))
+        else:
+            text = unparenthesized_circuit(rng, max(n, 1), rng.randint(1, 5))
+        want = ref_parse_circuit(text, n)
+        if want is None:
+            with pytest.raises(CircuitSyntaxError):
+                parse_circuit(text, n)
+            rejected += 1
+        else:
+            assert parse_circuit(text, n) == tree_from_ref(want), text
+            accepted += 1
+    assert min(accepted, rejected) > 500
 
 
 # ---------------------------------------------------------------- printing
@@ -310,6 +364,55 @@ def test_acceptance_session_estimates_a_sampler_oracle():
         from_text = open_session(index).estimate("x0 & ~x2")
         oracle = FnOracle(3, lambda x: (x & 1) & (~x >> 2 & 1))
         assert open_session(index).estimate(oracle) == from_text
+
+
+class PlainTable:
+    """The oracle contract and nothing more: n and coset_sums, summed point
+    by point, with no sampler.Oracle base."""
+
+    def __init__(self, table):
+        self.pointwise = TruthTableOracle(table)
+        self.n = self.pointwise.n
+
+    def coset_sums(self, cosets):
+        return [ref_coset_sum(self.pointwise, c, basis) for c, basis in cosets]
+
+
+def test_acceptance_session_takes_any_object_with_the_oracle_contract():
+    # the same values as a plain contract object and as a table: same tape, same estimate
+    table = to_truth_table(parse_circuit("x0 & ~x2 | x1", 3), 3)
+    for index in range(4):
+        sessions = [
+            AcceptanceSession(
+                3, 1, Fraction(1, 2), Fraction(1, 4), CounterSource(master=b"plain", index=index)
+            )
+            for _ in range(2)
+        ]
+        want = sessions[0].estimate(TruthTableOracle(table))
+        assert sessions[1].estimate(PlainTable(table)) == want
+        assert sessions[1].bits_used == sessions[0].bits_used > 0
+
+
+def test_queries_that_do_not_fit_n_are_refused_before_any_draw():
+    # a variable past x{n-1} would read 0 on n-bit points, and an oracle of
+    # another width cannot run the session's plan: both are refused before
+    # the session draws its seed, and so is a query that is no circuit
+    wide = parse_circuit("x0 & x9", 10)
+    with pytest.raises(ValueError, match="x9 out of range for n=4"):
+        exact_mean(wide, 4)
+    with pytest.raises(ValueError, match="x9 out of range for n=4"):
+        to_truth_table(wide, 4)
+    source = CounterSource(master=b"fit", index=0)
+    sess = AcceptanceSession(4, 2, Fraction(1, 4), Fraction(1, 4), source)
+    for query in (wide, Not(Var(4)), FnOracle(3, lambda x: x & 1), PlainTable([0, 1] * 16)):
+        with pytest.raises(ValueError):
+            sess.estimate(query)
+        assert sess.bits_used == source.bits_drawn == 0
+    with pytest.raises(TypeError, match="not a circuit node"):
+        sess.estimate(BinOp("&", Var(0), "x1"))
+    assert sess.bits_used == 0
+    assert sess.estimate(parse_circuit("x0 & x3", 4)) <= 1
+    assert sess.bits_used == 143
 
 
 def test_acceptance_session_runs_the_sampler_through_its_module(monkeypatch):
