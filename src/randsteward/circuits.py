@@ -22,10 +22,16 @@ rounding brings each answer back to within epsilon; the reported estimate is
 clamped to [0,1].  So every Y_i is within epsilon of mu(C_i) except with
 probability delta, at a coin cost of one steward seed, drawn at the
 session's first estimate.  The sampler sums a circuit over affine cosets,
-the whole cube among them, bit-sliced (Biham 1997): _CircuitOracle
-evaluates the expression tree once per pass on uint64 words of 64 points
-each, and one tree walker (_evaluate) serves it and the pointwise
-eval_on_ints, which to_truth_table and exact_mean use.
+the whole cube among them, and _CircuitOracle sums them in one of two
+domains, chosen from n and the cosets' ranks alone.  Where n <= TEMP_BITS
+and the cube's parity masks cost no more bits than the words' input rows,
+it evaluates the expression tree once on the whole cube, as one 2^n-bit
+int, and counts each coset under its masks; otherwise it evaluates the
+tree once per pass on uint64 words of 64 points each, bit-sliced (Biham
+1997).  One tree walker (_evaluate), with its own stack so that a deep
+tree does not hit the recursion limit, serves both and the pointwise
+eval_on_ints, which to_truth_table and exact_mean use.  parse_circuit
+refuses nesting deeper than the recursion limit allows as a syntax error.
 
 Two oracle runners plan their stewards the same way:
 `run_promise_bpp_oracle_algorithm` answers decision queries by thresholding
@@ -44,6 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -150,31 +157,56 @@ def parse_circuit(text: str, n: int) -> CircuitExpr:
             return Var(index)
         raise CircuitSyntaxError(f"unexpected token {tok!r}", pos)
 
-    expr = binary()
-    del binary, unary  # each holds the other's cell: free the cycle here, not in the collector
+    try:
+        expr = binary()
+    except RecursionError:
+        raise CircuitSyntaxError("expression nests too deeply", tokens[i][1]) from None
+    finally:
+        del binary, unary  # each holds the other's cell: free the cycle here, not in the collector
     if tokens[i][0] is not None:
         raise CircuitSyntaxError(f"unexpected token {tokens[i][0]!r}", tokens[i][1])
     return expr
 
 
-def _evaluate(expr: CircuitExpr, leaf: Callable[[int], np.ndarray], ones: np.ndarray):
+# pending operators on _evaluate's stack: private, so no tree holds them
+_AND, _XOR, _OR, _NOT = (object() for _ in range(4))
+
+
+def _evaluate(expr: CircuitExpr, leaf: Callable[[int], object], ones):
     """The circuit on bit-parallel values: leaf(i) is the value of x_i and
-    ones the all-ones value, whose shape and dtype every result takes."""
-    if isinstance(expr, Var):
-        return leaf(expr.index)
-    if isinstance(expr, Const):
-        return ones if expr.value else ones ^ ones
-    if isinstance(expr, Not):
-        return _evaluate(expr.child, leaf, ones) ^ ones
-    if isinstance(expr, BinOp):
-        a = _evaluate(expr.left, leaf, ones)
-        b = _evaluate(expr.right, leaf, ones)
-        if expr.op == "&":
-            return a & b
-        if expr.op == "^":
-            return a ^ b
-        return a | b
-    raise TypeError(f"not a circuit node: {expr!r}")
+    ones the all-ones value, a uint64 or uint8 array whose shape and dtype
+    every result takes, or a Python int.  The tree is walked with an
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit: a gate pushes its operator under its operands, left on top, and
+    the operator applies once both values are in, so leaves are read left
+    to right."""
+    values = []
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            values.append(leaf(node.index))
+        elif isinstance(node, BinOp):
+            op = _AND if node.op == "&" else _XOR if node.op == "^" else _OR
+            todo += (op, node.right, node.left)
+        elif node is _AND:
+            b = values.pop()
+            values[-1] = values[-1] & b
+        elif node is _XOR:
+            b = values.pop()
+            values[-1] = values[-1] ^ b
+        elif node is _OR:
+            b = values.pop()
+            values[-1] = values[-1] | b
+        elif node is _NOT:
+            values[-1] = values[-1] ^ ones
+        elif isinstance(node, Not):
+            todo += (_NOT, node.child)
+        elif isinstance(node, Const):
+            values.append(ones if node.value else ones ^ ones)
+        else:
+            raise TypeError(f"not a circuit node: {node!r}")
+    return values.pop()
 
 
 def eval_on_ints(expr: CircuitExpr, xs: np.ndarray) -> np.ndarray:
@@ -229,23 +261,76 @@ _ALL = np.uint64((1 << 64) - 1)
 _VALID = np.array([(1 << (1 << b)) - 1 for b in range(7)], dtype=np.uint64)  # by min(rank, 6)
 
 
-class _CircuitOracle:
-    """A circuit as a sampler oracle, summed bit-sliced, 64 points to a word.
+@lru_cache(maxsize=sampler.TEMP_BITS + 1)
+def _cube_inputs(n: int) -> tuple[int, tuple[int, ...]]:
+    """The all-ones int of 2^n bits and, for each i < n, the int X_i whose
+    bit x is bit i of x: 2^i zeros, then 2^i ones, repeated."""
+    ones = (1 << (1 << n)) - 1
+    return ones, tuple(
+        ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(n)
+    )
 
-    Point t of a coset c + span(B) of rank b, t < 2^b, is c xor the B[s]
+
+def _by_basis(cosets: list[tuple[int, tuple[int, ...]]], n: int) -> dict:
+    """The positions of the cosets grouped by basis, each group with its
+    basis's leading bits ORed: {basis: (leads, positions)}.  A basis not in
+    reduced row echelon form on n bits is refused: a zero or negative
+    vector, a repeated lead, a lead at bit n or above, or a lead set in
+    another vector, read off the ORed leads and the ORed vectors without
+    their leads."""
+    groups: dict = {}
+    for k, (_, basis) in enumerate(cosets):
+        if basis in groups:
+            groups[basis][1].append(k)
+            continue
+        leads = rest = 0
+        for v in basis:
+            lead = 1 << v.bit_length() >> 1
+            leads |= lead
+            rest |= v ^ lead
+        if leads.bit_count() != len(basis) or leads >> n or leads & rest or rest < 0:
+            raise ValueError(f"basis {basis} is not in reduced row echelon form on {n} bits")
+        groups[basis] = (leads, [k])
+    return groups
+
+
+class _CircuitOracle:
+    """A circuit as a sampler oracle, summed over one of two domains.
+
+    Every basis must be in reduced row echelon form, as the sampler hands
+    them over; coset_sums refuses any other (_by_basis).  It sums over the
+    cube iff n <= TEMP_BITS and 2^n * sum_k (n - r_k) <= n * sum_k 2^(r_k)
+    over the ranks r_k of its cosets: the mask bits the cube domain would
+    build against the input-row bits the word domain would.
+
+    The cube domain evaluates the circuit once on all 2^n points, as a
+    2^n-bit int whose bit x is C(x): input i is _cube_inputs's X_i, and ~
+    is xor with all ones.  For each bit f that leads no basis vector of a
+    coset c + span(B), h_f = e_f + the e_lead(b) of each b with bit f set
+    is orthogonal to B, and these n - rank h_f span the dual of B; so the
+    coset is the points x with parity(x & h_f) = parity(c & h_f) for each
+    f.  The parity table of h_f, the xor of the X_i over its bits, and its
+    complement are built once per distinct basis, and a coset's sum is the
+    popcount of the circuit's table ANDed, for each f, with the one that
+    is 1 where the parity is that of c & h_f; the cube needs none.
+
+    The word domain sums bit-sliced, 64 points to a uint64 word.  Point t
+    of a coset c + span(B) of rank b, t < 2^b, is c xor the B[s]
     of each set bit s of t, so its input bit i is c_i xor the parity of
     t & m_i, where bit s of m_i is bit i of B[s]: a linear map from coset
     coordinates to inputs.  Word w of the coset holds the points t = 64w +
     j, j < 64, and there input i is the word CHAR[m_i & 63], xored with
-    all ones where c_i xor parity(w & (m_i >> 6)) is 1.  coset_sums lays
+    all ones where c_i xor parity(w & (m_i >> 6)) is 1.  _word_sums lays
     the words of every coset end to end, 2^max(b - 6, 0) each, and
     evaluates the circuit once per pass of at most max(1, 2^TEMP_BITS / n)
     words, so that the pass's n input rows hold at most 2^TEMP_BITS words;
     ~ is xor with all ones.  A word counts its set bits under its coset's
     valid mask, the low 2^b bits where b < 6 (j then repeats the 2^b
-    points), else all 64.  No point array is built.  The cube, the last
-    coset of a run's call where some batch covers it, is 2^max(n - 6, 0)
-    words."""
+    points), else all 64.  No point array is built.  It is the only
+    domain past n = TEMP_BITS.
+
+    The cube, the last coset of a run's call where some batch covers it,
+    is 2^max(n - 6, 0) words, or the whole table."""
 
     def __init__(self, expr: CircuitExpr, n: int):
         self.expr = expr
@@ -254,6 +339,42 @@ class _CircuitOracle:
     def coset_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
         if not cosets:
             return []
+        n = self.n
+        groups = _by_basis(cosets, n)
+        ranks = [len(basis) for _, basis in cosets]
+        if n <= sampler.TEMP_BITS and (1 << n) * sum(n - r for r in ranks) <= n * sum(
+            1 << r for r in ranks
+        ):
+            return self._cube_sums(cosets, groups)
+        return self._word_sums(cosets)
+
+    def _cube_sums(self, cosets: list[tuple[int, tuple[int, ...]]], groups: dict) -> list:
+        ones, inputs = _cube_inputs(self.n)
+        table = _evaluate(self.expr, inputs.__getitem__, ones)
+        full = (1 << self.n) - 1
+        sums = [0] * len(cosets)
+        for basis, (leads, ks) in groups.items():
+            duals = []  # (h_f, parity(x & h_f) over the cube, its complement)
+            free = full ^ leads
+            while free:
+                f = free.bit_length() - 1
+                free ^= 1 << f
+                h, odd = 1 << f, inputs[f]
+                for v in basis:
+                    if v >> f & 1:
+                        lead = v.bit_length() - 1
+                        h |= 1 << lead
+                        odd ^= inputs[lead]
+                duals.append((h, odd, odd ^ ones))
+            for k in ks:
+                c = cosets[k][0]
+                inside = table
+                for h, odd, even in duals:
+                    inside &= odd if (c & h).bit_count() & 1 else even
+                sums[k] = inside.bit_count()
+        return sums
+
+    def _word_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
         offsets, bases = zip(*cosets)
         ranks = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))
         top = int(ranks.max())

@@ -28,19 +28,24 @@ of independent values:
 
   An oracle has n and coset_sums(cosets), the exact sum of f over each
   affine coset c + span(basis) of a list of (c, basis) pairs, in order,
-  and nothing else.  batch_split is the one split loop, under batch_sums
+  and nothing else.  Every basis handed over is in reduced row echelon
+  form: distinct leading bits below n, none of them set in another vector
+  (batch_cosets makes them so, and the cube's unit basis is so); an oracle
+  may rely on it.  batch_split is the one split loop, under batch_sums
   here and under the GL matrix path (fourier._cube_matrix_sums), which
   sums a small cube's multiplicities times its value table instead of
   calling an oracle.  batch_cosets splits the map g -> a*g into a
-  multiplicity of the whole cube and its cosets below full rank; the
-  split depends on a alone, and the batch a*g + b is the same cosets with
-  every offset moved by b.  So batch_split returns the split of each
-  distinct a of the run, made once, and each batch's (a, b mod 2^n);
-  batch_sums expands them into every batch's cosets.  The columns a * x^i
-  and the block offsets that batch_cosets eliminates are linear in a, so
-  it reads both from byte tables, one entry per byte of a, built once per
-  plan (t0, field_bits, n) at the plan's first split and kept in a
-  bounded cache (_split_tables).  A run makes one coset_sums call, on
+  multiplicity of the whole cube and its cosets below full rank; the split
+  depends on a alone, and the batch a*g + b is the same cosets with every
+  offset moved by b.  So batch_split returns the split of each distinct a
+  of the run, made once, and each batch's (a, b mod 2^n); batch_sums
+  expands them into every batch's cosets.  The columns a * x^i and the
+  block offsets that batch_cosets eliminates are linear in a, so it reads
+  both from byte tables, one entry per byte of a.  The tables, with the
+  rest of what the splits of a plan (t0, field_bits, n) share, make the
+  plan's split layout: built at the plan's first split, kept in a bounded
+  cache (_split_tables), and fetched once per run by batch_split, which
+  hands it to every split of the run.  A run makes one coset_sums call, on
   every partial coset of the run and, where some batch has a whole-cube
   multiplicity, the cube (0, (1, 2, ..., 2^(n-1))) last, so the cube is
   summed once per run.  A sum may be an int, a Fraction or an int64 array
@@ -48,12 +53,13 @@ of independent values:
   rank into one point array (_stacked_chunks) and evaluates it through
   eval_ints in passes of at most 2^TEMP_BITS points.  Values are summed
   exactly (_exact_sums): an integer or bool array by numpy where no
-  partial sum can leave int64, any other array value by value, each as
-  its exact Fraction.  Two oracles sum cosets their own way:
+  partial sum can leave int64, any other array value by value, each as its
+  exact Fraction.  Two oracles sum cosets their own way:
   fourier._WeightOracle, by rank through a histogram or the Walsh dual,
-  and circuits._CircuitOracle, bit-sliced at 64 points to a uint64 word,
-  never building a point array.  run_sampler returns the lower median of
-  the exact sums divided once by t0.
+  and circuits._CircuitOracle, from one evaluation of a small cube as a
+  2^n-bit int or bit-sliced at 64 points to a uint64 word, never building
+  a point array.  run_sampler returns the lower median of the exact sums
+  divided once by t0.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability
@@ -203,16 +209,24 @@ class FnOracle(Oracle):
 
 
 @lru_cache(maxsize=32)
-def _split_tables(t0: int, field_bits: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The plan's byte tables: entry v of table i packs, n bits each, the
-    products (a * g) mod 2^n for a = v * 2^(8i) and each g of the split:
-    the columns g = x^j for j < min(t0.bit_length(), field_bits), then one
-    block offset per set bit j of t0, ascending, g = the bits of t0 above
-    j.  A packing is linear in a, so the one of any a < 2^field_bits is the
-    xor of one entry per byte of a, and each entry is the xor of the
-    packings of the unit multipliers x^k, where g * x^k = powers(g)[k]."""
+def _split_tables(t0: int, field_bits: int, n: int) -> tuple:
+    """The plan's split layout, all that its splits share: (t0,
+    field_bits, n, tables, steps, shift).  Entry v of byte table i packs,
+    n bits each, the products (a * g) mod 2^n for a = v * 2^(8i) and each
+    g of the split: the columns g = x^j for j < min(t0.bit_length(),
+    field_bits), then one block offset per set bit j of t0, ascending, g =
+    the bits of t0 above j.  A packing is linear in a, so the one of any a
+    < 2^field_bits is the xor of one entry per byte of a, and each entry
+    is the xor of the packings of the unit multipliers x^k, where g * x^k
+    = powers(g)[k].  steps holds, for each bit j < t0.bit_length(),
+    whether a block starts at j and column j's shift in a packing (None
+    past the field); shift is the offsets'.  A field of fewer than t0
+    points is refused."""
+    if t0 > 1 << field_bits:
+        raise ValueError("field too small for t0 distinct points")
     mask = (1 << n) - 1
-    gs = [1 << j for j in range(min(t0.bit_length(), field_bits))]
+    cols = min(t0.bit_length(), field_bits)
+    gs = [1 << j for j in range(cols)]
     gs += [t0 >> j + 1 << j + 1 for j in range(t0.bit_length()) if t0 >> j & 1]
     images = [gf2.powers(g, field_bits) for g in gs]
     units = [sum((image[k] & mask) << i * n for i, image in enumerate(images))
@@ -223,14 +237,16 @@ def _split_tables(t0: int, field_bits: int, n: int) -> tuple[tuple[int, ...], ..
         for unit in units[low : low + 8]:
             table += [v ^ unit for v in table]
         tables.append(tuple(table))
-    return tuple(tables)
+    steps = tuple(
+        (bool(t0 >> j & 1), j * n if j < cols else None) for j in range(t0.bit_length())
+    )
+    return t0, field_bits, n, tuple(tables), steps, cols * n
 
 
-def batch_cosets(
-    a: int, t0: int, field_bits: int, n: int
-) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
+def batch_cosets(a: int, layout: tuple) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
     """The map a*g (g < t0, in GF(2^field_bits)), truncated to n bits, as a
-    multiset of affine cosets: the pair (whole, partial).  The batch
+    multiset of affine cosets: the pair (whole, partial), for the plan
+    (t0, field_bits, n) whose layout (_split_tables) is given.  The batch
     a*g + b is the same multiset with every offset c xored by b mod 2^n.
 
     {g < t0} is one dyadic block per set bit j of t0: g = base + x with
@@ -246,28 +262,26 @@ def batch_cosets(
     set in any other basis vector.  Elimination stops at rank n.
 
     The columns and the offsets are linear in a, so both are read at once
-    from the plan's byte tables (_split_tables, built at the plan's first
-    split), one entry per byte of a; a must lie in the field.
+    from the layout's byte tables, one entry per byte of a; a must lie in
+    the field.  batch_split fetches the layout once per run.
     """
-    if t0 > 1 << field_bits:
-        raise ValueError("field too small for t0 distinct points")
+    t0, field_bits, n, tables, steps, shift = layout
     if not 0 <= a < 1 << field_bits:
         raise ValueError(f"multiplier {a} is not in GF(2^{field_bits})")
     packed = 0
-    for i, table in enumerate(_split_tables(t0, field_bits, n)):
+    for i, table in enumerate(tables):
         packed ^= table[a >> 8 * i & 255]
     mask = (1 << n) - 1
-    cols = min(t0.bit_length(), field_bits)
     pivots = [0] * (n + 1)  # pivots[k]: the eliminated column of bit length k, or 0
     rank = whole = 0
     blocks = []  # (multiplicity, basis) of each block below full rank, ascending
-    for j in range(t0.bit_length()):
-        if t0 >> j & 1:
+    for j, (block, column) in enumerate(steps):
+        if block:
             if rank == n:
                 whole = (t0 >> j) << (j - n)
                 break
             blocks.append((1 << (j - rank), _reduced(pivots)))
-        v = packed >> j * n & mask if rank < n and j < cols else 0  # column j
+        v = packed >> column & mask if rank < n and column is not None else 0  # column j
         while v:
             k = v.bit_length()
             if not pivots[k]:
@@ -275,7 +289,7 @@ def batch_cosets(
                 rank += 1
                 break
             v ^= pivots[k]
-    offsets = packed >> cols * n
+    offsets = packed >> shift
     return whole, [
         (mult, offsets >> i * n & mask, basis) for i, (mult, basis) in enumerate(blocks)
     ]
@@ -341,14 +355,17 @@ def batch_split(
     """The run's batches as cosets: the (whole, partial) split of a*g for
     each distinct multiplier a of the run (batch_cosets, once per a), and
     each batch's (a, b mod 2^n), in batch order.  Batch a*g + b is the
-    split of a with every partial offset xored by b mod 2^n."""
+    split of a with every partial offset xored by b mod 2^n.  The plan's
+    split layout is fetched once, for every split of the run."""
     check_runnable(plan.n)
+    seeds = _batch_seeds(plan, seed)
+    layout = _split_tables(plan.t0, plan.field_bits, plan.n)
     mask = (1 << plan.n) - 1
     splits = {}
     batches = []
-    for a, b in _batch_seeds(plan, seed):
+    for a, b in seeds:
         if a not in splits:
-            splits[a] = batch_cosets(a, plan.t0, plan.field_bits, plan.n)
+            splits[a] = batch_cosets(a, layout)
         batches.append((a, b & mask))
     return splits, batches
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +26,12 @@ from randsteward.circuits import (
     to_truth_table,
 )
 from randsteward.randomness import CounterSource, TapeSource, int_to_bits
-from randsteward.sampler import FnOracle, median_reps, plan_sampler
+from randsteward.sampler import FnOracle, _batch_seeds, median_reps, plan_sampler
 from randsteward.steward import StewardConfig, StewardProtocolError
 
 from harness import TruthTableOracle, random_circuit, random_coset
 from oracles import (
+    ref_batch_sums,
     ref_coset_sum,
     ref_eval_circuit,
     ref_median_miss,
@@ -272,15 +275,18 @@ EDGE_CIRCUITS = ["0", "1", "~1", "~~x0", "~(x0 & 0) ^ 1", "~(~x0 | ~~1)", "x0 & 
 
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
 def test_circuit_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
-    # random cosets of every rank 0..n at random offsets, n = 1..12: ranks
-    # 0-5 fill part of one word, rank 6 exactly one; a pass of at most
-    # max(1, 2^TEMP_BITS / n) words keeps its n input rows to 2^TEMP_BITS
+    # random cosets of every rank 0..n at random offsets, n = 1..12, in
+    # whichever domain the rule picks.  In the word domain ranks 0-5 fill
+    # part of one word, rank 6 exactly one, and a pass of at most
+    # max(1, 2^TEMP_BITS / n) words keeps its n input rows to 2^TEMP_BITS;
+    # the cube domain evaluates one int, which has no passes
     monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
     passes = []
     real = circuits._evaluate
 
     def spy(expr, leaf, ones):
-        passes.append(ones.size)
+        if isinstance(ones, np.ndarray):
+            passes.append(ones.size)
         return real(expr, leaf, ones)
 
     monkeypatch.setattr(circuits, "_evaluate", spy)
@@ -296,7 +302,128 @@ def test_circuit_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
             passes.clear()
             got = _CircuitOracle(expr, n).coset_sums(cosets)
             assert got == [ref_coset_sum(pointwise, c, basis) for c, basis in cosets]
-            assert passes and max(passes) <= max(1, (1 << temp_bits) // n)
+            assert max(passes, default=0) <= max(1, (1 << temp_bits) // n)
+
+
+def test_circuit_domains_match_each_other_and_the_reference():
+    # random cosets of every rank 0..n, the cube among them, n = 1..12, each
+    # basis at two offsets: the cube domain (one table, masks built once
+    # per basis), the word domain and the pointwise sum agree, whichever
+    # domain the rule would pick
+    rng = random.Random(3303)
+    for n in range(1, 13):
+        texts = [random_circuit(rng, n, depth=4) for _ in range(2)]
+        texts += [text.format(top=n - 1) for text in EDGE_CIRCUITS]
+        for text in texts:
+            expr = parse_circuit(text, n)
+            pointwise = TruthTableOracle(to_truth_table(expr, n))
+            cosets = [random_coset(rng, n, rank) for rank in range(n + 1)]
+            cosets += [(rng.randrange(1 << n), basis) for _, basis in cosets]
+            rng.shuffle(cosets)
+            oracle = _CircuitOracle(expr, n)
+            want = [ref_coset_sum(pointwise, c, basis) for c, basis in cosets]
+            assert oracle._cube_sums(cosets, circuits._by_basis(cosets, n)) == want
+            assert oracle._word_sums(cosets) == want
+
+
+def _domain_spy(monkeypatch) -> list:
+    """The names of the circuit oracle's domains, one per coset_sums call."""
+    picked = []
+    for name in ("_cube_sums", "_word_sums"):
+        def spy(self, *args, _name=name, _real=getattr(_CircuitOracle, name)):
+            picked.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(_CircuitOracle, name, spy)
+    return picked
+
+
+def test_circuit_domain_rule_reads_n_and_the_ranks(monkeypatch):
+    # a criterion-12 run (n = 10: cosets of rank 9 and below, and the cube)
+    # builds fewer mask bits than input-row bits, so it takes the cube; an
+    # acceptance call at n = 16, epsilon = 1/2 has cosets of low rank, whose
+    # masks would cost more than their words
+    picked = _domain_spy(monkeypatch)
+    c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
+    expr = parse_circuit("x0 & x3 | ~x9", 10)
+    seed = random.Random(12).getrandbits(c12.seed_bits)
+    want = ref_batch_sums(c12, TruthTableOracle(to_truth_table(expr, 10)), _batch_seeds(c12, seed))
+    assert sampler.batch_sums(c12, _CircuitOracle(expr, 10), seed) == want
+    assert picked == ["_cube_sums"]
+    picked.clear()
+    sess = AcceptanceSession(16, 1, Fraction(1, 2), Fraction(1, 4), CounterSource(b"route", 0))
+    assert abs(sess.estimate("x0 ^ x15") - Fraction(1, 2)) <= sess.epsilon
+    assert picked == ["_word_sums"]
+
+
+# each kind of basis the oracle refuses, at n = 4, and the call it rides in
+# with the cube, so that the rule would pick the cube domain
+NOT_REDUCED = {
+    "zero vector": (1, 0),
+    "repeated lead": (5, 6),
+    "lead at n": (1, 16),
+    "negative vector": (-2,),
+    "lead in another vector": (1, 3),
+    "lead in an earlier vector": (3, 1),
+}
+
+
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 0])
+@pytest.mark.parametrize("kind", NOT_REDUCED)
+def test_circuit_oracle_refuses_a_basis_not_in_reduced_echelon_form(monkeypatch, temp_bits, kind):
+    # the cube domain reads each vector's leading bit, so every basis must
+    # be in reduced row echelon form; the refusal comes whichever domain the
+    # rule picks (TEMP_BITS = 0 sends every call to the word domain)
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
+    picked = _domain_spy(monkeypatch)
+    n = 4
+    expr = parse_circuit("x0 ^ x2 | x1 & x3", n)
+    oracle = _CircuitOracle(expr, n)
+    cube = (0, (1, 2, 4, 8))
+    good = [(5, (1, 6)), cube]
+    pointwise = TruthTableOracle(to_truth_table(expr, n))
+    assert oracle.coset_sums(good) == [ref_coset_sum(pointwise, c, basis) for c, basis in good]
+    assert picked == ["_cube_sums" if temp_bits else "_word_sums"]
+    with pytest.raises(ValueError, match="not in reduced row echelon form"):
+        oracle.coset_sums([(5, NOT_REDUCED[kind]), cube])
+    assert len(picked) == 1
+
+
+def test_deep_circuits_are_evaluated_and_too_deep_nesting_is_refused():
+    # a 3000-term chain is a tree 3000 deep, which _evaluate walks with its
+    # own stack; parenthesised nesting past the recursion limit is refused
+    # by the parser, at a position, before the session draws a bit
+    chain = " & ".join(["x0"] * 3000)
+    assert exact_mean(parse_circuit(chain, 4), 4) == Fraction(1, 2)
+    sess = AcceptanceSession(4, 2, Fraction(1, 4), Fraction(1, 4), CounterSource(b"k", 0))
+    assert abs(sess.estimate(chain) - Fraction(1, 2)) <= sess.epsilon
+    assert sess.bits_used == 143
+    nested = "x0"
+    for _ in range(max(600, sys.getrecursionlimit())):
+        nested = f"({nested}) & x1"
+    fresh = AcceptanceSession(4, 2, Fraction(1, 4), Fraction(1, 4), CounterSource(b"k", 1))
+    with pytest.raises(CircuitSyntaxError, match="nests too deeply") as refused:
+        fresh.estimate(nested)
+    assert 0 <= refused.value.position < len(nested)
+    assert fresh.bits_used == 0
+
+
+def test_refused_parses_leave_no_cycle_for_the_collector():
+    # the parser's two nested functions hold each other's cells; a refusal
+    # frees them as a parse does, so the collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("x0 & & x1", "(x0", "x9", "~" * 5000 + "x0"):
+            try:
+                parse_circuit(text, 4)
+            except CircuitSyntaxError:
+                pass
+            else:
+                raise AssertionError(f"{text[:12]!r} parsed")
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- acceptance

@@ -331,7 +331,8 @@ def test_matrix_path_pads_low_ranks_and_shifts_rows(monkeypatch):
     tape = sum((a | b << plan.field_bits) << 2 * plan.field_bits * i
                for i, (a, b) in enumerate(batches))
     assert _batch_seeds(plan, tape) == batches
-    ranks = {m: sorted(len(basis) for _, _, basis in real(m, 45, 6, width)[1]) for m in (0, 1)}
+    layout = sampler._split_tables(45, 6, width)
+    ranks = {m: sorted(len(basis) for _, _, basis in real(m, layout)[1]) for m in (0, 1)}
     assert ranks == {0: [0, 0, 0, 0], 1: [0, 2, 3]}
     rng = random.Random(2727)
     cands = list(range(1 << ell))

@@ -205,7 +205,7 @@ def _ref_split(a, b, t0, field_bits, n):
 def _shifted_split(a, b, t0, field_bits, n):
     """batch_cosets's split of a*g, moved to the batch a*g + b: every
     offset xored by b mod 2^n."""
-    whole, partial = batch_cosets(a, t0, field_bits, n)
+    whole, partial = batch_cosets(a, sampler._split_tables(t0, field_bits, n))
     return whole, [(mult, c ^ (b & ((1 << n) - 1)), basis) for mult, c, basis in partial]
 
 
@@ -267,15 +267,17 @@ def test_batch_cosets_match_reference_at_the_acceptance_plan():
 
 
 def test_batch_cosets_rejects_small_field():
-    with pytest.raises(ValueError):
-        batch_cosets(1, 5, 2, 2)
+    # the plan's layout refuses a field of fewer than t0 points
+    with pytest.raises(ValueError, match="field too small"):
+        sampler._split_tables(5, 2, 2)
 
 
 def test_batch_cosets_rejects_a_multiplier_outside_the_field():
     # a byte-table lookup would drop the high bits of a, so a must be reduced
+    layout = sampler._split_tables(5, 3, 2)
     for a in (-1, 1 << 3):
         with pytest.raises(ValueError, match="not in GF"):
-            batch_cosets(a, 5, 3, 2)
+            batch_cosets(a, layout)
 
 
 def test_split_tables_are_keyed_by_the_whole_plan():
