@@ -51,7 +51,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -272,62 +271,48 @@ def _cube_inputs(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _by_basis(cosets: list[tuple[int, tuple[int, ...]]], n: int) -> dict:
-    """The positions of the cosets grouped by basis, each group with its
-    basis's leading bits ORed: {basis: (leads, positions)}.  A basis not in
-    reduced row echelon form on n bits is refused: a zero or negative
-    vector, a repeated lead, a lead at bit n or above, or a lead set in
-    another vector, read off the ORed leads and the ORed vectors without
-    their leads."""
+    """The cosets' positions by basis, each with the basis's dual: {basis:
+    (sampler.dual_basis(basis, n), positions)}, refusing a basis not in
+    echelon form on n bits."""
     groups: dict = {}
     for k, (_, basis) in enumerate(cosets):
-        if basis in groups:
-            groups[basis][1].append(k)
-            continue
-        leads = rest = 0
-        for v in basis:
-            lead = 1 << v.bit_length() >> 1
-            leads |= lead
-            rest |= v ^ lead
-        if leads.bit_count() != len(basis) or leads >> n or leads & rest or rest < 0:
-            raise ValueError(f"basis {basis} is not in reduced row echelon form on {n} bits")
-        groups[basis] = (leads, [k])
+        group = groups.get(basis)
+        if group is None:
+            group = groups[basis] = (sampler.dual_basis(basis, n), [])
+        group[1].append(k)
     return groups
 
 
 class _CircuitOracle:
     """A circuit as a sampler oracle, summed over one of two domains.
 
-    Every basis must be in reduced row echelon form, as the sampler hands
-    them over; coset_sums refuses any other (_by_basis).  It sums over the
-    cube iff n <= TEMP_BITS and 2^n * sum_k (n - r_k) <= n * sum_k 2^(r_k)
-    over the ranks r_k of its cosets: the mask bits the cube domain would
-    build against the input-row bits the word domain would.
+    Every basis must be in echelon form, as the sampler hands them over;
+    coset_sums refuses any other (_by_basis).  It sums over the cube iff
+    n <= TEMP_BITS and 2^n * sum_k (n - r_k) <= n * sum_k 2^(r_k) over
+    the ranks r_k of its cosets: the mask bits the cube domain would build
+    against the input-row bits the word domain would.
 
     The cube domain evaluates the circuit once on all 2^n points, as a
     2^n-bit int whose bit x is C(x): input i is _cube_inputs's X_i, and ~
-    is xor with all ones.  For each bit f that leads no basis vector of a
-    coset c + span(B), h_f = e_f + the e_lead(b) of each b with bit f set
-    is orthogonal to B, and these n - rank h_f span the dual of B; so the
-    coset is the points x with parity(x & h_f) = parity(c & h_f) for each
-    f.  The parity table of h_f, the xor of the X_i over its bits, and its
-    complement are built once per distinct basis, and a coset's sum is the
-    popcount of the circuit's table ANDed, for each f, with the one that
-    is 1 where the parity is that of c & h_f; the cube needs none.
+    is xor with all ones.  A coset c + span(B) is the points x with
+    parity(x & h) = parity(c & h) for each h of B's dual, from
+    sampler.dual_basis.  The parity table of h, the xor of the X_i over its
+    bits, and its complement are built once per distinct basis; a coset's
+    sum is the popcount of the circuit's table ANDed, for each h, with the
+    one that is 1 where the parity is that of c & h.  The cube needs none.
 
-    The word domain sums bit-sliced, 64 points to a uint64 word.  Point t
-    of a coset c + span(B) of rank b, t < 2^b, is c xor the B[s]
-    of each set bit s of t, so its input bit i is c_i xor the parity of
-    t & m_i, where bit s of m_i is bit i of B[s]: a linear map from coset
-    coordinates to inputs.  Word w of the coset holds the points t = 64w +
-    j, j < 64, and there input i is the word CHAR[m_i & 63], xored with
-    all ones where c_i xor parity(w & (m_i >> 6)) is 1.  _word_sums lays
-    the words of every coset end to end, 2^max(b - 6, 0) each, and
-    evaluates the circuit once per pass of at most max(1, 2^TEMP_BITS / n)
-    words, so that the pass's n input rows hold at most 2^TEMP_BITS words;
-    ~ is xor with all ones.  A word counts its set bits under its coset's
-    valid mask, the low 2^b bits where b < 6 (j then repeats the 2^b
-    points), else all 64.  No point array is built.  It is the only
-    domain past n = TEMP_BITS.
+    The word domain, the only one past n = TEMP_BITS, sums bit-sliced, 64
+    points to a uint64 word.  Point t of a coset c + span(B) of rank b,
+    t < 2^b, is c xor the B[s] of each set bit s of t.  A word holds the
+    points t = 64w + j, j < 64, whose start point p (j = 0) lies in
+    c + span(B[6:]); there input i is the word CHAR[m_i], where bit s < 6
+    of m_i is bit i of B[s], xored with all ones where bit i of p is set.
+    _word_sums takes the start points from sampler._stacked_chunks, in
+    passes of at most 2^max(0, TEMP_BITS - bit_length(n - 1)) words, so
+    that a pass's n input rows hold at most max(n, 2^TEMP_BITS) words, and
+    evaluates the circuit once per pass.  A word counts its set bits under
+    its coset's valid mask, the low 2^b bits where b < 6 (j then repeats
+    the 2^b points), else all 64.
 
     The cube, the last coset of a run's call where some batch covers it,
     is 2^max(n - 6, 0) words, or the whole table."""
@@ -351,60 +336,40 @@ class _CircuitOracle:
     def _cube_sums(self, cosets: list[tuple[int, tuple[int, ...]]], groups: dict) -> list:
         ones, inputs = _cube_inputs(self.n)
         table = _evaluate(self.expr, inputs.__getitem__, ones)
-        full = (1 << self.n) - 1
         sums = [0] * len(cosets)
-        for basis, (leads, ks) in groups.items():
-            duals = []  # (h_f, parity(x & h_f) over the cube, its complement)
-            free = full ^ leads
-            while free:
-                f = free.bit_length() - 1
-                free ^= 1 << f
-                h, odd = 1 << f, inputs[f]
-                for v in basis:
-                    if v >> f & 1:
-                        lead = v.bit_length() - 1
-                        h |= 1 << lead
-                        odd ^= inputs[lead]
-                duals.append((h, odd, odd ^ ones))
+        for dual, ks in groups.values():
+            masks = []  # (h, parity(x & h) over the cube, its complement)
+            for h in dual:
+                odd = 0
+                for i, x in enumerate(inputs):
+                    if h >> i & 1:
+                        odd ^= x
+                masks.append((h, odd, odd ^ ones))
             for k in ks:
                 c = cosets[k][0]
                 inside = table
-                for h, odd, even in duals:
+                for h, odd, even in masks:
                     inside &= odd if (c & h).bit_count() & 1 else even
                 sums[k] = inside.bit_count()
         return sums
 
     def _word_sums(self, cosets: list[tuple[int, tuple[int, ...]]]) -> list:
-        offsets, bases = zip(*cosets)
-        ranks = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))
-        top = int(ranks.max())
-        padded = np.fromiter(
-            chain.from_iterable(basis + (0,) * (top - len(basis)) for basis in bases),
-            dtype=np.uint64, count=len(bases) * top,
-        ).reshape(len(bases), top, 1)
         inputs = np.arange(self.n, dtype=np.uint64)
-        bits = (padded >> inputs) & np.uint64(1)  # [k, s, i]: bit i of B[s] of coset k
-        maps = (bits << np.arange(top, dtype=np.uint64)[:, None]).sum(axis=1, dtype=np.uint64).T
-        low = CHAR[maps & np.uint64(63)]
-        # c_i rides in bit 63 of high, above the at most 58 bits of m_i >> 6,
-        # and every word index carries bit 63, so one parity gives
-        # c_i xor parity(w & (m_i >> 6))
-        c = np.fromiter(offsets, dtype=np.uint64, count=len(offsets))
-        high = (maps >> np.uint64(6)) | ((c >> inputs[:, None]) & np.uint64(1)) << np.uint64(63)
-        valid = _VALID[np.minimum(ranks, 6)]
-        sizes = np.left_shift(1, np.maximum(ranks - 6, 0))
-        ends = np.cumsum(sizes)
-        total = int(ends[-1])
-        step = max(1, (1 << sampler.TEMP_BITS) // self.n)
+        six = np.array([(basis + (0,) * 6)[:6] for _, basis in cosets], dtype=np.uint64)
+        bits = (six[:, :, None] >> inputs) & np.uint64(1)  # [k, s, i]: bit i of B[s] of coset k
+        maps = (bits << np.arange(6, dtype=np.uint64)[:, None]).sum(axis=1, dtype=np.uint64)
+        low = CHAR[maps.T]  # [i, k]: input i of coset k's words, start point 0
+        valid = _VALID[[min(len(basis), 6) for _, basis in cosets]]
+        chunk_bits = max(0, sampler.TEMP_BITS - (self.n - 1).bit_length())
         sums = [0] * len(cosets)
-        for first in range(0, total, step):
-            words = np.arange(first, min(first + step, total))
-            ks = np.searchsorted(ends, words, side="right")
-            w = (words - ends[ks] + sizes[ks]).astype(np.uint64) | np.uint64(1 << 63)
-            x = low[:, ks] ^ (np.bitwise_count(high[:, ks] & w) & np.uint8(1)) * _ALL
-            value = _evaluate(self.expr, x.__getitem__, np.full(words.shape, _ALL))
-            counts = np.bincount(ks, weights=np.bitwise_count(value & valid[ks]), minlength=len(sums))
-            sums = [old + new for old, new in zip(sums, counts.astype(np.int64).tolist())]
+        high = [(c, basis[6:]) for c, basis in cosets]
+        for ks, starts in sampler._stacked_chunks(high, chunk_bits):
+            owners = np.repeat(ks, starts.shape[1])  # the coset of each word
+            x = low[:, owners] ^ ((starts.ravel() >> inputs[:, None]) & np.uint64(1)) * _ALL
+            value = _evaluate(self.expr, x.__getitem__, np.full(owners.shape, _ALL))
+            counts = np.bitwise_count(value & valid[owners]).reshape(starts.shape)
+            for k, part in zip(ks.tolist(), counts.sum(axis=1, dtype=np.int64).tolist()):
+                sums[k] += part
         return sums
 
 

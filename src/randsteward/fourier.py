@@ -44,8 +44,9 @@ vector-valued oracle, and sampler.batch_sums hands all partial cosets of
 the run, and the whole cube last, to one coset_sums call.  The oracle
 groups them by rank and sums each group in one stacked pass: a small rank
 through one histogram over (coset, y xor y'), a large one through the
-stacked spans of their Walsh duals (see _WeightOracle).  All of it is
-integer arithmetic, and the sums equal the pointwise ones exactly.
+stacked spans of their duals, each from sampler.dual_basis, in the Walsh
+domain (see _WeightOracle).  All of it is integer arithmetic, and the
+sums equal the pointwise ones exactly.
 Circuit estimates take the coset path (see _cube_matrix_sums).
 """
 
@@ -218,22 +219,14 @@ def _dual_coset_sums(rows, cands, ell, cosets, width) -> np.ndarray:
 
     sum over c + V of h_p = |V|/2^width * sum over s in V-perp of
     h_hat_p(s) (-1)^<s, c>, with h_hat_p(s_y, s_y', s_z) = sum_z
-    (-1)^<s_z, z> A[z, s_y xor p] A[z, s_y' xor p] and A = rows.  Each basis
-    of V is in reduced row echelon form, so each non-leading bit f gives
-    the V-perp vector e_f + sum of e_lead(w) over the w with bit f set.
-    The V-perp spans of all the cosets are enumerated stacked.  Each
-    |h_hat_p(s)| is at most 2^width, so a pass over 2^TEMP_BITS terms stays
-    in int64; the totals are Python ints, and a total that |V-perp| does
-    not divide raises ArithmeticError rather than flooring.
+    (-1)^<s_z, z> A[z, s_y xor p] A[z, s_y' xor p] and A = rows.  V-perp
+    is spanned by sampler.dual_basis of V's basis, and the V-perp spans of
+    all the cosets are enumerated stacked.  Each |h_hat_p(s)| is at most
+    2^width, so a pass over 2^TEMP_BITS terms stays in int64; the totals
+    are Python ints, and a total that |V-perp| does not divide raises
+    ArithmeticError rather than flooring.
     """
-    perps = []
-    for _, basis in cosets:
-        lead = {w.bit_length() - 1: w for w in basis}
-        perps.append((0, tuple(
-            (1 << f) | sum(1 << i for i, w in lead.items() if w >> f & 1)
-            for f in range(width)
-            if f not in lead
-        )))
+    perps = [(0, sampler.dual_basis(basis, width)) for _, basis in cosets]
     temp_bits = sampler.TEMP_BITS
     z_bits = rows.shape[0].bit_length() - 1
     group = max(1, min(len(cands), 1 << max(0, temp_bits - z_bits)))

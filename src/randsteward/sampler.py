@@ -27,39 +27,39 @@ of independent values:
   uint64 arrays, so a run needs n <= 64; planning does not.
 
   An oracle has n and coset_sums(cosets), the exact sum of f over each
-  affine coset c + span(basis) of a list of (c, basis) pairs, in order,
-  and nothing else.  Every basis handed over is in reduced row echelon
-  form: distinct leading bits below n, none of them set in another vector
-  (batch_cosets makes them so, and the cube's unit basis is so); an oracle
-  may rely on it.  batch_split is the one split loop, under batch_sums
-  here and under the GL matrix path (fourier._cube_matrix_sums), which
-  sums a small cube's multiplicities times its value table instead of
-  calling an oracle.  batch_cosets splits the map g -> a*g into a
-  multiplicity of the whole cube and its cosets below full rank; the split
-  depends on a alone, and the batch a*g + b is the same cosets with every
-  offset moved by b.  So batch_split returns the split of each distinct a
-  of the run, made once, and each batch's (a, b mod 2^n); batch_sums
-  expands them into every batch's cosets.  The columns a * x^i and the
-  block offsets that batch_cosets eliminates are linear in a, so it reads
-  both from byte tables, one entry per byte of a.  The tables, with the
-  rest of what the splits of a plan (t0, field_bits, n) share, make the
-  plan's split layout: built at the plan's first split, kept in a bounded
-  cache (_split_tables), and fetched once per run by batch_split, which
-  hands it to every split of the run.  A run makes one coset_sums call, on
-  every partial coset of the run and, where some batch has a whole-cube
-  multiplicity, the cube (0, (1, 2, ..., 2^(n-1))) last, so the cube is
-  summed once per run.  A sum may be an int, a Fraction or an int64 array
-  of one sum per coordinate.  The base Oracle stacks the cosets of one
-  rank into one point array (_stacked_chunks) and evaluates it through
-  eval_ints in passes of at most 2^TEMP_BITS points.  Values are summed
-  exactly (_exact_sums): an integer or bool array by numpy where no
-  partial sum can leave int64, any other array value by value, each as its
-  exact Fraction.  Two oracles sum cosets their own way:
-  fourier._WeightOracle, by rank through a histogram or the Walsh dual,
-  and circuits._CircuitOracle, from one evaluation of a small cube as a
-  2^n-bit int or bit-sliced at 64 points to a uint64 word, never building
-  a point array.  run_sampler returns the lower median of the exact sums
-  divided once by t0.
+  affine coset c + span(basis) of a list of (c, basis) pairs, in order, and
+  nothing else.  Every basis handed over is in echelon form: nonzero
+  vectors whose leading bits ascend, all below n, as batch_cosets's
+  elimination leaves them and as the cube's unit basis is; an oracle may
+  rely on it, and dual_basis is the one derivation of its dual.
+  batch_split is the one split loop, under batch_sums here and under the GL
+  matrix path (fourier._cube_matrix_sums), which sums a small cube's
+  multiplicities times its value table instead of calling an oracle.
+  batch_cosets splits the map g -> a*g into a multiplicity of the whole
+  cube and its cosets below full rank; the split depends on a alone, and
+  the batch a*g + b is the same cosets with every offset moved by b.  So
+  batch_split returns the split of each distinct a of the run, made once,
+  and each batch's (a, b mod 2^n); batch_sums expands them into every
+  batch's cosets.  The columns a * x^i and the block offsets that
+  batch_cosets eliminates are linear in a, so it reads both from byte
+  tables, one entry per byte of a.  The tables, with the rest of what the
+  splits of a plan (t0, field_bits, n) share, make the plan's split layout:
+  built at the plan's first split, kept in a bounded cache (_split_tables),
+  and fetched once per run by batch_split, which hands it to every split of
+  the run.  A run makes one coset_sums call, on every partial coset of the
+  run and, where some batch has a whole-cube multiplicity, the cube
+  (0, (1, 2, ..., 2^(n-1))) last, so the cube is summed once per run.  A
+  sum may be an int, a Fraction or an int64 array of one sum per
+  coordinate.  The base Oracle stacks the cosets of one rank into one point
+  array (_stacked_chunks) and evaluates it through eval_ints in passes of
+  at most 2^TEMP_BITS points.  Values are summed exactly (_exact_sums): an
+  integer or bool array by numpy where no partial sum can leave int64, any
+  other array value by value, each as its exact Fraction.  Two oracles sum
+  cosets their own way: fourier._WeightOracle, by rank through a histogram
+  or the Walsh dual, and circuits._CircuitOracle, from one evaluation of a
+  small cube as a 2^n-bit int or bit-sliced at 64 points to a uint64 word,
+  the words' start points stacked by _stacked_chunks.  run_sampler returns
+  the lower median of the exact sums divided once by t0.
 
 * median_reps(delta): the fewest r independent values, each off with
   probability at most p = 1/3, whose lower median is off with probability
@@ -257,9 +257,9 @@ def batch_cosets(a: int, layout: tuple) -> tuple[int, list[tuple[int, int, tuple
     first set bit j* at which V has rank n on, each block is the whole cube
     2^(j - n) times, whatever its offset c: whole = (t0 >> j*) << (j* - n),
     their sum, or 0 if there is no j*.  partial is the (multiplicity, c,
-    basis) triples of the blocks below j*, ascending, each basis in reduced
-    row echelon form, ascending: distinct leading bits, none of which is
-    set in any other basis vector.  Elimination stops at rank n.
+    basis) triples of the blocks below j*, ascending, each basis the
+    elimination's echelon vectors as they stand: nonzero, their leading
+    bits ascending, all below n.  Elimination stops at rank n.
 
     The columns and the offsets are linear in a, so both are read at once
     from the layout's byte tables, one entry per byte of a; a must lie in
@@ -280,7 +280,7 @@ def batch_cosets(a: int, layout: tuple) -> tuple[int, list[tuple[int, int, tuple
             if rank == n:
                 whole = (t0 >> j) << (j - n)
                 break
-            blocks.append((1 << (j - rank), _reduced(pivots)))
+            blocks.append((1 << (j - rank), tuple(filter(None, pivots))))
         v = packed >> column & mask if rank < n and column is not None else 0  # column j
         while v:
             k = v.bit_length()
@@ -295,17 +295,30 @@ def batch_cosets(a: int, layout: tuple) -> tuple[int, list[tuple[int, int, tuple
     ]
 
 
-def _reduced(pivots: list[int]) -> tuple[int, ...]:
-    """The reduced row echelon form, ascending, of echelon vectors indexed
-    by their bit lengths (0 where there is none)."""
-    basis: list[int] = []
-    for v in pivots:  # each lead is above those already reduced
-        if v:
-            for w in basis:
-                if v >> (w.bit_length() - 1) & 1:
-                    v ^= w
-            basis.append(v)
-    return tuple(basis)
+def dual_basis(basis: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """A basis of the dual of span(basis) on n bits, the h with even
+    parity(h & v) for every v: one h_f per bit f that leads no vector,
+    ascending.  h_f starts as e_f and, walking the basis in order, takes
+    the lead of each v with parity(h_f & v) odd; each later v leads above
+    every earlier one, so no parity made even turns odd.  Only bit f of
+    h_f lies off the leads, so the n - rank h_f are independent.  A basis
+    not in echelon form on n bits is refused: a zero or negative vector, a
+    lead at bit n or above, or a lead not above the one before it."""
+    leads = 0
+    for v in basis:
+        if v < 0 or v.bit_length() <= leads.bit_length() or v >> n:
+            raise ValueError(f"basis {basis} is not in echelon form on {n} bits")
+        leads |= 1 << v.bit_length() >> 1
+    dual = []
+    free = (1 << n) - 1 ^ leads
+    while free:
+        h = free & -free
+        free ^= h
+        for v in basis:
+            if (h & v).bit_count() & 1:
+                h |= 1 << v.bit_length() >> 1
+        dual.append(h)
+    return tuple(dual)
 
 
 def _by_rank(cosets: list[tuple[int, tuple[int, ...]]]) -> dict[int, list[int]]:
@@ -371,7 +384,9 @@ def batch_split(
 
 
 def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
-    """The r exact batch sums of an oracle on plan.n bits, from one seed."""
+    """The r exact batch sums of an oracle on plan.n bits, from one seed.
+    An oracle that returns other than one sum per coset is refused; in a
+    steward's round that is after the round's seed is drawn."""
     if oracle.n != plan.n:
         raise ValueError(f"oracle has n={oracle.n}, the plan n={plan.n}")
     splits, batches = batch_split(plan, seed)
@@ -380,6 +395,8 @@ def batch_sums(plan: SamplerPlan, oracle, seed: int) -> list:
     if cube:  # the cube, at any offset, as the call's last coset
         cosets.append((0, tuple(1 << i for i in range(plan.n))))
     part_sums = oracle.coset_sums(cosets)
+    if len(part_sums) != len(cosets):
+        raise ValueError(f"oracle returned {len(part_sums)} sums for {len(cosets)} cosets")
     total = part_sums.pop() if cube else 0
     parts = iter(part_sums)
     sums = []

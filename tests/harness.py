@@ -154,12 +154,9 @@ def small_bias_counts(params) -> np.ndarray:
 
 def random_coset(rng: random.Random, width: int, rank: int) -> tuple[int, tuple[int, ...]]:
     """A random affine coset (c, basis) on width bits whose basis has the given
-    rank, in reduced row echelon form, ascending: distinct leading bits, none
-    of which is set in any other basis vector."""
+    rank, in echelon form: leading bits ascending, every bit below a lead
+    random, so a vector may set the leads of those before it, as the
+    sampler's bases may."""
     leads = sorted(rng.sample(range(width), rank))
-    free = [f for f in range(width) if f not in leads]
-    basis = tuple(
-        1 << lead | sum(1 << f for f in free if f < lead and rng.getrandbits(1))
-        for lead in leads
-    )
+    basis = tuple(1 << lead | rng.getrandbits(lead) for lead in leads)
     return rng.randrange(1 << width), basis

@@ -326,6 +326,36 @@ def test_circuit_domains_match_each_other_and_the_reference():
             assert oracle._word_sums(cosets) == want
 
 
+class PointwiseCircuit:
+    """A circuit's eval_ints, point by point through eval_on_ints, for
+    ref_coset_sum at widths that no truth table reaches."""
+
+    def __init__(self, expr, n):
+        self.expr, self.n = expr, n
+
+    def eval_ints(self, xs):
+        return eval_on_ints(self.expr, xs)
+
+
+@pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 8])
+def test_word_domain_matches_the_reference_past_the_cube(monkeypatch, temp_bits):
+    # n = 17, 20, 33, 64, where the word domain is the only one: random
+    # echelon cosets of ranks 0-12 at random offsets, so that ranks 7 and up
+    # stack start points from their vectors past the sixth, and TEMP_BITS = 8
+    # splits those by their top vectors as well
+    monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
+    picked = _domain_spy(monkeypatch)
+    rng = random.Random(3364)
+    for n in (17, 20, 33, 64):
+        for text in [random_circuit(rng, n, depth=4) for _ in range(2)] + ["~(x0 & 0) ^ 1"]:
+            expr = parse_circuit(text, n)
+            cosets = [random_coset(rng, n, rank) for rank in range(13) for _ in range(2)]
+            rng.shuffle(cosets)
+            want = [ref_coset_sum(PointwiseCircuit(expr, n), c, basis) for c, basis in cosets]
+            assert _CircuitOracle(expr, n).coset_sums(cosets) == want
+    assert set(picked) == {"_word_sums"}
+
+
 def _domain_spy(monkeypatch) -> list:
     """The names of the circuit oracle's domains, one per coset_sums call."""
     picked = []
@@ -358,34 +388,34 @@ def test_circuit_domain_rule_reads_n_and_the_ranks(monkeypatch):
 
 # each kind of basis the oracle refuses, at n = 4, and the call it rides in
 # with the cube, so that the rule would pick the cube domain
-NOT_REDUCED = {
+NOT_ECHELON = {
     "zero vector": (1, 0),
     "repeated lead": (5, 6),
     "lead at n": (1, 16),
     "negative vector": (-2,),
-    "lead in another vector": (1, 3),
     "lead in an earlier vector": (3, 1),
 }
 
 
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 0])
-@pytest.mark.parametrize("kind", NOT_REDUCED)
+@pytest.mark.parametrize("kind", NOT_ECHELON)
 def test_circuit_oracle_refuses_a_basis_not_in_reduced_echelon_form(monkeypatch, temp_bits, kind):
-    # the cube domain reads each vector's leading bit, so every basis must
-    # be in reduced row echelon form; the refusal comes whichever domain the
-    # rule picks (TEMP_BITS = 0 sends every call to the word domain)
+    # the cube domain derives each basis's dual by back-substitution, so
+    # every basis must be in echelon form, reduced or not ((1, 3) sets the
+    # lead of 1); the refusal comes whichever domain the rule picks
+    # (TEMP_BITS = 0 sends every call to the word domain)
     monkeypatch.setattr(sampler, "TEMP_BITS", temp_bits)
     picked = _domain_spy(monkeypatch)
     n = 4
     expr = parse_circuit("x0 ^ x2 | x1 & x3", n)
     oracle = _CircuitOracle(expr, n)
     cube = (0, (1, 2, 4, 8))
-    good = [(5, (1, 6)), cube]
+    good = [(5, (1, 6)), (6, (1, 3)), cube]
     pointwise = TruthTableOracle(to_truth_table(expr, n))
     assert oracle.coset_sums(good) == [ref_coset_sum(pointwise, c, basis) for c, basis in good]
     assert picked == ["_cube_sums" if temp_bits else "_word_sums"]
-    with pytest.raises(ValueError, match="not in reduced row echelon form"):
-        oracle.coset_sums([(5, NOT_REDUCED[kind]), cube])
+    with pytest.raises(ValueError, match="not in echelon form on 4 bits"):
+        oracle.coset_sums([(5, NOT_ECHELON[kind]), cube])
     assert len(picked) == 1
 
 
@@ -518,6 +548,34 @@ def test_acceptance_session_takes_any_object_with_the_oracle_contract():
         want = sessions[0].estimate(TruthTableOracle(table))
         assert sessions[1].estimate(PlainTable(table)) == want
         assert sessions[1].bits_used == sessions[0].bits_used > 0
+
+
+class MiscountingTable(PlainTable):
+    """PlainTable's sums with `extra` more of them, or fewer if negative;
+    counts holds the length of each call's cosets."""
+
+    def __init__(self, table, extra):
+        super().__init__(table)
+        self.extra, self.counts = extra, []
+
+    def coset_sums(self, cosets):
+        self.counts.append(len(cosets))
+        sums = super().coset_sums(cosets)
+        return sums[: len(sums) + self.extra] if self.extra < 0 else sums + [1] * self.extra
+
+
+@pytest.mark.parametrize("extra", [-1, 5])
+def test_an_oracle_returning_the_wrong_number_of_sums_is_refused(extra):
+    # one sum too few would run the batch sums off the end, and five too
+    # many would be read as the cube's sum; both are refused by count.  The
+    # oracle runs inside the round, so the steward's seed is drawn by then
+    sess = AcceptanceSession(4, 2, Fraction(1, 4), Fraction(1, 4), CounterSource(b"k", 0))
+    oracle = MiscountingTable(to_truth_table(parse_circuit("x0 & x3", 4), 4), extra)
+    with pytest.raises(ValueError) as refused:
+        sess.estimate(oracle)
+    cosets, = oracle.counts
+    assert str(refused.value) == f"oracle returned {cosets + extra} sums for {cosets} cosets"
+    assert sess.bits_used == sess.config.schedule.seed_len > 0
 
 
 def test_queries_that_do_not_fit_n_are_refused_before_any_draw():

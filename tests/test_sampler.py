@@ -184,14 +184,23 @@ def _expand_cosets(cosets) -> Counter:
     return points
 
 
-def _is_reduced_echelon(basis) -> bool:
-    """Ascending, and each vector's leading bit is set in no other vector."""
-    leads = [1 << (v.bit_length() - 1) for v in basis]
-    return list(basis) == sorted(basis) and all(
-        bool(v & lead) == (i == k)
-        for i, v in enumerate(basis)
-        for k, lead in enumerate(leads)
-    )
+def _is_echelon(basis) -> bool:
+    """Nonzero vectors whose leading bits strictly ascend."""
+    lengths = [v.bit_length() for v in basis]
+    return min(basis, default=1) > 0 and lengths == sorted(set(lengths))
+
+
+def _reduce(basis) -> tuple[int, ...]:
+    """An echelon basis in reduced row echelon form, the same span: each
+    vector's leading bit cleared from every later vector, as
+    ref_batch_cosets keeps its bases."""
+    reduced = []
+    for v in basis:
+        for w in reduced:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        reduced.append(v)
+    return tuple(reduced)
 
 
 def _ref_split(a, b, t0, field_bits, n):
@@ -204,9 +213,11 @@ def _ref_split(a, b, t0, field_bits, n):
 
 def _shifted_split(a, b, t0, field_bits, n):
     """batch_cosets's split of a*g, moved to the batch a*g + b: every
-    offset xored by b mod 2^n."""
+    offset xored by b mod 2^n, and every basis, checked to be in echelon
+    form, reduced, so that it compares with ref_batch_cosets's by span."""
     whole, partial = batch_cosets(a, sampler._split_tables(t0, field_bits, n))
-    return whole, [(mult, c ^ (b & ((1 << n) - 1)), basis) for mult, c, basis in partial]
+    assert all(_is_echelon(basis) for _, _, basis in partial)
+    return whole, [(mult, c ^ (b & ((1 << n) - 1)), _reduce(basis)) for mult, c, basis in partial]
 
 
 def test_batch_cosets_match_batch_points():
@@ -236,7 +247,6 @@ def test_batch_cosets_match_batch_points():
         for mult, c, basis in partial:
             assert mult & (mult - 1) == 0 and 0 <= c < 1 << n
             assert all(0 < v < 1 << n for v in basis) and len(basis) < n
-            assert _is_reduced_echelon(basis)
             if a == 0:
                 assert basis == ()
         want = Counter(batch_points(a, b, t0, field_bits, n).tolist())
@@ -249,7 +259,7 @@ def test_batch_cosets_match_batch_points():
 def test_batch_cosets_match_reference_at_the_acceptance_plan():
     # criterion 12's sampler (n = 10, t0 = 256000, field 2^18): mostly
     # the whole cube, and the blocks below full rank must get the same
-    # offsets and reduced bases; gl-search's levels (n = 3, 4, t0 =
+    # offsets and spans; gl-search's levels (n = 3, 4, t0 =
     # 998873, field 2^20): t0 is odd, so every batch has a partial coset
     c12 = plan_sampler(10, Fraction(1, 160), Fraction(1, 320))
     assert (c12.t0, c12.r, c12.field_bits) == (256000, 67, 18)
@@ -531,6 +541,60 @@ def _oracle_kinds(rng, n):
     return [(oracle, oracle) for oracle in pointwise] + [circuit]
 
 
+def _echelon_bases(n: int) -> list[tuple[int, ...]]:
+    """Every echelon basis on n bits: each set of leads, ascending, with
+    every choice of the bits below each lead."""
+    bases = [()]
+    for lead in range(n):
+        bases += [basis + (1 << lead | low,) for basis in bases for low in range(1 << lead)]
+    return bases
+
+
+def _span(vectors) -> set[int]:
+    points = {0}
+    for v in vectors:
+        points |= {p ^ v for p in points}
+    return points
+
+
+def _rank(vectors) -> int:
+    pivots = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def test_dual_basis_spans_the_orthogonal_complement():
+    # every echelon basis on n <= 5 bits, reduced or not, and random ones up
+    # to n = 24: n - rank independent vectors whose span is the set of h
+    # with even parity(h & v) for every v, by brute force up to n = 12 and
+    # past it by orthogonality and dimension
+    rng = random.Random(34)
+    bases = [(n, basis) for n in range(6) for basis in _echelon_bases(n)]
+    assert len(bases) == 1 + 2 + 6 + 30 + 270 + 4590
+    bases += [(n, random_coset(rng, n, rng.randint(0, n))[1]) for n in range(1, 25) for _ in range(30)]
+    for n, basis in bases:
+        dual = sampler.dual_basis(basis, n)
+        assert len(dual) == n - len(basis) == _rank(dual)
+        if n <= 12:
+            assert _span(dual) == {
+                h for h in range(1 << n) if not any((h & v).bit_count() & 1 for v in basis)
+            }
+        else:
+            assert not any((h & v).bit_count() & 1 for h in dual for v in basis)
+
+
+def test_dual_basis_refuses_a_basis_not_in_echelon_form():
+    # descending leads would break the back-substitution: (7, 3) would give
+    # h = 7 for bit 0, which is not orthogonal to 7
+    for basis in [(1, 0), (-2,), (5, 6), (1, 16), (3, 1), (7, 3)]:
+        with pytest.raises(ValueError, match=r"basis \(.*\) is not in echelon form on 4 bits"):
+            sampler.dual_basis(basis, 4)
+
+
 @pytest.mark.parametrize("temp_bits", [sampler.TEMP_BITS, 1])
 def test_coset_sums_match_pointwise_reference(monkeypatch, temp_bits):
     # random coset lists mixing every rank 0..n, full rank included, one
@@ -624,7 +688,11 @@ def test_batch_sums_call_the_oracle_once_per_run():
                 got = np.array(batch_sums(plan, spy, seed)).reshape(plan.r, -1).T.tolist()
                 assert len(spy.calls) == 1
                 assert len(spy.calls[0]) == len(partial) + whole
-                assert spy.calls[0][: len(partial)] == [(c, basis) for _, c, basis in partial]
+                handed = spy.calls[0][: len(partial)]
+                assert all(_is_echelon(basis) for _, basis in handed)
+                assert [(c, _reduce(basis)) for c, basis in handed] == [
+                    (c, basis) for _, c, basis in partial
+                ]
                 assert (spy.calls[0][-1] == cube) == whole
                 assert got == [ref_batch_sums(plan, ref, seeds) for ref in pointwise]
                 seen[k, whole] += 1
